@@ -9,7 +9,7 @@ single-fault classification table.
 
 Exit codes: 0 all checks pass, 1 a verification found violations or a
 golden comparison failed, 2 usage errors or malformed input files.
-Outputs are deterministic; worker counts never change output bytes.
+Outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -299,12 +299,11 @@ def cmd_gen_table(args) -> int:
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
-        workers=args.workers,
     )
     with _sink(args.out) as fh:
         if args.format == "text":
-            for line in table.record_lines():
-                fh.write(line + "\n")
+            for chunk in table.record_chunks():
+                fh.write(chunk.decode("ascii"))
         else:
             names = ("s", "stilde", "tau", "f", "parity", "tag")
             for line in table.record_lines():
@@ -335,7 +334,6 @@ def cmd_verify_appendix_a(args) -> int:
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
-        workers=args.workers,
     )
     report = verify_claim2(table)
     with _sink(args.out) as fh:
@@ -385,7 +383,7 @@ def cmd_verify_appendix_a(args) -> int:
 
 
 def cmd_verify_appendix_b(args) -> int:
-    report = run_appendix_b(args.max_faults, workers=args.workers)
+    report = run_appendix_b(args.max_faults)
     n_harmful = sum(a.harmful for a in report.analyses)
     with _sink(args.out) as fh:
         if args.format == "text":
@@ -443,7 +441,6 @@ def cmd_decode(args) -> int:
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
-        workers=args.workers,
     )
     correction, report = decode_with_report(bundle, table)
     if report.fallback_used:
@@ -544,8 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="enumeration processes (default: WPEC_WORKERS or the CPU "
-        "count; never changes output bytes)",
+        help="accepted for compatibility and ignored: the enumeration "
+        "always runs in one process",
     )
 
     p = sub.add_parser(
@@ -585,7 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, metavar="N",
-        help="enumeration processes (never changes output bytes)",
+        help="accepted for compatibility and ignored: the scan always "
+        "runs in one process",
     )
     p.set_defaults(func=cmd_verify_appendix_b)
 

@@ -34,8 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +169,7 @@ class FaultModel:
     def signature_pool(self) -> np.ndarray:
         """Distinct nonzero signatures over every atom in the model."""
         sigs = np.array([a.signature for a in self.all_atoms()], dtype=np.uint64)
-        sigs = np.unique(sigs)
+        sigs = _sorted_unique(sigs)
         return sigs[sigs != 0]
 
 
@@ -310,57 +308,38 @@ def combination_counts(
 # ---------------------------------------------------------------------------
 # Signature set arithmetic
 
-_CROSS_LEFT: np.ndarray | None = None
-_CROSS_RIGHT: np.ndarray | None = None
+# Triple XORs are formed and deduplicated this many at a time, which
+# bounds the transient memory of the budget-3 build.
+_XOR_CHUNK = 1 << 20
 
 
-def _cross_init(left: np.ndarray, right: np.ndarray) -> None:
-    global _CROSS_LEFT, _CROSS_RIGHT
-    _CROSS_LEFT, _CROSS_RIGHT = left, right
-
-
-def _cross_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    lo, hi = bounds
-    block = _CROSS_LEFT[lo:hi, None] ^ _CROSS_RIGHT[None, :]
-    return np.unique(_canon_sig_array(block.reshape(-1)))
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (sort + adjacent diff; numpy 2's
+    ``np.unique`` hashes instead, which is ~10x slower on uint64)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _pair_signatures(q: np.ndarray) -> np.ndarray:
     """Distinct canonical signatures of XORs over unordered sig pairs."""
-    if len(q) < 2:
-        return np.zeros(0, dtype=np.uint64)
     i, j = np.triu_indices(len(q), k=1)
-    return np.unique(_canon_sig_array(q[i] ^ q[j]))
+    return _sorted_unique(_canon_sig_array(q[i] ^ q[j]))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("WPEC_WORKERS", "")
-        workers = int(env) if env.strip() else 1
-    return max(1, workers)
-
-
-def _cross_signatures(
-    left: np.ndarray, right: np.ndarray, workers: int
-) -> np.ndarray:
+def _cross_signatures(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Distinct canonical signatures of all left XOR right combinations.
 
     Chunked over the left operand; the merge is a set union, so the
-    result does not depend on chunking or worker count.
+    result does not depend on the chunk size.
     """
-    if len(left) == 0 or len(right) == 0:
-        return np.zeros(0, dtype=np.uint64)
-    rows = max(1, 2_000_000 // len(right))
-    rows = min(rows, max(1, -(-len(left) // max(1, 4 * workers))))
-    bounds = [(lo, min(lo + rows, len(left))) for lo in range(0, len(left), rows)]
-    if workers == 1 or len(bounds) == 1:
-        _cross_init(left, right)
-        parts = [_cross_chunk(b) for b in bounds]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_cross_init, initargs=(left, right)) as pool:
-            parts = pool.map(_cross_chunk, bounds)
-    return np.unique(np.concatenate(parts))
+    rows = max(1, _XOR_CHUNK // len(right))
+    parts = [
+        _sorted_unique(_canon_sig_array((left[lo : lo + rows, None] ^ right).reshape(-1)))
+        for lo in range(0, len(left), rows)
+    ]
+    return _sorted_unique(np.concatenate(parts))
 
 
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
@@ -397,6 +376,18 @@ def _sig_from_key(key: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Lookup table
+
+# Key bit fields of a record line in print order (s, s2, tau, f, p), as
+# (lowest bit, width).  Bits print low to high, as format_bits does, and
+# a space follows each field; the group tag and a newline end the line.
+_LINE_FIELDS = ((28, 21), (56, 3), (49, 7), (7, 21), (0, 7))
+_DIGIT_BITS = np.array([lo + i for lo, width in _LINE_FIELDS for i in range(width)])
+_DIGIT_COLS = np.arange(len(_DIGIT_BITS)) + np.repeat(
+    np.arange(len(_LINE_FIELDS)), [width for _, width in _LINE_FIELDS]
+)
+_LINE_WIDTH = len(_DIGIT_BITS) + len(_LINE_FIELDS) + 2
+# Records per formatted chunk: bounds the formatter's transient memory.
+_FORMAT_CHUNK = 1 << 16
 
 
 class LookupTable:
@@ -474,7 +465,7 @@ class LookupTable:
             return np.zeros(0, dtype=np.uint64)
         d = self.keys[1:] ^ self.keys[:-1]
         bad = np.flatnonzero((d >> np.uint64(7)) == 0)
-        return np.unique(self.keys[bad] >> np.uint64(7))
+        return _sorted_unique(self.keys[bad] >> np.uint64(7))
 
     def group_tags(self) -> tuple[str, ...]:
         """'1' uniform parity, '2' disambiguated by (s, f), '!' violated."""
@@ -489,28 +480,39 @@ class LookupTable:
                 tags.append("2")
         return tuple(tags)
 
+    def record_chunks(self):
+        """Yield the record lines as ASCII bytes, _FORMAT_CHUNK at a time.
+
+        Each key's fields are unpacked into digit columns of one uint8
+        row per record; the per-record tag comes from its group.
+        """
+        sizes = self._group_end - self._group_start
+        tags = np.frombuffer("".join(self.group_tags()).encode(), dtype=np.uint8)
+        tags = np.repeat(tags, sizes)
+        for lo in range(0, self.n_records, _FORMAT_CHUNK):
+            keys = self.keys[lo : lo + _FORMAT_CHUNK].astype("<u8", copy=False)
+            bits = np.unpackbits(
+                keys.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+            )
+            rows = np.full((len(keys), _LINE_WIDTH), ord(" "), dtype=np.uint8)
+            rows[:, _DIGIT_COLS] = bits[:, _DIGIT_BITS] + np.uint8(ord("0"))
+            rows[:, _LINE_WIDTH - 2] = tags[lo : lo + _FORMAT_CHUNK]
+            rows[:, _LINE_WIDTH - 1] = ord("\n")
+            yield rows.tobytes()
+
     def record_lines(self):
         """Yield one formatted line per record: s s2 tau f p tag."""
-        tags = self.group_tags()
-        for g in range(self.n_groups):
-            tag = tags[g]
-            for key in self.keys[self._group_start[g] : self._group_end[g]]:
-                stilde, tau, s, f, p = _key_fields(int(key))
-                yield (
-                    f"{format_bits(s, 21)} {format_bits(stilde, 3)} "
-                    f"{format_bits(tau, 7)} {format_bits(f, 21)} "
-                    f"{format_bits(p, 7)} {tag}"
-                )
+        for chunk in self.record_chunks():
+            yield from chunk.decode("ascii").splitlines()
 
     def render(self) -> str:
-        return "\n".join(self.record_lines()) + "\n"
+        return b"".join(self.record_chunks()).decode("ascii")
 
     def write(self, path: str) -> None:
         """Stream the record lines to a file (tables can run to millions)."""
-        with open(path, "w") as fh:
-            for line in self.record_lines():
-                fh.write(line)
-                fh.write("\n")
+        with open(path, "wb") as fh:
+            for chunk in self.record_chunks():
+                fh.write(chunk)
 
 
 def build_lookup_table(
@@ -518,7 +520,6 @@ def build_lookup_table(
     *,
     flagged: bool = True,
     interleaved: bool = True,
-    workers: int | None = None,
 ) -> LookupTable:
     """Enumerate all fault combinations and build the decoding table.
 
@@ -529,7 +530,6 @@ def build_lookup_table(
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
-    workers = _resolve_workers(workers)
     model = fault_model(flagged=flagged, interleaved=interleaved)
     q = model.signature_pool()
     parts = [np.zeros(1, dtype=np.uint64), q]
@@ -537,8 +537,8 @@ def build_lookup_table(
         p2 = _pair_signatures(q)
         parts.append(p2)
     if max_faults >= 3:
-        parts.append(_cross_signatures(p2, q, workers))
-    sigs = np.unique(np.concatenate(parts))
+        parts.append(_cross_signatures(p2, q))
+    sigs = _sorted_unique(np.concatenate(parts))
     keys = _keys_from_sigs(sigs)
     counts = combination_counts(model, max_faults)
     return LookupTable(max_faults, flagged, interleaved, keys, counts)
@@ -951,7 +951,7 @@ def _cross_pairs(
     return m, f
 
 
-def run_appendix_b(max_faults: int = 3, *, workers: int | None = None) -> FinalRoundReport:
+def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     """Scan fault combinations straddling the final rounds.
 
     Gate faults on first-level circuits split into early (label a,
@@ -963,7 +963,6 @@ def run_appendix_b(max_faults: int = 3, *, workers: int | None = None) -> FinalR
     the deduplicated atom pools; survivors of the three relaxed
     conditions are marked and then post-analyzed exactly.
     """
-    del workers  # the scan is fast enough serially; accepted for CLI symmetry
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=True, interleaved=True)

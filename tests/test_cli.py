@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from wpec import verifier
 from wpec.cli import main
 from wpec.codes import N49
 from wpec.pauli import PauliOp
@@ -113,6 +114,20 @@ def test_gen_table_writes_file(tmp_path):
     s, stilde, tau, f, parity, tag = lines[0].split()
     assert (len(s), len(stilde), len(tau), len(f), len(parity)) == (21, 3, 7, 21, 7)
     assert tag in ("1", "2")
+
+
+def test_gen_table_json_lines_match_text(monkeypatch, tmp_path):
+    monkeypatch.setattr(verifier, "_FORMAT_CHUNK", 1000)
+    text, js = tmp_path / "t.txt", tmp_path / "t.jsonl"
+    argv = ["gen-table", "--max-faults", "2", "--ordering", "normal"]
+    assert main(argv + ["--out", str(text)]) == 0
+    assert main(argv + ["--format", "json-lines", "--out", str(js)]) == 0
+    names = ("s", "stilde", "tau", "f", "parity", "tag")
+    lines = text.read_text().splitlines()
+    records = [json.loads(ln) for ln in js.read_text().splitlines()]
+    assert len(lines) == len(records) > 5000
+    assert records == [dict(zip(names, ln.split())) for ln in lines]
+    assert {r["tag"] for r in records} == {"1", "2", "!"}
 
 
 def test_gen_table_bytes_stable_across_workers(tmp_path):

@@ -5,6 +5,8 @@ run once per module through fixtures; the numbers frozen here were
 cross-checked against independent recomputations before being pinned.
 """
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -22,7 +24,7 @@ from wpec.codes import (
     tau_from_syndrome,
 )
 from wpec.decoder import LOGICAL_REP7, build_correction_table
-from wpec.pauli import PauliOp
+from wpec.pauli import PauliOp, format_bits
 from wpec.verifier import (
     FaultCombination,
     FaultNumberCombination,
@@ -124,17 +126,24 @@ def test_small_tables_are_clean():
     assert r2.ok and (r2.n_condition1, r2.n_condition2) == (431, 37)
 
 
+VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
+
+
 def test_pair_records_match_pure_python():
-    # the numpy pipeline for two faults against a set-comprehension oracle
-    m = fault_model()
-    atoms = m.all_atoms()
-    sigs = sorted({v._canon_sig(a.signature) for a in atoms} - {0})
-    reach = {0}
-    reach.update(sigs)
-    for i in range(len(sigs)):
-        for j in range(i + 1, len(sigs)):
-            reach.add(v._canon_sig(sigs[i] ^ sigs[j]))
-    assert len(reach) == build_lookup_table(2).n_records
+    # the numpy pipeline for one and two faults against a set oracle
+    for flagged, interleaved in VARIANTS:
+        atoms = fault_model(flagged=flagged, interleaved=interleaved).all_atoms()
+        pool = sorted({v._canon_sig(a.signature) for a in atoms} - {0})
+        reach = {0}
+        for k in (1, 2):
+            for combo in itertools.combinations(pool, k):
+                x = 0
+                for sig in combo:
+                    x ^= sig
+                reach.add(v._canon_sig(x))
+            expected = v._keys_from_sigs(np.array(sorted(reach), dtype=np.uint64))
+            table = build_lookup_table(k, flagged=flagged, interleaved=interleaved)
+            assert np.array_equal(table.keys, expected), (flagged, interleaved, k)
 
 
 def test_full_table_audit(table3, report3):
@@ -272,18 +281,50 @@ def test_table_render_roundtrip(tmp_path):
     assert path.read_text() == text
 
 
-def test_worker_determinism():
-    k1 = build_lookup_table(3, workers=1).keys
-    k2 = build_lookup_table(3, workers=2).keys
-    assert np.array_equal(k1, k2)
+def _reference_lines(table):
+    """The record formatting of format_bits, one record at a time."""
+    tags = table.group_tags()
+    for g in range(table.n_groups):
+        for key in table.keys[table._group_start[g] : table._group_end[g]]:
+            stilde, tau, s, f, p = v._key_fields(int(key))
+            yield (
+                f"{format_bits(s, 21)} {format_bits(stilde, 3)} "
+                f"{format_bits(tau, 7)} {format_bits(f, 21)} "
+                f"{format_bits(p, 7)} {tags[g]}"
+            )
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("WPEC_WORKERS", "2")
-    assert v._resolve_workers(None) == 2
-    monkeypatch.delenv("WPEC_WORKERS")
-    assert v._resolve_workers(None) == 1
-    assert v._resolve_workers(3) == 3
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
+    table = build_lookup_table(2, flagged=flagged, interleaved=interleaved)
+    monkeypatch.setattr(v, "_FORMAT_CHUNK", 1000)
+    assert table.n_records > 5 * v._FORMAT_CHUNK
+    chunks = list(table.record_chunks())
+    assert len(chunks) == -(-table.n_records // v._FORMAT_CHUNK)
+    assert list(table.record_lines()) == list(_reference_lines(table))
+
+
+@pytest.mark.parametrize(
+    "flagged,interleaved,digest,n_bytes,n_lines",
+    [
+        (True, True,
+         "bbef6d4a3cf1ca9b41cfc16583ce06350b20cfc6f1fada3115630660f38ffece",
+         75_297_618, 1_140_873),
+        (False, False,
+         "d1f956978e8265b3a590d92173200ed5648d6814271a40ee47d5f31ec5cff9bb",
+         7_819_482, 118_477),
+    ],
+    ids=["permuted-flagged", "negative-control"],
+)
+def test_budget3_table_digest(flagged, interleaved, digest, n_bytes, n_lines):
+    table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
+    h = hashlib.sha256()
+    size = lines = 0
+    for chunk in table.record_chunks():
+        h.update(chunk)
+        size += len(chunk)
+        lines += chunk.count(b"\n")
+    assert (h.hexdigest(), size, lines) == (digest, n_bytes, n_lines)
 
 
 # ---------------------------------------------------------------------------
