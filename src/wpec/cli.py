@@ -8,7 +8,8 @@ decoding a stable outcome bundle from a file, and emitting the pinned
 single-fault classification table.
 
 Exit codes: 0 all checks pass, 1 a verification found violations or a
-golden comparison failed, 2 usage errors or malformed input files.
+golden comparison failed, 2 usage errors, malformed input files or an
+output file that cannot be opened.
 Outputs are deterministic.
 """
 
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -58,17 +60,44 @@ from .verifier import (
 )
 
 
-@contextlib.contextmanager
-def _sink(path: str | None):
-    if path:
-        with open(path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
 def _jdump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+
+
+_RECORD_FIELDS = ("s", "stilde", "tau", "f", "parity", "tag")
+
+
+def _json_layout(record: bytes):
+    """The JSON line ``_jdump`` writes for one text record line, and the
+    positions of its value bytes there and in the text line."""
+    fields = list(re.finditer(rb"\S+", record))
+    line = _jdump({n: m.group().decode() for n, m in zip(_RECORD_FIELDS, fields)})
+    line = (line + "\n").encode()
+    dst, src = [], []
+    for name, m in zip(_RECORD_FIELDS, fields):
+        key = f'"{name}": "'.encode()
+        at = line.index(key) + len(key)
+        dst.extend(range(at, at + m.end() - m.start()))
+        src.extend(range(m.start(), m.end()))
+    return np.frombuffer(line, dtype=np.uint8), dst, src
+
+
+def _json_record_chunks(table):
+    """Yield the table records as JSON lines, one chunk at a time.
+
+    Record lines are fixed-width, so every JSON line is the first
+    record's line with its value bytes gathered from the text columns.
+    """
+    layout = None
+    for chunk in table.record_chunks():
+        width = chunk.index(b"\n") + 1
+        if layout is None:
+            layout = _json_layout(chunk[:width])
+        template, dst, src = layout
+        rows = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, width)
+        out = np.tile(template, (len(rows), 1))
+        out[:, dst] = rows[:, src]
+        yield out.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -294,141 +323,136 @@ _CLAIM_SUITES = {
 # Subcommand implementations
 
 
-def cmd_gen_table(args) -> int:
+def cmd_gen_table(args, fh) -> int:
     table = build_lookup_table(
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
     )
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            for chunk in table.record_chunks():
-                fh.write(chunk.decode("ascii"))
-        else:
-            names = ("s", "stilde", "tau", "f", "parity", "tag")
-            for line in table.record_lines():
-                fh.write(_jdump(dict(zip(names, line.split()))) + "\n")
+    if args.format == "text":
+        chunks = table.record_chunks()
+    else:
+        chunks = _json_record_chunks(table)
+    for chunk in chunks:
+        fh.write(chunk.decode("ascii"))
     return 0
 
 
-def cmd_verify_claims(args) -> int:
+def cmd_verify_claims(args, fh) -> int:
     checks = _CLAIM_SUITES[args.code]()
     ok = all(c.ok for c in checks)
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            for c in checks:
-                fh.write(f"{'ok  ' if c.ok else 'FAIL'} {c.name}: {c.detail}\n")
+    if args.format == "text":
+        for c in checks:
+            fh.write(f"{'ok  ' if c.ok else 'FAIL'} {c.name}: {c.detail}\n")
+        fh.write(
+            f"{args.code}: {sum(c.ok for c in checks)}/{len(checks)} checks passed\n"
+        )
+    else:
+        for c in checks:
             fh.write(
-                f"{args.code}: {sum(c.ok for c in checks)}/{len(checks)} checks passed\n"
+                _jdump({"check": c.name, "ok": c.ok, "detail": c.detail}) + "\n"
             )
-        else:
-            for c in checks:
-                fh.write(
-                    _jdump({"check": c.name, "ok": c.ok, "detail": c.detail}) + "\n"
-                )
     return 0 if ok else 1
 
 
-def cmd_verify_appendix_a(args) -> int:
+def cmd_verify_appendix_a(args, fh) -> int:
     table = build_lookup_table(
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
     )
     report = verify_claim2(table)
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            fh.write(report.render())
-        else:
+    if args.format == "text":
+        fh.write(report.render())
+    else:
+        fh.write(
+            _jdump(
+                {
+                    "type": "summary",
+                    "max_faults": report.max_faults,
+                    "flagged": report.flagged,
+                    "interleaved": report.interleaved,
+                    "records": report.n_records,
+                    "groups": report.n_groups,
+                    "condition1": report.n_condition1,
+                    "condition2": report.n_condition2,
+                    "violated_groups": report.n_violated_groups,
+                    "violations": report.n_violations,
+                    "ok": report.ok,
+                }
+            )
+            + "\n"
+        )
+        for fnc, n in report.combination_counts:
+            fh.write(
+                _jdump({"type": "combination", "counts": str(fnc), "n": n}) + "\n"
+            )
+        for v in report.violations:
             fh.write(
                 _jdump(
                     {
-                        "type": "summary",
-                        "max_faults": report.max_faults,
-                        "flagged": report.flagged,
-                        "interleaved": report.interleaved,
-                        "records": report.n_records,
-                        "groups": report.n_groups,
-                        "condition1": report.n_condition1,
-                        "condition2": report.n_condition2,
-                        "violated_groups": report.n_violated_groups,
-                        "violations": report.n_violations,
-                        "ok": report.ok,
+                        "type": "violation",
+                        "s": format_bits(v.s, 21),
+                        "stilde": format_bits(v.stilde, 3),
+                        "tau": format_bits(v.tau, 7),
+                        "f": format_bits(v.f, 21),
+                        "parity_a": format_bits(v.parity_a, 7),
+                        "parity_b": format_bits(v.parity_b, 7),
+                        "witness_a": list(v.witness_a),
+                        "witness_b": list(v.witness_b),
                     }
                 )
                 + "\n"
             )
-            for fnc, n in report.combination_counts:
-                fh.write(
-                    _jdump({"type": "combination", "counts": str(fnc), "n": n}) + "\n"
-                )
-            for v in report.violations:
-                fh.write(
-                    _jdump(
-                        {
-                            "type": "violation",
-                            "s": format_bits(v.s, 21),
-                            "stilde": format_bits(v.stilde, 3),
-                            "tau": format_bits(v.tau, 7),
-                            "f": format_bits(v.f, 21),
-                            "parity_a": format_bits(v.parity_a, 7),
-                            "parity_b": format_bits(v.parity_b, 7),
-                            "witness_a": list(v.witness_a),
-                            "witness_b": list(v.witness_b),
-                        }
-                    )
-                    + "\n"
-                )
     return 0 if report.ok else 1
 
 
-def cmd_verify_appendix_b(args) -> int:
+def cmd_verify_appendix_b(args, fh) -> int:
     report = run_appendix_b(args.max_faults)
     n_harmful = sum(a.harmful for a in report.analyses)
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            fh.write(report.render())
-            fh.write(f"summary: {len(report.marked)} marked, {n_harmful} harmful\n")
-        else:
+    if args.format == "text":
+        fh.write(report.render())
+        fh.write(f"summary: {len(report.marked)} marked, {n_harmful} harmful\n")
+    else:
+        fh.write(
+            _jdump(
+                {
+                    "type": "summary",
+                    "max_faults": report.max_faults,
+                    "number_combinations": report.n_number_combinations,
+                    "effect_combinations": report.n_effect_combinations,
+                    "marked": len(report.marked),
+                    "harmful": n_harmful,
+                    "all_safe": report.all_safe,
+                }
+            )
+            + "\n"
+        )
+        for m, a in zip(report.marked, report.analyses):
+            fc = m.combination
+            rep = min_coset_rep(fc.error.z_bits)
             fh.write(
                 _jdump(
                     {
-                        "type": "summary",
-                        "max_faults": report.max_faults,
-                        "number_combinations": report.n_number_combinations,
-                        "effect_combinations": report.n_effect_combinations,
-                        "marked": len(report.marked),
-                        "harmful": n_harmful,
-                        "all_safe": report.all_safe,
+                        "type": "marked",
+                        "counts": str(fc.counts),
+                        "min_weight": m.min_weight,
+                        "residual_rep": PauliOp.z_op(N49, rep).block_form(),
+                        "witnesses": list(fc.faults),
+                        "feasible_completions": a.feasible_completions,
+                        "worst_residual": a.worst_residual,
+                        "harmful": a.harmful,
                     }
                 )
                 + "\n"
             )
-            for m, a in zip(report.marked, report.analyses):
-                fc = m.combination
-                rep = min_coset_rep(fc.error.z_bits)
-                fh.write(
-                    _jdump(
-                        {
-                            "type": "marked",
-                            "counts": str(fc.counts),
-                            "min_weight": m.min_weight,
-                            "residual_rep": PauliOp.z_op(N49, rep).block_form(),
-                            "witnesses": list(fc.faults),
-                            "feasible_completions": a.feasible_completions,
-                            "worst_residual": a.worst_residual,
-                            "harmful": a.harmful,
-                        }
-                    )
-                    + "\n"
-                )
     return 0 if report.all_safe else 1
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args, fh) -> int:
     try:
-        with open(args.bundle) as fh:
-            text = fh.read()
+        with open(args.bundle) as bundle_fh:
+            text = bundle_fh.read()
     except OSError as exc:
         print(f"error: cannot read bundle file: {exc}", file=sys.stderr)
         return 2
@@ -449,45 +473,43 @@ def cmd_decode(args) -> int:
             "parity and outer fix-up applied",
             file=sys.stderr,
         )
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            fh.write(str(correction) + "\n")
-        else:
+    if args.format == "text":
+        fh.write(str(correction) + "\n")
+    else:
+        fh.write(
+            _jdump(
+                {
+                    "correction": str(correction),
+                    "fallback": report.fallback_used,
+                    "z_parity": format_bits(report.z_side.parity, 7),
+                    "x_parity": format_bits(report.x_side.parity, 7),
+                }
+            )
+            + "\n"
+        )
+    return 0
+
+
+def cmd_reproduce_table1(args, fh) -> int:
+    rows = reproduce_table1()
+    text = render_table1(rows)
+    matches = text == TABLE1_GOLDEN
+    if args.format == "text":
+        fh.write(text)
+    else:
+        for r in rows:
             fh.write(
                 _jdump(
                     {
-                        "correction": str(correction),
-                        "fallback": report.fallback_used,
-                        "z_parity": format_bits(report.z_side.parity, 7),
-                        "x_parity": format_bits(report.x_side.parity, 7),
+                        "form": r.form,
+                        "m": list(r.m_values),
+                        "stilde": format_bits(r.stilde, 3),
+                        "tau": format_bits(r.tau, 7),
+                        "block_parity": format_bits(r.block_parity, 7),
                     }
                 )
                 + "\n"
             )
-    return 0
-
-
-def cmd_reproduce_table1(args) -> int:
-    rows = reproduce_table1()
-    text = render_table1(rows)
-    matches = text == TABLE1_GOLDEN
-    with _sink(args.out) as fh:
-        if args.format == "text":
-            fh.write(text)
-        else:
-            for r in rows:
-                fh.write(
-                    _jdump(
-                        {
-                            "form": r.form,
-                            "m": list(r.m_values),
-                            "stilde": format_bits(r.stilde, 3),
-                            "tau": format_bits(r.tau, 7),
-                            "block_parity": format_bits(r.block_parity, 7),
-                        }
-                    )
-                    + "\n"
-                )
     if not matches:
         print("error: computed table deviates from the pinned reference",
               file=sys.stderr)
@@ -608,8 +630,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # open the output before the command's work, so a bad path fails fast
     try:
-        return args.func(args)
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return 2
+    try:
+        with out as fh:
+            return args.func(args, fh)
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; exit the way
         # a signal-terminated process would, without a traceback

@@ -859,9 +859,9 @@ def _level1_syndrome_vec(masks: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sigma_vec(masks: np.ndarray, v_w: int) -> np.ndarray:
-    s = _level1_syndrome_vec(masks)
-    w = np.empty((len(masks), 7), dtype=np.uint8)
+def _sigma_from_syndrome(s: np.ndarray, v_w: int) -> np.ndarray:
+    """Vectorized sigma over level-1 syndromes (see ``sigma``)."""
+    w = np.empty((len(s), 7), dtype=np.uint8)
     for b in range(7):
         w[:, b] = _popcount((s >> np.uint64(3 * b)) & np.uint64(7)).astype(np.uint8)
     w.sort(axis=1)
@@ -891,64 +891,53 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pi[rows], pj[rows], pj[rows] + 1 + offset
 
 
-class _EffectSets:
-    """XOR-subset effect arrays (mask, flag) per atom pool and subset size."""
+def _sorted_unique_pairs(
+    m: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (m, f) pairs in (m, f) order (lexsort + adjacent diff)."""
+    order = np.lexsort((f, m))
+    m, f = m[order], f[order]
+    keep = np.ones(len(m), dtype=bool)
+    keep[1:] = (m[1:] != m[:-1]) | (f[1:] != f[:-1])
+    return m[keep], f[keep]
 
-    def __init__(self, atoms: tuple[FaultAtom, ...], flag_shift: int = 0) -> None:
-        seen: dict[tuple[int, int], None] = {}
-        for a in atoms:
-            seen.setdefault((a.error, a.flag << flag_shift), None)
-        pairs = sorted(seen)
+
+class _EffectSets:
+    """XOR-subset effects (mask, flag, level-1 syndrome) of one atom pool."""
+
+    def __init__(self, atoms: tuple[FaultAtom, ...]) -> None:
+        pairs = sorted({(a.error, a.flag) for a in atoms})
         self.masks = np.array([m for m, _ in pairs], dtype=np.uint64)
         self.flags = np.array([f for _, f in pairs], dtype=np.uint64)
-        self._exact: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._up_to: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def exact(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k not in self._exact:
-            n = len(self.masks)
-            if k == 0:
-                out = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))
-            elif n < k:
-                out = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64))
-            elif k == 1:
-                out = (self.masks.copy(), self.flags.copy())
-            elif k == 2:
-                i, j = np.triu_indices(n, k=1)
-                out = (self.masks[i] ^ self.masks[j], self.flags[i] ^ self.flags[j])
-            elif k == 3:
-                i, j, kk = _triple_indices(n)
-                out = (
-                    self.masks[i] ^ self.masks[j] ^ self.masks[kk],
-                    self.flags[i] ^ self.flags[j] ^ self.flags[kk],
-                )
-            else:
-                raise ValueError(f"subset size {k} not supported")
-            self._exact[k] = out
-        return self._exact[k]
+    def _exact(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.masks)
+        if k == 0:
+            return np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+        if n < k:
+            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)
+        if k == 1:
+            return self.masks, self.flags
+        if k == 2:
+            i, j = np.triu_indices(n, k=1)
+            return self.masks[i] ^ self.masks[j], self.flags[i] ^ self.flags[j]
+        if k == 3:
+            i, j, kk = _triple_indices(n)
+            return (
+                self.masks[i] ^ self.masks[j] ^ self.masks[kk],
+                self.flags[i] ^ self.flags[j] ^ self.flags[kk],
+            )
+        raise ValueError(f"subset size {k} not supported")
 
-    def up_to(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Deduplicated effects of exactly v faults (sizes v, v-2, ...)."""
-        ms, fs = [], []
-        for k in range(v, -1, -2):
-            m, f = self.exact(k)
-            ms.append(m)
-            fs.append(f)
-        m = np.concatenate(ms)
-        f = np.concatenate(fs)
-        rec = np.empty(len(m), dtype=[("m", np.uint64), ("f", np.uint64)])
-        rec["m"] = m
-        rec["f"] = f
-        rec = np.unique(rec)
-        return rec["m"].copy(), rec["f"].copy()
-
-
-def _cross_pairs(
-    am: np.ndarray, af: np.ndarray, bm: np.ndarray, bf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise XORs of two effect arrays (outer product, flattened)."""
-    m = (am[:, None] ^ bm[None, :]).reshape(-1)
-    f = (af[:, None] ^ bf[None, :]).reshape(-1)
-    return m, f
+    def up_to(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct effects of exactly v faults (sizes v, v-2, ...), in
+        (mask, flag) order, with their level-1 syndromes; memoized per v."""
+        if v not in self._up_to:
+            ms, fs = zip(*(self._exact(k) for k in range(v, -1, -2)))
+            m, f = _sorted_unique_pairs(np.concatenate(ms), np.concatenate(fs))
+            self._up_to[v] = (m, f, _level1_syndrome_vec(m))
+        return self._up_to[v]
 
 
 def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
@@ -966,9 +955,8 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=True, interleaved=True)
-    early_g1 = _EffectSets(model.gate1_atoms())
-    early_g2 = _EffectSets(model.gate2_atoms())
-    late_g1 = _EffectSets(model.gate1_atoms(), flag_shift=21)
+    g1 = _EffectSets(model.gate1_atoms())
+    g2 = _EffectSets(model.gate2_atoms())
 
     marked: list[MarkedCombination] = []
     n_effects = 0
@@ -982,7 +970,7 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
                             n_fnc += 1
                             fnc = FaultNumberCombination(va1, vb1, v2, vw, vf, vs)
                             found, examined = _scan_number_combination(
-                                fnc, early_g1, early_g2, late_g1, max_faults
+                                fnc, g1, g2, max_faults
                             )
                             n_effects += examined
                             marked.extend(found)
@@ -997,26 +985,39 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     )
 
 
+def _early_survivors(
+    fnc: FaultNumberCombination, g1: _EffectSets, g2: _EffectSets
+) -> tuple[np.ndarray, np.ndarray]:
+    """Early (G1a x G2) effects whose sigma fits the flip budget, in
+    cross-product order.  The level-1 syndrome is linear, so the cross
+    product's syndromes are XORs of the pools' memoized syndromes."""
+    g1m, g1f, g1s = g1.up_to(fnc.v_g1a)
+    g2m, g2f, g2s = g2.up_to(fnc.v_g2)
+    syn = (g1s[:, None] ^ g2s[None, :]).reshape(-1)
+    keep = np.flatnonzero(_sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s)
+    i1, i2 = np.divmod(keep, len(g2m))
+    return g1m[i1] ^ g2m[i2], g1f[i1] ^ g2f[i2]
+
+
 def _scan_number_combination(
     fnc: FaultNumberCombination,
-    early_g1: _EffectSets,
-    early_g2: _EffectSets,
-    late_g1: _EffectSets,
+    g1: _EffectSets,
+    g2: _EffectSets,
     max_faults: int,
 ) -> tuple[list[MarkedCombination], int]:
-    """Mark survivors of the relaxed conditions for one number combination."""
-    g1m, g1f = early_g1.up_to(fnc.v_g1a)
-    g2m, g2f = early_g2.up_to(fnc.v_g2)
-    am, af = _cross_pairs(g1m, g1f, g2m, g2f)
-    bm, bf = late_g1.up_to(fnc.v_g1b)
-    examined = len(am) * len(bm)
+    """Mark survivors of the relaxed conditions for one number combination.
 
-    keep = _sigma_vec(am, fnc.v_w) <= fnc.v_s
-    am, af = am[keep], af[keep]
+    Late G1 effects are the early ones with their flags moved to the
+    high 21 bits; the shift keeps the (mask, flag) order, so one pool
+    serves both.
+    """
+    bm, bf, _ = g1.up_to(fnc.v_g1b)
+    examined = len(g1.up_to(fnc.v_g1a)[0]) * len(g2.up_to(fnc.v_g2)[0]) * len(bm)
+    am, af = _early_survivors(fnc, g1, g2)
     if len(am) == 0:
         return [], examined
     keep = _popcount(bf) <= np.uint64(fnc.v_f)
-    bm, bf = bm[keep], bf[keep]
+    bm, bf = bm[keep], bf[keep] << np.uint64(21)
     if len(bm) == 0:
         return [], examined
 
@@ -1133,7 +1134,7 @@ def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAna
     worst: int | None = None
     for w_a in range(v_w + 1):
         w_b = v_w - w_a
-        wa_masks, _ = sets.up_to(w_a)
+        wa_masks, _, _ = sets.up_to(w_a)
         visible = np.uint64(ea) ^ wa_masks
         ok = _popcount(_level1_syndrome_vec(visible)) <= np.uint64(v_s)
         if not ok.any():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from wpec import verifier
+from wpec import cli, verifier
 from wpec.cli import main
 from wpec.codes import N49
 from wpec.pauli import PauliOp
@@ -128,6 +128,52 @@ def test_gen_table_json_lines_match_text(monkeypatch, tmp_path):
     assert len(lines) == len(records) > 5000
     assert records == [dict(zip(names, ln.split())) for ln in lines]
     assert {r["tag"] for r in records} == {"1", "2", "!"}
+
+
+@pytest.mark.parametrize(
+    "flagged, interleaved",
+    [(True, True), (True, False), (False, True), (False, False)],
+)
+def test_gen_table_json_lines_match_per_record_dump(
+    monkeypatch, tmp_path, flagged, interleaved
+):
+    # the numpy gather against one _jdump call per record line
+    monkeypatch.setattr(verifier, "_FORMAT_CHUNK", 1000)
+    out = tmp_path / "t.jsonl"
+    argv = ["gen-table", "--max-faults", "2", "--format", "json-lines",
+            "--ordering", "permuted" if interleaved else "normal",
+            "--out", str(out)]
+    assert main(argv + ([] if flagged else ["--no-flags"])) == 0
+    table = verifier.build_lookup_table(2, flagged=flagged, interleaved=interleaved)
+    names = ("s", "stilde", "tau", "f", "parity", "tag")
+    expected = "".join(
+        cli._jdump(dict(zip(names, ln.split()))) + "\n" for ln in table.record_lines()
+    )
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-table", "--max-faults", "3"],
+        ["verify-claims", "--code", "golay"],
+        ["verify-appendix-a"],
+        ["verify-appendix-b"],
+        ["decode", "bundle.txt"],
+        ["reproduce-table1"],
+    ],
+)
+def test_unwritable_out_exits_2_before_work(monkeypatch, tmp_path, capsys, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output was opened")
+
+    for name in ("build_lookup_table", "run_appendix_b", "reproduce_table1"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setitem(cli._CLAIM_SUITES, "golay", never)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file: ")
+    assert "missing" in err
 
 
 def test_gen_table_bytes_stable_across_workers(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wpec import verifier as v
+from wpec.cli import main
 from wpec.codes import (
     PCANON,
     STAB7,
@@ -451,6 +452,107 @@ def test_smaller_budgets_mark_nothing():
         rep = run_appendix_b(budget)
         assert rep.marked == ()
         assert rep.all_safe
+
+
+# captured before the effect sets were memoized; the render and the
+# json-lines stream list the marked combinations in scan order
+APPENDIX_B_RENDER_SHA256 = (
+    "57f15404c6d8f91364c798798265b274c315775a8b3ee603f6e10e625d3917a9"
+)
+APPENDIX_B_JSON_LINES_SHA256 = (
+    "b73f837fc928e06257bac216b6856b00c4b114303d1ef6cebf2762cc9aa114fd"
+)
+
+
+def test_final_round_scan_golden(final_round_report, capsys):
+    rep = final_round_report
+    assert rep.n_effect_combinations == 18_039_609
+    assert rep.n_number_combinations == 84
+    digest = hashlib.sha256(rep.render().encode()).hexdigest()
+    assert digest == APPENDIX_B_RENDER_SHA256
+    argv = ["verify-appendix-b", "--max-faults", "3", "--format", "json-lines"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == APPENDIX_B_JSON_LINES_SHA256
+
+
+def _xor_subsets(pool):
+    """Distinct (mask, flag) XORs of n, n-2, ... distinct pool entries,
+    for n = 0..3."""
+    exact = [
+        {(0, 0)},
+        set(pool),
+        {(a ^ c, b ^ d) for (a, b), (c, d) in itertools.combinations(pool, 2)},
+        {
+            (a ^ c ^ e, b ^ d ^ f)
+            for (a, b), (c, d), (e, f) in itertools.combinations(pool, 3)
+        },
+    ]
+    return [set().union(*exact[n::-2]) for n in range(4)]
+
+
+def _strictly_increasing(m, f):
+    """True when the (m, f) pairs are strictly increasing, m first."""
+    return bool(np.all((m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (f[1:] > f[:-1]))))
+
+
+@pytest.mark.parametrize("pool", ["gate1", "gate2"])
+def test_effect_sets_match_pure_python(pool):
+    atoms = getattr(fault_model(), f"{pool}_atoms")()
+    sets = v._EffectSets(atoms)
+    expected = _xor_subsets([(a.error, a.flag) for a in atoms])
+    for n in range(4):
+        m, f, s = sets.up_to(n)
+        assert _strictly_increasing(m, f), (pool, n)
+        assert set(zip(m.tolist(), f.tolist())) == expected[n], (pool, n)
+        assert s.tolist()[:500] == [level1_syndrome(x) for x in m.tolist()[:500]]
+        assert sets.up_to(n)[0] is m
+
+
+def test_late_effects_are_early_effects_with_shifted_flags():
+    # the scan's late G1 effects: flags in the high 21 bits, same order
+    atoms = fault_model().gate1_atoms()
+    sets = v._EffectSets(atoms)
+    expected = _xor_subsets([(a.error, a.flag << 21) for a in atoms])
+    for n in range(4):
+        m, f, _ = sets.up_to(n)
+        shifted = f << np.uint64(21)
+        assert _strictly_increasing(m, shifted), n
+        assert set(zip(m.tolist(), shifted.tolist())) == expected[n], n
+
+
+def test_level1_syndrome_vec_is_linear():
+    rng = np.random.default_rng(2020)
+    a, b = (rng.integers(0, 1 << 49, size=3000, dtype=np.uint64) for _ in range(2))
+    syn = v._level1_syndrome_vec
+    assert syn(a).tolist() == [level1_syndrome(x) for x in a.tolist()]
+    assert np.array_equal(syn(a ^ b), syn(a) ^ syn(b))
+
+
+def test_early_survivors_match_scalar_sigma():
+    model = fault_model()
+    g1 = v._EffectSets(model.gate1_atoms())
+    g2 = v._EffectSets(model.gate2_atoms())
+    early = [
+        (m1 ^ m2, f1 ^ f2)
+        for m1, f1 in zip(*(x.tolist() for x in g1.up_to(1)[:2]))
+        for m2, f2 in zip(*(x.tolist() for x in g2.up_to(1)[:2]))
+    ]
+    for v_w, v_s in ((0, 0), (0, 1), (1, 0)):
+        fnc = FaultNumberCombination(v_g1a=1, v_g2=1, v_w=v_w, v_s=v_s)
+        am, af = v._early_survivors(fnc, g1, g2)
+        expected = [(m, f) for m, f in early if sigma(m, v_w) <= v_s]
+        assert list(zip(am.tolist(), af.tolist())) == expected, (v_w, v_s)
+        assert 0 < len(expected) < len(early)
+
+
+def test_sigma_from_syndrome_matches_sigma():
+    rng = random.Random(49)
+    masks = [rng.getrandbits(49) for _ in range(3000)]
+    syn = v._level1_syndrome_vec(np.array(masks, dtype=np.uint64))
+    for v_w in range(8):
+        expected = [sigma(m, v_w) for m in masks]
+        assert v._sigma_from_syndrome(syn, v_w).tolist() == expected, v_w
 
 
 # ---------------------------------------------------------------------------
