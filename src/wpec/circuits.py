@@ -37,7 +37,6 @@ flag CNOT and at the boundary positions.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -335,54 +334,3 @@ def wait_fault_atoms(family: str = "z") -> list[SingleFault]:
 def flag_flip_atoms() -> list[SingleFault]:
     """Bare flag-measurement flips, one per inner circuit."""
     return [SingleFault(-1, f"flag{j + 1}", 0, 0, 1 << j, 0) for j in range(21)]
-
-
-@dataclass(frozen=True)
-class FaultSet:
-    """All ways to put ``n_faults`` faults into one location pool.
-
-    ``atoms`` is the deduplicated list of nonzero single-fault effects;
-    repeated atoms cancel pairwise under composition, so the reachable
-    combined effects are XORs of n, n-2, n-4, ... distinct atoms."""
-
-    kind: str  # "G1", "G2", "W", "F"
-    circuit: str | None
-    n_faults: int
-    atoms: tuple[SingleFault, ...]
-
-    @property
-    def label(self) -> str:
-        where = f"[{self.circuit}]" if self.circuit else ""
-        return f"{self.kind}{where}x{self.n_faults}"
-
-    def effects(self) -> set[tuple[int, int, int, int]]:
-        out = set()
-        k = self.n_faults
-        while k >= 0:
-            for combo in itertools.combinations(self.atoms, k):
-                dx = dz = fl = oc = 0
-                for a in combo:
-                    dx ^= a.data_x
-                    dz ^= a.data_z
-                    fl ^= a.flag21
-                    oc ^= a.outcome
-                out.add((dx, dz, fl, oc))
-            k -= 2
-        return out
-
-
-def enumerate_fault_sets(max_faults: int = 3, family: str = "z") -> list[FaultSet]:
-    """Fault sets for every circuit of one family plus the wait and
-    flag-flip pools, for 0..max_faults faults each."""
-    out = []
-    for c in level2_circuits(family) + level1_circuits(family):
-        kind = "G2" if c.level == 2 else "G1"
-        atoms = tuple(dedup_effects(enumerate_single_faults(c)))
-        for n in range(max_faults + 1):
-            out.append(FaultSet(kind, c.name, n, atoms))
-    watoms = tuple(wait_fault_atoms(family))
-    fatoms = tuple(flag_flip_atoms())
-    for n in range(max_faults + 1):
-        out.append(FaultSet("W", None, n, watoms))
-        out.append(FaultSet("F", None, n, fatoms))
-    return out

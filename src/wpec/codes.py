@@ -4,8 +4,7 @@
 All three are self-dual CSS codes, so X and Z checks share one list of
 support masks per code and a single mask-overlap parity computes either
 syndrome type.  Errors and generators are packed ints throughout (bit
-k-1 holds qubit k, as in :mod:`wpec.pauli`); the PauliOp layer is a thin
-veneer for the public operations.
+k-1 holds qubit k, as in :mod:`wpec.pauli`).
 
 Syndrome bit conventions:
 
@@ -20,9 +19,8 @@ Syndrome bit conventions:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PauliOp, parity
+from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, parity
 
 # --- 7-qubit cyclic code ---------------------------------------------------
 
@@ -200,101 +198,3 @@ def golay_syndrome(mask: int) -> int:
 def golay_z_stabilizers() -> frozenset[int]:
     """All 2^11 support masks in the span of the Golay rows."""
     return frozenset(_span(GOLAY_ROWS))
-
-
-# --- Public code objects ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilizerCode:
-    """A self-dual CSS code: X and Z generator lists share supports."""
-
-    name: str
-    n: int
-    k: int
-    d: int
-    x_gens: tuple[PauliOp, ...]
-    z_gens: tuple[PauliOp, ...]
-    logical_x: PauliOp
-    logical_z: PauliOp
-    block_structure: tuple["StabilizerCode", "StabilizerCode"] | None = None
-
-
-def _make(name, n, d, masks, block_structure=None) -> StabilizerCode:
-    return StabilizerCode(
-        name=name,
-        n=n,
-        k=1,
-        d=d,
-        x_gens=tuple(PauliOp.x_op(n, m) for m in masks),
-        z_gens=tuple(PauliOp.z_op(n, m) for m in masks),
-        logical_x=PauliOp.x_op(n, (1 << n) - 1),
-        logical_z=PauliOp.z_op(n, (1 << n) - 1),
-        block_structure=block_structure,
-    )
-
-
-@functools.cache
-def steane_code() -> StabilizerCode:
-    return _make("steane", N7, 3, GEN7)
-
-
-@functools.cache
-def concatenated_49() -> StabilizerCode:
-    """Inner generators first (index 3b+i), then the three outer ones."""
-    inner = steane_code()
-    return _make("concat49", N49, 9, LEVEL1_GENS + LEVEL2_GENS, (inner, inner))
-
-
-@functools.cache
-def golay_code() -> StabilizerCode:
-    return _make("golay", N23, 7, GOLAY_ROWS)
-
-
-def syndrome(code: StabilizerCode, e: PauliOp):
-    """Syndrome of a pure-type error against the family that detects it.
-
-    Z-type errors check against the X generators and vice versa; for the
-    49-qubit code the result is an (inner, outer) pair of ints, otherwise
-    a single int.  Mixed-type errors must be split by the caller.
-    """
-    if e.n != code.n:
-        raise ValueError(f"error length {e.n} does not fit {code.name}")
-    if e.is_z_type():
-        mask = e.z_bits
-    elif e.is_x_type():
-        mask = e.x_bits
-    else:
-        raise ValueError("mixed X/Z operator; take the syndrome per type")
-    if code.n == N49:
-        return level1_syndrome(mask), level2_syndrome(mask)
-    if code.n == N23:
-        return golay_syndrome(mask)
-    return syndrome7(mask)
-
-
-def block_triviality(code49: StabilizerCode, e: PauliOp) -> int:
-    """7-bit vector marking subblocks whose inner syndrome is nonzero."""
-    if code49.n != N49:
-        raise ValueError("block triviality is defined for the 49-qubit code")
-    if not e.is_z_type():
-        raise ValueError("expected a Z-type error")
-    return tau_from_syndrome(level1_syndrome(e.z_bits))
-
-
-def min_weight_coset_rep(code49: StabilizerCode, e: PauliOp) -> PauliOp:
-    """A minimal-weight member of e's Z-stabilizer coset (49 qubits)."""
-    if code49.n != N49:
-        raise ValueError("coset minimization is defined for the 49-qubit code")
-    if not e.is_z_type():
-        raise ValueError("expected a Z-type error")
-    return PauliOp.z_op(N49, min_coset_rep(e.z_bits))
-
-
-def generator_table(code: StabilizerCode) -> str:
-    """Generators as labelled rows, X family then Z, one string per line."""
-    lines = []
-    for fam, gens in (("x", code.x_gens), ("z", code.z_gens)):
-        for i, g in enumerate(gens, 1):
-            lines.append(f"{fam}{i:<2d} {g}")
-    return "\n".join(lines) + "\n"

@@ -29,11 +29,10 @@ from .codes import (
     LOGICAL23,
     N7,
     N23,
-    STAB7_SET,
     golay_syndrome,
     syndrome7,
 )
-from .pauli import PauliOp, format_bits, parse_bits
+from .pauli import PauliOp
 
 #: Low-weight logical-Z representative the protocol applies on a clean
 #: syndrome with odd parity.
@@ -53,14 +52,6 @@ def classify_logical(m: PauliOp) -> LogicalClass:
     if syndrome7(m.z_bits):
         raise ValueError("operator anticommutes with a check; no logical class")
     return LogicalClass.Z if m.weight() & 1 else LogicalClass.I
-
-
-def equivalent_steane(e1: PauliOp, e2: PauliOp) -> bool:
-    """True iff the two errors differ by a stabilizer.  Only defined for
-    equal syndromes, where it reduces to comparing weight parities."""
-    if syndrome7(e1.z_bits) != syndrome7(e2.z_bits):
-        raise ValueError("errors with different syndromes are never equivalent")
-    return (e1.weight() & 1) == (e2.weight() & 1)
 
 
 @dataclass(frozen=True)
@@ -124,47 +115,3 @@ def wpec_golay(s_x: int, w: int, table: CorrectionTable) -> PauliOp:
     if (e.weight() & 1) == (w & 1):
         return e
     return PauliOp.z_op(N23, e.z_bits ^ LOGICAL23)
-
-
-def block_parity_equivalent(p1: int, p2: int) -> bool:
-    """Whether two 7-bit subblock-parity vectors of the 49-qubit code can
-    be transformed into each other by stabilizer multiplication.
-
-    Inner Z-stabilizers are even on every subblock and cannot move the
-    parity vector; outer ones flip whole subblocks along the spanned
-    cyclic patterns, which are exactly STAB7 again.
-    """
-    return (p1 ^ p2) & 0x7F in STAB7_SET
-
-
-# --- table file --------------------------------------------------------------
-
-_HEADER = "wpec correction tables v1"
-
-
-def format_correction_table(table: CorrectionTable) -> str:
-    """Stable text form: header, then one line per entry, keys ascending."""
-    lines = [_HEADER]
-    for kind, entries, width in (
-        ("wt1", table.wt1, 3),
-        ("wt2", table.wt2, 3),
-        ("golay", table.golay_min, 11),
-    ):
-        for s in sorted(entries):
-            lines.append(f"{kind} {format_bits(s, width)} {entries[s]}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_correction_table(text: str) -> CorrectionTable:
-    lines = text.splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise ValueError("unrecognized table file header")
-    parts: dict[str, dict[int, PauliOp]] = {"wt1": {}, "wt2": {}, "golay": {}}
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        kind, sbits, op = ln.split()
-        parts[kind][parse_bits(sbits)] = PauliOp.from_string(op)
-    return CorrectionTable(
-        wt1=parts["wt1"], wt2=parts["wt2"], golay_min=parts["golay"]
-    )

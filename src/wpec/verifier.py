@@ -1,19 +1,22 @@
 """Exhaustive fault enumeration for the 49-qubit weight-parity protocol.
 
-Two engines live here, both working on the Z side of the CSS split (the
-X side is its exact dual and is exercised separately at small scale).
+Two enumerations live here, both working on the Z side of the CSS split
+(the X side is its exact dual and is exercised separately at small
+scale), and both run on one engine, ``_EffectSets``: the distinct XORs
+of at most three distinct single-fault effects of a pool.
 
-The first engine enumerates every combination of up to ``max_faults``
-single faults on the Z-type measurement circuits, collapses each
-combination to a record (first-level syndrome, second-level syndrome,
-block triviality, cumulative flags, block parity), and audits the
-resulting lookup table.  Within each (second-level syndrome, block
-triviality) partition, either every record carries an equivalent block
-parity (Condition 1), or records with inequivalent parities differ in
-their (syndrome, flags) pair (Condition 2).  A partition failing both is
-reported as a violation together with witness fault combinations.
+The lookup-table build enumerates every combination of up to
+``max_faults`` single faults on the Z-type measurement circuits,
+collapses each combination to a record (first-level syndrome,
+second-level syndrome, block triviality, cumulative flags, block
+parity), and audits the resulting lookup table.  Within each
+(second-level syndrome, block triviality) partition, either every record
+carries an equivalent block parity (Condition 1), or records with
+inequivalent parities differ in their (syndrome, flags) pair (Condition
+2).  A partition failing both is reported as a violation together with
+witness fault combinations.
 
-The second engine scans fault combinations straddling the final
+The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
 recorded syndromes.  Each combination splits into an early part (still
 visible to the last round) and a late part.  Combinations passing three
@@ -21,12 +24,12 @@ relaxed detectability conditions are marked, and every marked
 combination is then re-analyzed against its possible wait-error
 completions to bound the weight of the residual error it can leave.
 
-Enumeration runs as bulk XOR arithmetic on packed uint64 signatures:
-bits 0-6 hold the block parity (stored canonically, as the minimum over
-the eight stabilizer parity patterns), bits 7-27 the flag vector, and
-bits 28-48 the first-level syndrome.  Canonicalizing the parity early is
-sound because the canonical class of an XOR depends only on the
-canonical classes of its inputs.
+The scan's effects are (Z mask, flag) pairs.  The table's are packed
+uint64 signatures: bits 0-6 hold the block parity (stored canonically,
+as the minimum over the eight stabilizer parity patterns), bits 7-27 the
+flag vector, and bits 28-48 the first-level syndrome.  Canonicalizing
+the parity after each XOR is sound because the canonical class of an
+XOR depends only on the canonical classes of its inputs.
 """
 
 from __future__ import annotations
@@ -308,9 +311,9 @@ def combination_counts(
 # ---------------------------------------------------------------------------
 # Signature set arithmetic
 
-# Triple XORs are formed and deduplicated this many at a time, which
-# bounds the transient memory of the budget-3 build.
-_XOR_CHUNK = 1 << 20
+# Triple XORs are formed this many rows at a time, which bounds the index
+# and gather temporaries of the budget-3 build.
+_XOR_CHUNK = 1 << 18
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -322,24 +325,85 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _pair_signatures(q: np.ndarray) -> np.ndarray:
-    """Distinct canonical signatures of XORs over unordered sig pairs."""
-    i, j = np.triu_indices(len(q), k=1)
-    return _sorted_unique(_canon_sig_array(q[i] ^ q[j]))
+def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Distinct rows of one or two uint64 columns, sorted by the columns
+    in order: sort or lexsort + adjacent diff (a one-column lexsort is
+    ~2.5x slower than a plain sort)."""
+    if len(cols) == 1:
+        return (_sorted_unique(cols[0]),)
+    m, f = cols
+    order = np.lexsort((f, m))
+    m, f = m[order], f[order]
+    keep = np.ones(len(m), dtype=bool)
+    keep[1:] = (m[1:] != m[:-1]) | (f[1:] != f[:-1])
+    return m[keep], f[keep]
 
 
-def _cross_signatures(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Distinct canonical signatures of all left XOR right combinations.
+class _EffectSets:
+    """Distinct XORs of at most three distinct rows of an effect pool.
 
-    Chunked over the left operand; the merge is a set union, so the
-    result does not depend on the chunk size.
+    A row is a tuple of uint64 columns: (canonical signature,) for the
+    lookup table, (mask, flag) for the final-round scan.  ``canon``,
+    when given, maps the first column to its canonical form after each
+    XOR; that is sound when the canonical class of an XOR depends only
+    on the classes of its inputs.
     """
-    rows = max(1, _XOR_CHUNK // len(right))
-    parts = [
-        _sorted_unique(_canon_sig_array((left[lo : lo + rows, None] ^ right).reshape(-1)))
-        for lo in range(0, len(left), rows)
-    ]
-    return _sorted_unique(np.concatenate(parts))
+
+    def __init__(self, cols: tuple[np.ndarray, ...], canon=None) -> None:
+        self.pool = _unique_rows(cols)
+        self.canon = canon
+        self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
+        self._syndromes: dict[int, np.ndarray] = {}
+
+    def _xor(self, a, ia: np.ndarray, b, ib: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Rows ``a[ia] ^ b[ib]`` of two column tuples, canonical if asked."""
+        out = tuple(x[ia] ^ y[ib] for x, y in zip(a, b))
+        if self.canon is None:
+            return out
+        return (self.canon(out[0]),) + out[1:]
+
+    def _exact(self, k: int) -> list[tuple[np.ndarray, ...]]:
+        """XORs of exactly k distinct pool rows, in parts to be merged."""
+        if k == 0:
+            return [tuple(np.zeros(1, dtype=np.uint64) for _ in self.pool)]
+        if k == 1:
+            return [self.pool]
+        if k > 3:
+            raise ValueError(f"subset size {k} not supported")
+        n = len(self.pool[0])
+        i, j = np.triu_indices(n, k=1)
+        pairs = self._xor(self.pool, i, self.pool, j)
+        if k == 2:
+            return [pairs]
+        # Triples run over their lowest index i: pool[i] ^ each pair whose
+        # lower index is above i, the suffix of the pair list from after[i].
+        after = np.searchsorted(i, np.arange(n), side="right")
+        first = np.concatenate([[0], np.cumsum(len(i) - after)])
+        parts = []
+        for lo in range(0, int(first[-1]), _XOR_CHUNK):
+            rows = np.arange(lo, min(lo + _XOR_CHUNK, int(first[-1])))
+            low = np.searchsorted(first, rows, side="right") - 1
+            pair = after[low] + rows - first[low]
+            parts.append(self._xor(self.pool, low, pairs, pair))
+        return parts
+
+    def up_to(self, v: int) -> tuple[np.ndarray, ...]:
+        """Distinct XORs of exactly v faults (v, v-2, ... distinct rows:
+        a repeated effect cancels pairwise), sorted by the columns in
+        order; memoized per v."""
+        if v not in self._up_to:
+            parts = [part for k in range(v, -1, -2) for part in self._exact(k)]
+            cols = tuple(np.concatenate(c) for c in zip(*parts))
+            del parts  # frees the unsorted parts before the sort copies them
+            self._up_to[v] = _unique_rows(cols)
+        return self._up_to[v]
+
+    def syndromes(self, v: int) -> np.ndarray:
+        """Level-1 syndromes of the masks (first column) of ``up_to(v)``;
+        memoized per v."""
+        if v not in self._syndromes:
+            self._syndromes[v] = _level1_syndrome_vec(self.up_to(v)[0])
+        return self._syndromes[v]
 
 
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
@@ -531,14 +595,9 @@ def build_lookup_table(
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=flagged, interleaved=interleaved)
-    q = model.signature_pool()
-    parts = [np.zeros(1, dtype=np.uint64), q]
-    if max_faults >= 2:
-        p2 = _pair_signatures(q)
-        parts.append(p2)
-    if max_faults >= 3:
-        parts.append(_cross_signatures(p2, q))
-    sigs = _sorted_unique(np.concatenate(parts))
+    sets = _EffectSets((model.signature_pool(),), canon=_canon_sig_array)
+    (at_max,), (below_max,) = sets.up_to(max_faults), sets.up_to(max_faults - 1)
+    sigs = _sorted_unique(np.concatenate([at_max, below_max]))
     keys = _keys_from_sigs(sigs)
     counts = combination_counts(model, max_faults)
     return LookupTable(max_faults, flagged, interleaved, keys, counts)
@@ -546,9 +605,6 @@ def build_lookup_table(
 
 # ---------------------------------------------------------------------------
 # Witness recovery
-
-_PROVENANCE_CACHE: dict[tuple[bool, bool], "_Provenance"] = {}
-
 
 class _Provenance:
     """Search structure mapping signatures back to fault combinations."""
@@ -588,17 +644,14 @@ class _Provenance:
         return tuple(self.atoms[i].label for i in indices)
 
 
-def _provenance(model: FaultModel) -> _Provenance:
-    key = (model.flagged, model.interleaved)
-    if key not in _PROVENANCE_CACHE:
-        _PROVENANCE_CACHE[key] = _Provenance(model)
-    return _PROVENANCE_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _provenance(flagged: bool, interleaved: bool) -> _Provenance:
+    return _Provenance(fault_model(flagged=flagged, interleaved=interleaved))
 
 
 def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | None:
     """Recover one fault combination producing a table record's signature."""
-    model = fault_model(flagged=table.flagged, interleaved=table.interleaved)
-    prov = _provenance(model)
+    prov = _provenance(table.flagged, table.interleaved)
     found = prov.find(_sig_from_key(key))
     return None if found is None else prov.labels(found)
 
@@ -879,65 +932,10 @@ def _min_coset_weight_vec(masks: np.ndarray) -> np.ndarray:
     return best
 
 
-def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (i, j, k) over all i < j < k, built without Python loops."""
-    pi, pj = np.triu_indices(n, k=1)
-    counts = n - 1 - pj
-    keep = counts > 0
-    pi, pj, counts = pi[keep], pj[keep], counts[keep]
-    rows = np.repeat(np.arange(len(pi)), counts)
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    offset = np.arange(len(rows)) - cum[rows]
-    return pi[rows], pj[rows], pj[rows] + 1 + offset
-
-
-def _sorted_unique_pairs(
-    m: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (m, f) pairs in (m, f) order (lexsort + adjacent diff)."""
-    order = np.lexsort((f, m))
-    m, f = m[order], f[order]
-    keep = np.ones(len(m), dtype=bool)
-    keep[1:] = (m[1:] != m[:-1]) | (f[1:] != f[:-1])
-    return m[keep], f[keep]
-
-
-class _EffectSets:
-    """XOR-subset effects (mask, flag, level-1 syndrome) of one atom pool."""
-
-    def __init__(self, atoms: tuple[FaultAtom, ...]) -> None:
-        pairs = sorted({(a.error, a.flag) for a in atoms})
-        self.masks = np.array([m for m, _ in pairs], dtype=np.uint64)
-        self.flags = np.array([f for _, f in pairs], dtype=np.uint64)
-        self._up_to: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _exact(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.masks)
-        if k == 0:
-            return np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
-        if n < k:
-            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)
-        if k == 1:
-            return self.masks, self.flags
-        if k == 2:
-            i, j = np.triu_indices(n, k=1)
-            return self.masks[i] ^ self.masks[j], self.flags[i] ^ self.flags[j]
-        if k == 3:
-            i, j, kk = _triple_indices(n)
-            return (
-                self.masks[i] ^ self.masks[j] ^ self.masks[kk],
-                self.flags[i] ^ self.flags[j] ^ self.flags[kk],
-            )
-        raise ValueError(f"subset size {k} not supported")
-
-    def up_to(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct effects of exactly v faults (sizes v, v-2, ...), in
-        (mask, flag) order, with their level-1 syndromes; memoized per v."""
-        if v not in self._up_to:
-            ms, fs = zip(*(self._exact(k) for k in range(v, -1, -2)))
-            m, f = _sorted_unique_pairs(np.concatenate(ms), np.concatenate(fs))
-            self._up_to[v] = (m, f, _level1_syndrome_vec(m))
-        return self._up_to[v]
+def _atom_effect_sets(atoms: tuple[FaultAtom, ...]) -> _EffectSets:
+    """The (mask, flag) effect sets of a pool of Z-side atoms."""
+    cols = np.array([(a.error, a.flag) for a in atoms], dtype=np.uint64).T
+    return _EffectSets(tuple(cols))
 
 
 def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
@@ -955,8 +953,8 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=True, interleaved=True)
-    g1 = _EffectSets(model.gate1_atoms())
-    g2 = _EffectSets(model.gate2_atoms())
+    g1 = _atom_effect_sets(model.gate1_atoms())
+    g2 = _atom_effect_sets(model.gate2_atoms())
 
     marked: list[MarkedCombination] = []
     n_effects = 0
@@ -991,8 +989,8 @@ def _early_survivors(
     """Early (G1a x G2) effects whose sigma fits the flip budget, in
     cross-product order.  The level-1 syndrome is linear, so the cross
     product's syndromes are XORs of the pools' memoized syndromes."""
-    g1m, g1f, g1s = g1.up_to(fnc.v_g1a)
-    g2m, g2f, g2s = g2.up_to(fnc.v_g2)
+    (g1m, g1f), g1s = g1.up_to(fnc.v_g1a), g1.syndromes(fnc.v_g1a)
+    (g2m, g2f), g2s = g2.up_to(fnc.v_g2), g2.syndromes(fnc.v_g2)
     syn = (g1s[:, None] ^ g2s[None, :]).reshape(-1)
     keep = np.flatnonzero(_sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s)
     i1, i2 = np.divmod(keep, len(g2m))
@@ -1011,7 +1009,7 @@ def _scan_number_combination(
     high 21 bits; the shift keeps the (mask, flag) order, so one pool
     serves both.
     """
-    bm, bf, _ = g1.up_to(fnc.v_g1b)
+    bm, bf = g1.up_to(fnc.v_g1b)
     examined = len(g1.up_to(fnc.v_g1a)[0]) * len(g2.up_to(fnc.v_g2)[0]) * len(bm)
     am, af = _early_survivors(fnc, g1, g2)
     if len(am) == 0:
@@ -1113,7 +1111,7 @@ def _scan_provenance() -> _ScanProvenance:
 
 @functools.lru_cache(maxsize=1)
 def _wait_effect_sets() -> _EffectSets:
-    return _EffectSets(tuple(FaultAtom(f"W[q{q + 1}]", 1 << q, 0) for q in range(49)))
+    return _EffectSets((np.uint64(1) << np.arange(49, dtype=np.uint64),))
 
 
 def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAnalysis:
@@ -1134,7 +1132,7 @@ def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAna
     worst: int | None = None
     for w_a in range(v_w + 1):
         w_b = v_w - w_a
-        wa_masks, _, _ = sets.up_to(w_a)
+        (wa_masks,) = sets.up_to(w_a)
         visible = np.uint64(ea) ^ wa_masks
         ok = _popcount(_level1_syndrome_vec(visible)) <= np.uint64(v_s)
         if not ok.any():

@@ -17,25 +17,23 @@ from wpec.codes import (
     GOLAY_ROWS,
     LEVEL1_GENS,
     LEVEL2_GENS,
+    LOGICAL7,
+    LOGICAL23,
     LOGICAL49,
     MASK23,
+    N7,
+    N23,
+    N49,
     PCANON,
     STAB7,
     STAB7_SET,
     block_parity,
-    block_triviality,
-    concatenated_49,
-    generator_table,
-    golay_code,
     golay_syndrome,
     golay_z_stabilizers,
     level1_syndrome,
     level2_syndrome,
     min_coset_rep,
     min_coset_weight,
-    min_weight_coset_rep,
-    steane_code,
-    syndrome,
     syndrome7,
     tau_from_syndrome,
 )
@@ -46,14 +44,21 @@ def bits_to_mask(s: str) -> int:
     return sum(1 << i for i, c in enumerate(s) if c == "1")
 
 
+# (length, generator supports, logical support) of the three codes
+CODES = {
+    "steane": (N7, GEN7, LOGICAL7),
+    "concat49": (N49, LEVEL1_GENS + LEVEL2_GENS, LOGICAL49),
+    "golay": (N23, GOLAY_ROWS, LOGICAL23),
+}
+
+
 # --- 7-qubit code ------------------------------------------------------------
 
 
 def test_steane_generator_strings():
-    c = steane_code()
-    assert [str(g) for g in c.x_gens] == ["XIXXXII", "IXIXXXI", "IIXIXXX"]
-    assert [str(g) for g in c.z_gens] == ["ZIZZZII", "IZIZZZI", "IIZIZZZ"]
-    assert str(c.logical_z) == "ZZZZZZZ"
+    assert [str(PauliOp.x_op(N7, m)) for m in GEN7] == ["XIXXXII", "IXIXXXI", "IIXIXXX"]
+    assert [str(PauliOp.z_op(N7, m)) for m in GEN7] == ["ZIZZZII", "IZIZZZI", "IIZIZZZ"]
+    assert str(PauliOp.z_op(N7, LOGICAL7)) == "ZZZZZZZ"
 
 
 def test_steane_generators_are_cyclic_shifts():
@@ -63,13 +68,14 @@ def test_steane_generators_are_cyclic_shifts():
 
 
 def test_all_generators_commute_logicals_anticommute():
-    for c in (steane_code(), concatenated_49(), golay_code()):
-        gens = c.x_gens + c.z_gens
+    for name, (n, masks, logical) in CODES.items():
+        gens = [PauliOp.x_op(n, m) for m in masks] + [PauliOp.z_op(n, m) for m in masks]
+        logical_x, logical_z = PauliOp.x_op(n, logical), PauliOp.z_op(n, logical)
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
-                assert a.commutes(b), (c.name, str(a), str(b))
-            assert a.commutes(c.logical_x) and a.commutes(c.logical_z)
-        assert not c.logical_x.commutes(c.logical_z)
+                assert a.commutes(b), (name, str(a), str(b))
+            assert a.commutes(logical_x) and a.commutes(logical_z)
+        assert not logical_x.commutes(logical_z)
 
 
 def test_steane_perfectness():
@@ -83,18 +89,9 @@ def test_single_qubit_syndromes_frozen():
 
 
 def test_syndrome_op_examples():
-    c = steane_code()
-    assert syndrome(c, PauliOp.from_string("ZIIIIII")) == 0b001
-    assert syndrome(c, PauliOp.from_string("IIIIIIZ")) == 0b100
-    assert syndrome(c, c.z_gens[0]) == 0
-
-
-def test_syndrome_rejects_mixed_and_wrong_length():
-    c = steane_code()
-    with pytest.raises(ValueError):
-        syndrome(c, PauliOp.from_string("YIIIIII"))
-    with pytest.raises(ValueError):
-        syndrome(c, PauliOp.from_string("ZZ"))
+    assert syndrome7(PauliOp.from_string("ZIIIIII").z_bits) == 0b001
+    assert syndrome7(PauliOp.from_string("IIIIIIZ").z_bits) == 0b100
+    assert syndrome7(PauliOp.from_string("ZIZZZII").z_bits) == 0
 
 
 def test_stab7_span_frozen():
@@ -108,18 +105,18 @@ def test_stab7_span_frozen():
 
 
 def test_concat49_generator_counts_and_weights():
-    c = concatenated_49()
-    assert len(c.x_gens) + len(c.z_gens) == 48
-    assert c.x_gens[21].weight() == 28  # first outer generator
-    assert c.n == 49 and c.d == 9
-    assert c.block_structure == (steane_code(), steane_code())
+    gens = LEVEL1_GENS + LEVEL2_GENS  # one X and one Z generator each
+    assert 2 * len(gens) == 48
+    assert [g.bit_count() for g in gens] == [4] * 21 + [28] * 3
+    assert PauliOp.x_op(N49, gens[21]).weight() == 28  # first outer generator
+    # each subblock carries the 7-qubit code's generators
+    assert LEVEL1_GENS == tuple(g << (7 * b) for b in range(7) for g in GEN7)
 
 
 def test_outer_generator_supports():
     # outer generator 1 = all-Z on subblocks 1,3,4,5 (1-based)
     expect = sum(0x7F << (7 * b) for b in (0, 2, 3, 4))
     assert LEVEL2_GENS[0] == expect
-    assert concatenated_49().z_gens[21].z_bits == expect
 
 
 def test_inner_generator_indexing():
@@ -150,14 +147,16 @@ def test_single_block_outer_columns():
 
 
 def test_block_triviality_examples():
-    c = concatenated_49()
-    assert block_triviality(c, PauliOp.z_op(49, 0)) == 0
-    assert block_triviality(c, c.z_gens[21]) == 0  # outer generator
+    def triviality(m):
+        return tau_from_syndrome(level1_syndrome(m))
+
+    assert triviality(0) == 0
+    assert triviality(LEVEL2_GENS[0]) == 0  # outer generator
     # weight-2 P on subblock 1, all-Z on subblocks 3,4,5
     m = 0b0000011
     for b in (2, 3, 4):
         m |= 0x7F << (7 * b)
-    assert block_triviality(c, PauliOp.z_op(49, m)) == 0b0000001
+    assert triviality(m) == 0b0000001
 
 
 def test_block_parity():
@@ -209,14 +208,10 @@ def test_min_coset_weight_examples():
 
 
 def test_min_weight_coset_rep_op():
-    c = concatenated_49()
-    rep = min_weight_coset_rep(c, PauliOp.z_op(49, 0x7F))
+    rep = PauliOp.z_op(N49, min_coset_rep(0x7F))
     assert rep.weight() == 3
-    assert syndrome(c, rep) == syndrome(c, PauliOp.z_op(49, 0x7F))
-    with pytest.raises(ValueError):
-        min_weight_coset_rep(c, PauliOp.x_op(49, 1))
-    with pytest.raises(ValueError):
-        min_weight_coset_rep(steane_code(), PauliOp.z_op(7, 1))
+    assert level1_syndrome(rep.z_bits) == level1_syndrome(0x7F)
+    assert level2_syndrome(rep.z_bits) == level2_syndrome(0x7F)
 
 
 def test_min_coset_weight_certified_against_full_scan(full_z_stabilizer_group):
@@ -263,10 +258,8 @@ def test_golay_rows_shift_and_weight():
 
 
 def test_golay_code_object():
-    c = golay_code()
-    assert (c.n, c.k, c.d) == (23, 1, 7)
-    assert len(c.x_gens) == len(c.z_gens) == 11
-    assert str(c.x_gens[0]) == "XXXXXIIXIIXIXIIIIIIIIII"
+    assert (N23, len(GOLAY_ROWS), LOGICAL23) == (23, 11, MASK23)
+    assert str(PauliOp.x_op(N23, GOLAY_ROWS[0])) == "XXXXXIIXIIXIXIIIIIIIIII"
 
 
 def test_golay_syndrome_basics():
@@ -282,21 +275,11 @@ def test_golay_stabilizer_weights_even_logical_coset_odd():
     assert all((s ^ MASK23).bit_count() % 2 == 1 for s in grp)
 
 
-# --- text export ----------------------------------------------------------------
-
-
-def test_generator_table_golden():
-    assert generator_table(steane_code()) == (
-        "x1  XIXXXII\n"
-        "x2  IXIXXXI\n"
-        "x3  IIXIXXX\n"
-        "z1  ZIZZZII\n"
-        "z2  IZIZZZI\n"
-        "z3  IIZIZZZ\n"
-    )
+# --- generator strings ------------------------------------------------------------
 
 
 def test_generator_table_concat_has_48_rows():
-    rows = generator_table(concatenated_49()).strip().split("\n")
+    gens = LEVEL1_GENS + LEVEL2_GENS
+    rows = [str(PauliOp.x_op(N49, m)) for m in gens] + [str(PauliOp.z_op(N49, m)) for m in gens]
     assert len(rows) == 48
-    assert rows[21].endswith("X" * 7 + "I" * 7 + "X" * 21 + "I" * 14)
+    assert rows[21] == "X" * 7 + "I" * 7 + "X" * 21 + "I" * 14

@@ -248,8 +248,7 @@ def test_corrections_return_to_stabilizer(table3):
 
 
 def test_witnesses_reproduce_records(table3):
-    model = fault_model()
-    prov = v._provenance(model)
+    prov = v._provenance(True, True)
     rng = random.Random(3)
     for _ in range(60):
         key = int(table3.keys[rng.randrange(table3.n_records)])
@@ -311,11 +310,18 @@ def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
         (True, True,
          "bbef6d4a3cf1ca9b41cfc16583ce06350b20cfc6f1fada3115630660f38ffece",
          75_297_618, 1_140_873),
+        (True, False,
+         "9887e67ee598693969ca635cfd5586bf00609ce7eb5719cc058833b92d15f310",
+         51_893_820, 786_270),
+        (False, True,
+         "9f6102c307c1453f00eb0f4640d27a31395d886fb21d6ce07064790d9dca053a",
+         19_564_974, 296_439),
         (False, False,
          "d1f956978e8265b3a590d92173200ed5648d6814271a40ee47d5f31ec5cff9bb",
          7_819_482, 118_477),
     ],
-    ids=["permuted-flagged", "negative-control"],
+    ids=["permuted-flagged", "blockwise-flagged", "permuted-flagless",
+         "negative-control"],
 )
 def test_budget3_table_digest(flagged, interleaved, digest, n_bytes, n_lines):
     table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
@@ -499,23 +505,24 @@ def _strictly_increasing(m, f):
 @pytest.mark.parametrize("pool", ["gate1", "gate2"])
 def test_effect_sets_match_pure_python(pool):
     atoms = getattr(fault_model(), f"{pool}_atoms")()
-    sets = v._EffectSets(atoms)
+    sets = v._atom_effect_sets(atoms)
     expected = _xor_subsets([(a.error, a.flag) for a in atoms])
     for n in range(4):
-        m, f, s = sets.up_to(n)
+        m, f = sets.up_to(n)
         assert _strictly_increasing(m, f), (pool, n)
         assert set(zip(m.tolist(), f.tolist())) == expected[n], (pool, n)
+        s = sets.syndromes(n)
         assert s.tolist()[:500] == [level1_syndrome(x) for x in m.tolist()[:500]]
-        assert sets.up_to(n)[0] is m
+        assert sets.up_to(n)[0] is m and sets.syndromes(n) is s
 
 
 def test_late_effects_are_early_effects_with_shifted_flags():
     # the scan's late G1 effects: flags in the high 21 bits, same order
     atoms = fault_model().gate1_atoms()
-    sets = v._EffectSets(atoms)
+    sets = v._atom_effect_sets(atoms)
     expected = _xor_subsets([(a.error, a.flag << 21) for a in atoms])
     for n in range(4):
-        m, f, _ = sets.up_to(n)
+        m, f = sets.up_to(n)
         shifted = f << np.uint64(21)
         assert _strictly_increasing(m, shifted), n
         assert set(zip(m.tolist(), shifted.tolist())) == expected[n], n
@@ -531,12 +538,12 @@ def test_level1_syndrome_vec_is_linear():
 
 def test_early_survivors_match_scalar_sigma():
     model = fault_model()
-    g1 = v._EffectSets(model.gate1_atoms())
-    g2 = v._EffectSets(model.gate2_atoms())
+    g1 = v._atom_effect_sets(model.gate1_atoms())
+    g2 = v._atom_effect_sets(model.gate2_atoms())
     early = [
         (m1 ^ m2, f1 ^ f2)
-        for m1, f1 in zip(*(x.tolist() for x in g1.up_to(1)[:2]))
-        for m2, f2 in zip(*(x.tolist() for x in g2.up_to(1)[:2]))
+        for m1, f1 in zip(*(x.tolist() for x in g1.up_to(1)))
+        for m2, f2 in zip(*(x.tolist() for x in g2.up_to(1)))
     ]
     for v_w, v_s in ((0, 0), (0, 1), (1, 0)):
         fnc = FaultNumberCombination(v_g1a=1, v_g2=1, v_w=v_w, v_s=v_s)
@@ -544,6 +551,73 @@ def test_early_survivors_match_scalar_sigma():
         expected = [(m, f) for m, f in early if sigma(m, v_w) <= v_s]
         assert list(zip(am.tolist(), af.tolist())) == expected, (v_w, v_s)
         assert 0 < len(expected) < len(early)
+
+
+def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
+    # The vectorized filters (sigma, flag count, coset weight) drop
+    # combinations that relaxed_mark never sees.  Every effect combination
+    # of the 50 number combinations with at most one gate fault goes
+    # through the scalar relaxed_mark here; the 453,936 with two gate
+    # faults and the 17,580,853 with three are left to the vectorized path.
+    model = fault_model()
+    g1 = v._atom_effect_sets(model.gate1_atoms())
+    g2 = v._atom_effect_sets(model.gate2_atoms())
+
+    def effects(sets, k):
+        return list(zip(*(c.tolist() for c in sets.up_to(k))))
+
+    marked = set()
+    n_fnc = n_effects = 0
+    for va1, vb1, v2 in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        for vw, vf, vs in itertools.product(range(4), repeat=3):
+            if va1 + vb1 + v2 + vw + vf + vs > 3:
+                continue
+            fnc = FaultNumberCombination(va1, vb1, v2, vw, vf, vs)
+            n_fnc += 1
+            for (m1, f1), (m2, f2), (mb, fb) in itertools.product(
+                effects(g1, va1), effects(g2, v2), effects(g1, vb1)
+            ):
+                n_effects += 1
+                fc = FaultCombination(
+                    fnc,
+                    PauliOp.z_op(49, m1 ^ m2 ^ mb),
+                    flag=(f1 ^ f2) | (fb << 21),
+                    error_a=PauliOp.z_op(49, m1 ^ m2),
+                )
+                if relaxed_mark(fc, 3):
+                    marked.add((fnc, m1 ^ m2, m1 ^ m2 ^ mb, fc.flag))
+    assert (n_fnc, n_effects) == (50, 4820)
+    scanned = {
+        (
+            m.combination.counts,
+            m.combination.early_error.z_bits,
+            m.combination.error.z_bits,
+            m.combination.flag,
+        )
+        for m in final_round_report.marked
+    }
+    assert len(scanned) == 6
+    assert marked == scanned
+
+
+def test_min_coset_weight_vec_matches_scalar():
+    rng = random.Random(2020)
+    masks = [rng.getrandbits(49) for _ in range(2000)]
+    masks += [sum(1 << rng.randrange(49) for _ in range(rng.randint(1, 9)))
+              for _ in range(2000)]
+    got = v._min_coset_weight_vec(np.array(masks, dtype=np.uint64))
+    assert got.tolist() == [min_coset_weight(m) for m in masks]
+
+
+def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
+    atoms = fault_model().gate1_atoms()
+    kw = dict(flagged=False, interleaved=False)
+    effects = v._atom_effect_sets(atoms).up_to(3)
+    keys = build_lookup_table(3, **kw).keys
+    monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 12)
+    small = v._atom_effect_sets(atoms).up_to(3)
+    assert all(np.array_equal(a, b) for a, b in zip(small, effects))
+    assert np.array_equal(build_lookup_table(3, **kw).keys, keys)
 
 
 def test_sigma_from_syndrome_matches_sigma():
