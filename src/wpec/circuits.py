@@ -68,19 +68,6 @@ class ExtractionCircuit:
     def cnot_order(self) -> tuple[int, ...]:
         return tuple(q for q in self.gates if q != _FLAG)
 
-    @property
-    def flag_cnot_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, q in enumerate(self.gates) if q == _FLAG)
-
-    @property
-    def ancilla_count(self) -> int:
-        return 2 if self.flag_bit is not None else 1
-
-    def describe(self) -> str:
-        """Ordered gate list, 1-based data qubits, 'f' for flag CNOTs."""
-        toks = ["f" if q == _FLAG else str(q + 1) for q in self.gates]
-        return f"{self.name}: " + " ".join(toks)
-
 
 def _support(mask: int) -> list[int]:
     return [q for q in range(N49) if (mask >> q) & 1]

@@ -84,9 +84,6 @@ class PauliOp:
             raise ValueError("length mismatch")
         return PauliOp(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
 
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
     def is_z_type(self) -> bool:
         return self.x_bits == 0
 
@@ -100,14 +97,6 @@ class PauliOp:
         _check_block(self.n, block)
         sh = BLOCK_SIZE * block
         return PauliOp(BLOCK_SIZE, (self.x_bits >> sh) & MASK7, (self.z_bits >> sh) & MASK7)
-
-    def embed(self, block: int, n: int = 49) -> "PauliOp":
-        """Place this 7-qubit operator on subblock ``block`` of an n-qubit register."""
-        if self.n != BLOCK_SIZE:
-            raise ValueError("embed expects a 7-qubit operator")
-        _check_block(n, block)
-        sh = BLOCK_SIZE * block
-        return PauliOp(n, self.x_bits << sh, self.z_bits << sh)
 
     # -- text --------------------------------------------------------------
 

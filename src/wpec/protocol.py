@@ -496,28 +496,6 @@ def joint_coset_weight(op: PauliOp, *, include_logical: bool = True) -> int:
     return int(w.min())
 
 
-def in_codespace(op: PauliOp) -> bool:
-    """Whether op commutes with every generator (trivial syndromes)."""
-    return (
-        level1_syndrome(op.z_bits) == 0
-        and level2_syndrome(op.z_bits) == 0
-        and level1_syndrome(op.x_bits) == 0
-        and level2_syndrome(op.x_bits) == 0
-    )
-
-
-def ideal_logical_identity(op: PauliOp) -> bool:
-    """Whether a perfect decode of op leaves the codeword untouched.
-
-    An ideal decoder applies the minimum-weight error with op's
-    syndromes, so it preserves the codeword exactly when the stabilizer
-    coset of op achieves the global minimum over logical cosets too.
-    The cosets are distance 9 apart, so for the residuals under test
-    (weight at most 3) equality cannot come from a tie.
-    """
-    return joint_coset_weight(op, include_logical=False) == joint_coset_weight(op)
-
-
 # ---------------------------------------------------------------------------
 # Trials and the fault-tolerance conditions
 

@@ -2,8 +2,8 @@
 
 Two enumerations live here, both working on the Z side of the CSS split
 (the X side is its exact dual and is exercised separately at small
-scale), and both run on one engine, ``_EffectSets``: the distinct XORs
-of at most three distinct single-fault effects of a pool.
+scale), and both run on one engine, ``_EffectSets``: the XORs of at
+most three distinct single-fault effects of a pool.
 
 The lookup-table build enumerates every combination of up to
 ``max_faults`` single faults on the Z-type measurement circuits,
@@ -30,6 +30,15 @@ as the minimum over the eight stabilizer parity patterns), bits 7-27 the
 flag vector, and bits 28-48 the first-level syndrome.  Canonicalizing
 the parity after each XOR is sound because the canonical class of an
 XOR depends only on the canonical classes of its inputs.
+
+Witnesses come from the same engine.  The witness for an effect is the
+lexicographically first tuple of distinct pool-row indices whose XOR
+equals it, trying subset sizes in a given order; only the rows and the
+sizes depend on the caller.  Audit witnesses search the table's pool
+(distinct canonical signatures in ascending order, each labelled by its
+first atom) with sizes 0, 1, 2, 3.  Scan witnesses search the raw G1
+and G2 atoms in atom order (equal atoms kept apart) with sizes v, v-2,
+... for each category's fault number v.
 """
 
 from __future__ import annotations
@@ -108,10 +117,6 @@ def pack_signature(error_mask: int, flag: int) -> int:
     """
     p = PCANON[block_parity(error_mask)]
     return p | (flag << _F_SHIFT) | (level1_syndrome(error_mask) << _S_SHIFT)
-
-
-def _canon_sig(sig: int) -> int:
-    return (sig & ~_P_MASK) | PCANON[sig & _P_MASK]
 
 
 def _canon_sig_array(sigs: np.ndarray) -> np.ndarray:
@@ -225,25 +230,12 @@ class FaultNumberCombination:
     v_s: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in vars(self).items():
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.total > 3:
-            raise ValueError(f"at most 3 faults supported, got {self.total}")
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "v_g1a": self.v_g1a,
-            "v_g1b": self.v_g1b,
-            "v_g2": self.v_g2,
-            "v_w": self.v_w,
-            "v_f": self.v_f,
-            "v_s": self.v_s,
-        }
-
-    @property
-    def total(self) -> int:
-        return self.v_g1a + self.v_g1b + self.v_g2 + self.v_w + self.v_f + self.v_s
+        total = sum(vars(self).values())
+        if total > 3:
+            raise ValueError(f"at most 3 faults supported, got {total}")
 
     def __str__(self) -> str:
         return (
@@ -281,6 +273,15 @@ def _multiset_count(size: int, v: int) -> int:
     return math.comb(size + v - 1, v)
 
 
+def _number_combinations(max_faults: int, n: int) -> list[tuple[int, ...]]:
+    """Every n-tuple of fault numbers summing to at most max_faults, in
+    lexicographic order (the order the reports print)."""
+    return [
+        c for c in itertools.product(range(max_faults + 1), repeat=n)
+        if sum(c) <= max_faults
+    ]
+
+
 def combination_counts(
     model: FaultModel, max_faults: int
 ) -> tuple[tuple[FaultNumberCombination, int], ...]:
@@ -291,21 +292,14 @@ def combination_counts(
     faults.  Raw location-level counts would be larger (many faults share
     an effect) but add no records to the table.
     """
-    sizes = model.pool_sizes()
-    out = []
-    for v1 in range(max_faults + 1):
-        for v2 in range(max_faults + 1 - v1):
-            for vw in range(max_faults + 1 - v1 - v2):
-                for vf in range(max_faults + 1 - v1 - v2 - vw):
-                    n = (
-                        _multiset_count(sizes["G1"], v1)
-                        * _multiset_count(sizes["G2"], v2)
-                        * _multiset_count(sizes["W"], vw)
-                        * _multiset_count(sizes["F"], vf)
-                    )
-                    fnc = FaultNumberCombination(v_g1a=v1, v_g2=v2, v_w=vw, v_f=vf)
-                    out.append((fnc, n))
-    return tuple(out)
+    sizes = model.pool_sizes().values()  # G1, G2, W, F
+    return tuple(
+        (
+            FaultNumberCombination(v_g1a=v1, v_g2=v2, v_w=vw, v_f=vf),
+            math.prod(_multiset_count(n, v) for n, v in zip(sizes, (v1, v2, vw, vf))),
+        )
+        for v1, v2, vw, vf in _number_combinations(max_faults, 4)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,44 +334,55 @@ def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 
 class _EffectSets:
-    """Distinct XORs of at most three distinct rows of an effect pool.
+    """XORs of at most three distinct rows of an effect pool.
 
     A row is a tuple of uint64 columns: (canonical signature,) for the
-    lookup table, (mask, flag) for the final-round scan.  ``canon``,
-    when given, maps the first column to its canonical form after each
-    XOR; that is sound when the canonical class of an XOR depends only
-    on the classes of its inputs.
+    lookup table, (mask, flag) for the final-round scan.  Rows keep the
+    order they are given in; callers that want distinct rows pass them
+    deduplicated.  ``canon``, when given, maps the first column to its
+    canonical form after each XOR; that is sound when the canonical
+    class of an XOR depends only on the classes of its inputs.
+
+    ``up_to`` answers which effects are reachable, ``first`` which rows
+    reach a given one.  Both walk the same lexicographic order of index
+    tuples: singles, the ``triu`` pair list, then triples i < j < k as
+    ``pool[i]`` ^ the pairs (j, k) from ``after[i]`` on.
     """
 
     def __init__(self, cols: tuple[np.ndarray, ...], canon=None) -> None:
-        self.pool = _unique_rows(cols)
+        self.pool = cols
         self.canon = canon
         self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
         self._syndromes: dict[int, np.ndarray] = {}
 
-    def _xor(self, a, ia: np.ndarray, b, ib: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _xor(self, a, ia, b, ib) -> tuple[np.ndarray, ...]:
         """Rows ``a[ia] ^ b[ib]`` of two column tuples, canonical if asked."""
         out = tuple(x[ia] ^ y[ib] for x, y in zip(a, b))
         if self.canon is None:
             return out
         return (self.canon(out[0]),) + out[1:]
 
+    @functools.cached_property
+    def _pairs(self):
+        """The pair list (i < j, lexicographic), its XORs, and after[i],
+        the first pair whose lower index is above i."""
+        n = len(self.pool[0])
+        i, j = np.triu_indices(n, k=1)
+        after = np.searchsorted(i, np.arange(n), side="right")
+        return i, j, self._xor(self.pool, i, self.pool, j), after
+
     def _exact(self, k: int) -> list[tuple[np.ndarray, ...]]:
-        """XORs of exactly k distinct pool rows, in parts to be merged."""
+        """XORs of exactly k distinct pool rows, in lexicographic order of
+        their index tuples, split into parts."""
         if k == 0:
             return [tuple(np.zeros(1, dtype=np.uint64) for _ in self.pool)]
         if k == 1:
             return [self.pool]
         if k > 3:
             raise ValueError(f"subset size {k} not supported")
-        n = len(self.pool[0])
-        i, j = np.triu_indices(n, k=1)
-        pairs = self._xor(self.pool, i, self.pool, j)
+        i, _, pairs, after = self._pairs
         if k == 2:
             return [pairs]
-        # Triples run over their lowest index i: pool[i] ^ each pair whose
-        # lower index is above i, the suffix of the pair list from after[i].
-        after = np.searchsorted(i, np.arange(n), side="right")
         first = np.concatenate([[0], np.cumsum(len(i) - after)])
         parts = []
         for lo in range(0, int(first[-1]), _XOR_CHUNK):
@@ -404,6 +409,46 @@ class _EffectSets:
         if v not in self._syndromes:
             self._syndromes[v] = _level1_syndrome_vec(self.up_to(v)[0])
         return self._syndromes[v]
+
+    def first(self, target: tuple[int, ...], sizes) -> tuple[int, ...] | None:
+        """The lexicographically first tuple of distinct row indices whose
+        XOR is ``target`` (canonical if asked), trying the subset sizes in
+        the order given; None when no size reaches it."""
+        t = tuple(np.array([x], dtype=np.uint64) for x in target)
+        if self.canon is not None:
+            t = (self.canon(t[0]),) + t[1:]
+        pi, pj, pairs, after = self._pairs
+        for k in sizes:
+            if k == 0:
+                if not any(t):
+                    return ()
+            elif k == 1:
+                hit = np.flatnonzero(_rows_equal(self.pool, t))
+                if len(hit):
+                    return (int(hit[0]),)
+            elif k == 2:
+                hit = np.flatnonzero(_rows_equal(pairs, t))
+                if len(hit):
+                    return int(pi[hit[0]]), int(pj[hit[0]])
+            elif k == 3:
+                # pool[i] ^ pairs[p] is the target exactly when pairs[p] is
+                # pool[i] ^ target; the pairs above i start at after[i]
+                rest = self._xor(self.pool, slice(None), t, slice(None))
+                for i in range(len(rest[0])):
+                    suffix = tuple(c[after[i] :] for c in pairs)
+                    row = tuple(c[i : i + 1] for c in rest)
+                    hit = np.flatnonzero(_rows_equal(suffix, row))
+                    if len(hit):
+                        p = after[i] + hit[0]
+                        return i, int(pi[p]), int(pj[p])
+            else:
+                raise ValueError(f"subset size {k} not supported")
+        return None
+
+
+def _rows_equal(cols, row) -> np.ndarray:
+    """Which rows of the columns equal one row (one-element columns)."""
+    return np.logical_and.reduce([c == x for c, x in zip(cols, row)])
 
 
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
@@ -569,15 +614,6 @@ class LookupTable:
         for chunk in self.record_chunks():
             yield from chunk.decode("ascii").splitlines()
 
-    def render(self) -> str:
-        return b"".join(self.record_chunks()).decode("ascii")
-
-    def write(self, path: str) -> None:
-        """Stream the record lines to a file (tables can run to millions)."""
-        with open(path, "wb") as fh:
-            for chunk in self.record_chunks():
-                fh.write(chunk)
-
 
 def build_lookup_table(
     max_faults: int = 3,
@@ -606,54 +642,26 @@ def build_lookup_table(
 # ---------------------------------------------------------------------------
 # Witness recovery
 
-class _Provenance:
-    """Search structure mapping signatures back to fault combinations."""
-
-    def __init__(self, model: FaultModel) -> None:
-        self.atoms = model.all_atoms()
-        self.single: dict[int, tuple[int, ...]] = {}
-        for idx, atom in enumerate(self.atoms):
-            sig = _canon_sig(atom.signature)
-            if sig and sig not in self.single:
-                self.single[sig] = (idx,)
-        reps = sorted(self.single.items())
-        self.pairs: dict[int, tuple[int, ...]] = {}
-        for (sa, ia), (sb, ib) in itertools.combinations(reps, 2):
-            sig = _canon_sig(sa ^ sb)
-            if sig not in self.pairs:
-                self.pairs[sig] = ia + ib
-        self._reps = reps
-
-    def find(self, sig: int) -> tuple[int, ...] | None:
-        """Atom indices for up to three faults reproducing a signature."""
-        sig = _canon_sig(sig)
-        if sig == 0:
-            return ()
-        if sig in self.single:
-            return self.single[sig]
-        if sig in self.pairs:
-            return self.pairs[sig]
-        for sa, ia in self._reps:
-            for v in STAB7:
-                cand = sa ^ sig ^ v
-                if _canon_sig(cand) == cand and cand in self.pairs:
-                    return ia + self.pairs[cand]
-        return None
-
-    def labels(self, indices: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(self.atoms[i].label for i in indices)
-
-
 @functools.lru_cache(maxsize=None)
-def _provenance(flagged: bool, interleaved: bool) -> _Provenance:
-    return _Provenance(fault_model(flagged=flagged, interleaved=interleaved))
+def _table_witnesses(
+    flagged: bool, interleaved: bool
+) -> tuple[_EffectSets, tuple[str, ...]]:
+    """The signature pool as a search engine, with one label per row: the
+    first atom, in ``all_atoms`` order, carrying that signature."""
+    model = fault_model(flagged=flagged, interleaved=interleaved)
+    pool = model.signature_pool()
+    label_of = {a.signature: a.label for a in reversed(model.all_atoms())}
+    labels = tuple(label_of[sig] for sig in pool.tolist())
+    return _EffectSets((pool,), canon=_canon_sig_array), labels
 
 
 def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | None:
-    """Recover one fault combination producing a table record's signature."""
-    prov = _provenance(table.flagged, table.interleaved)
-    found = prov.find(_sig_from_key(key))
-    return None if found is None else prov.labels(found)
+    """Recover one fault combination producing a table record's signature:
+    the lexicographically first set of at most three pool signatures, by
+    increasing size."""
+    sets, labels = _table_witnesses(table.flagged, table.interleaved)
+    found = sets.first((_sig_from_key(key),), (0, 1, 2, 3))
+    return None if found is None else tuple(labels[r] for r in found)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +680,6 @@ class Claim2Violation:
     parity_b: int
     witness_a: tuple[str, ...]
     witness_b: tuple[str, ...]
-
-    @property
-    def identity(self) -> tuple[int, int, int, int]:
-        return (self.stilde, self.tau, self.s, self.f)
 
     def render(self) -> str:
         return (
@@ -700,7 +704,6 @@ class Claim2Report:
     n_violated_groups: int
     n_violations: int
     violations: tuple[Claim2Violation, ...]
-    violation_identities: frozenset[tuple[int, int, int, int]]
     combination_counts: tuple[tuple[FaultNumberCombination, int], ...]
 
     @property
@@ -755,15 +758,6 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
         violations.append(
             Claim2Violation(stilde, tau, s, f, parity_a, parity_b, witness_a, witness_b)
         )
-    identities = frozenset(
-        (
-            (int(p) >> 49) & 7,
-            (int(p) >> 42) & 127,
-            (int(p) >> 21) & _S_MASK,
-            int(p) & _F_MASK,
-        )
-        for p in prefixes
-    )
     return Claim2Report(
         max_faults=table.max_faults,
         flagged=table.flagged,
@@ -775,7 +769,6 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
         n_violated_groups=tags.count("!"),
         n_violations=len(prefixes),
         violations=tuple(violations),
-        violation_identities=identities,
         combination_counts=table.combination_counts,
     )
 
@@ -839,8 +832,7 @@ class MarkedCombination:
             f"    flags       : early {format_bits(fa, 21)} late {format_bits(fb, 21)}\n"
             f"    residual rep: {PauliOp.z_op(49, rep).block_form()} "
             f"(weight {self.min_weight})\n"
-            f"    witnesses   : "
-            + (", ".join(fc.faults) if fc.faults else "<identity>")
+            f"    witnesses   : " + ", ".join(fc.faults)
         )
 
 
@@ -932,10 +924,14 @@ def _min_coset_weight_vec(masks: np.ndarray) -> np.ndarray:
     return best
 
 
+def _atom_columns(atoms: tuple[FaultAtom, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (mask, flag) columns of a pool of Z-side atoms, in atom order."""
+    return tuple(np.array([(a.error, a.flag) for a in atoms], dtype=np.uint64).T)
+
+
 def _atom_effect_sets(atoms: tuple[FaultAtom, ...]) -> _EffectSets:
-    """The (mask, flag) effect sets of a pool of Z-side atoms."""
-    cols = np.array([(a.error, a.flag) for a in atoms], dtype=np.uint64).T
-    return _EffectSets(tuple(cols))
+    """The effect sets of a pool of Z-side atoms, over its distinct rows."""
+    return _EffectSets(_unique_rows(_atom_columns(atoms)))
 
 
 def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
@@ -958,25 +954,18 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
 
     marked: list[MarkedCombination] = []
     n_effects = 0
-    n_fnc = 0
-    for va1 in range(max_faults + 1):
-        for vb1 in range(max_faults + 1 - va1):
-            for v2 in range(max_faults + 1 - va1 - vb1):
-                for vw in range(max_faults + 1 - va1 - vb1 - v2):
-                    for vf in range(max_faults + 1 - va1 - vb1 - v2 - vw):
-                        for vs in range(max_faults + 1 - va1 - vb1 - v2 - vw - vf):
-                            n_fnc += 1
-                            fnc = FaultNumberCombination(va1, vb1, v2, vw, vf, vs)
-                            found, examined = _scan_number_combination(
-                                fnc, g1, g2, max_faults
-                            )
-                            n_effects += examined
-                            marked.extend(found)
+    combos = _number_combinations(max_faults, 6)
+    for counts in combos:
+        found, examined = _scan_number_combination(
+            FaultNumberCombination(*counts), g1, g2, max_faults
+        )
+        n_effects += examined
+        marked.extend(found)
 
     analyses = tuple(_analyze_completions(m, max_faults) for m in marked)
     return FinalRoundReport(
         max_faults=max_faults,
-        n_number_combinations=n_fnc,
+        n_number_combinations=len(combos),
         n_effect_combinations=n_effects,
         marked=tuple(marked),
         analyses=analyses,
@@ -1032,7 +1021,6 @@ def _scan_number_combination(
 
     out = []
     nb = len(bm)
-    prov = _scan_provenance()
     seen: set[tuple[int, int, int, int]] = set()
     for flat in np.flatnonzero(hot):
         ia, ib = divmod(int(flat), nb)
@@ -1041,12 +1029,11 @@ def _scan_number_combination(
         if (ea, fa, eb, fb) in seen:
             continue
         seen.add((ea, fa, eb, fb))
-        labels = prov.resolve(fnc, ea, fa, eb, fb)
         fc = FaultCombination(
             counts=fnc,
             error=PauliOp.z_op(49, ea ^ eb),
             flag=fa | fb,
-            faults=labels,
+            faults=_scan_witness(fnc, ea, fa, eb, fb),
             error_a=PauliOp.z_op(49, ea),
         )
         if not relaxed_mark(fc, max_faults):
@@ -1055,58 +1042,46 @@ def _scan_number_combination(
     return out, examined
 
 
-class _ScanProvenance:
-    """Label recovery for the final-round scan's marked combinations."""
-
-    def __init__(self) -> None:
-        model = fault_model(flagged=True, interleaved=True)
-        self.g1 = model.gate1_atoms()
-        self.g2 = model.gate2_atoms()
-
-    @staticmethod
-    def _find(
-        atoms: tuple[FaultAtom, ...],
-        sizes: list[int],
-        mask: int,
-        flag: int,
-        flag_shift: int,
-    ) -> tuple[str, ...] | None:
-        for k in sizes:
-            for combo in itertools.combinations(atoms, k):
-                m = f = 0
-                for a in combo:
-                    m ^= a.error
-                    f ^= a.flag << flag_shift
-                if m == mask and f == flag:
-                    return tuple(a.label for a in combo)
-        return None
-
-    def resolve(
-        self, fnc: FaultNumberCombination, ea: int, fa: int, eb: int, fb: int
-    ) -> tuple[str, ...]:
-        sizes_a1 = list(range(fnc.v_g1a, -1, -2))
-        sizes_a2 = list(range(fnc.v_g2, -1, -2))
-        sizes_b = list(range(fnc.v_g1b, -1, -2))
-        late = self._find(self.g1, sizes_b, eb, fb, 21)
-        if late is None:
-            return ()
-        # split the early effect between the two early categories
-        for k1 in sizes_a1:
-            for combo in itertools.combinations(self.g1, k1):
-                m1 = f1 = 0
-                for a in combo:
-                    m1 ^= a.error
-                    f1 ^= a.flag
-                rest = self._find(self.g2, sizes_a2, ea ^ m1, fa ^ f1, 0)
-                if rest is not None:
-                    labels = tuple(a.label for a in combo) + rest
-                    return labels + tuple(f"late:{x}" for x in late)
-        return ()
-
-
 @functools.lru_cache(maxsize=1)
-def _scan_provenance() -> _ScanProvenance:
-    return _ScanProvenance()
+def _scan_witness_sets() -> tuple[tuple[_EffectSets, tuple[str, ...]], ...]:
+    """The G1 and G2 atoms as search engines, in atom order and not
+    deduplicated (two equal atoms cancel, and a witness may list both),
+    with their labels."""
+    model = fault_model(flagged=True, interleaved=True)
+    return tuple(
+        (_EffectSets(_atom_columns(atoms)), tuple(a.label for a in atoms))
+        for atoms in (model.gate1_atoms(), model.gate2_atoms())
+    )
+
+
+def _scan_witness(
+    fnc: FaultNumberCombination, ea: int, fa: int, eb: int, fb: int
+) -> tuple[str, ...]:
+    """Witness labels of a marked combination (early ``ea, fa``, late
+    ``eb, fb``): the first late G1 subset, then the first early G1 subset
+    whose complement G2 reaches, then the first such G2 subset; sizes
+    run v, v-2, ... per category.  Marked combinations are reachable by
+    construction, so a miss raises."""
+    (g1_raw, g1_labels), (g2_raw, g2_labels) = _scan_witness_sets()
+    late = g1_raw.first((eb, fb >> 21), range(fnc.v_g1b, -1, -2))
+    if late is None:
+        raise RuntimeError(f"no late witness for a marked combination of {fnc}")
+    m2, f2 = g2_raw.up_to(fnc.v_g2)
+    for k1 in range(fnc.v_g1a, -1, -2):
+        for m1, f1 in g1_raw._exact(k1):
+            # k1 + v_g2 <= 3 keeps this all-pairs comparison to a few million
+            m, f = np.uint64(ea) ^ m1, np.uint64(fa) ^ f1
+            hit = np.flatnonzero(((m[:, None] == m2) & (f[:, None] == f2)).any(axis=1))
+            if len(hit):
+                x = int(hit[0])
+                early1 = g1_raw.first((int(m1[x]), int(f1[x])), (k1,))
+                early2 = g2_raw.first((int(m[x]), int(f[x])), range(fnc.v_g2, -1, -2))
+                return (
+                    tuple(g1_labels[r] for r in early1)
+                    + tuple(g2_labels[r] for r in early2)
+                    + tuple(f"late:{g1_labels[r]}" for r in late)
+                )
+    raise RuntimeError(f"no early witness for a marked combination of {fnc}")
 
 
 @functools.lru_cache(maxsize=1)

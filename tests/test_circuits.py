@@ -38,7 +38,7 @@ def test_level2_interleaved_order():
     assert Z2L.cnot_order[:8] == (0, 14, 21, 28, 1, 15, 22, 29)
     assert Z2L.cnot_order[-4:] == (6, 20, 27, 34)
     assert len(Z2L.cnot_order) == 28
-    assert Z2L.flag_bit is None and Z2L.ancilla_count == 1
+    assert Z2L.flag_bit is None
     assert Z2L.name == "z~1"
 
 
@@ -51,9 +51,8 @@ def test_level2_blockwise_order():
 def test_level1_gate_layout():
     assert Z1.gates == (0, -1, 2, 3, -1, 4)
     assert Z1.cnot_order == (0, 2, 3, 4)
-    assert Z1.flag_cnot_positions == (1, 4)
-    assert Z1.flag_bit == 0 and Z1.ancilla_count == 2
-    assert Z1.describe() == "z1: 1 f 3 4 f 5"
+    assert Z1.flag_bit == 0
+    assert Z1.name == "z1"
 
 
 def test_level1_flag_bit_indexing():
@@ -78,12 +77,6 @@ def test_x_family_construction():
     c = build_level2_circuit(PauliOp.x_op(49, LEVEL2_GENS[1]))
     assert c.family == "x" and c.name == "x~2"
     assert c.cnot_order[:4] == (7, 21, 28, 35)  # subblocks 2,4,5,6
-
-
-def test_describe_level2():
-    toks = Z2L.describe().split()
-    assert toks[0] == "z~1:"
-    assert toks[1:5] == ["1", "15", "22", "29"]
 
 
 # --- fault-free runs ----------------------------------------------------------------
@@ -130,7 +123,7 @@ def test_data_only_fault_stays_put():
 def test_premeasure_ancilla_z_flips_x_family_outcome():
     c = level1_circuits("x")[0]
     e, flag21, outcome = propagate(c, len(c.gates), "Z")
-    assert e.is_identity() and flag21 == 0
+    assert e.weight() == 0 and flag21 == 0
     assert outcome == 1
 
 
@@ -145,7 +138,7 @@ def test_prep_z_footprint_is_the_whole_generator():
 
 def test_flag_wire_fault_flags_without_data():
     e, flag21, outcome = propagate(Z1, 1, "IZ")
-    assert e.is_identity() and outcome == 0
+    assert e.weight() == 0 and outcome == 0
     assert flag21 == 1
 
 

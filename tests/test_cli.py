@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, golden
 comparisons, and the decode command's bundle handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,26 @@ def test_appendix_a_negative_control(capsys):
     assert "violations: 0" not in out
     # witnesses name concrete fault locations
     assert "@" in out
+
+
+# stdout of the three violating budget-3 audits, witness labels included,
+# captured before the two provenance searches became one
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["--ordering", "normal", "--no-flags"],
+         "482725f6d1def11348859f116647b1e470a4a513edee0eb20bd769e52cdeac5b"),
+        (["--ordering", "normal"],
+         "aea02e50edb66c8d1a815ef5a4c962fa34830197c0c7d55a753253cdd19f2613"),
+        (["--ordering", "permuted", "--no-flags"],
+         "9ad84e5d75bc67444c5ff70f765eb5e81c2d75c7efb1e9ed7c240d568514f153"),
+    ],
+    ids=["negative-control", "blockwise-flagged", "permuted-flagless"],
+)
+def test_appendix_a_witnesses_golden(args, digest, capsys):
+    assert main(["verify-appendix-a", "--max-faults", "3"] + args) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_appendix_a_json_summary(capsys):

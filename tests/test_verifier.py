@@ -7,6 +7,7 @@ cross-checked against independent recomputations before being pinned.
 
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -130,18 +131,23 @@ def test_small_tables_are_clean():
 VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
 
 
+def _canon_sig(sig):
+    """A signature with its block parity (bits 0-6) made canonical."""
+    return (sig & ~127) | PCANON[sig & 127]
+
+
 def test_pair_records_match_pure_python():
     # the numpy pipeline for one and two faults against a set oracle
     for flagged, interleaved in VARIANTS:
         atoms = fault_model(flagged=flagged, interleaved=interleaved).all_atoms()
-        pool = sorted({v._canon_sig(a.signature) for a in atoms} - {0})
+        pool = sorted({_canon_sig(a.signature) for a in atoms} - {0})
         reach = {0}
         for k in (1, 2):
             for combo in itertools.combinations(pool, k):
                 x = 0
                 for sig in combo:
                     x ^= sig
-                reach.add(v._canon_sig(x))
+                reach.add(_canon_sig(x))
             expected = v._keys_from_sigs(np.array(sorted(reach), dtype=np.uint64))
             table = build_lookup_table(k, flagged=flagged, interleaved=interleaved)
             assert np.array_equal(table.keys, expected), (flagged, interleaved, k)
@@ -248,18 +254,18 @@ def test_corrections_return_to_stabilizer(table3):
 
 
 def test_witnesses_reproduce_records(table3):
-    prov = v._provenance(True, True)
+    atoms = {a.label: a for a in fault_model().all_atoms()}
+    assert len(atoms) == len(fault_model().all_atoms())
     rng = random.Random(3)
     for _ in range(60):
         key = int(table3.keys[rng.randrange(table3.n_records)])
-        sig = v._sig_from_key(key)
-        found = prov.find(sig)
+        found = find_fault_combination(table3, key)
         assert found is not None and len(found) <= 3
         e = f = 0
-        for i in found:
-            e ^= prov.atoms[i].error
-            f ^= prov.atoms[i].flag
-        assert v._canon_sig(pack_signature(e, f)) == v._canon_sig(sig)
+        for label in found:
+            e ^= atoms[label].error
+            f ^= atoms[label].flag
+        assert pack_signature(e, f) == v._sig_from_key(key)
 
 
 def test_find_fault_combination_on_first_record(table3):
@@ -267,18 +273,186 @@ def test_find_fault_combination_on_first_record(table3):
     assert labels == ()  # the no-fault record
 
 
-def test_table_render_roundtrip(tmp_path):
-    t1 = build_lookup_table(1)
-    text = t1.render()
-    lines = text.splitlines()
-    assert len(lines) == t1.n_records
-    for line in lines[:20]:
-        s, s2, tau, f, p, tag = line.split()
-        assert (len(s), len(s2), len(tau), len(f), len(p)) == (21, 3, 7, 21, 7)
-        assert tag in ("1", "2", "!")
-    path = tmp_path / "table.txt"
-    t1.write(str(path))
-    assert path.read_text() == text
+# ---------------------------------------------------------------------------
+# Witness search against an itertools brute force
+
+
+@pytest.fixture(scope="module")
+def combinations210():
+    """Index tuples of every k-subset of range(210), k = 0..3, in
+    itertools order.  The subsets of a smaller range(n) are the rows
+    whose indices are all below n, in the same order."""
+    return [np.zeros((1, 0), dtype=np.intp)] + [
+        np.fromiter(
+            itertools.combinations(range(210), k),
+            dtype=np.dtype((np.intp, k)),
+            count=math.comb(210, k),
+        )
+        for k in (1, 2, 3)
+    ]
+
+
+def _subsets(combinations210, cols, canon=None):
+    """Per k = 0..3: every k-subset of the rows in itertools order, and
+    the XOR of each (canonical if asked)."""
+    out = []
+    for idx in combinations210:
+        idx = idx[(idx < len(cols[0])).all(axis=1)]
+        xors = tuple(np.bitwise_xor.reduce(c[idx], axis=1) for c in cols)
+        if canon is not None:
+            xors = (canon(xors[0]),) + xors[1:]
+        out.append((idx, xors))
+    return out
+
+
+def _brute_first(subsets, target, sizes):
+    """The first subset, sizes in the order given, whose XOR is target."""
+    for k in sizes:
+        idx, xors = subsets[k]
+        hit = np.ones(len(idx), dtype=bool)
+        for col, t in zip(xors, target):
+            hit &= col == np.uint64(t)
+        if hit.any():
+            return tuple(idx[np.argmax(hit)].tolist())
+    return None
+
+
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_first_matches_brute_force_on_table_pool(
+    combinations210, flagged, interleaved
+):
+    table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
+    sets, labels = v._table_witnesses(flagged, interleaved)
+    assert np.array_equal(
+        sets.pool[0], fault_model(flagged, interleaved).signature_pool()
+    )
+    subsets = _subsets(combinations210, sets.pool, v._canon_sig_array)
+    rng = random.Random(31)
+    keys = [int(table.keys[rng.randrange(table.n_records)]) for _ in range(30)]
+    for prefix in table.violated_prefixes()[:20]:  # every printed violation
+        lo = int(np.searchsorted(table.keys, int(prefix) << 7))
+        keys += [int(table.keys[lo]), int(table.keys[lo + 1])]
+    for key in keys:
+        sig = v._sig_from_key(key)
+        found = sets.first((sig,), (0, 1, 2, 3))
+        assert found == _brute_first(subsets, (sig,), range(4)), key
+        assert find_fault_combination(table, key) == tuple(labels[r] for r in found)
+    unreachable = pack_signature(0, (1 << 21) - 1)  # 21 flags, never recorded
+    assert sets.first((unreachable,), (0, 1, 2, 3)) is None
+    assert _brute_first(subsets, (unreachable,), range(4)) is None
+
+
+@pytest.fixture(scope="module")
+def raw_gate_pools(combinations210):
+    """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms."""
+    model = fault_model()
+    out = []
+    for atoms in (model.gate1_atoms(), model.gate2_atoms()):
+        cols = v._atom_columns(atoms)
+        out.append(
+            (v._EffectSets(cols), _subsets(combinations210, cols),
+             [a.label for a in atoms])
+        )
+    return out
+
+
+def test_first_matches_brute_force_on_raw_atoms(raw_gate_pools):
+    rng = random.Random(17)
+    for sets, subsets, _ in raw_gate_pools:
+        n = len(sets.pool[0])
+        for v_ in range(4):
+            sizes = range(v_, -1, -2)
+            # atoms drawn with replacement: repeated ones cancel
+            for _ in range(10):
+                picks = rng.choices(range(n), k=v_)
+                target = tuple(
+                    int(np.bitwise_xor.reduce(c[picks])) if picks else 0
+                    for c in sets.pool
+                )
+                assert sets.first(target, sizes) == _brute_first(
+                    subsets, target, sizes
+                ), (n, picks)
+        # two equal atoms reach the empty effect before the empty subset does
+        pair = sets.first((0, 0), (2, 0))
+        assert pair == _brute_first(subsets, (0, 0), (2, 0))
+        assert len(pair) == 2
+
+
+def _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb):
+    """Scan witness labels by brute force: the first late G1 subset, the
+    first early G1 subset whose complement some G2 subset reaches, and
+    the first such G2 subset."""
+    (_, sub1, labels1), (_, sub2, labels2) = raw_gate_pools
+    late = _brute_first(sub1, (eb, fb >> 21), range(fnc.v_g1b, -1, -2))
+    if late is None:
+        return None
+    for k1 in range(fnc.v_g1a, -1, -2):
+        idx1, (m1, f1) = sub1[k1]
+        rows = []
+        for k2 in range(fnc.v_g2, -1, -2):
+            _, (m2, f2) = sub2[k2]
+            eq = ((m1[:, None] ^ m2[None, :]) == np.uint64(ea)) & (
+                (f1[:, None] ^ f2[None, :]) == np.uint64(fa)
+            )
+            rows.extend(np.flatnonzero(eq.any(axis=1))[:1].tolist())
+        if rows:
+            a = min(rows)
+            rest = (ea ^ int(m1[a]), fa ^ int(f1[a]))
+            early2 = _brute_first(sub2, rest, range(fnc.v_g2, -1, -2))
+            return (
+                tuple(labels1[r] for r in idx1[a].tolist())
+                + tuple(labels2[r] for r in early2)
+                + tuple(f"late:{labels1[r]}" for r in late)
+            )
+    return None
+
+
+def test_scan_witness_matches_brute_force(raw_gate_pools):
+    (g1, _, _), (g2, _, _) = raw_gate_pools
+    rng = random.Random(23)
+    shapes = [s for s in itertools.product(range(4), repeat=3) if sum(s) <= 3]
+    assert len(shapes) == 20
+    for va1, vb1, v2 in shapes:
+        fnc = FaultNumberCombination(v_g1a=va1, v_g1b=vb1, v_g2=v2)
+        # the empty effect first: equal atoms cancel, so a witness may
+        # list two of them rather than fewer faults, and with odd fault
+        # numbers there may be none
+        expected = _brute_scan_witness(raw_gate_pools, fnc, 0, 0, 0, 0)
+        if expected is None:
+            with pytest.raises(RuntimeError):
+                v._scan_witness(fnc, 0, 0, 0, 0)
+        else:
+            assert v._scan_witness(fnc, 0, 0, 0, 0) == expected, fnc
+        for _ in range(2):
+            ea = fa = eb = fb = 0
+            for i in rng.choices(range(len(g1.pool[0])), k=va1):
+                ea, fa = ea ^ int(g1.pool[0][i]), fa ^ int(g1.pool[1][i])
+            for i in rng.choices(range(len(g2.pool[0])), k=v2):
+                ea, fa = ea ^ int(g2.pool[0][i]), fa ^ int(g2.pool[1][i])
+            for i in rng.choices(range(len(g1.pool[0])), k=vb1):
+                eb, fb = eb ^ int(g1.pool[0][i]), fb ^ (int(g1.pool[1][i]) << 21)
+            expected = _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb)
+            assert expected is not None
+            assert v._scan_witness(fnc, ea, fa, eb, fb) == expected, fnc
+
+
+def test_scan_witness_miss_raises(monkeypatch, final_round_report):
+    fc = final_round_report.marked[0].combination
+    ea = fc.early_error.z_bits
+    eb = ea ^ fc.error.z_bits
+    fa, fb = fc.flag & ((1 << 21) - 1), fc.flag >> 21 << 21
+    assert v._scan_witness(fc.counts, ea, fa, eb, fb) == fc.faults
+    # without the G2 atoms that reach the early error there is no witness
+    model = fault_model()
+    g2 = tuple(a for a in model.gate2_atoms() if a.error != ea)
+    assert len(g2) < len(model.gate2_atoms())
+    pools = tuple(
+        (v._EffectSets(v._atom_columns(atoms)), tuple(a.label for a in atoms))
+        for atoms in (model.gate1_atoms(), g2)
+    )
+    monkeypatch.setattr(v, "_scan_witness_sets", lambda: pools)
+    with pytest.raises(RuntimeError):
+        v._scan_witness(fc.counts, ea, fa, eb, fb)
 
 
 def _reference_lines(table):
@@ -352,10 +526,9 @@ def test_flagless_blockwise_circuits_violate():
 
 def test_violations_grow_monotonically():
     kw = dict(flagged=False, interleaved=False)
-    r2 = verify_claim2(build_lookup_table(2, **kw))
-    r3 = verify_claim2(build_lookup_table(3, **kw))
-    assert r2.n_violations == 932
-    assert r2.violation_identities <= r3.violation_identities
+    t2, t3 = build_lookup_table(2, **kw), build_lookup_table(3, **kw)
+    assert verify_claim2(t2).n_violations == 932
+    assert set(t2.violated_prefixes().tolist()) <= set(t3.violated_prefixes().tolist())
 
 
 # ---------------------------------------------------------------------------
