@@ -18,15 +18,13 @@ measured in X, catching ancilla Z's that pass between its two CNOTs.
 X-family circuits are the exact dual (ancilla |+> control, flag |0>
 target).
 
-Errors move through a circuit as a Pauli frame.  Per gate, with (xa,
-za) the ancilla wire, (xf, zf) the flag wire and q the data qubit:
+Errors move through a circuit as one Pauli frame over its wires: the
+ancilla, the flag and the 49 data qubits.  Every gate is a CNOT with one
+rule: the control passes its X to the target, and the target passes its
+Z back to the control.  The family only sets the direction:
 
-    Z family   data CNOT: xa ^= x_q;  z_q ^= za
-               flag CNOT: xa ^= xf;   zf  ^= za
-               outcome = xa, flag = zf
-    X family   data CNOT: x_q ^= xa;  za ^= z_q
-               flag CNOT: xf ^= xa;   za ^= zf
-               outcome = za, flag = xf
+    Z family   data/flag wire -> ancilla;  outcome = ancilla X, flag = flag Z
+    X family   ancilla -> data/flag wire;  outcome = ancilla Z, flag = flag X
 
 Fault positions: -1 injects right after the preparations, i after gate
 i (a faulty gate acts ideally and then errs), len(gates) right before
@@ -158,6 +156,11 @@ class CircuitResult(NamedTuple):
     flag: int  # flag wire value (0 for unflagged circuits)
 
 
+# Frame wires: the ancilla, the flag, then data qubit q at q + _DATA0.
+_ANC, _FLG, _DATA0 = 0, 1, 2
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
 def run_circuit(
     c: ExtractionCircuit,
     data_x: int = 0,
@@ -173,71 +176,33 @@ def run_circuit(
             raise ValueError(f"position {pos} out of range for {c.name}")
         by_pos[pos].append(local)
 
-    anc = [0, 0]  # x, z
-    flg = [0, 0]
     zfam = c.family == "z"
-
-    def touch(wire: list[int], ch: str) -> None:
-        if ch == "X":
-            wire[0] ^= 1
-        elif ch == "Z":
-            wire[1] ^= 1
-        elif ch == "Y":
-            wire[0] ^= 1
-            wire[1] ^= 1
-        elif ch != "I":
-            raise ValueError(f"bad Pauli character {ch!r}")
-
-    def inject_boundary(local: str) -> None:
-        touch(anc, local[0])
-        if len(local) == 2:
-            if c.flag_bit is None:
-                raise ValueError(f"{c.name} has no flag wire")
-            touch(flg, local[1])
-        elif len(local) != 1:
-            raise ValueError("boundary faults touch the ancilla and flag only")
-
-    for local in by_pos.get(-1, ()):
-        inject_boundary(local)
-
-    for i, q in enumerate(c.gates):
-        if q != _FLAG:
-            if zfam:
-                anc[0] ^= (data_x >> q) & 1
-                data_z ^= anc[1] << q
-            else:
-                data_x ^= anc[0] << q
-                anc[1] ^= (data_z >> q) & 1
-        else:
-            if zfam:
-                anc[0] ^= flg[0]
-                flg[1] ^= anc[1]
-            else:
-                flg[0] ^= anc[0]
-                anc[1] ^= flg[1]
-        for local in by_pos.get(i, ()):
-            if len(local) != 2:
+    x, z = data_x << _DATA0, data_z << _DATA0
+    # the wire a local error's second character lands on, per position
+    others = [_FLG, *(_FLG if q == _FLAG else q + _DATA0 for q in c.gates), _FLG]
+    for pos, other in enumerate(others, start=-1):
+        if 0 <= pos < n_gates:
+            ctl, tgt = (other, _ANC) if zfam else (_ANC, other)
+            x ^= (x >> ctl & 1) << tgt
+            z ^= (z >> tgt & 1) << ctl
+        for local in by_pos.get(pos, ()):
+            if pos in (-1, n_gates):
+                if len(local) == 2 and c.flag_bit is None:
+                    raise ValueError(f"{c.name} has no flag wire")
+                if len(local) not in (1, 2):
+                    raise ValueError("boundary faults touch the ancilla and flag only")
+            elif len(local) != 2:
                 raise ValueError("gate faults are two-character local errors")
-            touch(anc, local[0])
-            if q != _FLAG:
-                if local[1] == "X":
-                    data_x ^= 1 << q
-                elif local[1] == "Z":
-                    data_z ^= 1 << q
-                elif local[1] == "Y":
-                    data_x ^= 1 << q
-                    data_z ^= 1 << q
-                elif local[1] != "I":
-                    raise ValueError(f"bad Pauli character {local[1]!r}")
-            else:
-                touch(flg, local[1])
+            for wire, ch in zip((_ANC, other), local):
+                if ch not in _PAULI_BITS:
+                    raise ValueError(f"bad Pauli character {ch!r}")
+                bx, bz = _PAULI_BITS[ch]
+                x ^= bx << wire
+                z ^= bz << wire
 
-    for local in by_pos.get(n_gates, ()):
-        inject_boundary(local)
-
-    outcome = anc[0] if zfam else anc[1]
-    flag = flg[1] if zfam else flg[0]
-    return CircuitResult(data_x, data_z, outcome, flag)
+    outcome = (x if zfam else z) >> _ANC & 1
+    flag = (z if zfam else x) >> _FLG & 1
+    return CircuitResult(x >> _DATA0, z >> _DATA0, outcome, flag)
 
 
 def propagate(

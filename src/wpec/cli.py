@@ -233,11 +233,10 @@ def _golay_checks() -> list[CheckResult]:
         )
     )
 
-    e = np.arange(1 << N23, dtype=np.uint32)
-    synd = np.zeros(1 << N23, dtype=np.uint16)
+    synd = np.zeros(1, dtype=np.uint16)  # synd[e] = golay_syndrome(e)
     for b in range(N23):
-        col = np.uint16(golay_syndrome(1 << b))
-        synd ^= (((e >> np.uint32(b)) & np.uint32(1)).astype(np.uint16)) * col
+        synd = np.concatenate([synd, synd ^ np.uint16(golay_syndrome(1 << b))])
+    e = np.arange(1 << N23, dtype=np.uint32)
     zero_synd = int((synd == 0).sum())
     out.append(
         CheckResult(

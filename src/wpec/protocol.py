@@ -242,14 +242,16 @@ def format_schedule(faults) -> str:
 # ---------------------------------------------------------------------------
 # Round execution
 
+# The four measurement phases in protocol order, as (family, level).
+_PHASES = (("z", 2), ("x", 2), ("z", 1), ("x", 1))
+_PHASE_FIELD = ("s2z", "s2x", "sz", "sx")
+
+
 @functools.lru_cache(maxsize=1)
 def _circuit_phases():
-    """The four measurement phases in protocol order."""
-    return (
-        level2_circuits("z"),
-        level2_circuits("x"),
-        level1_circuits("z"),
-        level1_circuits("x"),
+    return tuple(
+        (level2_circuits if level == 2 else level1_circuits)(family)
+        for family, level in _PHASES
     )
 
 
@@ -258,7 +260,15 @@ def _circuits_by_name():
     return {c.name: c for phase in _circuit_phases() for c in phase}
 
 
-_PHASE_FIELD = ("s2z", "s2x", "sz", "sx")
+def _phase_reads(dx: int, dz: int) -> list[int]:
+    """Outcome bits per phase for a data error present from that phase
+    on: Z-family circuits read its X part, X-family circuits its Z part."""
+    return [
+        (level2_syndrome if level == 2 else level1_syndrome)(
+            dx if family == "z" else dz
+        )
+        for family, level in _PHASES
+    ]
 
 
 @dataclass
@@ -287,67 +297,57 @@ def make_state(
 def run_round(state: ProtocolState) -> OutcomeBundle:
     """Simulate one full measurement round and append its bundle.
 
-    Circuits without an injected fault this round are evaluated by the
-    support-mask shortcut (outcome = parity of the incoming frame over
-    the measured generator, frame and flags untouched), which matches
-    the gate-by-gate walk exactly for fault-free runs.
+    Every circuit is CNOT-only, so a round is linear in the incoming
+    frame and its faults.  The fault-free outcomes are the syndromes of
+    the incoming frame, and each fault XORs in its own effect:
+
+    * a data error left before a phase, or by a gate fault inside one of
+      its circuits, is read by the later circuits of that phase and by
+      every later phase, and stays in the frame;
+    * a gate fault's effect is ``run_circuit`` on the zero frame: its
+      data residue, its own outcome bit and its flag;
+    * measurement and flag faults flip one bit directly.
     """
     rnd = len(state.round_log)
-    faults = state.fault_schedule.get(rnd, ())
-    waits: dict[int, list[ScheduledFault]] = defaultdict(list)
-    gate_inj: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    meas_flips: dict[str, int] = defaultdict(int)
-    for f in faults:
+    dx, dz = state.data_error.x_bits, state.data_error.z_bits
+    outcomes = _phase_reads(dx, dz)
+    flags = [state._f_x, state._f_z]
+    for f in state.fault_schedule.get(rnd, ()):
+        if f.kind == "meas":
+            outcomes[_PHASE_FIELD.index(f.meas_field)] ^= 1 << f.bit
+            continue
+        if f.kind == "flag":
+            flags[f.side == "z"] ^= 1 << f.bit
+            continue
         if f.kind == "wait":
-            waits[f.phase].append(f)
+            q = f.qubit - 1
+            ex = (f.local in ("X", "Y")) << q
+            ez = (f.local in ("Z", "Y")) << q
+            phase, unread_from = f.phase, 0
         elif f.kind == "gate":
-            gate_inj[f.circuit].append((f.position, f.local))
-        elif f.kind == "meas":
-            meas_flips[f.meas_field] ^= 1 << f.bit
-        elif f.kind == "flag":
-            if f.side == "x":
-                state._f_x ^= 1 << f.bit
-            else:
-                state._f_z ^= 1 << f.bit
+            c = _circuits_by_name()[f.circuit]
+            r = run_circuit(c, injections=[(f.position, f.local)])
+            ex, ez = r.data_x, r.data_z
+            phase, unread_from = _PHASES.index((c.family, c.level)), c.index + 1
+            outcomes[phase] ^= r.outcome << c.index
+            if r.flag:
+                flags[c.family == "x"] ^= 1 << c.flag_bit
         else:
             raise ValueError(f"unknown fault kind {f.kind!r}")
+        reads = _phase_reads(ex, ez)
+        reads[phase] &= -1 << unread_from  # circuits already measured miss it
+        for p in range(phase, len(_PHASES)):
+            outcomes[p] ^= reads[p]
+        dx ^= ex
+        dz ^= ez
 
-    dx, dz = state.data_error.x_bits, state.data_error.z_bits
-    outcomes = dict.fromkeys(_PHASE_FIELD, 0)
-    for phase, circuits in enumerate(_circuit_phases()):
-        for w in waits.get(phase, ()):
-            q = w.qubit - 1
-            if w.local in ("X", "Y"):
-                dx ^= 1 << q
-            if w.local in ("Z", "Y"):
-                dz ^= 1 << q
-        fld = _PHASE_FIELD[phase]
-        for c in circuits:
-            inj = gate_inj.get(c.name)
-            if inj:
-                res = run_circuit(c, dx, dz, injections=inj)
-                dx, dz = res.data_x, res.data_z
-                out, flg = res.outcome, res.flag
-            else:
-                gen = c.target_generator
-                src = dx if c.family == "z" else dz
-                mask = gen.z_bits if c.family == "z" else gen.x_bits
-                out, flg = (src & mask).bit_count() & 1, 0
-            outcomes[fld] |= out << c.index
-            if flg and c.flag_bit is not None:
-                if c.family == "z":
-                    state._f_x ^= 1 << c.flag_bit
-                else:
-                    state._f_z ^= 1 << c.flag_bit
-    for fld, mask in meas_flips.items():
-        outcomes[fld] ^= mask
-
-    s_x, s_z = outcomes["sx"], outcomes["sz"]
+    state._f_x, state._f_z = flags
+    s2z, s2x, s_z, s_x = outcomes
     bundle = OutcomeBundle(
         s_x=s_x,
         s_z=s_z,
-        stilde_x=outcomes["s2x"],
-        stilde_z=outcomes["s2z"],
+        stilde_x=s2x,
+        stilde_z=s2z,
         tau_x=tau_from_syndrome(s_x),
         tau_z=tau_from_syndrome(s_z),
         f_x=state._f_x,

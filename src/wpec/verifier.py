@@ -543,7 +543,7 @@ class LookupTable:
 
     def _group_index(self, stilde: int, tau: int) -> int | None:
         high = (stilde << 7) | tau
-        g = int(np.searchsorted(self._group_high, high))
+        g = int(np.searchsorted(self._group_high, np.uint64(high)))
         if g == len(self._group_high) or int(self._group_high[g]) != high:
             return None
         return g
@@ -563,7 +563,7 @@ class LookupTable:
         if par >= 0:
             return par
         base = ((stilde << 7 | tau) << 49) | (s << 28) | (f << 7)
-        lo = int(np.searchsorted(self.keys, base))
+        lo = int(np.searchsorted(self.keys, np.uint64(base)))
         if lo < len(self.keys) and int(self.keys[lo]) >> 7 == base >> 7:
             return int(self.keys[lo]) & _P_MASK
         return None
@@ -746,15 +746,16 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
     violations = []
     for prefix in prefixes[:max_witnesses]:
         base = int(prefix) << 7
-        lo = int(np.searchsorted(table.keys, base))
+        lo = int(np.searchsorted(table.keys, np.uint64(base)))
         key_a = int(table.keys[lo])
         key_b = int(table.keys[lo + 1])
         stilde, tau, s, f, parity_a = _key_fields(key_a)
         parity_b = _key_fields(key_b)[4]
-        found_a = find_fault_combination(table, key_a)
-        found_b = find_fault_combination(table, key_b)
-        witness_a = ("<unresolved>",) if found_a is None else found_a
-        witness_b = ("<unresolved>",) if found_b is None else found_b
+        witness_a = find_fault_combination(table, key_a)
+        witness_b = find_fault_combination(table, key_b)
+        if witness_a is None or witness_b is None:
+            # every record is reachable by construction: a miss is an engine fault
+            raise RuntimeError(f"no witness for a record of cell {int(prefix):#x}")
         violations.append(
             Claim2Violation(stilde, tau, s, f, parity_a, parity_b, witness_a, witness_b)
         )

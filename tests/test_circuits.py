@@ -6,6 +6,7 @@ suffixes + the full support + 28 singles, with one overlap).  Everything
 else checks the propagation rules against independent recomputation.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -196,6 +197,62 @@ def test_x_family_is_the_exact_dual():
         ex, flag21, outcome = propagate(cx, f.position, f.local.replace("Z", "X"))
         assert ex.x_bits == f.data_z and ex.z_bits == 0
         assert flag21 == f.flag21 and outcome == f.outcome
+
+
+# --- golden propagation digest ------------------------------------------------------
+
+_LOCALS = tuple("IXYZQ") + tuple(a + b for a in "IXYZQ" for b in "IXYZQ")
+_GATE_LOCALS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
+
+
+def _digest_line(c, dx, dz, injections) -> str:
+    try:
+        got = repr(tuple(run_circuit(c, dx, dz, injections)))
+    except Exception as e:  # rejected input: only the exception type is pinned
+        got = type(e).__name__
+    return f"{c.name} {injections} {dx} {dz} {got}\n"
+
+
+def test_run_circuit_golden_digest():
+    # Every circuit of all four variants, every position -2..n_gates+1 and
+    # every 1- and 2-character local (a bad letter included), on the zero
+    # frame and a seeded frame; then seeded lists of 2-4 valid injections.
+    # The digest was captured from the per-family, per-gate-kind walk that
+    # the single CNOT rule replaced.
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    circuits = tuple(
+        c
+        for fam in "zx"
+        for c in level2_circuits(fam, True) + level2_circuits(fam, False)
+        + level1_circuits(fam, True) + level1_circuits(fam, False)
+    )
+    assert len(circuits) == 96
+    n = 0
+    for c in circuits:
+        frames = ((0, 0), (rng.getrandbits(49), rng.getrandbits(49)))
+        for pos in range(-2, len(c.gates) + 2):
+            for local in _LOCALS:
+                for dx, dz in frames:
+                    h.update(_digest_line(c, dx, dz, [(pos, local)]).encode())
+                    n += 1
+    for _ in range(4000):
+        c = rng.choice(circuits)
+        dx, dz = rng.getrandbits(49), rng.getrandbits(49)
+        injections = []
+        for _ in range(rng.randint(2, 4)):
+            pos = rng.randint(-1, len(c.gates))
+            if pos in (-1, len(c.gates)) and (c.flag_bit is None or rng.random() < 0.5):
+                local = rng.choice("IXYZ")
+            else:
+                local = rng.choice(_GATE_LOCALS)
+            injections.append((pos, local))
+        h.update(_digest_line(c, dx, dz, injections).encode())
+        n += 1
+    assert n == 72400
+    assert h.hexdigest() == (
+        "b71ed04f070492193d46d5110a2eb98cfa55c960140a0ae0b75549d2cf5015cb"
+    )
 
 
 # --- fault sets -----------------------------------------------------------------------

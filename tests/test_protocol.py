@@ -2,9 +2,12 @@
 two fault-tolerance conditions under injected fault schedules."""
 
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 
+from wpec import protocol
 from wpec.codes import (
     LOGICAL49,
     N49,
@@ -12,10 +15,12 @@ from wpec.codes import (
     level2_syndrome,
     min_coset_weight,
     syndrome7,
+    tau_from_syndrome,
 )
 from wpec.pauli import PauliOp, identity
 from wpec.protocol import (
     OutcomeBundle,
+    ProtocolState,
     ScheduledFault,
     Trial,
     check_ftec_conditions,
@@ -31,6 +36,8 @@ from wpec.protocol import (
     run_trial,
     run_until_stable,
     sample_trials,
+    _circuit_phases,
+    _PHASE_FIELD,
 )
 from wpec.circuits import level1_circuits, level2_circuits, run_circuit
 from wpec.verifier import build_lookup_table
@@ -451,3 +458,166 @@ def test_failure_rendering_carries_witness(table):
     assert "demo" in text
     assert "0 flag x 3" in text and "1 wait 9 Y" in text
     assert "v1=1 v2=2" in text
+
+
+# --- the gate-by-gate round walk as the oracle of run_round --------------------
+
+
+def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
+    """The round as a walk over all 48 circuits, kept as the oracle of
+    the linear run_round: circuits with an injected fault run gate by
+    gate on the current frame, the others by the support-mask parity."""
+    rnd = len(state.round_log)
+    faults = state.fault_schedule.get(rnd, ())
+    waits: dict[int, list[ScheduledFault]] = defaultdict(list)
+    gate_inj: dict[str, list[tuple[int, str]]] = defaultdict(list)
+    meas_flips: dict[str, int] = defaultdict(int)
+    for f in faults:
+        if f.kind == "wait":
+            waits[f.phase].append(f)
+        elif f.kind == "gate":
+            gate_inj[f.circuit].append((f.position, f.local))
+        elif f.kind == "meas":
+            meas_flips[f.meas_field] ^= 1 << f.bit
+        elif f.kind == "flag":
+            if f.side == "x":
+                state._f_x ^= 1 << f.bit
+            else:
+                state._f_z ^= 1 << f.bit
+        else:
+            raise ValueError(f"unknown fault kind {f.kind!r}")
+
+    dx, dz = state.data_error.x_bits, state.data_error.z_bits
+    outcomes = dict.fromkeys(_PHASE_FIELD, 0)
+    for phase, circuits in enumerate(_circuit_phases()):
+        for w in waits.get(phase, ()):
+            q = w.qubit - 1
+            if w.local in ("X", "Y"):
+                dx ^= 1 << q
+            if w.local in ("Z", "Y"):
+                dz ^= 1 << q
+        fld = _PHASE_FIELD[phase]
+        for c in circuits:
+            inj = gate_inj.get(c.name)
+            if inj:
+                res = run_circuit(c, dx, dz, injections=inj)
+                dx, dz = res.data_x, res.data_z
+                out, flg = res.outcome, res.flag
+            else:
+                gen = c.target_generator
+                src = dx if c.family == "z" else dz
+                mask = gen.z_bits if c.family == "z" else gen.x_bits
+                out, flg = (src & mask).bit_count() & 1, 0
+            outcomes[fld] |= out << c.index
+            if flg and c.flag_bit is not None:
+                if c.family == "z":
+                    state._f_x ^= 1 << c.flag_bit
+                else:
+                    state._f_z ^= 1 << c.flag_bit
+    for fld, mask in meas_flips.items():
+        outcomes[fld] ^= mask
+
+    s_x, s_z = outcomes["sx"], outcomes["sz"]
+    bundle = OutcomeBundle(
+        s_x=s_x,
+        s_z=s_z,
+        stilde_x=outcomes["s2x"],
+        stilde_z=outcomes["s2z"],
+        tau_x=tau_from_syndrome(s_x),
+        tau_z=tau_from_syndrome(s_z),
+        f_x=state._f_x,
+        f_z=state._f_z,
+    )
+    state.data_error = PauliOp(N49, dx, dz)
+    state.round_log.append(bundle)
+    return bundle
+
+
+def _accepted_round0_lines() -> dict[str, list[str]]:
+    """Every round-0 fault line parse_fault accepts, by kind."""
+    locals_ = [a for a in "IXYZ"] + [a + b for a in "IXYZ" for b in "IXYZ"]
+    candidates = [
+        f"0 gate {c.name} {pos} {local}"
+        for phase in _circuit_phases()
+        for c in phase
+        for pos in range(-1, len(c.gates) + 1)
+        for local in locals_
+    ]
+    candidates += [
+        f"0 wait {q} {p} {phase}"
+        for q in range(1, N49 + 1)
+        for p in "XYZ"
+        for phase in range(4)
+    ]
+    candidates += [f"0 flag {side} {bit}" for side in "xz" for bit in range(21)]
+    candidates += [
+        f"0 meas {fld} {bit}"
+        for fld, width in (("sx", 21), ("sz", 21), ("s2x", 3), ("s2z", 3))
+        for bit in range(width)
+    ]
+    by_kind = defaultdict(list)
+    for line in candidates:
+        try:
+            parse_fault(line)
+        except ValueError:
+            continue
+        by_kind[line.split()[1]].append(line)
+    return by_kind
+
+
+def _assert_round_matches_reference(schedule, dx, dz, f_x, f_z):
+    states = []
+    for step in (run_round, _reference_run_round):
+        state = make_state(schedule, PauliOp(N49, dx, dz))
+        state._f_x, state._f_z = f_x, f_z
+        bundle = step(state)
+        states.append((bundle, state.data_error, state._f_x, state._f_z))
+    assert states[0] == states[1], format_schedule(schedule)
+
+
+def test_run_round_matches_reference_on_every_single_fault():
+    lines = _accepted_round0_lines()
+    counts = {kind: len(v) for kind, v in lines.items()}
+    assert counts == {"gate": 7848, "wait": 588, "flag": 42, "meas": 48}
+    rng = random.Random(61)
+    frames = ((0, 0, 0, 0), tuple(rng.getrandbits(n) for n in (49, 49, 21, 21)))
+    for kind_lines in lines.values():
+        for line in kind_lines:
+            schedule = parse_schedule(line)
+            for frame in frames:
+                _assert_round_matches_reference(schedule, *frame)
+
+
+def test_run_round_matches_reference_on_multi_fault_rounds():
+    lines = _accepted_round0_lines()
+    pool = [line for kind_lines in lines.values() for line in kind_lines]
+    by_circuit = defaultdict(list)
+    for line in lines["gate"]:
+        by_circuit[line.split()[2]].append(line)
+    names = sorted(by_circuit)
+    rng = random.Random(62)
+    for i in range(3000):
+        if i % 3 == 0:  # several faults inside one circuit
+            picks = rng.sample(by_circuit[rng.choice(names)], rng.randint(2, 3))
+        else:
+            picks = rng.sample(pool, rng.randint(2, 3))
+        schedule = parse_schedule("\n".join(picks))
+        frame = tuple(rng.getrandbits(n) for n in (49, 49, 21, 21))
+        _assert_round_matches_reference(schedule, *frame)
+
+
+def _trial_outputs(trials, table):
+    return [
+        (r.rounds_used, r.bundle, r.residual)
+        for r in (run_trial(t, table) for t in trials)
+    ]
+
+
+def test_trials_match_reference_walk(table, monkeypatch):
+    # the first 2,000 of acceptance criterion 8's sampled schedules and
+    # every input of weight <= 2, run with either round engine
+    trials = list(itertools.islice(sample_trials(10000, seed=20260816), 2000))
+    trials += list(exhaustive_input_trials(2))
+    got = _trial_outputs(trials, table)
+    monkeypatch.setattr(protocol, "run_round", _reference_run_round)
+    assert got == _trial_outputs(trials, table)
