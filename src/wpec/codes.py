@@ -12,7 +12,8 @@ Syndrome bit conventions:
 * 49-qubit code: 21 inner bits (bit 3b+i = generator i+1 on subblock
   b+1) plus 3 outer bits.  The outer syndrome of a Z-type error depends
   only on its per-subblock weight parities, and equals the 7-qubit
-  syndrome of that parity vector; the code reuses ``syndrome7`` for it.
+  syndrome of that parity vector.  All of them are computed on whole
+  49-bit words, with no per-subblock function call.
 * Golay code: 11 bits, bit i against row i+1 of the circulant.
 """
 
@@ -100,35 +101,46 @@ LEVEL2_GENS = tuple(_blocks_to_mask(p) for p in GEN7)
 PCANON = tuple(min(p ^ v for v in STAB7) for p in range(128))
 
 
+# Bit 7b of each subblock, and a multiplier moving bit 7b to bit 36 + b
+# (its 49 partial products land on distinct bits, so nothing carries).
+_BLOCK_LOW_BITS = sum(1 << (BLOCK_SIZE * b) for b in range(N_BLOCKS))
+_GATHER_BLOCKS = sum(1 << (6 * (N_BLOCKS - 1 - b)) for b in range(N_BLOCKS))
+
+
 def block_parity(mask: int) -> int:
-    """7-bit vector of per-subblock weight parities of a 49-qubit mask."""
-    p = 0
-    for b in range(N_BLOCKS):
-        p |= parity((mask >> (BLOCK_SIZE * b)) & MASK7) << b
-    return p
+    """7-bit vector of per-subblock weight parities of a 49-qubit mask:
+    an XOR fold leaves the parity of bits p..p+6 at every bit p, and the
+    subblock bits 7b are gathered by one multiplication."""
+    y = mask ^ (mask >> 1)
+    y ^= y >> 2  # parity of bits p..p+3
+    y ^= (y >> 3) ^ (mask >> 3)  # bit p+3 cancels, then comes back
+    return ((y & _BLOCK_LOW_BITS) * _GATHER_BLOCKS >> 36) & MASK7
 
 
 def level1_syndrome(mask: int) -> int:
-    """21-bit inner syndrome of a 49-qubit error support mask."""
-    s = 0
-    for b in range(N_BLOCKS):
-        s |= _SYND7[(mask >> (BLOCK_SIZE * b)) & MASK7] << (3 * b)
-    return s
+    """21-bit inner syndrome of a 49-qubit error support mask: subblock
+    b's ``syndrome7`` at bits 3b..3b+2, by seven table reads."""
+    s = _SYND7
+    return (s[mask & 127] | s[mask >> 7 & 127] << 3 | s[mask >> 14 & 127] << 6
+            | s[mask >> 21 & 127] << 9 | s[mask >> 28 & 127] << 12
+            | s[mask >> 35 & 127] << 15 | s[mask >> 42 & 127] << 18)
 
 
 def level2_syndrome(mask: int) -> int:
-    """3-bit outer syndrome; equals syndrome7 of the block-parity vector."""
-    return _SYND7[block_parity(mask)]
+    """3-bit outer syndrome: bit i is the overlap parity of ``mask`` with
+    ``LEVEL2_GENS[i]``.  This is ``syndrome7`` of the block-parity
+    vector, since each outer generator covers whole subblocks."""
+    g0, g1, g2 = LEVEL2_GENS
+    return ((mask & g0).bit_count() & 1 | ((mask & g1).bit_count() & 1) << 1
+            | ((mask & g2).bit_count() & 1) << 2)
 
 
 def tau_from_syndrome(s21: int) -> int:
     """Subblock-triviality bits: bit b set iff subblock b's 3 inner
     syndrome bits are not all zero."""
-    t = 0
-    for b in range(N_BLOCKS):
-        if (s21 >> (3 * b)) & 0b111:
-            t |= 1 << b
-    return t
+    t = s21 | s21 >> 1 | s21 >> 2  # bit 3b: subblock b is nontrivial
+    return (t & 1 | t >> 2 & 2 | t >> 4 & 4 | t >> 6 & 8 | t >> 8 & 16
+            | t >> 10 & 32 | t >> 12 & 64)
 
 
 def min_coset_weight(mask: int) -> int:

@@ -4,9 +4,12 @@ One round measures, in order, the three second-level Z generators, the
 three second-level X generators, the 21 flagged first-level Z circuits
 and the 21 flagged first-level X circuits.  Rounds repeat until the
 outcome bundle is identical four times in a row (at most 16 rounds for
-at most three faults), then the final bundle is decoded in four steps:
-block-parity lookup, per-subblock weight-parity correction, an outer
-logical fix when the lookup missed, and the mirrored X side.
+at most three faults); a fault-free round after another one, such as
+every round of the fault-free tail but its first, repeats the last
+bundle without being simulated.  The final bundle is then decoded in
+four steps: block-parity lookup, per-subblock weight-parity correction
+from a 16-entry table, an outer logical fix when the lookup missed, and
+the mirrored X side.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -261,13 +264,14 @@ def _circuits_by_name():
 
 
 def _phase_reads(dx: int, dz: int) -> list[int]:
-    """Outcome bits per phase for a data error present from that phase
-    on: Z-family circuits read its X part, X-family circuits its Z part."""
+    """Outcome bits per phase, in ``_PHASES`` order, for a data error
+    present from that phase on: Z-family circuits read its X part,
+    X-family circuits its Z part."""
     return [
-        (level2_syndrome if level == 2 else level1_syndrome)(
-            dx if family == "z" else dz
-        )
-        for family, level in _PHASES
+        level2_syndrome(dx),
+        level2_syndrome(dz),
+        level1_syndrome(dx),
+        level1_syndrome(dz),
     ]
 
 
@@ -366,11 +370,21 @@ def run_until_stable(
     Returns the stable bundle and the number of rounds used.  At most
     three faults can change the bundle at most three times, so the loop
     finishes within 16 rounds; running past that means a bug.
+
+    A round without faults leaves the frame and the flags as they were,
+    so a fault-free round after another one is not simulated: its bundle
+    is the last one again.  That covers every round of the fault-free
+    tail but its first, the one after the last scheduled round.
     """
-    while len(state.round_log) < max_rounds:
-        bundle = run_round(state)
-        log = state.round_log
-        if len(log) >= repeats and all(b == bundle for b in log[-repeats:]):
+    log, faulty = state.round_log, state.fault_schedule
+    while len(log) < max_rounds:
+        rnd = len(log)
+        if rnd and rnd not in faulty and rnd - 1 not in faulty:
+            bundle = log[-1]
+            log.append(bundle)
+        else:
+            bundle = run_round(state)
+        if log[-repeats:].count(bundle) == repeats:
             return bundle, len(log)
     raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
 
@@ -379,8 +393,11 @@ def run_until_stable(
 # Decoding
 
 @functools.lru_cache(maxsize=1)
-def _correction_table():
-    return build_correction_table()
+def _block_corrections() -> tuple[int, ...]:
+    """``wpec_steane`` as a table: entry 2s + w is the Z mask of the
+    subblock correction for inner syndrome s and weight parity w."""
+    ct = build_correction_table()
+    return tuple(wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -413,11 +430,10 @@ def _decode_side(
     fallback = parity is None
     if fallback:
         parity = 127
-    ct = _correction_table()
+    blocks = _block_corrections()
     mask = 0
     for b in range(7):
-        blk = wpec_steane((s21 >> (3 * b)) & 7, (parity >> b) & 1, ct)
-        mask |= blk.z_bits << (7 * b)
+        mask |= blocks[(s21 >> (3 * b) & 7) << 1 | (parity >> b) & 1] << (7 * b)
     # the applied parity always matches the observed outer syndrome for
     # in-table records; a leftover difference only appears on fallback
     residue = stilde ^ syndrome7(parity)
@@ -461,11 +477,14 @@ def decode_bundle(bundle: OutcomeBundle, table: LookupTable) -> PauliOp:
 def _joint_block_table():
     """Per-subblock minimal joint weight under stabilizer freedom.
 
-    joint[cx, ex, cz, ez] is the smallest popcount(x | z) over x in the
-    inner coset of ex (flipped by the block logical when cx) and z from
-    ez likewise.  bits[i] spells out the i-th admissible pattern of
-    whole-block logical flips: the 8 outer stabilizer patterns, then
-    the same 8 shifted by the global logical.
+    joint[128 ex + ez, 2 cx + cz] is the smallest popcount(x | z) over x
+    in the inner coset of ex (flipped by the block logical when cx) and
+    z from ez likewise.  The admissible patterns of whole-block logical
+    flips are the 8 outer stabilizer patterns, then the same 8 shifted
+    by the global logical; counts[n] has one row per (x pattern, z
+    pattern) pair among the first n, with a 1 at 4b + 2 cx + cz for the
+    entry it takes from block b.  Both are float64 so that the weight
+    sums are one matrix-vector product; they stay exact small integers.
     """
     stab = np.array(STAB7, dtype=np.uint16)
     ar = np.arange(128, dtype=np.uint16)
@@ -474,10 +493,14 @@ def _joint_block_table():
     cand[1] = (ar[:, None] ^ (stab[None, :] ^ 127)).astype(np.uint8)
     a = cand[:, :, None, None, :, None]
     b = cand[None, None, :, :, None, :]
-    joint = np.bitwise_count(a | b).min(axis=(4, 5)).astype(np.uint8)
+    joint = np.bitwise_count(a | b).min(axis=(4, 5)).astype(np.float64)
+    joint = joint.transpose(1, 3, 0, 2).reshape(128 * 128, 4)
     pats = np.concatenate([stab, stab ^ 127]).astype(np.uint8)
     bits = ((pats[:, None] >> np.arange(7)[None, :]) & 1).astype(np.int64)
-    return joint, bits, np.arange(7)
+    entry = 4 * np.arange(7) + 2 * bits[:, None, :] + bits[None, :, :]
+    onehot = (entry[..., None] == np.arange(28)).any(axis=2).astype(np.float64)
+    counts = {n: onehot[:n, :n].reshape(n * n, 28) for n in (8, 16)}
+    return joint, counts
 
 
 def joint_coset_weight(op: PauliOp, *, include_logical: bool = True) -> int:
@@ -487,13 +510,10 @@ def joint_coset_weight(op: PauliOp, *, include_logical: bool = True) -> int:
     Zero without the logical freedom means op is exactly a stabilizer;
     with it, the distance to the nearest codeword-preserving operator.
     """
-    joint, bits, blocks = _joint_block_table()
-    sub = np.empty((7, 2, 2), dtype=np.int64)
-    for b in range(7):
-        sub[b] = joint[:, (op.x_bits >> (7 * b)) & 127, :, (op.z_bits >> (7 * b)) & 127]
-    n = 16 if include_logical else 8
-    w = sub[blocks[None, None, :], bits[:n, None, :], bits[None, :n, :]].sum(axis=2)
-    return int(w.min())
+    joint, counts = _joint_block_table()
+    x, z = op.x_bits, op.z_bits
+    sub = joint[[(x >> s & 127) << 7 | (z >> s & 127) for s in range(0, N49, 7)]]
+    return int((counts[16 if include_logical else 8] @ sub.reshape(28)).min())
 
 
 # ---------------------------------------------------------------------------

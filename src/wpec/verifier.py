@@ -528,6 +528,7 @@ class LookupTable:
         self._group_start = starts
         self._group_end = np.concatenate([starts[1:], [len(keys)]])
         self._group_high = high[starts]
+        self._group_of = {h: g for g, h in enumerate(self._group_high.tolist())}
         p = keys & np.uint64(_P_MASK)
         pmin = np.minimum.reduceat(p, starts)
         pmax = np.maximum.reduceat(p, starts)
@@ -541,13 +542,6 @@ class LookupTable:
     def n_groups(self) -> int:
         return len(self._group_high)
 
-    def _group_index(self, stilde: int, tau: int) -> int | None:
-        high = (stilde << 7) | tau
-        g = int(np.searchsorted(self._group_high, np.uint64(high)))
-        if g == len(self._group_high) or int(self._group_high[g]) != high:
-            return None
-        return g
-
     def lookup_parity(self, stilde: int, tau: int, s: int, f: int) -> int | None:
         """Block parity for an observation, or None when out of table.
 
@@ -556,7 +550,7 @@ class LookupTable:
         cannot come from at most max_faults faults, and the caller falls
         back to its out-of-table correction path.
         """
-        g = self._group_index(stilde, tau)
+        g = self._group_of.get((stilde << 7) | tau)
         if g is None:
             return None
         par = int(self._group_parity[g])

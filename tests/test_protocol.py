@@ -1,23 +1,29 @@
 """Protocol engine: round execution, stabilization, decoding, and the
 two fault-tolerance conditions under injected fault schedules."""
 
+import functools
+import hashlib
 import itertools
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from wpec import protocol
 from wpec.codes import (
     LOGICAL49,
     N49,
+    STAB7,
+    block_parity,
     level1_syndrome,
     level2_syndrome,
     min_coset_weight,
     syndrome7,
     tau_from_syndrome,
 )
-from wpec.pauli import PauliOp, identity
+from wpec.decoder import build_correction_table, wpec_steane
+from wpec.pauli import PauliOp, identity, parity
 from wpec.protocol import (
     OutcomeBundle,
     ProtocolState,
@@ -39,7 +45,7 @@ from wpec.protocol import (
     _circuit_phases,
     _PHASE_FIELD,
 )
-from wpec.circuits import level1_circuits, level2_circuits, run_circuit
+from wpec.circuits import level1_circuits, run_circuit
 from wpec.verifier import build_lookup_table
 
 
@@ -361,23 +367,146 @@ def test_joint_weight_small_errors():
 # --- fast path regression -------------------------------------------------------
 
 
-def test_fault_free_walk_equals_support_parity():
-    import random
+def _reference_block_parity(mask: int) -> int:
+    p = 0
+    for b in range(7):
+        p |= parity((mask >> (7 * b)) & 127) << b
+    return p
 
-    rng = random.Random(9)
-    circuits = (
-        level2_circuits("z") + level2_circuits("x")
-        + level1_circuits("z") + level1_circuits("x")
-    )
-    for _ in range(20):
-        dx, dz = rng.getrandbits(N49), rng.getrandbits(N49)
-        for c in circuits:
-            r = run_circuit(c, dx, dz)
-            gen = c.target_generator
-            src, mask = (dx, gen.z_bits) if c.family == "z" else (dz, gen.x_bits)
-            assert r.outcome == (src & mask).bit_count() & 1
-            assert r.flag == 0
-            assert (r.data_x, r.data_z) == (dx, dz)
+
+def _reference_level1_syndrome(mask: int) -> int:
+    s = 0
+    for b in range(7):
+        s |= syndrome7((mask >> (7 * b)) & 127) << (3 * b)
+    return s
+
+
+def _reference_tau(s21: int) -> int:
+    t = 0
+    for b in range(7):
+        if (s21 >> (3 * b)) & 0b111:
+            t |= 1 << b
+    return t
+
+
+def test_word_syndromes_match_per_block_loops():
+    rng = random.Random(71)
+    masks = [0, LOGICAL49] + [1 << q for q in range(N49)]
+    masks += [rng.getrandbits(N49) for _ in range(5000)]
+    masks += [m & rng.getrandbits(N49) for m in masks[-1000:]]  # sparser
+    for m in masks:
+        assert block_parity(m) == _reference_block_parity(m)
+        assert level1_syndrome(m) == _reference_level1_syndrome(m)
+        assert level2_syndrome(m) == syndrome7(_reference_block_parity(m))
+    syndromes = [0, (1 << 21) - 1] + [1 << i for i in range(21)]
+    syndromes += [7 << (3 * b) for b in range(7)]
+    syndromes += [rng.getrandbits(21) for _ in range(5000)]
+    for s21 in syndromes:
+        assert tau_from_syndrome(s21) == _reference_tau(s21)
+
+
+def test_block_correction_table_matches_wpec_steane():
+    ct = build_correction_table()
+    blocks = protocol._block_corrections()
+    assert len(blocks) == 16
+    for s, w in itertools.product(range(8), (0, 1)):
+        assert blocks[2 * s + w] == wpec_steane(s, w, ct).z_bits
+
+
+def _reference_joint_coset_weight(op: PauliOp, include_logical: bool) -> int:
+    """The per-block numpy gather the matrix-vector form replaced."""
+    joint, bits, blocks = _reference_joint_block_table()
+    sub = np.empty((7, 2, 2), dtype=np.int64)
+    for b in range(7):
+        sub[b] = joint[:, (op.x_bits >> (7 * b)) & 127, :, (op.z_bits >> (7 * b)) & 127]
+    n = 16 if include_logical else 8
+    w = sub[blocks[None, None, :], bits[:n, None, :], bits[None, :n, :]].sum(axis=2)
+    return int(w.min())
+
+
+@functools.cache
+def _reference_joint_block_table():
+    stab = np.array(STAB7, dtype=np.uint16)
+    ar = np.arange(128, dtype=np.uint16)
+    cand = np.empty((2, 128, 8), dtype=np.uint8)
+    cand[0] = (ar[:, None] ^ stab[None, :]).astype(np.uint8)
+    cand[1] = (ar[:, None] ^ (stab[None, :] ^ 127)).astype(np.uint8)
+    a = cand[:, :, None, None, :, None]
+    b = cand[None, None, :, :, None, :]
+    joint = np.bitwise_count(a | b).min(axis=(4, 5)).astype(np.uint8)
+    pats = np.concatenate([stab, stab ^ 127]).astype(np.uint8)
+    bits = ((pats[:, None] >> np.arange(7)[None, :]) & 1).astype(np.int64)
+    return joint, bits, np.arange(7)
+
+
+def test_joint_weight_matches_per_block_gather():
+    rng = random.Random(72)
+    ops = [identity(N49), PauliOp(N49, LOGICAL49, 0), PauliOp(N49, 0, LOGICAL49)]
+    for _ in range(1000):
+        ops.append(protocol._random_input(rng, rng.randint(1, 14)))
+        ops.append(PauliOp(N49, rng.getrandbits(N49), rng.getrandbits(N49)))
+    for op in ops:
+        for include_logical in (False, True):
+            assert joint_coset_weight(op, include_logical=include_logical) == (
+                _reference_joint_coset_weight(op, include_logical)
+            ), (str(op), include_logical)
+
+
+def _reference_run_until_stable(
+    state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
+) -> tuple[OutcomeBundle, int]:
+    """run_until_stable before the fault-free shortcut: every round is
+    simulated (through ``protocol.run_round``, so a test can swap in the
+    gate walk)."""
+    while len(state.round_log) < max_rounds:
+        bundle = protocol.run_round(state)
+        log = state.round_log
+        if len(log) >= repeats and all(b == bundle for b in log[-repeats:]):
+            return bundle, len(log)
+    raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
+
+
+def _stable_walk(run, schedule, input_error=None):
+    state = make_state(schedule, input_error)
+    try:
+        out = run(state)
+    except RuntimeError as exc:
+        out = str(exc)
+    return out, state.round_log, state.data_error, state._f_x, state._f_z
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1 flag x 7",
+        "1 meas sx 4",
+        "2 wait 5 Z",
+        "0 wait 1 Z 2\n4 meas s2z 1",  # fault-free gap between faults
+        "0 gate z1 1 ZI\n3 gate x~2 9 XZ",
+        "10 wait 1 Z",  # never executed
+        "3 meas sx 0\n7 meas sx 1\n11 meas sx 2",  # needs all 16 rounds
+        "3 meas sx 0\n7 meas sx 0\n11 meas sx 0\n15 meas sx 0",  # raises
+    ],
+)
+def test_fault_free_rounds_match_round_by_round_walk(text):
+    schedule = parse_schedule(text)
+    for input_error in (None, PauliOp(N49, 1 << 3, 1 << 40)):
+        got = _stable_walk(run_until_stable, schedule, input_error)
+        assert got == _stable_walk(_reference_run_until_stable, schedule, input_error)
+    if text.endswith("15 meas sx 0"):
+        assert got[0] == "bundle failed to stabilize within 16 rounds"
+        assert len(got[1]) == 16
+
+
+def test_fault_free_rounds_match_on_sampled_schedules():
+    trials = itertools.islice(sample_trials(3000, seed=73, max_round=12), 3000)
+    for trial in trials:
+        got = _stable_walk(run_until_stable, trial.schedule, trial.input_error)
+        want = _stable_walk(
+            _reference_run_until_stable, trial.schedule, trial.input_error
+        )
+        assert got == want, (str(trial.input_error), format_schedule(trial.schedule))
 
 
 # --- fault-tolerance conditions --------------------------------------------------
@@ -419,6 +548,79 @@ def test_exhaustive_inputs_up_to_weight_two(table):
     assert report.n_condition1 == report.n_trials
     assert report.max_rounds_used == 4
     assert report.ok, report.render()
+
+
+def test_exhaustive_xyz_inputs_up_to_weight_two(table):
+    # every X, Y and Z input of weight <= 2, no faults: the X and Y inputs
+    # reach the X side that the Z-only inputs above never exercise
+    def inputs():
+        for w in range(3):
+            for qubits in itertools.combinations(range(N49), w):
+                for paulis in itertools.product("XYZ", repeat=w):
+                    xm = zm = 0
+                    for q, p in zip(qubits, paulis):
+                        xm |= (p != "Z") << q
+                        zm |= (p != "X") << q
+                    yield Trial(PauliOp(N49, xm, zm), name=f"input:{qubits}{paulis}")
+
+    report = check_ftec_conditions(inputs(), table=table)
+    assert report.n_trials == 1 + 147 + 10584
+    assert report.n_condition1 == report.n_trials
+    assert report.n_fallback == 0
+    assert report.max_rounds_used == 4
+    assert report.ok, report.render()
+
+
+@pytest.fixture(scope="module")
+def criterion8_summary(table):
+    """One pass over acceptance criterion 8's trials (the 10^4 sampled
+    schedules, then all 19,650 Z inputs of weight <= 3): a digest of
+    every trial's observable result, and the in-budget trials whose
+    stable bundle is not a key of the budget-3 table on some side."""
+    keys = table.keys
+
+    def is_key(stilde, tau, s, f):
+        prefix = ((stilde << 7 | tau) << 42) | (s << 21) | f
+        lo = int(np.searchsorted(keys, np.uint64(prefix << 7)))
+        return lo < len(keys) and int(keys[lo]) >> 7 == prefix
+
+    digest = hashlib.sha256()
+    in_budget, off_table = 0, []
+    trials = itertools.chain(
+        sample_trials(10000, seed=20260816), exhaustive_input_trials(3)
+    )
+    for trial in trials:
+        r = run_trial(trial, table)
+        digest.update(
+            f"{r.rounds_used}|{r.bundle.render()}|{r.residual}|{r.weight_exact}|"
+            f"{r.weight_normalizer}|{r.fallback_used}|{r.v1}|{r.v2}\n".encode()
+        )
+        if r.v1 + r.v2 <= 3:
+            in_budget += 1
+            b = r.bundle
+            if r.fallback_used or not (
+                is_key(b.stilde_x, b.tau_x, b.s_x, b.f_x)
+                and is_key(b.stilde_z, b.tau_z, b.s_z, b.f_z)
+            ):
+                off_table.append(trial.name)
+    return digest.hexdigest(), in_budget, off_table
+
+
+def test_trial_golden_digest(criterion8_summary):
+    # captured from the round-by-round engine before the fault-free
+    # shortcut, the word-parallel syndromes and the table-driven decode
+    assert criterion8_summary[0] == (
+        "a3ad80e8786e04865a20b4264975b2e294cc01af54fd402f8d5d3e99ce584697"
+    )
+
+
+def test_in_budget_bundles_are_table_keys(criterion8_summary):
+    # cross-model invariant: a stable bundle of at most three input
+    # errors and faults is one the effect-level table build produced, so
+    # the decode never falls back
+    _, in_budget, off_table = criterion8_summary
+    assert in_budget == 28650
+    assert off_table == []
 
 
 def test_sampled_schedules_hold_both_conditions(table):
@@ -619,5 +821,6 @@ def test_trials_match_reference_walk(table, monkeypatch):
     trials = list(itertools.islice(sample_trials(10000, seed=20260816), 2000))
     trials += list(exhaustive_input_trials(2))
     got = _trial_outputs(trials, table)
+    monkeypatch.setattr(protocol, "run_until_stable", _reference_run_until_stable)
     monkeypatch.setattr(protocol, "run_round", _reference_run_round)
     assert got == _trial_outputs(trials, table)
