@@ -332,8 +332,10 @@ def cmd_gen_table(args, fh) -> int:
         chunks = table.record_chunks()
     else:
         chunks = _json_record_chunks(table)
+    # the chunks are ASCII bytes: write them past the text layer
+    fh.flush()
     for chunk in chunks:
-        fh.write(chunk.decode("ascii"))
+        fh.buffer.write(chunk)
     return 0
 
 
@@ -452,7 +454,7 @@ def cmd_decode(args, fh) -> int:
     try:
         with open(args.bundle) as bundle_fh:
             text = bundle_fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read bundle file: {exc}", file=sys.stderr)
         return 2
     try:

@@ -22,6 +22,7 @@ symmetry of both codes; no separate X path exists.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -56,16 +57,34 @@ def classify_logical(m: PauliOp) -> LogicalClass:
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """Decode tables for both codes, built once and immutable.
+    """Decode tables for both codes, immutable.
 
     wt1/wt2 map the seven nonzero 3-bit syndromes to the weight-1 and a
     fixed weight-2 Z error; golay_min maps all 2^11 syndromes to the
-    unique minimal-weight (<=3) Z error.
+    unique minimal-weight (<=3) Z error.  golay_min is built on first
+    use, so a Steane-only decode never computes 2,048 Golay syndromes.
     """
 
     wt1: dict[int, PauliOp]
     wt2: dict[int, PauliOp]
-    golay_min: dict[int, PauliOp]
+
+    @functools.cached_property
+    def golay_min(self) -> dict[int, PauliOp]:
+        golay_min: dict[int, PauliOp] = {}
+        for w in range(4):
+            for qs in itertools.combinations(range(N23), w):
+                m = sum(1 << q for q in qs)
+                s = golay_syndrome(m)
+                if s in golay_min:
+                    if golay_min[s].weight() == w:
+                        raise RuntimeError(
+                            "two weight-%d errors share syndrome %d" % (w, s)
+                        )
+                    continue
+                golay_min[s] = PauliOp.z_op(N23, m)
+        if len(golay_min) != 2048:
+            raise RuntimeError("weight<=3 errors did not cover every syndrome")
+        return golay_min
 
 
 def build_correction_table() -> CorrectionTable:
@@ -83,22 +102,7 @@ def build_correction_table() -> CorrectionTable:
         m = (1 << i) | (1 << j)
         wt2.setdefault(syndrome7(m), PauliOp.z_op(N7, m))
     assert set(wt2) == set(range(1, 8))
-
-    golay_min: dict[int, PauliOp] = {}
-    for w in range(4):
-        for qs in itertools.combinations(range(N23), w):
-            m = sum(1 << q for q in qs)
-            s = golay_syndrome(m)
-            if s in golay_min:
-                if golay_min[s].weight() == w:
-                    raise RuntimeError(
-                        "two weight-%d errors share syndrome %d" % (w, s)
-                    )
-                continue
-            golay_min[s] = PauliOp.z_op(N23, m)
-    if len(golay_min) != 2048:
-        raise RuntimeError("weight<=3 errors did not cover every syndrome")
-    return CorrectionTable(wt1=wt1, wt2=wt2, golay_min=golay_min)
+    return CorrectionTable(wt1=wt1, wt2=wt2)
 
 
 def wpec_steane(s_x: int, w: int, table: CorrectionTable) -> PauliOp:

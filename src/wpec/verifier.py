@@ -9,12 +9,14 @@ The lookup-table build enumerates every combination of up to
 ``max_faults`` single faults on the Z-type measurement circuits,
 collapses each combination to a record (first-level syndrome,
 second-level syndrome, block triviality, cumulative flags, block
-parity), and audits the resulting lookup table.  Within each
-(second-level syndrome, block triviality) partition, either every record
-carries an equivalent block parity (Condition 1), or records with
-inequivalent parities differ in their (syndrome, flags) pair (Condition
-2).  A partition failing both is reported as a violation together with
-witness fault combinations.
+parity), and audits the resulting lookup table.  The build packs the
+engine's XORs of exactly k distinct signatures, for every k <=
+``max_faults``, into sort keys as they come, and deduplicates them all
+with one sort.  Within each (second-level syndrome, block triviality)
+partition, either every record carries an equivalent block parity
+(Condition 1), or records with inequivalent parities differ in their
+(syndrome, flags) pair (Condition 2).  A partition failing both is
+reported as a violation together with witness fault combinations.
 
 The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
@@ -451,19 +453,21 @@ def _rows_equal(cols, row) -> np.ndarray:
     return np.logical_and.reduce([c == x for c, x in zip(cols, row)])
 
 
+# Subblock triviality of 9 inner syndrome bits (three subblocks), so tau
+# is three table reads, one per 9-bit third of the 21-bit syndrome.
+_TAU9 = tau_from_syndrome(np.arange(512, dtype=np.uint64))
+
+
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
-    """Repack signatures as sort keys (s-tilde, tau, s, f, p), ascending."""
-    p = sigs & np.uint64(_P_MASK)
-    f = (sigs >> np.uint64(_F_SHIFT)) & np.uint64(_F_MASK)
+    """Repack signatures as sort keys (s-tilde, tau, s, f, p), in the
+    order given.  A signature's bits are the key's low 49 bits; s-tilde
+    and tau above them are functions of p and s."""
     s = sigs >> np.uint64(_S_SHIFT)
-    stilde = _SYND7_U64[p]
-    tau = np.zeros(len(sigs), dtype=np.uint64)
-    for b in range(7):
-        nonzero = ((s >> np.uint64(3 * b)) & np.uint64(7)) != 0
-        tau |= nonzero.astype(np.uint64) << np.uint64(b)
-    keys = (stilde << np.uint64(56)) | (tau << np.uint64(49))
-    keys |= (s << np.uint64(28)) | (f << np.uint64(7)) | p
-    keys.sort()
+    nine = np.uint64(511)
+    tau = _TAU9[s & nine] | (_TAU9[(s >> np.uint64(9)) & nine] << np.uint64(3))
+    tau |= _TAU9[s >> np.uint64(18)] << np.uint64(6)
+    keys = sigs | (tau << np.uint64(49))
+    keys |= _SYND7_U64[sigs & np.uint64(_P_MASK)] << np.uint64(56)
     return keys
 
 
@@ -490,11 +494,13 @@ def _sig_from_key(key: int) -> int:
 # (lowest bit, width).  Bits print low to high, as format_bits does, and
 # a space follows each field; the group tag and a newline end the line.
 _LINE_FIELDS = ((28, 21), (56, 3), (49, 7), (7, 21), (0, 7))
-_DIGIT_BITS = np.array([lo + i for lo, width in _LINE_FIELDS for i in range(width)])
-_DIGIT_COLS = np.arange(len(_DIGIT_BITS)) + np.repeat(
-    np.arange(len(_LINE_FIELDS)), [width for _, width in _LINE_FIELDS]
-)
-_LINE_WIDTH = len(_DIGIT_BITS) + len(_LINE_FIELDS) + 2
+_LINE_WIDTH = sum(width + 1 for _, width in _LINE_FIELDS) + 2
+# A byte's 8 bits as ASCII digits, low bit first, in one little-endian
+# uint64: indexed by a key's bytes, it spells the key's 64 bits in order.
+_BYTE_DIGITS = (
+    (np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8)) & 1
+    | ord("0")
+).view("<u8").ravel()
 # Records per formatted chunk: bounds the formatter's transient memory.
 _FORMAT_CHUNK = 1 << 16
 
@@ -586,21 +592,24 @@ class LookupTable:
     def record_chunks(self):
         """Yield the record lines as ASCII bytes, _FORMAT_CHUNK at a time.
 
-        Each key's fields are unpacked into digit columns of one uint8
-        row per record; the per-record tag comes from its group.
+        Each key's bytes index ``_BYTE_DIGITS`` into one row of 64 digit
+        columns, bit order; every field is a contiguous slice of it.  The
+        per-record tag comes from its group.
         """
         sizes = self._group_end - self._group_start
         tags = np.frombuffer("".join(self.group_tags()).encode(), dtype=np.uint8)
         tags = np.repeat(tags, sizes)
         for lo in range(0, self.n_records, _FORMAT_CHUNK):
             keys = self.keys[lo : lo + _FORMAT_CHUNK].astype("<u8", copy=False)
-            bits = np.unpackbits(
-                keys.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-            )
-            rows = np.full((len(keys), _LINE_WIDTH), ord(" "), dtype=np.uint8)
-            rows[:, _DIGIT_COLS] = bits[:, _DIGIT_BITS] + np.uint8(ord("0"))
-            rows[:, _LINE_WIDTH - 2] = tags[lo : lo + _FORMAT_CHUNK]
-            rows[:, _LINE_WIDTH - 1] = ord("\n")
+            digits = _BYTE_DIGITS[keys.view(np.uint8)].view(np.uint8).reshape(-1, 64)
+            rows = np.empty((len(keys), _LINE_WIDTH), dtype=np.uint8)
+            col = 0
+            for bit, width in _LINE_FIELDS:
+                rows[:, col : col + width] = digits[:, bit : bit + width]
+                rows[:, col + width] = ord(" ")
+                col += width + 1
+            rows[:, col] = tags[lo : lo + _FORMAT_CHUNK]
+            rows[:, col + 1] = ord("\n")
             yield rows.tobytes()
 
     def record_lines(self):
@@ -618,17 +627,24 @@ def build_lookup_table(
     """Enumerate all fault combinations and build the decoding table.
 
     Signatures compose by XOR, and a multiset of faults with a repeated
-    effect collapses pairwise, so the reachable set for at most v faults
-    is the union over k <= v (k matching v mod 2, plus all smaller
-    budgets) of XORs of k distinct single-fault signatures.
+    effect collapses pairwise, so the reachable set for at most
+    ``max_faults`` faults is the union over every k <= ``max_faults`` of
+    the XORs of k distinct single-fault signatures.  Each part is packed
+    into sort keys as it comes and one sort deduplicates them all: a
+    key's low 49 bits are its signature and the bits above (s-tilde,
+    tau) are functions of it, so equal keys are exactly equal
+    signatures.
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=flagged, interleaved=interleaved)
     sets = _EffectSets((model.signature_pool(),), canon=_canon_sig_array)
-    (at_max,), (below_max,) = sets.up_to(max_faults), sets.up_to(max_faults - 1)
-    sigs = _sorted_unique(np.concatenate([at_max, below_max]))
-    keys = _keys_from_sigs(sigs)
+    parts = [
+        _keys_from_sigs(sigs)
+        for k in range(max_faults + 1)
+        for (sigs,) in sets._exact(k)
+    ]
+    keys = _sorted_unique(np.concatenate(parts))
     counts = combination_counts(model, max_faults)
     return LookupTable(max_faults, flagged, interleaved, keys, counts)
 

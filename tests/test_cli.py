@@ -3,6 +3,11 @@ comparisons, and the decode command's bundle handling."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,14 @@ from wpec.codes import N49
 from wpec.pauli import PauliOp
 from wpec.protocol import OutcomeBundle, make_state, run_until_stable
 from wpec.verifier import TABLE1_GOLDEN
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(args, **kwargs):
+    """Start a fresh interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 def test_reproduce_table1_matches_golden(capsys):
@@ -206,6 +219,50 @@ def test_gen_table_bytes_stable_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_gen_table_stdout_matches_out_file(tmp_path, fmt):
+    argv = ["gen-table", "--max-faults", "2", "--format", fmt]
+    out = tmp_path / "t.out"
+    assert main(argv + ["--out", str(out)]) == 0
+    proc = _python(["-m", "wpec", *argv], stdout=subprocess.PIPE)
+    stdout, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert stdout == out.read_bytes()
+    assert len(stdout) > 1_000_000
+
+
+def test_gen_table_closed_pipe_exits_141_quietly(tmp_path):
+    err = tmp_path / "err.txt"
+    with open(err, "wb") as err_fh:
+        proc = _python(["-m", "wpec", "gen-table"], stdout=subprocess.PIPE,
+                       stderr=err_fh)
+        line = proc.stdout.readline()  # what `| head -1` reads
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+    assert line.endswith(b" 1\n") and len(line) == 66
+    assert err.read_bytes() == b""
+
+
+def test_importing_the_cli_does_no_table_work():
+    # import-time work would show in the set-up time of every CLI job
+    code = textwrap.dedent("""
+        import sys
+        calls = []
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "build_correction_table":
+                calls.append(frame.f_code.co_filename)
+        sys.setprofile(profile)
+        import wpec.cli
+        sys.setprofile(None)
+        from wpec.verifier import fault_model
+        print(fault_model.cache_info().currsize, len(calls))
+    """)
+    proc = _python(["-c", code], stdout=subprocess.PIPE)
+    stdout, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert stdout.split() == [b"0", b"0"]
+
+
 def _write_bundle(tmp_path, name, input_mask=0, x_mask=0):
     state = make_state(
         input_error=PauliOp(N49, x_mask, input_mask)
@@ -266,6 +323,13 @@ def test_decode_truncated_bundle_exits_2(tmp_path, capsys):
 def test_decode_missing_file_exits_2(tmp_path, capsys):
     assert main(["decode", str(tmp_path / "nope.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_decode_non_utf8_bundle_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["decode", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read bundle file: ")
 
 
 def test_usage_errors_exit_2():

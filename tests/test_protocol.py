@@ -10,7 +10,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from wpec import protocol
+from wpec import codes, decoder, protocol
 from wpec.codes import (
     LOGICAL49,
     N49,
@@ -405,12 +405,20 @@ def test_word_syndromes_match_per_block_loops():
         assert tau_from_syndrome(s21) == _reference_tau(s21)
 
 
-def test_block_correction_table_matches_wpec_steane():
+def test_block_correction_table_matches_wpec_steane(monkeypatch):
     ct = build_correction_table()
     blocks = protocol._block_corrections()
     assert len(blocks) == 16
     for s, w in itertools.product(range(8), (0, 1)):
         assert blocks[2 * s + w] == wpec_steane(s, w, ct).z_bits
+
+    # a Steane decode builds no Golay table
+    def no_golay(mask):
+        raise AssertionError("Golay syndrome computed for a Steane decode")
+
+    monkeypatch.setattr(codes, "golay_syndrome", no_golay)
+    monkeypatch.setattr(decoder, "golay_syndrome", no_golay)
+    assert protocol._block_corrections.__wrapped__() == blocks  # uncached build
 
 
 def _reference_joint_coset_weight(op: PauliOp, include_logical: bool) -> int:

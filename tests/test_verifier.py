@@ -148,9 +148,50 @@ def test_pair_records_match_pure_python():
                 for sig in combo:
                     x ^= sig
                 reach.add(_canon_sig(x))
-            expected = v._keys_from_sigs(np.array(sorted(reach), dtype=np.uint64))
+            expected = np.sort(
+                v._keys_from_sigs(np.array(sorted(reach), dtype=np.uint64))
+            )
             table = build_lookup_table(k, flagged=flagged, interleaved=interleaved)
             assert np.array_equal(table.keys, expected), (flagged, interleaved, k)
+
+
+def _reference_keys_from_sigs(sigs):
+    """The seven-pass packing the table-driven one replaced, sorted."""
+    p = sigs & np.uint64(127)
+    f = (sigs >> np.uint64(7)) & np.uint64((1 << 21) - 1)
+    s = sigs >> np.uint64(28)
+    stilde = np.array([syndrome7(x) for x in range(128)], dtype=np.uint64)[p]
+    tau = np.zeros(len(sigs), dtype=np.uint64)
+    for b in range(7):
+        nonzero = ((s >> np.uint64(3 * b)) & np.uint64(7)) != 0
+        tau |= nonzero.astype(np.uint64) << np.uint64(b)
+    keys = (stilde << np.uint64(56)) | (tau << np.uint64(49))
+    keys |= (s << np.uint64(28)) | (f << np.uint64(7)) | p
+    keys.sort()
+    return keys
+
+
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_build_matches_three_sort_reference(flagged, interleaved):
+    # one sort over the exact-k parts against up_to(m) | up_to(m - 1)
+    pool = fault_model(flagged=flagged, interleaved=interleaved).signature_pool()
+    sets = v._EffectSets((pool,), canon=v._canon_sig_array)
+    for m in (1, 2, 3):
+        (at_max,), (below_max,) = sets.up_to(m), sets.up_to(m - 1)
+        sigs = v._sorted_unique(np.concatenate([at_max, below_max]))
+        table = build_lookup_table(m, flagged=flagged, interleaved=interleaved)
+        assert table.keys.dtype == np.uint64
+        assert np.array_equal(table.keys, _reference_keys_from_sigs(sigs)), m
+
+
+def test_keys_from_sigs_matches_scalar_packing():
+    rng = random.Random(56)
+    sigs = [0, (1 << 49) - 1] + [rng.getrandbits(49) for _ in range(5000)]
+    keys = v._keys_from_sigs(np.array(sigs, dtype=np.uint64)).tolist()
+    for sig, key in zip(sigs, keys):
+        stilde, tau = syndrome7(sig & 127), tau_from_syndrome(sig >> 28)
+        assert key == sig | tau << 49 | stilde << 56, sig
+    assert len(keys) == len(sigs)
 
 
 def test_full_table_audit(table3, report3):
@@ -468,6 +509,29 @@ def _reference_lines(table):
             )
 
 
+def _reference_record_chunks(table):
+    """The unpackbits formatter the slice-copy one replaced."""
+    fields = ((28, 21), (56, 3), (49, 7), (7, 21), (0, 7))
+    digit_bits = np.array([lo + i for lo, width in fields for i in range(width)])
+    digit_cols = np.arange(len(digit_bits)) + np.repeat(
+        np.arange(len(fields)), [width for _, width in fields]
+    )
+    width = len(digit_bits) + len(fields) + 2
+    sizes = table._group_end - table._group_start
+    tags = np.frombuffer("".join(table.group_tags()).encode(), dtype=np.uint8)
+    tags = np.repeat(tags, sizes)
+    for lo in range(0, table.n_records, v._FORMAT_CHUNK):
+        keys = table.keys[lo : lo + v._FORMAT_CHUNK].astype("<u8", copy=False)
+        bits = np.unpackbits(
+            keys.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )
+        rows = np.full((len(keys), width), ord(" "), dtype=np.uint8)
+        rows[:, digit_cols] = bits[:, digit_bits] + np.uint8(ord("0"))
+        rows[:, width - 2] = tags[lo : lo + v._FORMAT_CHUNK]
+        rows[:, width - 1] = ord("\n")
+        yield rows.tobytes()
+
+
 @pytest.mark.parametrize("flagged,interleaved", VARIANTS)
 def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
     table = build_lookup_table(2, flagged=flagged, interleaved=interleaved)
@@ -475,6 +539,7 @@ def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
     assert table.n_records > 5 * v._FORMAT_CHUNK
     chunks = list(table.record_chunks())
     assert len(chunks) == -(-table.n_records // v._FORMAT_CHUNK)
+    assert chunks == list(_reference_record_chunks(table))
     assert list(table.record_lines()) == list(_reference_lines(table))
 
 
