@@ -62,7 +62,6 @@ from .circuits import (
 )
 from .codes import (
     BLOCK_MIN_WT,
-    LEVEL1_GENS,
     PCANON,
     STAB7,
     block_parity,
@@ -107,7 +106,7 @@ _S_SHIFT = 28
 
 _PCANON_U64 = np.array(PCANON, dtype=np.uint64)
 _SYND7_U64 = np.array([syndrome7(p) for p in range(128)], dtype=np.uint64)
-_BLOCK_WT_U16 = np.array(BLOCK_MIN_WT, dtype=np.uint16)
+_BLOCK_WT_U8 = np.array(BLOCK_MIN_WT, dtype=np.uint8)
 
 
 def pack_signature(error_mask: int, flag: int) -> int:
@@ -323,16 +322,21 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Distinct rows of one or two uint64 columns, sorted by the columns
-    in order: sort or lexsort + adjacent diff (a one-column lexsort is
-    ~2.5x slower than a plain sort)."""
+    in order.  Two columns (49-bit masks, 21-bit flags) become one sort
+    key, mask << 15 | the flag's rank among the distinct flags, so both
+    cases are a plain sort + adjacent diff (a lexsort is ~3x slower)."""
     if len(cols) == 1:
         return (_sorted_unique(cols[0]),)
     m, f = cols
-    order = np.lexsort((f, m))
-    m, f = m[order], f[order]
-    keep = np.ones(len(m), dtype=bool)
-    keep[1:] = (m[1:] != m[:-1]) | (f[1:] != f[:-1])
-    return m[keep], f[keep]
+    flags = _sorted_unique(f)
+    if len(m) and (int(m.max()) >> 49 or int(flags[-1]) >> 21 or len(flags) > 1 << 15):
+        raise ValueError(
+            "rows must be 49-bit masks with at most 2^15 distinct 21-bit flags"
+        )
+    rank = np.zeros(1 << 21, dtype=np.uint16)
+    rank[flags.view(np.int64)] = np.arange(len(flags))
+    keys = _sorted_unique((m << np.uint64(15)) | rank[f.view(np.int64)])
+    return keys >> np.uint64(15), flags[(keys & np.uint64(0x7FFF)).view(np.int64)]
 
 
 class _EffectSets:
@@ -909,29 +913,71 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 
 def _level1_syndrome_vec(masks: np.ndarray) -> np.ndarray:
-    s = np.zeros(len(masks), dtype=np.uint64)
-    for j, g in enumerate(LEVEL1_GENS):
-        s |= (_popcount(masks & np.uint64(g)) & np.uint64(1)) << np.uint64(j)
+    """Vectorized ``level1_syndrome``: seven reads of the 7-qubit
+    syndrome table, one per subblock."""
+    m = masks.view(np.int64)  # signed indices skip a conversion per read
+    blk = m & 127
+    s = _SYND7_U64[blk]
+    for b in range(1, 7):
+        np.right_shift(m, 7 * b, out=blk)
+        blk &= 127
+        s |= _SYND7_U64[blk] << np.uint64(3 * b)
     return s
 
 
+def _sigma_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Sigma depends only on how many subblocks have syndrome weight 1, 2
+    and 3.  The first table maps 9 syndrome bits (three subblocks) to
+    those counts packed as n1 | n2<<4 | n3<<8; three reads and two adds
+    give the packed counts of all seven subblocks (no count exceeds 7, so
+    the nibbles never carry).  The second maps (v_w, packed counts) to
+    sigma."""
+    weights = np.bitwise_count((np.arange(512)[:, None] >> np.array([0, 3, 6])) & 7)
+    counts9 = sum((weights == k).sum(axis=1) << 4 * (k - 1) for k in (1, 2, 3))
+    sigma_of_counts = np.zeros((8, 4096), dtype=np.uint8)
+    for n1, n2, n3 in itertools.product(range(8), repeat=3):
+        if n1 + n2 + n3 <= 7:
+            # sigma(v_w) sums the 7 - v_w smallest of the seven weights
+            ascending = [0] * (7 - n1 - n2 - n3) + [1] * n1 + [2] * n2 + [3] * n3
+            prefix_sums = [0, *itertools.accumulate(ascending)]
+            sigma_of_counts[:, n1 | n2 << 4 | n3 << 8] = prefix_sums[::-1]
+    return counts9.astype(np.uint16), sigma_of_counts
+
+
+_WEIGHT_COUNTS9, _SIGMA_OF_COUNTS = _sigma_tables()
+
+
 def _sigma_from_syndrome(s: np.ndarray, v_w: int) -> np.ndarray:
-    """Vectorized sigma over level-1 syndromes (see ``sigma``)."""
-    w = np.empty((len(s), 7), dtype=np.uint8)
-    for b in range(7):
-        w[:, b] = _popcount((s >> np.uint64(3 * b)) & np.uint64(7)).astype(np.uint8)
-    w.sort(axis=1)
-    return w[:, : 7 - v_w].sum(axis=1, dtype=np.uint16)
+    """Vectorized sigma over level-1 syndromes (see ``sigma``), by table
+    reads of the per-weight subblock counts."""
+    s = s.view(np.int64)
+    nine = s & 511
+    counts = _WEIGHT_COUNTS9[nine]
+    np.right_shift(s, 9, out=nine)
+    nine &= 511
+    counts += _WEIGHT_COUNTS9[nine]
+    np.right_shift(s, 18, out=nine)
+    counts += _WEIGHT_COUNTS9[nine]
+    return _SIGMA_OF_COUNTS[v_w][counts]
 
 
 def _min_coset_weight_vec(masks: np.ndarray) -> np.ndarray:
+    """Vectorized ``min_coset_weight``: each subblock's two minimal
+    weights (plain and all-flipped coset) are read once, then summed per
+    outer pattern."""
+    m = masks.view(np.int64)
+    blk = np.empty_like(m)
+    wts = []
+    for b in range(7):
+        np.right_shift(m, 7 * b, out=blk)
+        blk &= 127
+        wts.append((_BLOCK_WT_U8[0][blk], _BLOCK_WT_U8[1][blk]))
     best = None
     for pat in STAB7:
-        tot = np.zeros(len(masks), dtype=np.uint16)
-        for b in range(7):
-            blk = ((masks >> np.uint64(7 * b)) & np.uint64(127)).astype(np.intp)
-            tot += _BLOCK_WT_U16[(pat >> b) & 1, blk]
-        best = tot if best is None else np.minimum(best, tot)
+        tot = wts[0][pat & 1].copy()
+        for b in range(1, 7):
+            tot += wts[b][(pat >> b) & 1]
+        best = tot if best is None else np.minimum(best, tot, out=best)
     return best
 
 
@@ -988,12 +1034,18 @@ def _early_survivors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Early (G1a x G2) effects whose sigma fits the flip budget, in
     cross-product order.  The level-1 syndrome is linear, so the cross
-    product's syndromes are XORs of the pools' memoized syndromes."""
+    product's syndromes are XORs of the pools' memoized syndromes,
+    formed about _XOR_CHUNK at a time."""
     (g1m, g1f), g1s = g1.up_to(fnc.v_g1a), g1.syndromes(fnc.v_g1a)
     (g2m, g2f), g2s = g2.up_to(fnc.v_g2), g2.syndromes(fnc.v_g2)
-    syn = (g1s[:, None] ^ g2s[None, :]).reshape(-1)
-    keep = np.flatnonzero(_sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s)
-    i1, i2 = np.divmod(keep, len(g2m))
+    n2 = len(g2s)
+    step = max(1, _XOR_CHUNK // n2)
+    keep = []
+    for lo in range(0, len(g1s), step):
+        syn = (g1s[lo : lo + step, None] ^ g2s).reshape(-1)
+        fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
+        keep.append(lo * n2 + np.flatnonzero(fits))
+    i1, i2 = np.divmod(np.concatenate(keep), n2)
     return g1m[i1] ^ g2m[i2], g1f[i1] ^ g2f[i2]
 
 

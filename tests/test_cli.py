@@ -9,16 +9,19 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wpec import cli, verifier
 from wpec.cli import main
-from wpec.codes import N49
+from wpec.codes import LOGICAL23, N23, N49, golay_syndrome
+from wpec.decoder import build_correction_table
 from wpec.pauli import PauliOp
 from wpec.protocol import OutcomeBundle, make_state, run_until_stable
 from wpec.verifier import TABLE1_GOLDEN
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _python(args, **kwargs):
@@ -60,6 +63,63 @@ def test_verify_claims_json_lines(capsys):
     assert len(records) == 6
     assert all(r["ok"] for r in records)
     assert any("soundness" in r["check"] for r in records)
+
+
+def _reference_golay_sweep(ct):
+    # the whole-array sweep: one 2^23-row pass per step
+    leaders = np.zeros(2048, dtype=np.uint32)
+    for s, op in ct.golay_min.items():
+        leaders[s] = op.z_bits
+    synd = np.zeros(1, dtype=np.uint16)  # synd[e] = golay_syndrome(e)
+    for b in range(N23):
+        synd = np.concatenate([synd, synd ^ np.uint16(golay_syndrome(1 << b))])
+    e = np.arange(1 << N23, dtype=np.uint32)
+    zero_synd = int((synd == 0).sum())
+    flip = ((np.bitwise_count(leaders[synd]) ^ np.bitwise_count(e)) & 1).astype(bool)
+    corr = leaders[synd] ^ np.where(flip, np.uint32(LOGICAL23), np.uint32(0))
+    residual = e ^ corr
+    odd = int(((np.bitwise_count(residual) & 1) != 0).sum())
+    off = int((synd[residual] != 0).sum())
+    return zero_synd, odd, off
+
+
+def test_golay_sweep_matches_whole_array_reference(monkeypatch):
+    ct = build_correction_table()
+    counts = cli._golay_sweep(ct)
+    assert counts == _reference_golay_sweep(ct) == (4096, 0, 0)
+    checks = cli._golay_checks()
+    for low in (10, 19):
+        monkeypatch.setattr(cli, "_GOLAY_LOW_BITS", low)
+        assert cli._golay_sweep(ct) == counts, low
+        assert cli._golay_checks() == checks, low
+
+
+def test_golay_soundness_fails_on_a_corrupt_leader(monkeypatch, capsys):
+    # a leader with the wrong syndrome still gets its weight parity fixed
+    # by the logical flip, so only the residual syndromes show it
+    ct = build_correction_table()
+    leaders = dict(ct.golay_min)
+    leaders[5] = leaders[6]
+    ct.__dict__["golay_min"] = leaders  # what the cached property reads
+    assert cli._golay_sweep(ct) == (4096, 0, 4096)
+    monkeypatch.setattr(cli, "build_correction_table", lambda: ct)
+    assert main(["verify-claims", "--code", "golay"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL weight-parity decoding soundness (2^23 errors): 0 residuals of " \
+        "odd weight, 4096 of nonzero syndrome" in lines
+    assert lines[-1] == "golay: 4/6 checks passed"
+
+
+@pytest.mark.parametrize("job", ["verify-appendix-b", "verify-claims-golay"])
+def test_verify_jobs_match_benchmark_digests(job, capsys):
+    # the benchmark's expected stdout digests and exit codes, in process
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    entry = expected["jobs"][job]
+    assert main(entry["argv"]) == entry["exit"]
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (
+        entry["sha256"], entry["bytes"]
+    )
 
 
 def test_appendix_a_small_budget_clean(capsys):
@@ -171,7 +231,7 @@ def test_gen_table_json_lines_match_text(monkeypatch, tmp_path):
 def test_gen_table_json_lines_match_per_record_dump(
     monkeypatch, tmp_path, flagged, interleaved
 ):
-    # the numpy gather against one _jdump call per record line
+    # the slice-copy formatter against one _jdump call per record line
     monkeypatch.setattr(verifier, "_FORMAT_CHUNK", 1000)
     out = tmp_path / "t.jsonl"
     argv = ["gen-table", "--max-faults", "2", "--format", "json-lines",

@@ -16,6 +16,9 @@ import pytest
 from wpec import verifier as v
 from wpec.cli import main
 from wpec.codes import (
+    BLOCK_MIN_WT,
+    LEVEL1_GENS,
+    LOGICAL49,
     PCANON,
     STAB7,
     block_parity,
@@ -909,14 +912,20 @@ def test_min_coset_weight_vec_matches_scalar():
 
 
 def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
-    atoms = fault_model().gate1_atoms()
+    model = fault_model()
+    atoms = model.gate1_atoms()
     kw = dict(flagged=False, interleaved=False)
     effects = v._atom_effect_sets(atoms).up_to(3)
     keys = build_lookup_table(3, **kw).keys
+    g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2_atoms())
+    fnc = FaultNumberCombination(v_g1a=2, v_g2=1)  # 14,673 x 130 rows
+    early = v._early_survivors(fnc, g1, g2)
     monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 12)
     small = v._atom_effect_sets(atoms).up_to(3)
     assert all(np.array_equal(a, b) for a, b in zip(small, effects))
     assert np.array_equal(build_lookup_table(3, **kw).keys, keys)
+    assert all(map(np.array_equal, v._early_survivors(fnc, g1, g2), early))
+    assert 0 < len(early[0]) < 14673 * 130
 
 
 def test_sigma_from_syndrome_matches_sigma():
@@ -926,6 +935,111 @@ def test_sigma_from_syndrome_matches_sigma():
     for v_w in range(8):
         expected = [sigma(m, v_w) for m in masks]
         assert v._sigma_from_syndrome(syn, v_w).tolist() == expected, v_w
+
+
+def _reference_level1_syndrome_vec(masks):
+    # the popcount form: bit j is the overlap parity with generator j
+    s = np.zeros(len(masks), dtype=np.uint64)
+    for j, g in enumerate(LEVEL1_GENS):
+        s |= (np.bitwise_count(masks & np.uint64(g)) & np.uint64(1)) << np.uint64(j)
+    return s
+
+
+def _reference_sigma_from_syndrome(s, v_w):
+    # the sort form: per-subblock weights, sorted, the 7 - v_w smallest summed
+    w = np.empty((len(s), 7), dtype=np.uint8)
+    for b in range(7):
+        w[:, b] = np.bitwise_count((s >> np.uint64(3 * b)) & np.uint64(7))
+    w.sort(axis=1)
+    return w[:, : 7 - v_w].sum(axis=1, dtype=np.uint16)
+
+
+def _reference_min_coset_weight_vec(masks):
+    # the 8 x 7 form: every outer pattern re-extracts every subblock
+    table = np.array(BLOCK_MIN_WT, dtype=np.uint16)
+    best = None
+    for pat in STAB7:
+        tot = np.zeros(len(masks), dtype=np.uint16)
+        for b in range(7):
+            blk = ((masks >> np.uint64(7 * b)) & np.uint64(127)).astype(np.intp)
+            tot += table[(pat >> b) & 1, blk]
+        best = tot if best is None else np.minimum(best, tot)
+    return best
+
+
+def _reference_unique_rows(m, f):
+    # the lexsort form: sort by (mask, flag), keep rows unlike their left
+    order = np.lexsort((f, m))
+    m, f = m[order], f[order]
+    keep = np.ones(len(m), dtype=bool)
+    keep[1:] = (m[1:] != m[:-1]) | (f[1:] != f[:-1])
+    return m[keep], f[keep]
+
+
+def _kernel_masks():
+    """10^5 seeded 49-bit masks (half of them sparse), the 49 unit
+    masks, 0 and all-ones."""
+    rng = np.random.default_rng(2020)
+    dense = rng.integers(0, 1 << 49, size=50_000, dtype=np.uint64)
+    sparse = np.zeros(50_000, dtype=np.uint64)
+    for _ in range(6):
+        sparse |= np.uint64(1) << rng.integers(0, 49, size=50_000, dtype=np.uint64)
+    units = np.uint64(1) << np.arange(49, dtype=np.uint64)
+    ends = np.array([0, LOGICAL49], dtype=np.uint64)
+    return np.concatenate([dense, sparse, units, ends])
+
+
+def test_level1_syndrome_vec_matches_reference():
+    masks = _kernel_masks()
+    got = v._level1_syndrome_vec(masks)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _reference_level1_syndrome_vec(masks))
+
+
+def test_sigma_from_syndrome_matches_reference_on_every_syndrome():
+    s = np.arange(1 << 21, dtype=np.uint64)
+    for v_w in range(8):
+        got = v._sigma_from_syndrome(s, v_w)
+        assert np.array_equal(got, _reference_sigma_from_syndrome(s, v_w)), v_w
+
+
+def test_min_coset_weight_vec_matches_reference():
+    masks = _kernel_masks()
+    got = v._min_coset_weight_vec(masks)
+    assert np.array_equal(got, _reference_min_coset_weight_vec(masks))
+
+
+def test_unique_rows_matches_lexsort_reference():
+    model = fault_model()
+    for atoms in (model.gate1_atoms(), model.gate2_atoms()):
+        sets = v._EffectSets(v._atom_columns(atoms))
+        for k in (2, 3):
+            parts = sets._exact(k) + sets._exact(k - 2)
+            m, f = (np.concatenate(c) for c in zip(*parts))
+            got = v._unique_rows((m, f))
+            assert all(map(np.array_equal, got, _reference_unique_rows(m, f))), k
+    # many repeats, extreme values, and the most distinct flags that pack
+    rng = np.random.default_rng(49)
+    m = rng.choice(np.array([0, 1, LOGICAL49], dtype=np.uint64), size=3 << 15)
+    f = rng.permutation(1 << 21)[: 1 << 15].astype(np.uint64)
+    f[:2] = (0, (1 << 21) - 1)
+    f = np.concatenate([f, f, f])
+    got = v._unique_rows((m, f))
+    assert all(map(np.array_equal, got, _reference_unique_rows(m, f)))
+
+
+@pytest.mark.parametrize(
+    "m, f",
+    [
+        ([1 << 49], [0]),  # a 50-bit mask
+        ([0], [1 << 21]),  # a 22-bit flag
+        ([0] * ((1 << 15) + 1), range((1 << 15) + 1)),  # too many flags
+    ],
+)
+def test_unique_rows_rejects_rows_it_cannot_pack(m, f):
+    cols = (np.array(m, dtype=np.uint64), np.array(list(f), dtype=np.uint64))
+    with pytest.raises(ValueError, match="49-bit masks"):
+        v._unique_rows(cols)
 
 
 # ---------------------------------------------------------------------------
