@@ -8,8 +8,8 @@ decoding a stable outcome bundle from a file, and emitting the pinned
 single-fault classification table.
 
 Exit codes: 0 all checks pass, 1 a verification found violations or a
-golden comparison failed, 2 usage errors, malformed input files or an
-output file that cannot be opened.
+golden comparison failed, 2 usage errors, malformed input files or
+output that cannot be opened or written.
 Outputs are deterministic.
 """
 
@@ -41,6 +41,7 @@ from .codes import (
     min_coset_rep,
     min_coset_weight,
     syndrome7,
+    tau_from_syndrome,
 )
 from .decoder import (
     CorrectionTable,
@@ -84,23 +85,22 @@ def _json_layout(record: bytes):
 
 
 def _json_record_chunks(table):
-    """Yield the table records as JSON lines, one chunk at a time.
+    """Yield the table records as JSON lines, one uint8 array of lines
+    (one row each) at a time.
 
     Record lines are fixed-width, so every JSON line is the first
     record's line with its six value runs copied from the text columns.
     """
     layout = None
-    for chunk in table.record_chunks():
-        width = chunk.index(b"\n") + 1
+    for rows in table.record_rows():
         if layout is None:
-            layout = _json_layout(chunk[:width])
+            layout = _json_layout(rows[0].tobytes())
         template, runs = layout
-        rows = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, width)
         out = np.empty((len(rows), len(template)), dtype=np.uint8)
         out[:] = template
         for dst, src, n in runs:
             out[:, dst : dst + n] = rows[:, src : src + n]
-        yield out.tobytes()
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +369,11 @@ def cmd_gen_table(args, fh) -> int:
         interleaved=args.ordering == "permuted",
     )
     if args.format == "text":
-        chunks = table.record_chunks()
+        chunks = table.record_rows()
     else:
         chunks = _json_record_chunks(table)
-    # the chunks are ASCII bytes: write them past the text layer
+    # the chunks are arrays of ASCII bytes: write their buffers past the
+    # text layer, without a bytes copy
     fh.flush()
     for chunk in chunks:
         fh.buffer.write(chunk)
@@ -501,6 +502,14 @@ def cmd_decode(args, fh) -> int:
         bundle = OutcomeBundle.parse(text)
     except ValueError as exc:
         print(f"error: malformed bundle: {exc}", file=sys.stderr)
+        return 2
+    tau = tau_from_syndrome(bundle.s_x) | tau_from_syndrome(bundle.s_z) << 7
+    if bundle.tau != tau:
+        print(
+            f"error: malformed bundle: tau {format_bits(bundle.tau, 14)} does not "
+            f"match the syndromes s_x, s_z (tau {format_bits(tau, 14)})",
+            file=sys.stderr,
+        )
         return 2
     table = build_lookup_table(
         args.max_faults,
@@ -679,12 +688,21 @@ def main(argv=None) -> int:
         return 2
     try:
         with out as fh:
-            return args.func(args, fh)
+            code = args.func(args, fh)
+            fh.flush()  # stdout too, so its write errors surface here
+        return code
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; exit the way
         # a signal-terminated process would, without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # a full disk or a failing device; exit 1 would read as "violations"
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if not args.out:
+            # drop what stdout still buffers, so the exit-time flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

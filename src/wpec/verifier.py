@@ -9,14 +9,15 @@ The lookup-table build enumerates every combination of up to
 ``max_faults`` single faults on the Z-type measurement circuits,
 collapses each combination to a record (first-level syndrome,
 second-level syndrome, block triviality, cumulative flags, block
-parity), and audits the resulting lookup table.  The build packs the
-engine's XORs of exactly k distinct signatures, for every k <=
-``max_faults``, into sort keys as they come, and deduplicates them all
-with one sort.  Within each (second-level syndrome, block triviality)
-partition, either every record carries an equivalent block parity
-(Condition 1), or records with inequivalent parities differ in their
-(syndrome, flags) pair (Condition 2).  A partition failing both is
-reported as a violation together with witness fault combinations.
+parity), and audits the resulting lookup table.  The engine writes the
+XORs of exactly k distinct signatures, for every k <= ``max_faults``,
+into one array; the build packs it into sort keys in place and
+deduplicates them all with one sort.  Within each (second-level
+syndrome, block triviality) partition, either every record carries an
+equivalent block parity (Condition 1), or records with inequivalent
+parities differ in their (syndrome, flags) pair (Condition 2).  A
+partition failing both is reported as a violation together with witness
+fault combinations.
 
 The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
@@ -29,9 +30,11 @@ completions to bound the weight of the residual error it can leave.
 The scan's effects are (Z mask, flag) pairs.  The table's are packed
 uint64 signatures: bits 0-6 hold the block parity (stored canonically,
 as the minimum over the eight stabilizer parity patterns), bits 7-27 the
-flag vector, and bits 28-48 the first-level syndrome.  Canonicalizing
-the parity after each XOR is sound because the canonical class of an
-XOR depends only on the canonical classes of its inputs.
+flag vector, and bits 28-48 the first-level syndrome.  The engine XORs
+raw parities and the parity is canonicalized once, when a signature is
+packed or compared; that equals canonicalizing after each XOR because
+the canonical class of an XOR depends only on the canonical classes of
+its inputs.
 
 Witnesses come from the same engine.  The witness for an effect is the
 lexicographically first tuple of distinct pool-row indices whose XOR
@@ -306,15 +309,19 @@ def combination_counts(
 # ---------------------------------------------------------------------------
 # Signature set arithmetic
 
-# Triple XORs are formed this many rows at a time, which bounds the index
-# and gather temporaries of the budget-3 build.
+# Keys are packed, and the scan's cross-product syndromes formed, this
+# many rows at a time, which bounds their temporaries.
 _XOR_CHUNK = 1 << 18
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values (sort + adjacent diff; numpy 2's
     ``np.unique`` hashes instead, which is ~10x slower on uint64)."""
-    a = np.sort(a)
+    return _unique_sorted(np.sort(a))
+
+
+def _unique_sorted(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted array, by adjacent diff."""
     keep = np.ones(len(a), dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
@@ -335,24 +342,32 @@ def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         )
     rank = np.zeros(1 << 21, dtype=np.uint16)
     rank[flags.view(np.int64)] = np.arange(len(flags))
-    keys = _sorted_unique((m << np.uint64(15)) | rank[f.view(np.int64)])
-    return keys >> np.uint64(15), flags[(keys & np.uint64(0x7FFF)).view(np.int64)]
+    keys = m << np.uint64(15)
+    keys |= rank[f.view(np.int64)]
+    keys.sort()
+    keys = _unique_sorted(keys)
+    flags = flags[(keys & np.uint64(0x7FFF)).view(np.int64)]
+    keys >>= np.uint64(15)
+    return keys, flags
 
 
 class _EffectSets:
     """XORs of at most three distinct rows of an effect pool.
 
-    A row is a tuple of uint64 columns: (canonical signature,) for the
-    lookup table, (mask, flag) for the final-round scan.  Rows keep the
-    order they are given in; callers that want distinct rows pass them
+    A row is a tuple of uint64 columns: (signature,) for the lookup
+    table, (mask, flag) for the final-round scan.  Rows keep the order
+    they are given in; callers that want distinct rows pass them
     deduplicated.  ``canon``, when given, maps the first column to its
-    canonical form after each XOR; that is sound when the canonical
-    class of an XOR depends only on the classes of its inputs.
+    canonical form wherever rows are compared (``up_to`` and ``first``);
+    the pool must be canonical already.  The XORs themselves stay raw:
+    one ``canon`` of an XOR equals ``canon`` after each step when the
+    canonical class of an XOR depends only on the classes of its inputs.
 
-    ``up_to`` answers which effects are reachable, ``first`` which rows
-    reach a given one.  Both walk the same lexicographic order of index
-    tuples: singles, the ``triu`` pair list, then triples i < j < k as
-    ``pool[i]`` ^ the pairs (j, k) from ``after[i]`` on.
+    ``_exact`` forms the XORs, ``up_to`` answers which effects are
+    reachable, ``first`` which rows reach a given one.  All walk the same
+    lexicographic order of index tuples: singles, the ``triu`` pair list,
+    then triples i < j < k as ``pool[i]`` ^ the pairs (j, k) from
+    ``after[i]`` on, one contiguous slice per i.
     """
 
     def __init__(self, cols: tuple[np.ndarray, ...], canon=None) -> None:
@@ -361,12 +376,10 @@ class _EffectSets:
         self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
         self._syndromes: dict[int, np.ndarray] = {}
 
-    def _xor(self, a, ia, b, ib) -> tuple[np.ndarray, ...]:
-        """Rows ``a[ia] ^ b[ib]`` of two column tuples, canonical if asked."""
-        out = tuple(x[ia] ^ y[ib] for x, y in zip(a, b))
+    def _canonical(self, cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         if self.canon is None:
-            return out
-        return (self.canon(out[0]),) + out[1:]
+            return cols
+        return (self.canon(cols[0]),) + cols[1:]
 
     @functools.cached_property
     def _pairs(self):
@@ -375,38 +388,46 @@ class _EffectSets:
         n = len(self.pool[0])
         i, j = np.triu_indices(n, k=1)
         after = np.searchsorted(i, np.arange(n), side="right")
-        return i, j, self._xor(self.pool, i, self.pool, j), after
+        return i, j, tuple(c[i] ^ c[j] for c in self.pool), after
 
-    def _exact(self, k: int) -> list[tuple[np.ndarray, ...]]:
-        """XORs of exactly k distinct pool rows, in lexicographic order of
-        their index tuples, split into parts."""
-        if k == 0:
-            return [tuple(np.zeros(1, dtype=np.uint64) for _ in self.pool)]
-        if k == 1:
-            return [self.pool]
-        if k > 3:
-            raise ValueError(f"subset size {k} not supported")
-        i, _, pairs, after = self._pairs
-        if k == 2:
-            return [pairs]
-        first = np.concatenate([[0], np.cumsum(len(i) - after)])
-        parts = []
-        for lo in range(0, int(first[-1]), _XOR_CHUNK):
-            rows = np.arange(lo, min(lo + _XOR_CHUNK, int(first[-1])))
-            low = np.searchsorted(first, rows, side="right") - 1
-            pair = after[low] + rows - first[low]
-            parts.append(self._xor(self.pool, low, pairs, pair))
-        return parts
+    def _exact(self, sizes) -> tuple[np.ndarray, ...]:
+        """XORs of exactly k distinct pool rows for each k in ``sizes``,
+        one block per k in that order, each block in lexicographic order
+        of its index tuples; one preallocated array per column."""
+        n = len(self.pool[0])
+        if any(k not in (0, 1, 2, 3) for k in sizes):
+            raise ValueError(f"subset sizes {tuple(sizes)} not all within 0..3")
+        out = tuple(
+            np.empty(sum(math.comb(n, k) for k in sizes), dtype=np.uint64)
+            for _ in self.pool
+        )
+        _, _, pairs, after = self._pairs
+        for dst, col, pair in zip(out, self.pool, pairs):
+            lo = 0
+            for k in sizes:
+                if k == 0:
+                    dst[lo] = 0
+                    lo += 1
+                elif k == 1:
+                    dst[lo : lo + n] = col
+                    lo += n
+                elif k == 2:
+                    dst[lo : lo + len(pair)] = pair
+                    lo += len(pair)
+                else:
+                    for i in range(n):
+                        rest = pair[after[i] :]
+                        np.bitwise_xor(col[i], rest, out=dst[lo : lo + len(rest)])
+                        lo += len(rest)
+        return out
 
     def up_to(self, v: int) -> tuple[np.ndarray, ...]:
         """Distinct XORs of exactly v faults (v, v-2, ... distinct rows:
-        a repeated effect cancels pairwise), sorted by the columns in
-        order; memoized per v."""
+        a repeated effect cancels pairwise), canonical if asked, sorted by
+        the columns in order; memoized per v."""
         if v not in self._up_to:
-            parts = [part for k in range(v, -1, -2) for part in self._exact(k)]
-            cols = tuple(np.concatenate(c) for c in zip(*parts))
-            del parts  # frees the unsorted parts before the sort copies them
-            self._up_to[v] = _unique_rows(cols)
+            rows = self._canonical(self._exact(range(v, -1, -2)))
+            self._up_to[v] = _unique_rows(rows)
         return self._up_to[v]
 
     def syndromes(self, v: int) -> np.ndarray:
@@ -420,10 +441,9 @@ class _EffectSets:
         """The lexicographically first tuple of distinct row indices whose
         XOR is ``target`` (canonical if asked), trying the subset sizes in
         the order given; None when no size reaches it."""
-        t = tuple(np.array([x], dtype=np.uint64) for x in target)
-        if self.canon is not None:
-            t = (self.canon(t[0]),) + t[1:]
+        t = self._canonical(tuple(np.array([x], dtype=np.uint64) for x in target))
         pi, pj, pairs, after = self._pairs
+        pairs = self._canonical(pairs)
         for k in sizes:
             if k == 0:
                 if not any(t):
@@ -438,8 +458,9 @@ class _EffectSets:
                     return int(pi[hit[0]]), int(pj[hit[0]])
             elif k == 3:
                 # pool[i] ^ pairs[p] is the target exactly when pairs[p] is
-                # pool[i] ^ target; the pairs above i start at after[i]
-                rest = self._xor(self.pool, slice(None), t, slice(None))
+                # pool[i] ^ target (canonical classes compose); the pairs
+                # above i start at after[i]
+                rest = self._canonical(tuple(c ^ x for c, x in zip(self.pool, t)))
                 for i in range(len(rest[0])):
                     suffix = tuple(c[after[i] :] for c in pairs)
                     row = tuple(c[i : i + 1] for c in rest)
@@ -462,17 +483,32 @@ def _rows_equal(cols, row) -> np.ndarray:
 _TAU9 = tau_from_syndrome(np.arange(512, dtype=np.uint64))
 
 
+# A raw block parity's key bits: its canonical form, and its s-tilde
+# (the syndrome of either) in bits 56-58.
+_PARITY_KEY = _PCANON_U64 | _SYND7_U64[_PCANON_U64] << np.uint64(56)
+
+
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
-    """Repack signatures as sort keys (s-tilde, tau, s, f, p), in the
-    order given.  A signature's bits are the key's low 49 bits; s-tilde
-    and tau above them are functions of p and s."""
-    s = sigs >> np.uint64(_S_SHIFT)
-    nine = np.uint64(511)
-    tau = _TAU9[s & nine] | (_TAU9[(s >> np.uint64(9)) & nine] << np.uint64(3))
-    tau |= _TAU9[s >> np.uint64(18)] << np.uint64(6)
-    keys = sigs | (tau << np.uint64(49))
-    keys |= _SYND7_U64[sigs & np.uint64(_P_MASK)] << np.uint64(56)
-    return keys
+    """Repack signatures as sort keys (s-tilde, tau, s, f, canonical p)
+    in place, _XOR_CHUNK at a time, and return them.  A key's low 49
+    bits are its canonical signature; s-tilde and tau above them are
+    functions of p and s."""
+    for lo in range(0, len(sigs), _XOR_CHUNK):
+        chunk = sigs[lo : lo + _XOR_CHUNK]
+        s = chunk.view(np.int64) >> _S_SHIFT  # signed indices skip a conversion
+        nine = s & 511
+        high = _TAU9[nine]
+        np.right_shift(s, 9, out=nine)
+        nine &= 511
+        high |= _TAU9[nine] << np.uint64(3)
+        np.right_shift(s, 18, out=nine)
+        high |= _TAU9[nine] << np.uint64(6)
+        high <<= np.uint64(49)
+        np.bitwise_and(chunk.view(np.int64), _P_MASK, out=nine)
+        high |= _PARITY_KEY[nine]
+        chunk &= np.uint64(~_P_MASK & (2**64 - 1))
+        chunk |= high
+    return sigs
 
 
 def _key_fields(key: int) -> tuple[int, int, int, int, int]:
@@ -593,8 +629,9 @@ class LookupTable:
                 tags.append("2")
         return tuple(tags)
 
-    def record_chunks(self):
-        """Yield the record lines as ASCII bytes, _FORMAT_CHUNK at a time.
+    def record_rows(self):
+        """Yield the record lines _FORMAT_CHUNK at a time, as uint8 arrays
+        of ASCII bytes with one row per line (newline included).
 
         Each key's bytes index ``_BYTE_DIGITS`` into one row of 64 digit
         columns, bit order; every field is a contiguous slice of it.  The
@@ -614,6 +651,11 @@ class LookupTable:
                 col += width + 1
             rows[:, col] = tags[lo : lo + _FORMAT_CHUNK]
             rows[:, col + 1] = ord("\n")
+            yield rows
+
+    def record_chunks(self):
+        """Yield the record lines as ASCII bytes, _FORMAT_CHUNK at a time."""
+        for rows in self.record_rows():
             yield rows.tobytes()
 
     def record_lines(self):
@@ -633,22 +675,20 @@ def build_lookup_table(
     Signatures compose by XOR, and a multiset of faults with a repeated
     effect collapses pairwise, so the reachable set for at most
     ``max_faults`` faults is the union over every k <= ``max_faults`` of
-    the XORs of k distinct single-fault signatures.  Each part is packed
-    into sort keys as it comes and one sort deduplicates them all: a
-    key's low 49 bits are its signature and the bits above (s-tilde,
-    tau) are functions of it, so equal keys are exactly equal
-    signatures.
+    the XORs of k distinct single-fault signatures.  The engine writes
+    them all into one array, which is packed into sort keys in place
+    (canonicalizing each block parity) and deduplicated by one in-place
+    sort: a key's low 49 bits are its canonical signature and the bits
+    above (s-tilde, tau) are functions of it, so equal keys are exactly
+    equal canonical signatures.
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=flagged, interleaved=interleaved)
-    sets = _EffectSets((model.signature_pool(),), canon=_canon_sig_array)
-    parts = [
-        _keys_from_sigs(sigs)
-        for k in range(max_faults + 1)
-        for (sigs,) in sets._exact(k)
-    ]
-    keys = _sorted_unique(np.concatenate(parts))
+    sets = _EffectSets((model.signature_pool(),))
+    keys = _keys_from_sigs(sets._exact(range(max_faults + 1))[0])
+    keys.sort()
+    keys = _unique_sorted(keys)  # drops the last reference to the XORs
     counts = combination_counts(model, max_faults)
     return LookupTable(max_faults, flagged, interleaved, keys, counts)
 
@@ -1131,19 +1171,19 @@ def _scan_witness(
         raise RuntimeError(f"no late witness for a marked combination of {fnc}")
     m2, f2 = g2_raw.up_to(fnc.v_g2)
     for k1 in range(fnc.v_g1a, -1, -2):
-        for m1, f1 in g1_raw._exact(k1):
-            # k1 + v_g2 <= 3 keeps this all-pairs comparison to a few million
-            m, f = np.uint64(ea) ^ m1, np.uint64(fa) ^ f1
-            hit = np.flatnonzero(((m[:, None] == m2) & (f[:, None] == f2)).any(axis=1))
-            if len(hit):
-                x = int(hit[0])
-                early1 = g1_raw.first((int(m1[x]), int(f1[x])), (k1,))
-                early2 = g2_raw.first((int(m[x]), int(f[x])), range(fnc.v_g2, -1, -2))
-                return (
-                    tuple(g1_labels[r] for r in early1)
-                    + tuple(g2_labels[r] for r in early2)
-                    + tuple(f"late:{g1_labels[r]}" for r in late)
-                )
+        m1, f1 = g1_raw._exact((k1,))
+        # k1 + v_g2 <= 3 keeps this all-pairs comparison to a few million
+        m, f = np.uint64(ea) ^ m1, np.uint64(fa) ^ f1
+        hit = np.flatnonzero(((m[:, None] == m2) & (f[:, None] == f2)).any(axis=1))
+        if len(hit):
+            x = int(hit[0])
+            early1 = g1_raw.first((int(m1[x]), int(f1[x])), (k1,))
+            early2 = g2_raw.first((int(m[x]), int(f[x])), range(fnc.v_g2, -1, -2))
+            return (
+                tuple(g1_labels[r] for r in early1)
+                + tuple(g2_labels[r] for r in early2)
+                + tuple(f"late:{g1_labels[r]}" for r in late)
+            )
     raise RuntimeError(f"no early witness for a marked combination of {fnc}")
 
 

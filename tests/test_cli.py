@@ -122,6 +122,27 @@ def test_verify_jobs_match_benchmark_digests(job, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "job", ["gen-table", "verify-appendix-a", "negative-control", "decode"]
+)
+def test_table_jobs_match_benchmark_digests(job, monkeypatch, tmp_path, capsys):
+    # the benchmark's expected digests and exit codes, in process; gen-table
+    # through its --out file, the rest through stdout
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    entry = expected["jobs"][job]
+    out = tmp_path / "out"
+    monkeypatch.chdir(ROOT)  # the decode job names its bundle relative to it
+    argv = [a.replace("{out}", str(out)) for a in entry["argv"]]
+    assert main(argv) == entry["exit"]
+    if "{out}" in entry["argv"]:
+        data = out.read_bytes()
+    else:
+        data = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        entry["sha256"], entry["bytes"]
+    )
+
+
 def test_appendix_a_small_budget_clean(capsys):
     assert main(["verify-appendix-a", "--max-faults", "1"]) == 0
     out = capsys.readouterr().out
@@ -303,6 +324,36 @@ def test_gen_table_closed_pipe_exits_141_quietly(tmp_path):
     assert err.read_bytes() == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-table", "--max-faults", "1"], ["verify-claims", "--code", "steane"]],
+)
+def test_write_failure_exits_2_with_a_message(argv, capsys):
+    # exit 1 means "violations found"; a failed write is an error
+    assert main(argv + ["--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-table", "--max-faults", "1"], ["verify-claims", "--code", "steane"]],
+)
+def test_stdout_write_failure_exits_2_quietly(argv, monkeypatch, tmp_path):
+    # block-buffered stdout: the steane report fits the buffer, so only the
+    # final flush fails; the exit-time flush must not add a second message
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    err = tmp_path / "err.txt"
+    with open("/dev/full", "wb") as full, open(err, "wb") as err_fh:
+        proc = _python(["-m", "wpec", *argv], stdout=full, stderr=err_fh)
+        assert proc.wait(timeout=120) == 2
+    assert err.read_text().startswith("error: cannot write output: ")
+    assert err.read_text().count("\n") == 1
+
+
 def test_importing_the_cli_does_no_table_work():
     # import-time work would show in the set-up time of every CLI job
     code = textwrap.dedent("""
@@ -371,6 +422,20 @@ def test_decode_malformed_bundle_exits_2(tmp_path, capsys):
     path.write_text("garbage\n")
     assert main(["decode", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+def test_decode_inconsistent_tau_exits_2(tmp_path, capsys):
+    # tau is a function of s_x and s_z; a bundle that disagrees is not an
+    # observation the protocol can make
+    good = (ROOT / "perfbench" / "bundle.txt").read_text()
+    path = tmp_path / "tau.txt"
+    path.write_text(good.replace("tau: 00100000000000", "tau: 11111111111111"))
+    assert main(["decode", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed bundle: tau 11111111111111")
+    path.write_text(good)
+    assert main(["decode", str(path)]) == 0
 
 
 def test_decode_truncated_bundle_exits_2(tmp_path, capsys):

@@ -188,12 +188,13 @@ def test_build_matches_three_sort_reference(flagged, interleaved):
 
 
 def test_keys_from_sigs_matches_scalar_packing():
+    # raw block parities come out canonical
     rng = random.Random(56)
     sigs = [0, (1 << 49) - 1] + [rng.getrandbits(49) for _ in range(5000)]
     keys = v._keys_from_sigs(np.array(sigs, dtype=np.uint64)).tolist()
     for sig, key in zip(sigs, keys):
         stilde, tau = syndrome7(sig & 127), tau_from_syndrome(sig >> 28)
-        assert key == sig | tau << 49 | stilde << 56, sig
+        assert key == _canon_sig(sig) | tau << 49 | stilde << 56, sig
     assert len(keys) == len(sigs)
 
 
@@ -928,6 +929,86 @@ def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     assert 0 < len(early[0]) < 14673 * 130
 
 
+def _reference_exact(cols, k, canon=None):
+    """The gather-based walk the slice engine replaced: XORs of exactly k
+    distinct rows in lexicographic order of their index tuples, canonical
+    after each XOR if asked, triples formed by index arrays in chunks."""
+
+    def xor(a, ia, b, ib):
+        out = tuple(x[ia] ^ y[ib] for x, y in zip(a, b))
+        return out if canon is None else (canon(out[0]),) + out[1:]
+
+    if k == 0:
+        return tuple(np.zeros(1, dtype=np.uint64) for _ in cols)
+    if k == 1:
+        return cols
+    n = len(cols[0])
+    i, j = np.triu_indices(n, k=1)
+    pairs = xor(cols, i, cols, j)
+    if k == 2:
+        return pairs
+    after = np.searchsorted(i, np.arange(n), side="right")
+    first = np.concatenate([[0], np.cumsum(len(i) - after)])
+    parts = []
+    for lo in range(0, int(first[-1]), 1 << 18):
+        rows = np.arange(lo, min(lo + (1 << 18), int(first[-1])))
+        low = np.searchsorted(first, rows, side="right") - 1
+        parts.append(xor(cols, low, pairs, after[low] + rows - first[low]))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _engine_pools():
+    """(name, columns, canon) of every pool the engine serves: the table
+    pools of the four variants, the scan's raw and deduplicated G1 and G2
+    atoms, and the wait pool."""
+    pools = [
+        (f"table{variant}", (fault_model(*variant).signature_pool(),),
+         v._canon_sig_array)
+        for variant in VARIANTS
+    ]
+    model = fault_model()
+    for name, atoms in (("G1", model.gate1_atoms()), ("G2", model.gate2_atoms())):
+        pools.append((f"{name} raw", v._atom_columns(atoms), None))
+        pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
+    pools.append(("wait", v._wait_effect_sets().pool, None))
+    return pools
+
+
+def test_exact_matches_gather_reference_in_order():
+    for name, cols, canon in _engine_pools():
+        sets = v._EffectSets(cols)
+        blocks = []
+        for k in range(4):
+            got = sets._exact((k,))
+            assert len(got[0]) == math.comb(len(cols[0]), k), (name, k)
+            ref = _reference_exact(cols, k)
+            assert all(map(np.array_equal, got, ref)), (name, k)
+            if canon is not None:
+                # one canon at the end equals canon after each XOR
+                once = canon(got[0])
+                assert np.array_equal(once, _reference_exact(cols, k, canon)[0]), k
+            blocks.append(got)
+        # several sizes in one call: the blocks back to back, in the order asked
+        for sizes in ((3, 1), (0, 1, 2, 3), (2, 0)):
+            got = sets._exact(sizes)
+            ref = [np.concatenate([blocks[k][c] for k in sizes])
+                   for c in range(len(got))]
+            assert all(map(np.array_equal, got, ref)), (name, sizes)
+
+
+def test_exact_rejects_unsupported_sizes():
+    sets = v._EffectSets((np.arange(1, 6, dtype=np.uint64),))
+    with pytest.raises(ValueError, match="subset sizes"):
+        sets._exact((1, 4))
+
+
+def test_parity_key_table_matches_pcanon_and_syndrome7():
+    assert len(v._PARITY_KEY) == 128
+    for p in range(128):
+        assert int(v._PARITY_KEY[p]) == PCANON[p] | syndrome7(PCANON[p]) << 56, p
+        assert syndrome7(PCANON[p]) == syndrome7(p), p
+
+
 def test_sigma_from_syndrome_matches_sigma():
     rng = random.Random(49)
     masks = [rng.getrandbits(49) for _ in range(3000)]
@@ -1014,8 +1095,7 @@ def test_unique_rows_matches_lexsort_reference():
     for atoms in (model.gate1_atoms(), model.gate2_atoms()):
         sets = v._EffectSets(v._atom_columns(atoms))
         for k in (2, 3):
-            parts = sets._exact(k) + sets._exact(k - 2)
-            m, f = (np.concatenate(c) for c in zip(*parts))
+            m, f = sets._exact((k, k - 2))
             got = v._unique_rows((m, f))
             assert all(map(np.array_equal, got, _reference_unique_rows(m, f))), k
     # many repeats, extreme values, and the most distinct flags that pack
