@@ -362,12 +362,17 @@ _CLAIM_SUITES = {
 # Subcommand implementations
 
 
-def cmd_gen_table(args, fh) -> int:
-    table = build_lookup_table(
+def _table(args):
+    """The lookup table that the table options of ``args`` select."""
+    return build_lookup_table(
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
     )
+
+
+def cmd_gen_table(args, fh) -> int:
+    table = _table(args)
     if args.format == "text":
         chunks = table.record_rows()
     else:
@@ -398,11 +403,7 @@ def cmd_verify_claims(args, fh) -> int:
 
 
 def cmd_verify_appendix_a(args, fh) -> int:
-    table = build_lookup_table(
-        args.max_faults,
-        flagged=not args.no_flags,
-        interleaved=args.ordering == "permuted",
-    )
+    table = _table(args)
     report = verify_claim2(table)
     if args.format == "text":
         fh.write(report.render())
@@ -511,11 +512,7 @@ def cmd_decode(args, fh) -> int:
             file=sys.stderr,
         )
         return 2
-    table = build_lookup_table(
-        args.max_faults,
-        flagged=not args.no_flags,
-        interleaved=args.ordering == "permuted",
-    )
+    table = _table(args)
     correction, report = decode_with_report(bundle, table)
     if report.fallback_used:
         print(

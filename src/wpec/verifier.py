@@ -30,11 +30,10 @@ completions to bound the weight of the residual error it can leave.
 The scan's effects are (Z mask, flag) pairs.  The table's are packed
 uint64 signatures: bits 0-6 hold the block parity (stored canonically,
 as the minimum over the eight stabilizer parity patterns), bits 7-27 the
-flag vector, and bits 28-48 the first-level syndrome.  The engine XORs
-raw parities and the parity is canonicalized once, when a signature is
-packed or compared; that equals canonicalizing after each XOR because
-the canonical class of an XOR depends only on the canonical classes of
-its inputs.
+flag vector, and bits 28-48 the first-level syndrome.  The canonical
+form ``PCANON`` is linear and its image is 0..15, so the canonical
+parities are a subspace: an XOR of canonical signatures is canonical,
+and the engine works on them as plain XORs.
 
 Witnesses come from the same engine.  The witness for an effect is the
 lexicographically first tuple of distinct pool-row indices whose XOR
@@ -121,10 +120,6 @@ def pack_signature(error_mask: int, flag: int) -> int:
     """
     p = PCANON[block_parity(error_mask)]
     return p | (flag << _F_SHIFT) | (level1_syndrome(error_mask) << _S_SHIFT)
-
-
-def _canon_sig_array(sigs: np.ndarray) -> np.ndarray:
-    return (sigs & np.uint64(~_P_MASK & (2**64 - 1))) | _PCANON_U64[sigs & np.uint64(_P_MASK)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +352,21 @@ class _EffectSets:
     A row is a tuple of uint64 columns: (signature,) for the lookup
     table, (mask, flag) for the final-round scan.  Rows keep the order
     they are given in; callers that want distinct rows pass them
-    deduplicated.  ``canon``, when given, maps the first column to its
-    canonical form wherever rows are compared (``up_to`` and ``first``);
-    the pool must be canonical already.  The XORs themselves stay raw:
-    one ``canon`` of an XOR equals ``canon`` after each step when the
-    canonical class of an XOR depends only on the classes of its inputs.
+    deduplicated.  Rows compare as they are: a table pool is canonical,
+    and so is every XOR of its rows (see the module docstring).
 
-    ``_exact`` forms the XORs, ``up_to`` answers which effects are
-    reachable, ``first`` which rows reach a given one.  All walk the same
-    lexicographic order of index tuples: singles, the ``triu`` pair list,
-    then triples i < j < k as ``pool[i]`` ^ the pairs (j, k) from
-    ``after[i]`` on, one contiguous slice per i.
+    ``_exact`` forms the XORs and is the one walk of index tuples, in
+    lexicographic order: singles, the ``triu`` pair list, then triples
+    i < j < k as ``pool[i]`` ^ the pairs (j, k) from ``after[i]`` on, one
+    contiguous slice per i.  ``up_to`` answers which effects are
+    reachable, ``first`` which rows reach a given one, and
+    ``row_indices`` names the index tuple of a row of ``_exact``.
     """
 
-    def __init__(self, cols: tuple[np.ndarray, ...], canon=None) -> None:
+    def __init__(self, cols: tuple[np.ndarray, ...]) -> None:
         self.pool = cols
-        self.canon = canon
         self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
         self._syndromes: dict[int, np.ndarray] = {}
-
-    def _canonical(self, cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        if self.canon is None:
-            return cols
-        return (self.canon(cols[0]),) + cols[1:]
 
     @functools.cached_property
     def _pairs(self):
@@ -421,13 +408,27 @@ class _EffectSets:
                         lo += len(rest)
         return out
 
+    def row_indices(self, k: int, r: int) -> tuple[int, ...]:
+        """The index tuple of row r of ``_exact((k,))``."""
+        pi, pj, _, after = self._pairs
+        if k == 0:
+            return ()
+        if k == 1:
+            return (r,)
+        if k == 2:
+            return int(pi[r]), int(pj[r])
+        # the triples with lowest index i fill the next len(pi) - after[i] rows
+        ends = np.cumsum(len(pi) - after)
+        i = int(np.searchsorted(ends, r, side="right"))
+        p = r - int(ends[i]) + len(pi)
+        return i, int(pi[p]), int(pj[p])
+
     def up_to(self, v: int) -> tuple[np.ndarray, ...]:
         """Distinct XORs of exactly v faults (v, v-2, ... distinct rows:
-        a repeated effect cancels pairwise), canonical if asked, sorted by
-        the columns in order; memoized per v."""
+        a repeated effect cancels pairwise), sorted by the columns in
+        order; memoized per v."""
         if v not in self._up_to:
-            rows = self._canonical(self._exact(range(v, -1, -2)))
-            self._up_to[v] = _unique_rows(rows)
+            self._up_to[v] = _unique_rows(self._exact(range(v, -1, -2)))
         return self._up_to[v]
 
     def syndromes(self, v: int) -> np.ndarray:
@@ -439,43 +440,16 @@ class _EffectSets:
 
     def first(self, target: tuple[int, ...], sizes) -> tuple[int, ...] | None:
         """The lexicographically first tuple of distinct row indices whose
-        XOR is ``target`` (canonical if asked), trying the subset sizes in
-        the order given; None when no size reaches it."""
-        t = self._canonical(tuple(np.array([x], dtype=np.uint64) for x in target))
-        pi, pj, pairs, after = self._pairs
-        pairs = self._canonical(pairs)
+        XOR is ``target``, trying the subset sizes in the order given;
+        None when no size reaches it."""
         for k in sizes:
-            if k == 0:
-                if not any(t):
-                    return ()
-            elif k == 1:
-                hit = np.flatnonzero(_rows_equal(self.pool, t))
-                if len(hit):
-                    return (int(hit[0]),)
-            elif k == 2:
-                hit = np.flatnonzero(_rows_equal(pairs, t))
-                if len(hit):
-                    return int(pi[hit[0]]), int(pj[hit[0]])
-            elif k == 3:
-                # pool[i] ^ pairs[p] is the target exactly when pairs[p] is
-                # pool[i] ^ target (canonical classes compose); the pairs
-                # above i start at after[i]
-                rest = self._canonical(tuple(c ^ x for c, x in zip(self.pool, t)))
-                for i in range(len(rest[0])):
-                    suffix = tuple(c[after[i] :] for c in pairs)
-                    row = tuple(c[i : i + 1] for c in rest)
-                    hit = np.flatnonzero(_rows_equal(suffix, row))
-                    if len(hit):
-                        p = after[i] + hit[0]
-                        return i, int(pi[p]), int(pj[p])
-            else:
-                raise ValueError(f"subset size {k} not supported")
+            rows = self._exact((k,))
+            hit = np.logical_and.reduce(
+                [c == np.uint64(x) for c, x in zip(rows, target)]
+            )
+            if hit.any():
+                return self.row_indices(k, int(hit.argmax()))
         return None
-
-
-def _rows_equal(cols, row) -> np.ndarray:
-    """Which rows of the columns equal one row (one-element columns)."""
-    return np.logical_and.reduce([c == x for c, x in zip(cols, row)])
 
 
 # Subblock triviality of 9 inner syndrome bits (three subblocks), so tau
@@ -522,11 +496,6 @@ def _key_fields(key: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _sig_from_key(key: int) -> int:
-    stilde, tau, s, f, p = _key_fields(key)
-    return p | (f << _F_SHIFT) | (s << _S_SHIFT)
-
-
 # ---------------------------------------------------------------------------
 # Lookup table
 
@@ -569,13 +538,17 @@ class LookupTable:
         self.interleaved = interleaved
         self.keys = keys
         self.combination_counts = counts
-        high = keys >> np.uint64(49)
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(high)) + 1])
+        # (stilde, tau) is key bits 49-58 and p bits 0-6: read them from
+        # the key bytes, without a full-width temporary per field
+        b = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        high = b[:, 7].astype(np.uint16) << 7
+        high |= b[:, 6] >> 1
+        starts = np.concatenate([[0], np.flatnonzero(high[1:] != high[:-1]) + 1])
         self._group_start = starts
         self._group_end = np.concatenate([starts[1:], [len(keys)]])
         self._group_high = high[starts]
         self._group_of = {h: g for g, h in enumerate(self._group_high.tolist())}
-        p = keys & np.uint64(_P_MASK)
+        p = b[:, 0] & _P_MASK
         pmin = np.minimum.reduceat(p, starts)
         pmax = np.maximum.reduceat(p, starts)
         self._group_parity = np.where(pmin == pmax, pmin.astype(np.int64), -1)
@@ -613,7 +586,9 @@ class LookupTable:
         if len(self.keys) < 2:
             return np.zeros(0, dtype=np.uint64)
         d = self.keys[1:] ^ self.keys[:-1]
-        bad = np.flatnonzero((d >> np.uint64(7)) == 0)
+        # in place: a second full-width temporary would set the table jobs' peak
+        d >>= np.uint64(7)
+        bad = np.flatnonzero(d == 0)
         return _sorted_unique(self.keys[bad] >> np.uint64(7))
 
     def group_tags(self) -> tuple[str, ...]:
@@ -653,15 +628,10 @@ class LookupTable:
             rows[:, col + 1] = ord("\n")
             yield rows
 
-    def record_chunks(self):
-        """Yield the record lines as ASCII bytes, _FORMAT_CHUNK at a time."""
-        for rows in self.record_rows():
-            yield rows.tobytes()
-
     def record_lines(self):
         """Yield one formatted line per record: s s2 tau f p tag."""
-        for chunk in self.record_chunks():
-            yield from chunk.decode("ascii").splitlines()
+        for rows in self.record_rows():
+            yield from rows.tobytes().decode("ascii").splitlines()
 
 
 def build_lookup_table(
@@ -676,11 +646,11 @@ def build_lookup_table(
     effect collapses pairwise, so the reachable set for at most
     ``max_faults`` faults is the union over every k <= ``max_faults`` of
     the XORs of k distinct single-fault signatures.  The engine writes
-    them all into one array, which is packed into sort keys in place
-    (canonicalizing each block parity) and deduplicated by one in-place
-    sort: a key's low 49 bits are its canonical signature and the bits
-    above (s-tilde, tau) are functions of it, so equal keys are exactly
-    equal canonical signatures.
+    them all into one array (canonical, as the pool is), which is packed
+    into sort keys in place and deduplicated by one in-place sort: a
+    key's low 49 bits are its canonical signature and the bits above
+    (s-tilde, tau) are functions of it, so equal keys are exactly equal
+    canonical signatures.
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
@@ -706,7 +676,7 @@ def _table_witnesses(
     pool = model.signature_pool()
     label_of = {a.signature: a.label for a in reversed(model.all_atoms())}
     labels = tuple(label_of[sig] for sig in pool.tolist())
-    return _EffectSets((pool,), canon=_canon_sig_array), labels
+    return _EffectSets((pool,)), labels
 
 
 def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | None:
@@ -714,7 +684,7 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
     the lexicographically first set of at most three pool signatures, by
     increasing size."""
     sets, labels = _table_witnesses(table.flagged, table.interleaved)
-    found = sets.first((_sig_from_key(key),), (0, 1, 2, 3))
+    found = sets.first((key & ((1 << 49) - 1),), (0, 1, 2, 3))
     return None if found is None else tuple(labels[r] for r in found)
 
 
@@ -1177,7 +1147,7 @@ def _scan_witness(
         hit = np.flatnonzero(((m[:, None] == m2) & (f[:, None] == f2)).any(axis=1))
         if len(hit):
             x = int(hit[0])
-            early1 = g1_raw.first((int(m1[x]), int(f1[x])), (k1,))
+            early1 = g1_raw.row_indices(k1, x)
             early2 = g2_raw.first((int(m[x]), int(f[x])), range(fnc.v_g2, -1, -2))
             return (
                 tuple(g1_labels[r] for r in early1)

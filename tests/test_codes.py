@@ -179,6 +179,15 @@ def test_pcanon_is_coset_minimum():
             assert PCANON[p ^ v] == PCANON[p]
 
 
+def test_pcanon_is_linear_onto_a_subspace():
+    # canonical parities are closed under XOR, which lets the verifier
+    # XOR canonical signatures without canonicalizing again
+    for a in range(128):
+        for b in range(128):
+            assert PCANON[a ^ b] == PCANON[a] ^ PCANON[b], (a, b)
+    assert sorted(set(PCANON)) == list(range(16))
+
+
 # --- coset minimization -------------------------------------------------------
 
 

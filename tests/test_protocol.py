@@ -550,17 +550,9 @@ def test_unexecuted_faults_do_not_count(table):
     assert r.residual.weight() == 0
 
 
-def test_exhaustive_inputs_up_to_weight_two(table):
-    report = check_ftec_conditions(exhaustive_input_trials(2), table=table)
-    assert report.n_trials == 1 + 49 + 49 * 48 // 2
-    assert report.n_condition1 == report.n_trials
-    assert report.max_rounds_used == 4
-    assert report.ok, report.render()
-
-
 def test_exhaustive_xyz_inputs_up_to_weight_two(table):
     # every X, Y and Z input of weight <= 2, no faults: the X and Y inputs
-    # reach the X side that the Z-only inputs above never exercise
+    # reach the X side that Z-only inputs never exercise
     def inputs():
         for w in range(3):
             for qubits in itertools.combinations(range(N49), w):

@@ -139,6 +139,12 @@ def _canon_sig(sig):
     return (sig & ~127) | PCANON[sig & 127]
 
 
+def _canon_sig_array(sigs):
+    """``_canon_sig`` over a uint64 array."""
+    pcanon = np.array(PCANON, dtype=np.uint64)
+    return (sigs & ~np.uint64(127)) | pcanon[sigs & np.uint64(127)]
+
+
 def test_pair_records_match_pure_python():
     # the numpy pipeline for one and two faults against a set oracle
     for flagged, interleaved in VARIANTS:
@@ -178,7 +184,7 @@ def _reference_keys_from_sigs(sigs):
 def test_build_matches_three_sort_reference(flagged, interleaved):
     # one sort over the exact-k parts against up_to(m) | up_to(m - 1)
     pool = fault_model(flagged=flagged, interleaved=interleaved).signature_pool()
-    sets = v._EffectSets((pool,), canon=v._canon_sig_array)
+    sets = v._EffectSets((pool,))
     for m in (1, 2, 3):
         (at_max,), (below_max,) = sets.up_to(m), sets.up_to(m - 1)
         sigs = v._sorted_unique(np.concatenate([at_max, below_max]))
@@ -310,7 +316,7 @@ def test_witnesses_reproduce_records(table3):
         for label in found:
             e ^= atoms[label].error
             f ^= atoms[label].flag
-        assert pack_signature(e, f) == v._sig_from_key(key)
+        assert pack_signature(e, f) == key & ((1 << 49) - 1)
 
 
 def test_find_fault_combination_on_first_record(table3):
@@ -371,14 +377,14 @@ def test_first_matches_brute_force_on_table_pool(
     assert np.array_equal(
         sets.pool[0], fault_model(flagged, interleaved).signature_pool()
     )
-    subsets = _subsets(combinations210, sets.pool, v._canon_sig_array)
+    subsets = _subsets(combinations210, sets.pool, _canon_sig_array)
     rng = random.Random(31)
     keys = [int(table.keys[rng.randrange(table.n_records)]) for _ in range(30)]
     for prefix in table.violated_prefixes()[:20]:  # every printed violation
         lo = int(np.searchsorted(table.keys, int(prefix) << 7))
         keys += [int(table.keys[lo]), int(table.keys[lo + 1])]
     for key in keys:
-        sig = v._sig_from_key(key)
+        sig = key & ((1 << 49) - 1)
         found = sets.first((sig,), (0, 1, 2, 3))
         assert found == _brute_first(subsets, (sig,), range(4)), key
         assert find_fault_combination(table, key) == tuple(labels[r] for r in found)
@@ -541,7 +547,7 @@ def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
     table = build_lookup_table(2, flagged=flagged, interleaved=interleaved)
     monkeypatch.setattr(v, "_FORMAT_CHUNK", 1000)
     assert table.n_records > 5 * v._FORMAT_CHUNK
-    chunks = list(table.record_chunks())
+    chunks = [rows.tobytes() for rows in table.record_rows()]
     assert len(chunks) == -(-table.n_records // v._FORMAT_CHUNK)
     assert chunks == list(_reference_record_chunks(table))
     assert list(table.record_lines()) == list(_reference_lines(table))
@@ -570,7 +576,8 @@ def test_budget3_table_digest(flagged, interleaved, digest, n_bytes, n_lines):
     table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
     h = hashlib.sha256()
     size = lines = 0
-    for chunk in table.record_chunks():
+    for rows in table.record_rows():
+        chunk = rows.tobytes()
         h.update(chunk)
         size += len(chunk)
         lines += chunk.count(b"\n")
@@ -963,7 +970,7 @@ def _engine_pools():
     atoms, and the wait pool."""
     pools = [
         (f"table{variant}", (fault_model(*variant).signature_pool(),),
-         v._canon_sig_array)
+         _canon_sig_array)
         for variant in VARIANTS
     ]
     model = fault_model()
@@ -984,9 +991,8 @@ def test_exact_matches_gather_reference_in_order():
             ref = _reference_exact(cols, k)
             assert all(map(np.array_equal, got, ref)), (name, k)
             if canon is not None:
-                # one canon at the end equals canon after each XOR
-                once = canon(got[0])
-                assert np.array_equal(once, _reference_exact(cols, k, canon)[0]), k
+                # the raw XORs of a canonical pool are already canonical
+                assert np.array_equal(got[0], _reference_exact(cols, k, canon)[0]), k
             blocks.append(got)
         # several sizes in one call: the blocks back to back, in the order asked
         for sizes in ((3, 1), (0, 1, 2, 3), (2, 0)):
@@ -994,6 +1000,25 @@ def test_exact_matches_gather_reference_in_order():
             ref = [np.concatenate([blocks[k][c] for k in sizes])
                    for c in range(len(got))]
             assert all(map(np.array_equal, got, ref)), (name, sizes)
+
+
+def test_row_indices_round_trip():
+    # first row, last row and every k = 3 block boundary of each pool
+    for name, cols, _ in _engine_pools():
+        sets = v._EffectSets(cols)
+        _, _, pairs, after = sets._pairs
+        boundaries = np.cumsum(len(pairs[0]) - after)[:-1].tolist()
+        for k in range(4):
+            rows = sets._exact((k,))
+            n_rows = len(rows[0])
+            for r in {0, n_rows - 1, *(boundaries if k == 3 else ())}:
+                if not 0 <= r < n_rows:
+                    continue
+                idx = sets.row_indices(k, r)
+                assert len(idx) == k and list(idx) == sorted(set(idx)), (name, k, r)
+                for c, row in zip(cols, rows):
+                    xor = np.bitwise_xor.reduce(c[list(idx)]) if k else 0
+                    assert int(xor) == int(row[r]), (name, k, r)
 
 
 def test_exact_rejects_unsupported_sizes():
