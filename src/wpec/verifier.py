@@ -547,11 +547,13 @@ class LookupTable:
         self._group_start = starts
         self._group_end = np.concatenate([starts[1:], [len(keys)]])
         self._group_high = high[starts]
-        self._group_of = {h: g for g, h in enumerate(self._group_high.tolist())}
         p = b[:, 0] & _P_MASK
         pmin = np.minimum.reduceat(p, starts)
         pmax = np.maximum.reduceat(p, starts)
-        self._group_parity = np.where(pmin == pmax, pmin.astype(np.int64), -1)
+        parity = np.where(pmin == pmax, pmin.astype(np.int64), -1)
+        # (stilde << 7 | tau) -> the group's parity, or -1 when mixed; in
+        # group order, and of Python ints, so a lookup reads no numpy scalar
+        self._parity_of = dict(zip(self._group_high.tolist(), parity.tolist()))
 
     @property
     def n_records(self) -> int:
@@ -569,13 +571,13 @@ class LookupTable:
         cannot come from at most max_faults faults, and the caller falls
         back to its out-of-table correction path.
         """
-        g = self._group_of.get((stilde << 7) | tau)
-        if g is None:
+        high = stilde << 7 | tau
+        par = self._parity_of.get(high)
+        if par is None:
             return None
-        par = int(self._group_parity[g])
         if par >= 0:
             return par
-        base = ((stilde << 7 | tau) << 49) | (s << 28) | (f << 7)
+        base = (high << 49) | (s << 28) | (f << 7)
         lo = int(np.searchsorted(self.keys, np.uint64(base)))
         if lo < len(self.keys) and int(self.keys[lo]) >> 7 == base >> 7:
             return int(self.keys[lo]) & _P_MASK
@@ -594,15 +596,10 @@ class LookupTable:
     def group_tags(self) -> tuple[str, ...]:
         """'1' uniform parity, '2' disambiguated by (s, f), '!' violated."""
         violated_high = set((self.violated_prefixes() >> np.uint64(42)).tolist())
-        tags = []
-        for g in range(self.n_groups):
-            if int(self._group_high[g]) in violated_high:
-                tags.append("!")
-            elif int(self._group_parity[g]) >= 0:
-                tags.append("1")
-            else:
-                tags.append("2")
-        return tuple(tags)
+        return tuple(
+            "!" if high in violated_high else "1" if par >= 0 else "2"
+            for high, par in self._parity_of.items()
+        )
 
     def record_rows(self):
         """Yield the record lines _FORMAT_CHUNK at a time, as uint8 arrays

@@ -1,16 +1,17 @@
 """Protocol engine: round execution, stabilization, decoding, and the
 two fault-tolerance conditions under injected fault schedules."""
 
+import copy
 import functools
 import hashlib
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from wpec import codes, decoder, protocol
+from wpec import codes, decoder, protocol, verifier
 from wpec.codes import (
     LOGICAL49,
     N49,
@@ -30,7 +31,6 @@ from wpec.protocol import (
     ScheduledFault,
     Trial,
     check_ftec_conditions,
-    decode_bundle,
     decode_with_report,
     exhaustive_input_trials,
     format_schedule,
@@ -159,6 +159,9 @@ def test_bundle_text_roundtrip():
     )
     assert OutcomeBundle.parse(b.render()) == b
     assert OutcomeBundle.parse(b.render() + "\n# comment\n") == b
+    for trial in sample_trials(200, seed=9):
+        b = run_until_stable(make_state(trial.schedule, trial.input_error))[0]
+        assert OutcomeBundle.parse(b.render()) == b
 
 
 def test_bundle_parse_rejects_malformed():
@@ -258,7 +261,7 @@ def test_decode_single_qubit(table):
     state = make_state(input_error=e)
     bundle, _ = run_until_stable(state)
     assert (bundle.stilde_x, bundle.tau_x) == (5, 4)
-    assert decode_bundle(bundle, table) == e
+    assert decode_with_report(bundle, table)[0] == e
 
 
 def test_decode_x_side_mirrors(table):
@@ -267,7 +270,7 @@ def test_decode_x_side_mirrors(table):
     bundle, _ = run_until_stable(state)
     assert (bundle.stilde_z, bundle.tau_z) == (5, 4)
     assert bundle.s_x == 0
-    assert decode_bundle(bundle, table) == e
+    assert decode_with_report(bundle, table)[0] == e
 
 
 def _witness_for_group(stilde: int, tau: int) -> PauliOp:
@@ -314,7 +317,8 @@ def test_decode_out_of_table_fallback(table):
         residual = state.data_error * corr
         for bits in (residual.x_bits, residual.z_bits):  # in the codespace
             assert level1_syndrome(bits) == level2_syndrome(bits) == 0
-        assert joint_coset_weight(residual) == 0
+        # a stabilizer, or a logical at the code distance
+        assert joint_coset_weight(residual) in ((0, 0), (9, 0))
 
 
 def test_decode_heavy_error_in_table_is_benign(table):
@@ -330,8 +334,7 @@ def test_decode_heavy_error_in_table_is_benign(table):
     residual = state.data_error * corr
     for bits in (residual.x_bits, residual.z_bits):  # in the codespace
         assert level1_syndrome(bits) == level2_syndrome(bits) == 0
-    assert joint_coset_weight(residual) == 0
-    assert joint_coset_weight(residual, include_logical=False) == 9
+    assert joint_coset_weight(residual) == (9, 0)
 
 
 # --- residual classification ---------------------------------------------------
@@ -342,10 +345,8 @@ def test_joint_weight_of_logicals():
     xl = PauliOp.x_op(N49, LOGICAL49)
     yl = PauliOp(N49, LOGICAL49, LOGICAL49)
     for op in (zl, xl, yl):
-        assert joint_coset_weight(op, include_logical=False) == 9
-        assert joint_coset_weight(op) == 0
-    assert joint_coset_weight(identity(N49), include_logical=False) == 0
-    assert joint_coset_weight(identity(N49)) == 0
+        assert joint_coset_weight(op) == (9, 0)
+    assert joint_coset_weight(identity(N49)) == (0, 0)
 
 
 def test_joint_weight_matches_z_only_search():
@@ -355,13 +356,14 @@ def test_joint_weight_matches_z_only_search():
     for _ in range(60):
         mask = rng.getrandbits(N49)
         op = PauliOp.z_op(N49, mask)
-        assert joint_coset_weight(op, include_logical=False) == min_coset_weight(mask)
+        exact, normalizer = joint_coset_weight(op)
+        assert exact == min_coset_weight(mask)
+        assert normalizer == min(exact, min_coset_weight(mask ^ LOGICAL49))
 
 
 def test_joint_weight_small_errors():
     op = PauliOp(N49, 1 << 3, (1 << 3) | (1 << 40))
-    assert joint_coset_weight(op, include_logical=False) == 2
-    assert joint_coset_weight(op) == 2
+    assert joint_coset_weight(op) == (2, 2)
 
 
 # --- fast path regression -------------------------------------------------------
@@ -454,10 +456,10 @@ def test_joint_weight_matches_per_block_gather():
         ops.append(protocol._random_input(rng, rng.randint(1, 14)))
         ops.append(PauliOp(N49, rng.getrandbits(N49), rng.getrandbits(N49)))
     for op in ops:
-        for include_logical in (False, True):
-            assert joint_coset_weight(op, include_logical=include_logical) == (
-                _reference_joint_coset_weight(op, include_logical)
-            ), (str(op), include_logical)
+        assert joint_coset_weight(op) == (
+            _reference_joint_coset_weight(op, include_logical=False),
+            _reference_joint_coset_weight(op, include_logical=True),
+        ), str(op)
 
 
 def _reference_run_until_stable(
@@ -474,10 +476,10 @@ def _reference_run_until_stable(
     raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
 
 
-def _stable_walk(run, schedule, input_error=None):
-    state = make_state(schedule, input_error)
+def _stable_walk(run, state, **kwargs):
+    state = copy.deepcopy(state)
     try:
-        out = run(state)
+        out = run(state, **kwargs)
     except RuntimeError as exc:
         out = str(exc)
     return out, state.round_log, state.data_error, state._f_x, state._f_z
@@ -500,8 +502,9 @@ def _stable_walk(run, schedule, input_error=None):
 def test_fault_free_rounds_match_round_by_round_walk(text):
     schedule = parse_schedule(text)
     for input_error in (None, PauliOp(N49, 1 << 3, 1 << 40)):
-        got = _stable_walk(run_until_stable, schedule, input_error)
-        assert got == _stable_walk(_reference_run_until_stable, schedule, input_error)
+        state = make_state(schedule, input_error)
+        got = _stable_walk(run_until_stable, state)
+        assert got == _stable_walk(_reference_run_until_stable, state)
     if text.endswith("15 meas sx 0"):
         assert got[0] == "bundle failed to stabilize within 16 rounds"
         assert len(got[1]) == 16
@@ -510,11 +513,121 @@ def test_fault_free_rounds_match_round_by_round_walk(text):
 def test_fault_free_rounds_match_on_sampled_schedules():
     trials = itertools.islice(sample_trials(3000, seed=73, max_round=12), 3000)
     for trial in trials:
-        got = _stable_walk(run_until_stable, trial.schedule, trial.input_error)
-        want = _stable_walk(
-            _reference_run_until_stable, trial.schedule, trial.input_error
-        )
+        state = make_state(trial.schedule, trial.input_error)
+        got = _stable_walk(run_until_stable, state)
+        want = _stable_walk(_reference_run_until_stable, state)
         assert got == want, (str(trial.input_error), format_schedule(trial.schedule))
+
+
+def _count_rule_until_stable(
+    state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
+) -> tuple[OutcomeBundle, int]:
+    """run_until_stable with the stability rule the streak replaced: a
+    count of the newest bundle over the last ``repeats`` log entries."""
+    log, faulty = state.round_log, state.fault_schedule
+    while len(log) < max_rounds:
+        rnd = len(log)
+        if rnd and rnd not in faulty and rnd - 1 not in faulty:
+            bundle = log[-1]
+            log.append(bundle)
+        else:
+            bundle = protocol.run_round(state)
+        if log[-repeats:].count(bundle) == repeats:
+            return bundle, len(log)
+    raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
+
+
+def test_streak_matches_count_rule_on_sampled_schedules():
+    for trial in sample_trials(300, seed=5):
+        state = make_state(trial.schedule, trial.input_error)
+        got = _stable_walk(run_until_stable, state)
+        assert got == _stable_walk(_count_rule_until_stable, state), (
+            format_schedule(trial.schedule)
+        )
+
+
+def test_streak_matches_count_rule_on_prefilled_logs():
+    # the streak is seeded from the log a state already holds: rounds
+    # run beforehand, or foreign bundles ahead of (or in place of) the
+    # bundle the next rounds repeat, under every streak length
+    states = []
+    for trial in sample_trials(40, seed=6):
+        for k in (1, 2, 3, 5):
+            state = make_state(trial.schedule, trial.input_error)
+            for _ in range(k):
+                run_round(state)
+            states.append(state)
+    other = OutcomeBundle(s_x=1)
+    for j in range(7):
+        for head in ([], [other], [OutcomeBundle(), other]):
+            state = make_state()
+            state.round_log.extend(head + [OutcomeBundle()] * j)
+            states.append(state)
+            state = make_state(parse_schedule("7 meas sx 2"))
+            state.round_log.extend(head + [other] * j)
+            states.append(state)
+    for state in states:
+        for repeats, max_rounds in ((4, 16), (1, 16), (2, 9), (6, 16), (0, 12)):
+            kwargs = dict(repeats=repeats, max_rounds=max_rounds)
+            assert _stable_walk(run_until_stable, state, **kwargs) == _stable_walk(
+                _count_rule_until_stable, state, **kwargs
+            ), (state.round_log, kwargs)
+
+
+# --- trial records ----------------------------------------------------------------
+
+
+def _records(table, trial):
+    r = run_trial(trial, table)
+    report = decode_with_report(r.bundle, table)[1]
+    return r.bundle, report.z_side, report, r
+
+
+def test_trial_records_are_immutable_values(table):
+    trial = Trial(
+        PauliOp.z_op(N49, 1 << 14), parse_schedule("1 gate z1 1 ZI"), name="r"
+    )
+    first, second = _records(table, trial), _records(table, trial)
+    for rec, twin, name in zip(
+        first, second, ("s_x", "parity", "z_side", "rounds_used")
+    ):
+        assert rec is not twin
+        assert rec == twin and hash(rec) == hash(twin)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    bundle, side, report, result = first
+    assert (bundle.f, report.fallback_used, result.ok) == (1, False, True)
+    assert repr(OutcomeBundle(tau_x=3)) == (
+        "OutcomeBundle(s_x=0, s_z=0, stilde_x=0, stilde_z=0, tau_x=3, tau_z=0, "
+        "f_x=0, f_z=0)"
+    )
+    assert repr(side) == "SideReport(parity=5, fallback=False, step3_block=None)"
+
+
+def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
+    # the span tracer wraps these names; one trial is one weight call
+    # and one parity lookup per side
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        protocol, "joint_coset_weight", counting("weight", joint_coset_weight)
+    )
+    monkeypatch.setattr(
+        verifier.LookupTable,
+        "lookup_parity",
+        counting("parity", verifier.LookupTable.lookup_parity),
+    )
+    for trial in sample_trials(50, seed=10):
+        calls.clear()
+        run_trial(trial, table)
+        assert calls == {"weight": 1, "parity": 2}, trial.name
 
 
 # --- fault-tolerance conditions --------------------------------------------------
