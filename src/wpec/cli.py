@@ -38,7 +38,6 @@ from .codes import (
     STAB7_SET,
     golay_syndrome,
     golay_z_stabilizers,
-    min_coset_rep,
     min_coset_weight,
     syndrome7,
     tau_from_syndrome,
@@ -56,15 +55,24 @@ from .protocol import OutcomeBundle, decode_with_report
 from .verifier import (
     TABLE1_GOLDEN,
     build_lookup_table,
-    render_table1,
+    render_text,
     reproduce_table1,
     run_appendix_b,
+    table1_records,
     verify_claim2,
 )
 
 
 def _jdump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+
+
+def _write(fh, fmt: str, records) -> None:
+    """Write the ``fmt`` side of each (text, JSON object) record."""
+    if fmt == "text":
+        fh.write(render_text(records))
+    else:
+        fh.writelines(_jdump(obj) + "\n" for _, obj in records if obj is not None)
 
 
 _RECORD_FIELDS = ("s", "stilde", "tau", "f", "parity", "tag")
@@ -338,7 +346,6 @@ def _concat49_checks() -> list[CheckResult]:
         min_coset_weight(0) == 0
         and all(min_coset_weight(g) == 0 for g in LEVEL2_GENS)
         and min_coset_weight(LOGICAL49) == 9
-        and min_coset_rep(LOGICAL49).bit_count() == 9
         and all(min_coset_weight(1 << q) == 1 for q in range(0, N49, 11))
     )
     out.append(
@@ -387,108 +394,27 @@ def cmd_gen_table(args, fh) -> int:
 
 def cmd_verify_claims(args, fh) -> int:
     checks = _CLAIM_SUITES[args.code]()
-    ok = all(c.ok for c in checks)
-    if args.format == "text":
-        for c in checks:
-            fh.write(f"{'ok  ' if c.ok else 'FAIL'} {c.name}: {c.detail}\n")
-        fh.write(
-            f"{args.code}: {sum(c.ok for c in checks)}/{len(checks)} checks passed\n"
-        )
-    else:
-        for c in checks:
-            fh.write(
-                _jdump({"check": c.name, "ok": c.ok, "detail": c.detail}) + "\n"
-            )
-    return 0 if ok else 1
+    passed = sum(c.ok for c in checks)
+    records = [
+        (f"{'ok  ' if c.ok else 'FAIL'} {c.name}: {c.detail}",
+         {"check": c.name, "ok": c.ok, "detail": c.detail})
+        for c in checks
+    ]
+    records.append((f"{args.code}: {passed}/{len(checks)} checks passed", None))
+    _write(fh, args.format, records)
+    return 0 if passed == len(checks) else 1
 
 
 def cmd_verify_appendix_a(args, fh) -> int:
-    table = _table(args)
-    report = verify_claim2(table)
-    if args.format == "text":
-        fh.write(report.render())
-    else:
-        fh.write(
-            _jdump(
-                {
-                    "type": "summary",
-                    "max_faults": report.max_faults,
-                    "flagged": report.flagged,
-                    "interleaved": report.interleaved,
-                    "records": report.n_records,
-                    "groups": report.n_groups,
-                    "condition1": report.n_condition1,
-                    "condition2": report.n_condition2,
-                    "violated_groups": report.n_violated_groups,
-                    "violations": report.n_violations,
-                    "ok": report.ok,
-                }
-            )
-            + "\n"
-        )
-        for fnc, n in report.combination_counts:
-            fh.write(
-                _jdump({"type": "combination", "counts": str(fnc), "n": n}) + "\n"
-            )
-        for v in report.violations:
-            fh.write(
-                _jdump(
-                    {
-                        "type": "violation",
-                        "s": format_bits(v.s, 21),
-                        "stilde": format_bits(v.stilde, 3),
-                        "tau": format_bits(v.tau, 7),
-                        "f": format_bits(v.f, 21),
-                        "parity_a": format_bits(v.parity_a, 7),
-                        "parity_b": format_bits(v.parity_b, 7),
-                        "witness_a": list(v.witness_a),
-                        "witness_b": list(v.witness_b),
-                    }
-                )
-                + "\n"
-            )
+    report = verify_claim2(_table(args))
+    _write(fh, args.format, report.records())
     return 0 if report.ok else 1
 
 
 def cmd_verify_appendix_b(args, fh) -> int:
     report = run_appendix_b(args.max_faults)
-    n_harmful = sum(a.harmful for a in report.analyses)
-    if args.format == "text":
-        fh.write(report.render())
-        fh.write(f"summary: {len(report.marked)} marked, {n_harmful} harmful\n")
-    else:
-        fh.write(
-            _jdump(
-                {
-                    "type": "summary",
-                    "max_faults": report.max_faults,
-                    "number_combinations": report.n_number_combinations,
-                    "effect_combinations": report.n_effect_combinations,
-                    "marked": len(report.marked),
-                    "harmful": n_harmful,
-                    "all_safe": report.all_safe,
-                }
-            )
-            + "\n"
-        )
-        for m, a in zip(report.marked, report.analyses):
-            fc = m.combination
-            rep = min_coset_rep(fc.error.z_bits)
-            fh.write(
-                _jdump(
-                    {
-                        "type": "marked",
-                        "counts": str(fc.counts),
-                        "min_weight": m.min_weight,
-                        "residual_rep": PauliOp.z_op(N49, rep).block_form(),
-                        "witnesses": list(fc.faults),
-                        "feasible_completions": a.feasible_completions,
-                        "worst_residual": a.worst_residual,
-                        "harmful": a.harmful,
-                    }
-                )
-                + "\n"
-            )
+    summary = f"summary: {len(report.marked)} marked, {report.n_harmful} harmful"
+    _write(fh, args.format, [*report.records(), (summary, None)])
     return 0 if report.all_safe else 1
 
 
@@ -520,47 +446,24 @@ def cmd_decode(args, fh) -> int:
             "parity and outer fix-up applied",
             file=sys.stderr,
         )
-    if args.format == "text":
-        fh.write(str(correction) + "\n")
-    else:
-        fh.write(
-            _jdump(
-                {
-                    "correction": str(correction),
-                    "fallback": report.fallback_used,
-                    "z_parity": format_bits(report.z_side.parity, 7),
-                    "x_parity": format_bits(report.x_side.parity, 7),
-                }
-            )
-            + "\n"
-        )
+    record = {
+        "correction": str(correction),
+        "fallback": report.fallback_used,
+        "z_parity": format_bits(report.z_side.parity, 7),
+        "x_parity": format_bits(report.x_side.parity, 7),
+    }
+    _write(fh, args.format, [(record["correction"], record)])
     return 0
 
 
 def cmd_reproduce_table1(args, fh) -> int:
-    rows = reproduce_table1()
-    text = render_table1(rows)
-    matches = text == TABLE1_GOLDEN
-    if args.format == "text":
-        fh.write(text)
-    else:
-        for r in rows:
-            fh.write(
-                _jdump(
-                    {
-                        "form": r.form,
-                        "m": list(r.m_values),
-                        "stilde": format_bits(r.stilde, 3),
-                        "tau": format_bits(r.tau, 7),
-                        "block_parity": format_bits(r.block_parity, 7),
-                    }
-                )
-                + "\n"
-            )
-    if not matches:
+    records = list(table1_records(reproduce_table1()))
+    _write(fh, args.format, records)
+    if render_text(records) != TABLE1_GOLDEN:
         print("error: computed table deviates from the pinned reference",
               file=sys.stderr)
-    return 0 if matches else 1
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

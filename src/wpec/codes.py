@@ -143,31 +143,15 @@ def tau_from_syndrome(s21: int) -> int:
             | t >> 10 & 32 | t >> 12 & 64)
 
 
-def min_coset_weight(mask: int) -> int:
-    """Minimum weight of (mask ^ S) over all 2^24 Z-type stabilizers of
-    the 49-qubit code.
+def min_coset_rep(mask: int) -> int:
+    """A mask of minimal weight in the coset of ``mask`` under all 2^24
+    Z-type stabilizers of the 49-qubit code.
 
     The group factors once the outer choice is fixed: an outer element
     flips a pattern v of whole subblocks, after which each subblock
     minimizes independently over the eight inner stabilizers.  That cuts
     the scan to 8 patterns x 7 table lookups.
     """
-    blocks = [(mask >> (BLOCK_SIZE * b)) & MASK7 for b in range(N_BLOCKS)]
-    best = N49 + 1
-    for v in STAB7:
-        t = 0
-        for b in range(N_BLOCKS):
-            t += BLOCK_MIN_WT[(v >> b) & 1][blocks[b]]
-            if t >= best:
-                break
-        else:
-            best = t
-    return best
-
-
-def min_coset_rep(mask: int) -> int:
-    """A mask of minimal weight in the stabilizer coset of ``mask``
-    (same search as :func:`min_coset_weight`, keeping the argmin)."""
     blocks = [(mask >> (BLOCK_SIZE * b)) & MASK7 for b in range(N_BLOCKS)]
     best, rep = N49 + 2, mask
     for v in STAB7:
@@ -180,6 +164,12 @@ def min_coset_rep(mask: int) -> int:
             for b in range(N_BLOCKS):
                 rep |= BLOCK_MIN_REP[(v >> b) & 1][blocks[b]] << (BLOCK_SIZE * b)
     return rep
+
+
+def min_coset_weight(mask: int) -> int:
+    """Minimum weight of (mask ^ S) over all 2^24 Z-type stabilizers of
+    the 49-qubit code: the weight of :func:`min_coset_rep`."""
+    return min_coset_rep(mask).bit_count()
 
 
 # --- 23-qubit Golay code ---------------------------------------------------

@@ -98,6 +98,8 @@ __all__ = [
     "run_appendix_b",
     "reproduce_table1",
     "render_table1",
+    "render_text",
+    "table1_records",
 ]
 
 _P_MASK = 127
@@ -702,16 +704,6 @@ class Claim2Violation:
     witness_a: tuple[str, ...]
     witness_b: tuple[str, ...]
 
-    def render(self) -> str:
-        return (
-            f"s={format_bits(self.s, 21)} s2={format_bits(self.stilde, 3)} "
-            f"tau={format_bits(self.tau, 7)} f={format_bits(self.f, 21)}\n"
-            f"  parity {format_bits(self.parity_a, 7)} from: "
-            + (", ".join(self.witness_a) if self.witness_a else "<no faults>")
-            + f"\n  parity {format_bits(self.parity_b, 7)} from: "
-            + (", ".join(self.witness_b) if self.witness_b else "<no faults>")
-        )
-
 
 @dataclass(frozen=True)
 class Claim2Report:
@@ -731,28 +723,66 @@ class Claim2Report:
     def ok(self) -> bool:
         return self.n_violations == 0
 
-    def render(self) -> str:
-        lines = [
-            f"lookup-table audit, fault budget {self.max_faults}",
+    def records(self):
+        """The report as (text, JSON object) records: the header and its
+        summary, one per fault-number combination and one per expanded
+        violation.  ``None`` marks a side with no counterpart."""
+        yield (
+            f"lookup-table audit, fault budget {self.max_faults}\n"
             f"circuits: level-2 {'interleaved' if self.interleaved else 'blockwise'}, "
-            f"level-1 {'flagged' if self.flagged else 'flagless'}",
-            f"records: {self.n_records}",
+            f"level-1 {'flagged' if self.flagged else 'flagless'}\n"
+            f"records: {self.n_records}\n"
             f"partitions: {self.n_groups} "
             f"(condition 1: {self.n_condition1}, condition 2: {self.n_condition2}, "
-            f"violated: {self.n_violated_groups})",
+            f"violated: {self.n_violated_groups})\n"
             "fault-number combinations (effect multisets):",
-        ]
+            {
+                "type": "summary",
+                "max_faults": self.max_faults,
+                "flagged": self.flagged,
+                "interleaved": self.interleaved,
+                "records": self.n_records,
+                "groups": self.n_groups,
+                "condition1": self.n_condition1,
+                "condition2": self.n_condition2,
+                "violated_groups": self.n_violated_groups,
+                "violations": self.n_violations,
+                "ok": self.ok,
+            },
+        )
         for fnc, n in self.combination_counts:
-            lines.append(f"  {fnc}: {n}")
-        lines.append(f"violations: {self.n_violations}")
+            counts = str(fnc)
+            yield f"  {counts}: {n}", {"type": "combination", "counts": counts, "n": n}
+        yield f"violations: {self.n_violations}", None
         for i, v in enumerate(self.violations, 1):
-            lines.append(f"[{i}] " + v.render())
-        if self.n_violations > len(self.violations):
-            lines.append(
-                f"... {self.n_violations - len(self.violations)} further "
-                "violations not expanded"
+            obj = {
+                "type": "violation",
+                "s": format_bits(v.s, 21),
+                "stilde": format_bits(v.stilde, 3),
+                "tau": format_bits(v.tau, 7),
+                "f": format_bits(v.f, 21),
+                "parity_a": format_bits(v.parity_a, 7),
+                "parity_b": format_bits(v.parity_b, 7),
+                "witness_a": list(v.witness_a),
+                "witness_b": list(v.witness_b),
+            }
+            yield (
+                f"[{i}] s={obj['s']} s2={obj['stilde']} tau={obj['tau']} f={obj['f']}\n"
+                f"  parity {obj['parity_a']} from: "
+                + (", ".join(v.witness_a) or "<no faults>")
+                + f"\n  parity {obj['parity_b']} from: "
+                + (", ".join(v.witness_b) or "<no faults>"),
+                obj,
             )
-        return "\n".join(lines) + "\n"
+        unexpanded = self.n_violations - len(self.violations)
+        if unexpanded:
+            yield f"... {unexpanded} further violations not expanded", None
+
+
+def render_text(records) -> str:
+    """The text side of (text, JSON object) records, one line or block
+    per record; records without a text side are skipped."""
+    return "".join(f"{text}\n" for text, _ in records if text is not None)
 
 
 def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Report:
@@ -842,21 +872,6 @@ class MarkedCombination:
     combination: FaultCombination
     min_weight: int
 
-    def render(self) -> str:
-        fc = self.combination
-        rep = min_coset_rep(fc.error.z_bits)
-        fa = fc.flag & _F_MASK
-        fb = fc.flag >> 21
-        return (
-            f"counts {fc.counts}\n"
-            f"    early error : {PauliOp.z_op(49, fc.early_error.z_bits).block_form()}\n"
-            f"    full error  : {PauliOp.z_op(49, fc.error.z_bits).block_form()}\n"
-            f"    flags       : early {format_bits(fa, 21)} late {format_bits(fb, 21)}\n"
-            f"    residual rep: {PauliOp.z_op(49, rep).block_form()} "
-            f"(weight {self.min_weight})\n"
-            f"    witnesses   : " + ", ".join(fc.faults)
-        )
-
 
 @dataclass(frozen=True)
 class CompletionAnalysis:
@@ -873,15 +888,6 @@ class CompletionAnalysis:
     worst_residual: int | None
     harmful: bool
 
-    def render(self) -> str:
-        if self.worst_residual is None:
-            return "no feasible completion: bundle cannot appear stable"
-        verdict = "HARMFUL" if self.harmful else "safe"
-        return (
-            f"feasible completions: {self.feasible_completions}, "
-            f"worst residual weight: {self.worst_residual} -> {verdict}"
-        )
-
 
 @dataclass(frozen=True)
 class FinalRoundReport:
@@ -892,27 +898,69 @@ class FinalRoundReport:
     analyses: tuple[CompletionAnalysis, ...]
 
     @property
-    def all_safe(self) -> bool:
-        return all(not a.harmful for a in self.analyses)
+    def n_harmful(self) -> int:
+        return sum(a.harmful for a in self.analyses)
 
-    def render(self) -> str:
-        lines = [
-            f"final-round fault scan, fault budget {self.max_faults}",
-            f"fault-number combinations scanned: {self.n_number_combinations}",
-            f"effect combinations examined: {self.n_effect_combinations}",
+    @property
+    def all_safe(self) -> bool:
+        return self.n_harmful == 0
+
+    def records(self):
+        """The report as (text, JSON object) records: the header and its
+        summary, one per marked combination with its post-analysis, and
+        the closing text-only verdict."""
+        yield (
+            f"final-round fault scan, fault budget {self.max_faults}\n"
+            f"fault-number combinations scanned: {self.n_number_combinations}\n"
+            f"effect combinations examined: {self.n_effect_combinations}\n"
             f"marked: {len(self.marked)}",
-        ]
+            {
+                "type": "summary",
+                "max_faults": self.max_faults,
+                "number_combinations": self.n_number_combinations,
+                "effect_combinations": self.n_effect_combinations,
+                "marked": len(self.marked),
+                "harmful": self.n_harmful,
+                "all_safe": self.all_safe,
+            },
+        )
         for i, (m, a) in enumerate(zip(self.marked, self.analyses), 1):
-            lines.append(f"[{i}] " + m.render())
-            lines.append("    post-analysis: " + a.render())
-        if self.all_safe:
-            lines.append(
-                "post-analysis: no marked combination leaves residual weight "
-                f"above {self.max_faults}"
+            fc = m.combination
+            rep = PauliOp.z_op(49, min_coset_rep(fc.error.z_bits)).block_form()
+            obj = {
+                "type": "marked",
+                "counts": str(fc.counts),
+                "min_weight": m.min_weight,
+                "residual_rep": rep,
+                "witnesses": list(fc.faults),
+                "feasible_completions": a.feasible_completions,
+                "worst_residual": a.worst_residual,
+                "harmful": a.harmful,
+            }
+            post = (
+                "no feasible completion: bundle cannot appear stable"
+                if a.worst_residual is None
+                else f"feasible completions: {a.feasible_completions}, worst "
+                f"residual weight: {a.worst_residual} -> "
+                + ("HARMFUL" if a.harmful else "safe")
             )
-        else:
-            lines.append("post-analysis: HARMFUL combinations found")
-        return "\n".join(lines) + "\n"
+            yield (
+                f"[{i}] counts {obj['counts']}\n"
+                f"    early error : {fc.early_error.block_form()}\n"
+                f"    full error  : {fc.error.block_form()}\n"
+                f"    flags       : early {format_bits(fc.flag & _F_MASK, 21)} "
+                f"late {format_bits(fc.flag >> 21, 21)}\n"
+                f"    residual rep: {rep} (weight {m.min_weight})\n"
+                f"    witnesses   : " + ", ".join(fc.faults) + "\n"
+                f"    post-analysis: {post}",
+                obj,
+            )
+        yield (
+            "post-analysis: no marked combination leaves residual weight "
+            f"above {self.max_faults}"
+            if self.all_safe
+            else "post-analysis: HARMFUL combinations found"
+        ), None
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
@@ -1203,15 +1251,6 @@ class Table1Row:
     tau: int
     block_parity: int
 
-    def render(self) -> str:
-        m = ",".join(str(v) for v in self.m_values) if self.m_values else "-"
-        return (
-            f"{self.form}  {m:<6}"
-            f"({','.join(format_bits(self.stilde, 3))})  "
-            f"({','.join(format_bits(self.tau, 7))})  "
-            f"({','.join(format_bits(self.block_parity, 7))})"
-        )
-
 
 def reproduce_table1() -> tuple[Table1Row, ...]:
     """Single-fault error classes of the blockwise second-level circuit.
@@ -1251,11 +1290,28 @@ def reproduce_table1() -> tuple[Table1Row, ...]:
     return tuple(rows)
 
 
+def table1_records(rows: tuple[Table1Row, ...]):
+    """Table 1 as (text, JSON object) records: the text-only header,
+    then one record per row."""
+    yield "form     m     2nd-level  triviality       block parity", None
+    for r in rows:
+        obj = {
+            "form": r.form,
+            "m": list(r.m_values),
+            "stilde": format_bits(r.stilde, 3),
+            "tau": format_bits(r.tau, 7),
+            "block_parity": format_bits(r.block_parity, 7),
+        }
+        m = ",".join(map(str, r.m_values)) or "-"
+        yield (
+            f"{r.form}  {m:<6}({','.join(obj['stilde'])})  "
+            f"({','.join(obj['tau'])})  ({','.join(obj['block_parity'])})",
+            obj,
+        )
+
+
 def render_table1(rows: tuple[Table1Row, ...] | None = None) -> str:
-    if rows is None:
-        rows = reproduce_table1()
-    header = "form     m     2nd-level  triviality       block parity"
-    return "\n".join([header] + [r.render() for r in rows]) + "\n"
+    return render_text(table1_records(reproduce_table1() if rows is None else rows))
 
 
 TABLE1_GOLDEN = """\

@@ -164,7 +164,8 @@ def test_appendix_a_negative_control(capsys):
 
 
 # stdout of the three violating budget-3 audits, witness labels included,
-# captured before the two provenance searches became one
+# captured before the two provenance searches became one; the json-lines
+# digests were captured before the reports yielded their own records
 @pytest.mark.parametrize(
     "args,digest",
     [
@@ -174,11 +175,60 @@ def test_appendix_a_negative_control(capsys):
          "aea02e50edb66c8d1a815ef5a4c962fa34830197c0c7d55a753253cdd19f2613"),
         (["--ordering", "permuted", "--no-flags"],
          "9ad84e5d75bc67444c5ff70f765eb5e81c2d75c7efb1e9ed7c240d568514f153"),
+        (["--ordering", "normal", "--no-flags", "--format", "json-lines"],
+         "ea1d96a8a2fc15b67224a6a8da139e7f8f3358ec892e22e9418be603b3469852"),
+        (["--ordering", "normal", "--format", "json-lines"],
+         "b0c3657d0aa8e68322e54b3db547e2a03969cca5f115e8a925746042e61908da"),
+        (["--ordering", "permuted", "--no-flags", "--format", "json-lines"],
+         "1f114ba274b990fa1accefc860a8d1d1e9312f888c754f877eb9efabf7297187"),
     ],
-    ids=["negative-control", "blockwise-flagged", "permuted-flagless"],
+    ids=["negative-control", "blockwise-flagged", "permuted-flagless",
+         "negative-control-json", "blockwise-flagged-json",
+         "permuted-flagless-json"],
 )
 def test_appendix_a_witnesses_golden(args, digest, capsys):
     assert main(["verify-appendix-a", "--max-faults", "3"] + args) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# exit codes and stdout digests of the outputs no other test pins byte
+# for byte, captured before the reports yielded their own records
+PINNED_OUTPUTS = {
+    "reproduce-table1 --format json-lines": (
+        0, "ac9ecdebf3df3bff793167a1ffa3eacfe4a4a46e92ac6ba666817509b6b6267c"),
+    "verify-claims --code steane": (
+        0, "4eb5ebff10d5404d828687d2cf353382e68810ae6de1f35d34c573f660377f35"),
+    "verify-claims --code steane --format json-lines": (
+        0, "80fad5135be7373b56a449d6eb119782b94810814c69f9751d7c596665b092f1"),
+    "verify-claims --code golay": (
+        0, "cd131c4f69f07105b884581de7996b331ab9361db439511e6a2a8e1c28ef1221"),
+    "verify-claims --code golay --format json-lines": (
+        0, "dee0d0cc76c0aafb2f333c23732e7df4a0a2738894910f5b6fd9566e744a060a"),
+    "verify-claims --code concat49": (
+        0, "d1a0ca39f000dd15e2bc05508863bc4af8140cae36939b0c341421be047f1b0c"),
+    "verify-claims --code concat49 --format json-lines": (
+        0, "2b22fa796bf6ebb0b4a45fb890113492ea524ca2f522f05e279338a3b0709272"),
+    "verify-appendix-a --max-faults 1 --format json-lines": (
+        0, "5499c89c6c455f1e01f5e3b06ac2d5e87214792f17a54ad088429924cd34d4c7"),
+    "verify-appendix-b --max-faults 1": (
+        0, "fd425cf2474c32f56ced346502de04e53510760d504d78747915f264beb81f6d"),
+    "verify-appendix-b --max-faults 1 --format json-lines": (
+        0, "b4bf594e1a372bef352ebe1b7e44e47321e3e61a0ce94f9759de135cc63478de"),
+    "verify-appendix-b --max-faults 2": (
+        0, "06b858430be00711154e6b10d4b44fd9aa15dd9c0398adad1f825add398dba2d"),
+    "verify-appendix-b --max-faults 2 --format json-lines": (
+        0, "76e2889a89ef8826e32a123ba45a5be68d0c6b37e870188c1a28dc9855b4d1f4"),
+    "decode perfbench/bundle.txt --format json-lines": (
+        0, "bbdde1bce62889c78e581e09248f32d774deb87e0b7d285001f91c83ff626a77"),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_OUTPUTS))
+def test_outputs_golden(command, monkeypatch, capsys):
+    code, digest = PINNED_OUTPUTS[command]
+    monkeypatch.chdir(ROOT)  # the decode command names its bundle relative to it
+    assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -415,6 +465,16 @@ def test_decode_json_format(tmp_path, capsys):
     assert record["correction"] == "I" * 14 + "Z" + "I" * 34
     assert record["fallback"] is False
     assert record["z_parity"] == "0010000"
+    # the fallback bundle of test_decode_fallback_notes_on_stderr
+    mask = (1 << 0) | (1 << 7) | (1 << 14) | (127 << 21) | (1 << 42)
+    path = _write_bundle(tmp_path, "fb.txt", input_mask=mask)
+    assert main(["decode", str(path), "--format", "json-lines"]) == 0
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert record["fallback"] is True
+    assert record["z_parity"] == "1111111"
+    assert len(record["correction"]) == 49
+    assert "outside the fault table" in captured.err
 
 
 def test_decode_malformed_bundle_exits_2(tmp_path, capsys):

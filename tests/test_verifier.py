@@ -40,6 +40,7 @@ from wpec.verifier import (
     pack_signature,
     relaxed_mark,
     render_table1,
+    render_text,
     reproduce_table1,
     run_appendix_b,
     sigma,
@@ -718,7 +719,7 @@ def test_post_analysis_all_safe(final_round_report):
         assert a.feasible_completions == 1
         assert a.worst_residual == 0
         assert not a.harmful
-    text = final_round_report.render()
+    text = render_text(final_round_report.records())
     assert "marked: 6" in text
     assert "HARMFUL" not in text
 
@@ -744,7 +745,7 @@ def test_final_round_scan_golden(final_round_report, capsys):
     rep = final_round_report
     assert rep.n_effect_combinations == 18_039_609
     assert rep.n_number_combinations == 84
-    digest = hashlib.sha256(rep.render().encode()).hexdigest()
+    digest = hashlib.sha256(render_text(rep.records()).encode()).hexdigest()
     assert digest == APPENDIX_B_RENDER_SHA256
     argv = ["verify-appendix-b", "--max-faults", "3", "--format", "json-lines"]
     assert main(argv) == 0
@@ -1170,7 +1171,7 @@ def test_table1_rows_classify_consistently():
 
 
 def test_claim2_report_render(report3):
-    text = report3.render()
+    text = render_text(report3.records())
     assert "violations: 0" in text
     assert "fault budget 3" in text
     assert "(G1a 1, G1b 0, G2 0, W 0, F 0, S 0): 210" in text
