@@ -71,79 +71,49 @@ def _support(mask: int) -> list[int]:
     return [q for q in range(N49) if (mask >> q) & 1]
 
 
-def _family_of(g: PauliOp) -> str:
-    if g.is_z_type() and g.z_bits:
-        return "z"
-    if g.is_x_type() and g.x_bits:
-        return "x"
-    raise ValueError("generator must be pure X-type or Z-type")
+def _target(family: str, mask: int) -> PauliOp:
+    return (PauliOp.z_op if family == "z" else PauliOp.x_op)(N49, mask)
 
 
-def build_level2_circuit(g: PauliOp, interleaved: bool = True) -> ExtractionCircuit:
-    """Bare-ancilla circuit for an outer generator.
+def level2_circuits(family: str = "z", interleaved: bool = True):
+    """Bare-ancilla circuits for the outer generators, in generator order.
 
     ``interleaved=False`` falls back to plain ascending (subblock by
     subblock) order; that variant exists for the single-fault catalog
     and as the negative control in the fault-tolerance audit.
     """
-    family = _family_of(g)
-    mask = g.z_bits | g.x_bits
-    try:
-        index = LEVEL2_GENS.index(mask)
-    except ValueError:
-        raise ValueError("not an outer generator") from None
-    blocks = [b for b in range(N_BLOCKS) if (mask >> (BLOCK_SIZE * b)) & MASK7]
-    if interleaved:
-        order = tuple(BLOCK_SIZE * b + r for r in range(BLOCK_SIZE) for b in blocks)
-    else:
-        order = tuple(_support(mask))
     tag = "" if interleaved else "#"
-    return ExtractionCircuit(
-        name=f"{family}~{index + 1}{tag}",
-        family=family,
-        level=2,
-        index=index,
-        target_generator=g,
-        gates=order,
-    )
-
-
-def build_level1_circuit(g: PauliOp, flagged: bool = True) -> ExtractionCircuit:
-    """Flagged circuit for an inner generator (flagless only as the
-    negative control)."""
-    family = _family_of(g)
-    mask = g.z_bits | g.x_bits
-    try:
-        index = LEVEL1_GENS.index(mask)
-    except ValueError:
-        raise ValueError("not an inner generator") from None
-    a, b, c, d = _support(mask)
-    if flagged:
-        gates = (a, _FLAG, b, c, _FLAG, d)
-    else:
-        gates = (a, b, c, d)
-    tag = "" if flagged else "#"
-    return ExtractionCircuit(
-        name=f"{family}{index + 1}{tag}",
-        family=family,
-        level=1,
-        index=index,
-        target_generator=g,
-        gates=gates,
-        flag_bit=index if flagged else None,
-    )
-
-
-def level2_circuits(family: str = "z", interleaved: bool = True):
-    op = PauliOp.z_op if family == "z" else PauliOp.x_op
-    return tuple(
-        build_level2_circuit(op(N49, m), interleaved) for m in LEVEL2_GENS
-    )
+    out = []
+    for index, mask in enumerate(LEVEL2_GENS):
+        if interleaved:
+            blocks = [b for b in range(N_BLOCKS) if (mask >> (BLOCK_SIZE * b)) & MASK7]
+            gates = tuple(BLOCK_SIZE * b + r for r in range(BLOCK_SIZE) for b in blocks)
+        else:
+            gates = tuple(_support(mask))
+        out.append(
+            ExtractionCircuit(
+                f"{family}~{index + 1}{tag}", family, 2, index,
+                _target(family, mask), gates,
+            )
+        )
+    return tuple(out)
 
 
 def level1_circuits(family: str = "z", flagged: bool = True):
-    op = PauliOp.z_op if family == "z" else PauliOp.x_op
-    return tuple(build_level1_circuit(op(N49, m), flagged) for m in LEVEL1_GENS)
+    """Flagged circuits for the inner generators, in generator order
+    (flagless only as the negative control)."""
+    tag = "" if flagged else "#"
+    out = []
+    for index, mask in enumerate(LEVEL1_GENS):
+        a, b, c, d = _support(mask)
+        gates = (a, _FLAG, b, c, _FLAG, d) if flagged else (a, b, c, d)
+        out.append(
+            ExtractionCircuit(
+                f"{family}{index + 1}{tag}", family, 1, index,
+                _target(family, mask), gates, index if flagged else None,
+            )
+        )
+    return tuple(out)
 
 
 # --- propagation -------------------------------------------------------------
@@ -161,6 +131,26 @@ _ANC, _FLG, _DATA0 = 0, 1, 2
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
+def check_injection(c: ExtractionCircuit, pos: int, local: str) -> None:
+    """Raise ValueError unless ``local`` is a local error that position
+    ``pos`` of ``c`` can carry: one Pauli letter per wire it touches, the
+    ancilla and the gate's other wire mid-circuit, the ancilla and (where
+    there is one) the flag at the boundaries."""
+    n_gates = len(c.gates)
+    if not -1 <= pos <= n_gates:
+        raise ValueError(f"position {pos} out of range for {c.name}")
+    if pos in (-1, n_gates):
+        if len(local) == 2 and c.flag_bit is None:
+            raise ValueError(f"{c.name} has no flag wire")
+        if len(local) not in (1, 2):
+            raise ValueError("boundary faults touch the ancilla and flag only")
+    elif len(local) != 2:
+        raise ValueError("gate faults are two-character local errors")
+    for ch in local:
+        if ch not in _PAULI_BITS:
+            raise ValueError(f"bad Pauli character {ch!r}")
+
+
 def run_circuit(
     c: ExtractionCircuit,
     data_x: int = 0,
@@ -172,8 +162,7 @@ def run_circuit(
     n_gates = len(c.gates)
     by_pos: dict[int, list[str]] = defaultdict(list)
     for pos, local in injections:
-        if not -1 <= pos <= n_gates:
-            raise ValueError(f"position {pos} out of range for {c.name}")
+        check_injection(c, pos, local)
         by_pos[pos].append(local)
 
     zfam = c.family == "z"
@@ -186,16 +175,7 @@ def run_circuit(
             x ^= (x >> ctl & 1) << tgt
             z ^= (z >> tgt & 1) << ctl
         for local in by_pos.get(pos, ()):
-            if pos in (-1, n_gates):
-                if len(local) == 2 and c.flag_bit is None:
-                    raise ValueError(f"{c.name} has no flag wire")
-                if len(local) not in (1, 2):
-                    raise ValueError("boundary faults touch the ancilla and flag only")
-            elif len(local) != 2:
-                raise ValueError("gate faults are two-character local errors")
             for wire, ch in zip((_ANC, other), local):
-                if ch not in _PAULI_BITS:
-                    raise ValueError(f"bad Pauli character {ch!r}")
                 bx, bz = _PAULI_BITS[ch]
                 x ^= bx << wire
                 z ^= bz << wire
@@ -203,17 +183,6 @@ def run_circuit(
     outcome = (x if zfam else z) >> _ANC & 1
     flag = (z if zfam else x) >> _FLG & 1
     return CircuitResult(x >> _DATA0, z >> _DATA0, outcome, flag)
-
-
-def propagate(
-    c: ExtractionCircuit, position: int, local_error: str
-) -> tuple[PauliOp, int, int]:
-    """Effect of one fault on an otherwise clean run: the data error it
-    leaves behind, its flag contribution as a 21-bit vector in this
-    family's flag space, and whether this circuit's own outcome flips."""
-    r = run_circuit(c, injections=[(position, local_error)])
-    flag21 = r.flag << c.flag_bit if c.flag_bit is not None and r.flag else 0
-    return PauliOp(N49, r.data_x, r.data_z), flag21, r.outcome
 
 
 # --- fault enumeration ---------------------------------------------------------
@@ -250,8 +219,9 @@ def enumerate_single_faults(c: ExtractionCircuit) -> list[SingleFault]:
         picks.append((n_gates, "I" + p))
     out = []
     for pos, local in picks:
-        e, flag21, outcome = propagate(c, pos, local)
-        out.append(SingleFault(pos, local, e.x_bits, e.z_bits, flag21, outcome))
+        r = run_circuit(c, injections=[(pos, local)])
+        flag21 = r.flag << c.flag_bit if r.flag else 0
+        out.append(SingleFault(pos, local, r.data_x, r.data_z, flag21, r.outcome))
     return out
 
 
@@ -267,20 +237,9 @@ def dedup_effects(faults: Iterable[SingleFault]) -> list[SingleFault]:
     return out
 
 
-def wait_fault_atoms(family: str = "z") -> list[SingleFault]:
-    """Single-qubit data errors during wait time, one per qubit."""
-    p = "Z" if family == "z" else "X"
-    return [
-        SingleFault(
-            -1,
-            f"{p}@q{q + 1}",
-            (1 << q) if p == "X" else 0,
-            (1 << q) if p == "Z" else 0,
-            0,
-            0,
-        )
-        for q in range(N49)
-    ]
+def wait_fault_atoms() -> list[SingleFault]:
+    """Single-qubit Z data errors during wait time, one per qubit."""
+    return [SingleFault(-1, f"Z@q{q + 1}", 0, 1 << q, 0, 0) for q in range(N49)]
 
 
 def flag_flip_atoms() -> list[SingleFault]:

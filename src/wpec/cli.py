@@ -40,7 +40,6 @@ from .codes import (
     golay_z_stabilizers,
     min_coset_weight,
     syndrome7,
-    tau_from_syndrome,
 )
 from .decoder import (
     CorrectionTable,
@@ -430,14 +429,6 @@ def cmd_decode(args, fh) -> int:
     except ValueError as exc:
         print(f"error: malformed bundle: {exc}", file=sys.stderr)
         return 2
-    tau = tau_from_syndrome(bundle.s_x) | tau_from_syndrome(bundle.s_z) << 7
-    if bundle.tau != tau:
-        print(
-            f"error: malformed bundle: tau {format_bits(bundle.tau, 14)} does not "
-            f"match the syndromes s_x, s_z (tau {format_bits(tau, 14)})",
-            file=sys.stderr,
-        )
-        return 2
     table = _table(args)
     correction, report = decode_with_report(bundle, table)
     if report.fallback_used:
@@ -489,37 +480,39 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
 
-    build = argparse.ArgumentParser(add_help=False)
-    build.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--max-faults",
         type=int,
         choices=(1, 2, 3),
         default=3,
-        help="fault budget for the enumeration (default: 3)",
+        help="fault budget (default: 3)",
     )
-    build.add_argument(
+    budget.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="accepted for compatibility and ignored: the work always "
+        "runs in one process",
+    )
+
+    circuits = argparse.ArgumentParser(add_help=False)
+    circuits.add_argument(
         "--ordering",
         choices=("permuted", "normal"),
         default="permuted",
         help="outer-circuit CNOT order; 'normal' is the blockwise "
         "negative control (default: permuted)",
     )
-    build.add_argument(
+    circuits.add_argument(
         "--no-flags",
         action="store_true",
         help="build inner circuits without flag qubits (negative control)",
     )
-    build.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="accepted for compatibility and ignored: the enumeration "
-        "always runs in one process",
-    )
 
     p = sub.add_parser(
         "gen-table",
-        parents=[build, output],
+        parents=[budget, circuits, output],
         help="enumerate fault combinations and emit the decoding lookup table",
     )
     p.set_defaults(func=cmd_gen_table)
@@ -536,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-appendix-a",
-        parents=[build, output],
+        parents=[budget, circuits, output],
         help="audit the lookup table: every observation must pin down "
         "one block parity",
     )
@@ -544,24 +537,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-appendix-b",
-        parents=[output],
+        parents=[budget, output],
         help="scan final-round fault combinations under the relaxed "
         "marking rule and post-analyze the marked ones",
-    )
-    p.add_argument(
-        "--max-faults", type=int, choices=(1, 2, 3), default=3,
-        help="fault budget (default: 3)",
-    )
-    p.add_argument(
-        "--workers", type=int, metavar="N",
-        help="accepted for compatibility and ignored: the scan always "
-        "runs in one process",
     )
     p.set_defaults(func=cmd_verify_appendix_b)
 
     p = sub.add_parser(
         "decode",
-        parents=[build, output],
+        parents=[budget, circuits, output],
         help="decode a stable outcome-bundle file into a 49-qubit correction",
     )
     p.add_argument("bundle", help="bundle file: five labeled bitstring lines")

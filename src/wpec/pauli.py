@@ -87,9 +87,6 @@ class PauliOp:
     def is_z_type(self) -> bool:
         return self.x_bits == 0
 
-    def is_x_type(self) -> bool:
-        return self.z_bits == 0
-
     # -- block structure ---------------------------------------------------
 
     def restrict(self, block: int) -> "PauliOp":

@@ -9,7 +9,8 @@ every round of the fault-free tail but its first, repeats the last
 bundle without being simulated.  The final bundle is then decoded in
 four steps: block-parity lookup, per-subblock weight-parity correction
 from a 16-entry table, an outer logical fix when the lookup missed, and
-the mirrored X side.
+the mirrored X side.  A bundle stores the syndromes s; its triviality
+vector tau is derived from them, never stored.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.  The records one trial builds (bundles,
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import level1_circuits, level2_circuits, run_circuit
+from .circuits import check_injection, level1_circuits, level2_circuits, run_circuit
 from .codes import (
     N49,
     STAB7,
@@ -42,6 +43,8 @@ from .pauli import PauliOp, format_bits, identity, parse_bits
 from .verifier import LookupTable, build_lookup_table
 
 _MASK21 = (1 << 21) - 1
+T = 3  # the fault budget t of the fault-tolerance conditions
+_MAX_FAILURES = 20  # failing trials an FtecReport keeps
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +57,18 @@ class OutcomeBundle(NamedTuple):
     """All measurement outcomes of one round.
 
     s_x/s_z are the 21 first-level outcomes per side, stilde the 3
-    second-level outcomes, tau the per-subblock nontriviality vector
-    recomputed from s, and f the flag vector accumulated (mod 2) since
-    the first round.  The x-labeled fields feed the Z-error decode: they
-    flip under Z errors on data.  f_x collects the flags of the Z-family
-    circuits, which catch dangerous Z spread onto data.
+    second-level outcomes, and f the flag vector accumulated (mod 2)
+    since the first round; tau, the per-subblock nontriviality vector,
+    is a property computed from s.  The x-labeled fields feed the
+    Z-error decode: they flip under Z errors on data.  f_x collects the
+    flags of the Z-family circuits, which catch dangerous Z spread onto
+    data.
     """
 
     s_x: int = 0
     s_z: int = 0
     stilde_x: int = 0
     stilde_z: int = 0
-    tau_x: int = 0
-    tau_z: int = 0
     f_x: int = 0
     f_z: int = 0
 
@@ -77,6 +79,14 @@ class OutcomeBundle(NamedTuple):
     @property
     def stilde(self) -> int:
         return self.stilde_x | (self.stilde_z << 3)
+
+    @property
+    def tau_x(self) -> int:
+        return tau_from_syndrome(self.s_x)
+
+    @property
+    def tau_z(self) -> int:
+        return tau_from_syndrome(self.s_z)
 
     @property
     def tau(self) -> int:
@@ -118,17 +128,14 @@ class OutcomeBundle(NamedTuple):
         missing = [name for name, _ in _BUNDLE_FIELDS if name not in got]
         if missing:
             raise ValueError(f"bundle is missing fields: {', '.join(missing)}")
-        s2, tau, f = got["s2"], got["tau"], got["f"]
-        return cls(
-            s_x=got["s_x"],
-            s_z=got["s_z"],
-            stilde_x=s2 & 7,
-            stilde_z=s2 >> 3,
-            tau_x=tau & 127,
-            tau_z=tau >> 7,
-            f_x=f & _MASK21,
-            f_z=f >> 21,
-        )
+        s2, f = got["s2"], got["f"]
+        bundle = cls(got["s_x"], got["s_z"], s2 & 7, s2 >> 3, f & _MASK21, f >> 21)
+        if got["tau"] != bundle.tau:
+            raise ValueError(
+                f"tau {format_bits(got['tau'], 14)} does not match the syndromes "
+                f"s_x, s_z (tau {format_bits(bundle.tau, 14)})"
+            )
+        return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +198,9 @@ def parse_fault(line: str) -> ScheduledFault:
         c = _circuits_by_name().get(name)
         if c is None:
             raise ValueError(f"unknown circuit {name!r}")
-        n_gates = len(c.gates)
-        if not -1 <= pos <= n_gates:
-            raise ValueError(f"position {pos} out of range for {name}")
-        if not local or len(local) > 2 or set(local) - set("IXYZ") or set(local) == {"I"}:
-            raise ValueError(f"bad local error {local!r}")
-        if pos in (-1, n_gates):
-            if len(local) == 2 and c.flag_bit is None:
-                raise ValueError(f"{name} has no flag wire")
-        elif len(local) != 2:
-            raise ValueError("mid-circuit faults are two-character local errors")
+        check_injection(c, pos, local)
+        if set(local) == {"I"}:
+            raise ValueError(f"identity is not a fault: {line!r}")
         return ScheduledFault(rnd, "gate", circuit=name, position=pos, local=local)
     if kind == "wait":
         if len(parts) not in (4, 5):
@@ -349,16 +349,7 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
 
     state._f_x, state._f_z = flags
     s2z, s2x, s_z, s_x = outcomes
-    bundle = OutcomeBundle(
-        s_x=s_x,
-        s_z=s_z,
-        stilde_x=s2x,
-        stilde_z=s2z,
-        tau_x=tau_from_syndrome(s_x),
-        tau_z=tau_from_syndrome(s_z),
-        f_x=state._f_x,
-        f_z=state._f_z,
-    )
+    bundle = OutcomeBundle(s_x, s_z, s2x, s2z, state._f_x, state._f_z)
     state.data_error = PauliOp(N49, dx, dz)
     state.round_log.append(bundle)
     return bundle
@@ -407,10 +398,8 @@ def _block_corrections() -> tuple[int, ...]:
     return tuple(wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1))
 
 
-@functools.lru_cache(maxsize=1)
-def _column_block() -> dict[int, int]:
-    # each nonzero outer syndrome is hit by exactly one subblock's column
-    return {syndrome7(1 << b): b for b in range(7)}
+# each nonzero outer syndrome is hit by exactly one subblock's column
+_COLUMN_BLOCK = {syndrome7(1 << b): b for b in range(7)}
 
 
 class SideReport(NamedTuple):
@@ -444,7 +433,7 @@ def _decode_side(
     residue = stilde ^ syndrome7(parity)
     step3 = None
     if residue:
-        step3 = _column_block()[residue]
+        step3 = _COLUMN_BLOCK[residue]
         mask ^= LOGICAL_REP7 << (7 * step3)
     return mask, SideReport(parity=parity, fallback=fallback, step3_block=step3)
 
@@ -584,7 +573,7 @@ def _decode_consistent(bundle: OutcomeBundle, correction: PauliOp) -> bool:
     )
 
 
-def run_trial(trial: Trial, table: LookupTable, *, t: int = 3) -> TrialResult:
+def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
     state = make_state(trial.schedule, trial.input_error)
     bundle, rounds_used = run_until_stable(state)
     correction, report = decode_with_report(bundle, table)
@@ -594,8 +583,8 @@ def run_trial(trial: Trial, table: LookupTable, *, t: int = 3) -> TrialResult:
         len(fs) for r, fs in state.fault_schedule.items() if r < rounds_used
     )
     w_exact, w_norm = joint_coset_weight(residual)
-    cond1 = (w_exact == w_norm) if v1 + v2 <= t else None
-    cond2 = (w_norm <= v2) if v2 <= t else None
+    cond1 = (w_exact == w_norm) if v1 + v2 <= T else None
+    cond2 = (w_norm <= v2) if v2 <= T else None
     return TrialResult(
         trial=trial,
         rounds_used=rounds_used,
@@ -639,31 +628,29 @@ class FtecReport:
         return "\n".join(lines) + "\n"
 
 
-def check_ftec_conditions(
-    trials, t: int = 3, *, table: LookupTable | None = None, max_failures: int = 20
-) -> FtecReport:
+def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecReport:
     """Run every trial and test the two fault-tolerance conditions.
 
     With v1 the input-error weight and v2 the number of executed faults:
-    when v1 + v2 <= t an ideal decode of the output must recover the
+    when v1 + v2 <= T an ideal decode of the output must recover the
     input codeword (the residual's nearest codeword decomposition
-    carries no logical), and whenever v2 <= t the output must be within
+    carries no logical), and whenever v2 <= T the output must be within
     weight v2 of some codeword, wrong logical allowed.  The correction
     must cancel the measured syndromes regardless.
     """
     if table is None:
-        table = build_lookup_table(3)
+        table = build_lookup_table(T)
     n = n1 = n2 = nfb = 0
     max_rounds = 0
     failures = []
     for trial in trials:
-        r = run_trial(trial, table, t=t)
+        r = run_trial(trial, table)
         n += 1
         n1 += r.condition1 is not None
         n2 += r.condition2 is not None
         nfb += r.fallback_used
         max_rounds = max(max_rounds, r.rounds_used)
-        if not r.ok and len(failures) < max_failures:
+        if not r.ok and len(failures) < _MAX_FAILURES:
             failures.append(r)
     return FtecReport(
         n_trials=n,
@@ -739,27 +726,20 @@ def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
     )
 
 
-def sample_trials(
-    n: int,
-    seed: int = 0,
-    *,
-    max_faults: int = 3,
-    max_round: int = 5,
-    heavy_input_every: int = 10,
-):
-    """Deterministic stream of random fault schedules.
+def sample_trials(n: int, seed: int = 0, *, max_round: int = 5):
+    """Deterministic stream of random fault schedules, 1 to T faults each.
 
     Most trials carry a small input error so condition 1 applies; every
-    heavy_input_every-th gets an input far beyond the code distance,
-    exercising condition 2 alone.
+    tenth gets an input far beyond the code distance, exercising
+    condition 2 alone.
     """
     rng = random.Random(seed)
     for i in range(n):
-        v2 = rng.randint(1, max_faults)
-        if heavy_input_every and i % heavy_input_every == heavy_input_every - 1:
+        v2 = rng.randint(1, T)
+        if i % 10 == 9:
             v1 = rng.randint(8, 12)
         else:
-            v1 = rng.randint(0, max(0, 3 - v2))
+            v1 = rng.randint(0, T - v2)
         schedule = tuple(
             _random_fault(rng, rng.randint(0, max_round)) for _ in range(v2)
         )

@@ -155,8 +155,6 @@ class FaultModel:
     gate2: tuple[tuple[str, tuple[FaultAtom, ...]], ...]
     wait: tuple[FaultAtom, ...]
     flag: tuple[FaultAtom, ...]
-    flagged: bool
-    interleaved: bool
 
     def gate1_atoms(self) -> tuple[FaultAtom, ...]:
         return tuple(a for _, pool in self.gate1 for a in pool)
@@ -200,14 +198,14 @@ def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
         )
         g2.append((c.name, pool))
     wait = tuple(
-        FaultAtom(f"W[{f.local}]", f.data_z, 0) for f in wait_fault_atoms("z")
+        FaultAtom(f"W[{f.local}]", f.data_z, 0) for f in wait_fault_atoms()
     )
     flag = (
         tuple(FaultAtom(f"F[{f.local}]", 0, f.flag21) for f in flag_flip_atoms())
         if flagged
         else ()
     )
-    return FaultModel(tuple(g1), tuple(g2), wait, flag, flagged, interleaved)
+    return FaultModel(tuple(g1), tuple(g2), wait, flag)
 
 
 # ---------------------------------------------------------------------------

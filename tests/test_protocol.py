@@ -154,8 +154,7 @@ def test_state_instances_are_independent():
 
 def test_bundle_text_roundtrip():
     b = OutcomeBundle(
-        s_x=0b101, s_z=1 << 20, stilde_x=5, stilde_z=2,
-        tau_x=0b1000001, tau_z=3, f_x=1 << 7, f_z=1,
+        s_x=0b101, s_z=1 << 20, stilde_x=5, stilde_z=2, f_x=1 << 7, f_z=1,
     )
     assert OutcomeBundle.parse(b.render()) == b
     assert OutcomeBundle.parse(b.render() + "\n# comment\n") == b
@@ -174,6 +173,27 @@ def test_bundle_parse_rejects_malformed():
         OutcomeBundle.parse(good.replace("tau: 0", "tau: "))
     with pytest.raises(ValueError, match="duplicate"):
         OutcomeBundle.parse(good + good.splitlines()[0] + "\n")
+
+
+def test_bundle_tau_is_derived_from_s():
+    assert len(OutcomeBundle._fields) == 6
+    rng = random.Random(14)
+    for _ in range(200):
+        s_x, s_z = rng.getrandbits(21), rng.getrandbits(21)
+        b = OutcomeBundle(s_x=s_x, s_z=s_z)
+        assert (b.tau_x, b.tau_z) == (tau_from_syndrome(s_x), tau_from_syndrome(s_z))
+        assert b.tau == b.tau_x | b.tau_z << 7
+    # tau is a function of s_x and s_z; a bundle whose tau line disagrees
+    # is rejected, not decoded with the given tau
+    good = OutcomeBundle(s_x=1 << 6, stilde_x=5).render()
+    assert "tau: 00100000000000\n" in good
+    bad = good.replace("tau: 00100000000000", "tau: 11111111111111")
+    with pytest.raises(ValueError) as exc:
+        OutcomeBundle.parse(bad)
+    assert str(exc.value) == (
+        "tau 11111111111111 does not match the syndromes s_x, s_z "
+        "(tau 00100000000000)"
+    )
 
 
 def test_fault_text_roundtrip():
@@ -230,6 +250,29 @@ def test_fault_parse_rejects(line):
 def test_boundary_flag_wire_fault_allowed():
     f = parse_fault("0 gate z1 -1 IZ")
     assert f.local == "IZ" and f.position == -1
+
+
+def test_parse_fault_agrees_with_run_circuit():
+    # a gate fault line parses exactly when run_circuit takes the injection
+    # and the local error is not the identity
+    locals_ = tuple("IXYZQ") + tuple(a + b for a in "IXYZQ" for b in "IXYZQ")
+    n = disagree = 0
+    for c in (c for phase in _circuit_phases() for c in phase):
+        for pos in range(-2, len(c.gates) + 2):
+            for local in (*locals_, "ZZZ"):
+                try:
+                    run_circuit(c, injections=[(pos, local)])
+                    want = set(local) != {"I"}
+                except ValueError:
+                    want = False
+                try:
+                    parse_fault(f"0 gate {c.name} {pos} {local}")
+                    got = True
+                except ValueError:
+                    got = False
+                n += 1
+                disagree += got != want
+    assert (n, disagree) == (18972, 0)
 
 
 # --- decoding ------------------------------------------------------------------
@@ -597,9 +640,8 @@ def test_trial_records_are_immutable_values(table):
             setattr(rec, name, getattr(rec, name))
     bundle, side, report, result = first
     assert (bundle.f, report.fallback_used, result.ok) == (1, False, True)
-    assert repr(OutcomeBundle(tau_x=3)) == (
-        "OutcomeBundle(s_x=0, s_z=0, stilde_x=0, stilde_z=0, tau_x=3, tau_z=0, "
-        "f_x=0, f_z=0)"
+    assert repr(OutcomeBundle()) == (
+        "OutcomeBundle(s_x=0, s_z=0, stilde_x=0, stilde_z=0, f_x=0, f_z=0)"
     )
     assert repr(side) == "SideReport(parity=5, fallback=False, step3_block=None)"
 
@@ -832,14 +874,11 @@ def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
     for fld, mask in meas_flips.items():
         outcomes[fld] ^= mask
 
-    s_x, s_z = outcomes["sx"], outcomes["sz"]
     bundle = OutcomeBundle(
-        s_x=s_x,
-        s_z=s_z,
+        s_x=outcomes["sx"],
+        s_z=outcomes["sz"],
         stilde_x=outcomes["s2x"],
         stilde_z=outcomes["s2z"],
-        tau_x=tau_from_syndrome(s_x),
-        tau_z=tau_from_syndrome(s_z),
         f_x=state._f_x,
         f_z=state._f_z,
     )
