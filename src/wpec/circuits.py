@@ -36,7 +36,6 @@ flag CNOT and at the boundary positions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .codes import LEVEL1_GENS, LEVEL2_GENS, N49
@@ -45,8 +44,7 @@ from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PauliOp
 _FLAG = -1  # gate-list entry for a flag CNOT
 
 
-@dataclass(frozen=True)
-class ExtractionCircuit:
+class ExtractionCircuit(NamedTuple):
     """One generator-measurement circuit, immutable.
 
     ``gates`` holds data-qubit indices (global, 0-based) with -1 for a

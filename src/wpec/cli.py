@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .codes import (
     GOLAY_ROWS,
@@ -49,17 +48,35 @@ from .decoder import (
     wpec_golay,
     wpec_steane,
 )
-from .pauli import PauliOp, format_bits
-from .protocol import OutcomeBundle, decode_with_report
-from .verifier import (
-    TABLE1_GOLDEN,
-    build_lookup_table,
-    render_text,
-    reproduce_table1,
-    run_appendix_b,
-    table1_records,
-    verify_claim2,
-)
+from .pauli import PauliOp, format_bits, render_text
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Library names bound on first use (PEP 562), so that a process imports
+# only the modules its subcommand runs, and numpy only where it is used.
+# The commands reach these names as attributes of this module
+# (``_lib.name``): a wrapper set on the module attribute is then the
+# function that gets called.
+_LAZY = {
+    "OutcomeBundle": "protocol",
+    "decode_with_report": "protocol",
+    "TABLE1_GOLDEN": "verifier",
+    "build_lookup_table": "verifier",
+    "reproduce_table1": "verifier",
+    "run_appendix_b": "verifier",
+    "table1_records": "verifier",
+    "verify_claim2": "verifier",
+}
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def _jdump(obj) -> str:
@@ -81,6 +98,8 @@ def _json_layout(record: bytes):
     """The JSON line ``_jdump`` writes for one text record line, and the
     runs (start in the JSON line, start in the text line, length) of its
     value bytes."""
+    import numpy as np
+
     fields = list(re.finditer(rb"\S+", record))
     line = _jdump({n: m.group().decode() for n, m in zip(_RECORD_FIELDS, fields)})
     line = (line + "\n").encode()
@@ -98,6 +117,8 @@ def _json_record_chunks(table):
     Record lines are fixed-width, so every JSON line is the first
     record's line with its six value runs copied from the text columns.
     """
+    import numpy as np
+
     layout = None
     for rows in table.record_rows():
         if layout is None:
@@ -114,8 +135,7 @@ def _json_record_chunks(table):
 # Exhaustive per-code decoder checks
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -198,6 +218,8 @@ def _golay_checks() -> list[CheckResult]:
     """Parity split of the 23-qubit centralizer, perfectness of the
     weight<=3 leader table, and decoding soundness over all 2^23 Z
     masks (vectorized, in chunks)."""
+    import numpy as np
+
     out = []
     span = np.zeros(1, dtype=np.uint32)
     for g in GOLAY_ROWS:
@@ -272,6 +294,8 @@ _GOLAY_LOW_BITS = 14
 def _golay_syndromes(bits: range) -> np.ndarray:
     """``golay_syndrome`` of every mask over the given qubit bits, indexed
     by the mask shifted down by the first bit."""
+    import numpy as np
+
     synd = np.zeros(1, dtype=np.int64)
     for b in bits:
         synd = np.concatenate([synd, synd ^ golay_syndrome(1 << b)])
@@ -283,6 +307,8 @@ def _golay_sweep(ct: CorrectionTable) -> tuple[int, int, int]:
     syndrome and weight parity.  Returns how many errors have trivial
     syndrome, and how many residuals (error ^ correction) have odd
     weight or a nonzero syndrome."""
+    import numpy as np
+
     # correction[s | w << 11] = wpec_golay(s, w); int64 throughout, so
     # every array indexes another without a conversion
     correction = np.array(
@@ -370,7 +396,7 @@ _CLAIM_SUITES = {
 
 def _table(args):
     """The lookup table that the table options of ``args`` select."""
-    return build_lookup_table(
+    return _lib.build_lookup_table(
         args.max_faults,
         flagged=not args.no_flags,
         interleaved=args.ordering == "permuted",
@@ -405,13 +431,13 @@ def cmd_verify_claims(args, fh) -> int:
 
 
 def cmd_verify_appendix_a(args, fh) -> int:
-    report = verify_claim2(_table(args))
+    report = _lib.verify_claim2(_table(args))
     _write(fh, args.format, report.records())
     return 0 if report.ok else 1
 
 
 def cmd_verify_appendix_b(args, fh) -> int:
-    report = run_appendix_b(args.max_faults)
+    report = _lib.run_appendix_b(args.max_faults)
     summary = f"summary: {len(report.marked)} marked, {report.n_harmful} harmful"
     _write(fh, args.format, [*report.records(), (summary, None)])
     return 0 if report.all_safe else 1
@@ -425,12 +451,12 @@ def cmd_decode(args, fh) -> int:
         print(f"error: cannot read bundle file: {exc}", file=sys.stderr)
         return 2
     try:
-        bundle = OutcomeBundle.parse(text)
+        bundle = _lib.OutcomeBundle.parse(text)
     except ValueError as exc:
         print(f"error: malformed bundle: {exc}", file=sys.stderr)
         return 2
     table = _table(args)
-    correction, report = decode_with_report(bundle, table)
+    correction, report = _lib.decode_with_report(bundle, table)
     if report.fallback_used:
         print(
             "note: observation outside the fault table; all-ones block "
@@ -448,9 +474,9 @@ def cmd_decode(args, fh) -> int:
 
 
 def cmd_reproduce_table1(args, fh) -> int:
-    records = list(table1_records(reproduce_table1()))
+    records = list(_lib.table1_records(_lib.reproduce_table1()))
     _write(fh, args.format, records)
-    if render_text(records) != TABLE1_GOLDEN:
+    if render_text(records) != _lib.TABLE1_GOLDEN:
         print("error: computed table deviates from the pinned reference",
               file=sys.stderr)
         return 1
@@ -459,6 +485,16 @@ def cmd_reproduce_table1(args, fh) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -490,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     budget.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="accepted for compatibility and ignored: the work always "
         "runs in one process",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .codes import (
     LOGICAL23,
@@ -55,18 +54,24 @@ def classify_logical(m: PauliOp) -> LogicalClass:
     return LogicalClass.Z if m.weight() & 1 else LogicalClass.I
 
 
-@dataclass(frozen=True)
 class CorrectionTable:
-    """Decode tables for both codes, immutable.
+    """Decode tables for both codes, read-only by convention.
 
     wt1/wt2 map the seven nonzero 3-bit syndromes to the weight-1 and a
     fixed weight-2 Z error; golay_min maps all 2^11 syndromes to the
     unique minimal-weight (<=3) Z error.  golay_min is built on first
     use, so a Steane-only decode never computes 2,048 Golay syndromes.
+    Two tables are equal when their wt1 and wt2 are.
     """
 
-    wt1: dict[int, PauliOp]
-    wt2: dict[int, PauliOp]
+    def __init__(self, wt1: dict[int, PauliOp], wt2: dict[int, PauliOp]) -> None:
+        self.wt1 = wt1
+        self.wt2 = wt2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorrectionTable):
+            return NotImplemented
+        return (self.wt1, self.wt2) == (other.wt1, other.wt2)
 
     @functools.cached_property
     def golay_min(self) -> dict[int, PauliOp]:

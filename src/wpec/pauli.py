@@ -13,11 +13,14 @@ Conventions used across the whole package:
 * Operators of different length never interoperate; mixing lengths raises.
 * Blocks: a 49-qubit register is read as seven 7-qubit subblocks, subblock
   b (0-based) occupying bits 7b .. 7b+6.
+* Records are ``typing.NamedTuple`` classes: immutable values that are
+  cheap to build and cheap to define at import.  ``PauliOp`` is one too,
+  a validated immutable value whose range checks run in ``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BLOCK_SIZE = 7
 N_BLOCKS = 7
@@ -27,20 +30,25 @@ _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
 
-@dataclass(frozen=True)
-class PauliOp:
-    """An n-qubit Pauli operator, phases ignored."""
-
+class _PauliFields(NamedTuple):
     n: int
     x_bits: int = 0
     z_bits: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError(f"operator needs at least one qubit, got n={self.n}")
-        full = (1 << self.n) - 1
-        if self.x_bits & ~full or self.z_bits & ~full:
-            raise ValueError(f"mask exceeds {self.n} qubits")
+
+class PauliOp(_PauliFields):
+    """An n-qubit Pauli operator, phases ignored: an immutable value,
+    equal and hashed by (n, x_bits, z_bits)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x_bits: int = 0, z_bits: int = 0) -> "PauliOp":
+        if n <= 0:
+            raise ValueError(f"operator needs at least one qubit, got n={n}")
+        full = (1 << n) - 1
+        if x_bits & ~full or z_bits & ~full:
+            raise ValueError(f"mask exceeds {n} qubits")
+        return tuple.__new__(cls, (n, x_bits, z_bits))
 
     # -- construction ------------------------------------------------------
 
@@ -129,6 +137,12 @@ def parity(mask: int) -> int:
 def format_bits(value: int, width: int) -> str:
     """Bit vector as text, bit 0 leftmost (qubit/generator 1 first)."""
     return "".join("1" if (value >> i) & 1 else "0" for i in range(width))
+
+
+def render_text(records) -> str:
+    """The text side of (text, JSON object) records, one line or block
+    per record; records without a text side are skipped."""
+    return "".join(f"{text}\n" for text, _ in records if text is not None)
 
 
 def parse_bits(s: str) -> int:

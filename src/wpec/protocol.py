@@ -13,9 +13,7 @@ the mirrored X side.  A bundle stores the syndromes s; its triviality
 vector tau is derived from them, never stored.
 
 Faults are injected from a declarative schedule so any failing trial is
-replayable from its text form.  The records one trial builds (bundles,
-decode reports, the result) are named tuples: immutable values like a
-frozen dataclass, at a fraction of its construction cost.
+replayable from its text form.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import functools
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -145,8 +142,7 @@ _MEAS_WIDTH = {"sx": 21, "sz": 21, "s2x": 3, "s2z": 3}
 _PAULIS = ("X", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class ScheduledFault:
+class ScheduledFault(NamedTuple):
     """One injected fault, replayable from its one-line text form.
 
     kinds:
@@ -277,15 +273,20 @@ def _phase_reads(dx: int, dz: int) -> list[int]:
     ]
 
 
-@dataclass
 class ProtocolState:
-    """Pauli frame of the true data error plus the per-round log."""
+    """Pauli frame of the true data error plus the per-round log; the
+    rounds of one trial update it in place."""
 
-    data_error: PauliOp = field(default_factory=lambda: identity(N49))
-    round_log: list[OutcomeBundle] = field(default_factory=list)
-    fault_schedule: dict[int, tuple[ScheduledFault, ...]] = field(default_factory=dict)
-    _f_x: int = 0
-    _f_z: int = 0
+    def __init__(
+        self,
+        data_error: PauliOp,
+        fault_schedule: dict[int, tuple[ScheduledFault, ...]],
+    ) -> None:
+        self.data_error = data_error
+        self.round_log: list[OutcomeBundle] = []
+        self.fault_schedule = fault_schedule
+        self._f_x = 0
+        self._f_z = 0
 
 
 def make_state(
@@ -295,8 +296,8 @@ def make_state(
     for f in schedule:
         by_round[f.round].append(f)
     return ProtocolState(
-        data_error=identity(N49) if input_error is None else input_error,
-        fault_schedule={r: tuple(fs) for r, fs in by_round.items()},
+        identity(N49) if input_error is None else input_error,
+        {r: tuple(fs) for r, fs in by_round.items()},
     )
 
 
@@ -512,8 +513,7 @@ def joint_coset_weight(op: PauliOp) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Trials and the fault-tolerance conditions
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
     input_error: PauliOp
     schedule: tuple[ScheduledFault, ...] = ()
     name: str = ""
@@ -602,8 +602,7 @@ def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
     )
 
 
-@dataclass(frozen=True)
-class FtecReport:
+class FtecReport(NamedTuple):
     n_trials: int
     n_condition1: int
     n_condition2: int

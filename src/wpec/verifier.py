@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .codes import (
     syndrome7,
     tau_from_syndrome,
 )
-from .pauli import PauliOp, format_bits
+from .pauli import PauliOp, format_bits, render_text
 
 __all__ = [
     "FaultAtom",
@@ -128,8 +128,7 @@ def pack_signature(error_mask: int, flag: int) -> int:
 # Fault atoms and the single-fault model
 
 
-@dataclass(frozen=True)
-class FaultAtom:
+class FaultAtom(NamedTuple):
     """One deduplicated single-fault effect: a Z mask plus raised flags."""
 
     label: str
@@ -141,8 +140,7 @@ class FaultAtom:
         return pack_signature(self.error, self.flag)
 
 
-@dataclass(frozen=True)
-class FaultModel:
+class FaultModel(NamedTuple):
     """Per-circuit pools of distinct single-fault effects, Z side.
 
     gate1 holds one pool per first-level extraction circuit, gate2 one
@@ -212,15 +210,7 @@ def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
 # Fault counting types
 
 
-@dataclass(frozen=True)
-class FaultNumberCombination:
-    """How many faults of each kind participate in a combination.
-
-    The final-round scan distinguishes early (a) from late (b) gate
-    faults on first-level circuits; the lookup-table build does not, and
-    uses v_g1a for all first-level gate faults with v_g1b = v_s = 0.
-    """
-
+class _FaultNumbers(NamedTuple):
     v_g1a: int = 0
     v_g1b: int = 0
     v_g2: int = 0
@@ -228,13 +218,25 @@ class FaultNumberCombination:
     v_f: int = 0
     v_s: int = 0
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+
+class FaultNumberCombination(_FaultNumbers):
+    """How many faults of each kind participate in a combination.
+
+    The final-round scan distinguishes early (a) from late (b) gate
+    faults on first-level circuits; the lookup-table build does not, and
+    uses v_g1a for all first-level gate faults with v_g1b = v_s = 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "FaultNumberCombination":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        total = sum(vars(self).values())
-        if total > 3:
-            raise ValueError(f"at most 3 faults supported, got {total}")
+        if sum(self) > 3:
+            raise ValueError(f"at most 3 faults supported, got {sum(self)}")
+        return self
 
     def __str__(self) -> str:
         return (
@@ -243,8 +245,7 @@ class FaultNumberCombination:
         )
 
 
-@dataclass(frozen=True)
-class FaultCombination:
+class FaultCombination(NamedTuple):
     """A concrete multiset of faults collapsed to its combined effect.
 
     error is the full data error; flag is 21 bits for lookup-table
@@ -689,8 +690,7 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
 # Lookup-table audit
 
 
-@dataclass(frozen=True)
-class Claim2Violation:
+class Claim2Violation(NamedTuple):
     """A (stilde, tau, s, f) cell holding two inequivalent parities."""
 
     stilde: int
@@ -703,8 +703,7 @@ class Claim2Violation:
     witness_b: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Claim2Report:
+class Claim2Report(NamedTuple):
     max_faults: int
     flagged: bool
     interleaved: bool
@@ -775,12 +774,6 @@ class Claim2Report:
         unexpanded = self.n_violations - len(self.violations)
         if unexpanded:
             yield f"... {unexpanded} further violations not expanded", None
-
-
-def render_text(records) -> str:
-    """The text side of (text, JSON object) records, one line or block
-    per record; records without a text side are skipped."""
-    return "".join(f"{text}\n" for text, _ in records if text is not None)
 
 
 def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Report:
@@ -865,14 +858,12 @@ def relaxed_mark(fc: FaultCombination, max_faults: int = 3) -> bool:
     return min_coset_weight(fc.error.z_bits) + fc.counts.v_w > max_faults
 
 
-@dataclass(frozen=True)
-class MarkedCombination:
+class MarkedCombination(NamedTuple):
     combination: FaultCombination
     min_weight: int
 
 
-@dataclass(frozen=True)
-class CompletionAnalysis:
+class CompletionAnalysis(NamedTuple):
     """Exact wait-error completion check for one marked combination.
 
     A marked combination only matters if some placement of its v_w wait
@@ -887,8 +878,7 @@ class CompletionAnalysis:
     harmful: bool
 
 
-@dataclass(frozen=True)
-class FinalRoundReport:
+class FinalRoundReport(NamedTuple):
     max_faults: int
     n_number_combinations: int
     n_effect_combinations: int
@@ -1241,8 +1231,7 @@ def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAna
 # The 13-row single-fault table for the blockwise level-2 circuit
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     form: str
     m_values: tuple[int, ...]
     stilde: int

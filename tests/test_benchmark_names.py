@@ -27,6 +27,33 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(owner, attr) is fn for owner, attr, fn in saved)
 
 
+def test_tracer_sees_the_lazily_bound_cli_calls(monkeypatch, tmp_path):
+    # the CLI binds its library names on first use; the commands must
+    # still call the wrappers the tracer set on those names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from wpec import cli, verifier
+
+    out = str(tmp_path / "out.txt")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert cli.main(["verify-appendix-a", "--max-faults", "1", "--out", out]) == 0
+        assert cli.main(["decode", str(PERFBENCH / "bundle.txt"), "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.dump()["spans"]
+    for name in (
+        "verifier.build_lookup_table",
+        "verifier.verify_claim2",
+        "protocol.decode_with_report",
+    ):
+        assert spans[name][1] >= 1, name
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in saved)
+    assert cli.build_lookup_table is verifier.build_lookup_table
+
+
 def test_capture_inputs_exist():
     from wpec.codes import PCANON
     from wpec.verifier import fault_model

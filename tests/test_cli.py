@@ -424,6 +424,56 @@ def test_importing_the_cli_does_no_table_work():
     assert stdout.split() == [b"0", b"0"]
 
 
+# Runs ``main`` on the arguments after the first in a fresh interpreter,
+# then writes the names in ``sys.modules`` to the file the first names.
+_MODULE_PROBE = textwrap.dedent("""
+    import json, sys
+    from wpec.cli import main
+    try:
+        main(sys.argv[2:])
+    except SystemExit:  # --help
+        pass
+    with open(sys.argv[1], "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+""")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "--help",
+        "verify-claims --code steane",
+        "verify-claims --code concat49",
+        "verify-claims --code golay",
+        "gen-table --max-faults 1",
+        "verify-appendix-a --max-faults 1",
+        "verify-appendix-b --max-faults 1",
+        "reproduce-table1",
+    ],
+)
+def test_each_subcommand_loads_only_its_modules(command, tmp_path):
+    # every module a subcommand does not run adds to its process start-up
+    modules = tmp_path / "modules.json"
+    proc = _python(["-c", _MODULE_PROBE, str(modules), *command.split()],
+                   stdout=subprocess.DEVNULL)
+    assert proc.wait(timeout=120) == 0
+    loaded = set(json.loads(modules.read_text()))
+    table_work = not command.startswith(("--help", "verify-claims"))
+    assert "wpec.cli" in loaded
+    assert "wpec.protocol" not in loaded
+    assert ("wpec.verifier" in loaded) == table_work
+    assert ("numpy" in loaded) == (table_work or command.endswith("golay"))
+
+
+def test_library_imports_create_no_dataclass():
+    code = "import sys, wpec.cli, wpec.protocol, wpec.verifier; " \
+        "print('dataclasses' in sys.modules)"
+    proc = _python(["-c", code], stdout=subprocess.PIPE)
+    stdout, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert stdout.split() == [b"False"]
+
+
 def _write_bundle(tmp_path, name, input_mask=0, x_mask=0):
     state = make_state(
         input_error=PauliOp(N49, x_mask, input_mask)
@@ -517,7 +567,7 @@ def test_decode_non_utf8_bundle_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read bundle file: ")
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
@@ -527,6 +577,13 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["verify-claims"])  # --code is required
     assert e.value.code == 2
+    capsys.readouterr()
+    for workers in ("0", "-3"):  # ignored, but still a count of processes
+        with pytest.raises(SystemExit) as e:
+            main(["gen-table", "--max-faults", "1", "--workers", workers])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --workers: must be at least 1, got {workers}\n" in err
 
 
 def test_claims_output_to_file(tmp_path):

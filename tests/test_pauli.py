@@ -119,3 +119,20 @@ def test_block_form():
 def test_parity_helper():
     assert parity(0) == 0
     assert parity(0b1011) == 1
+
+
+def test_pauli_op_is_a_validated_immutable_value():
+    op = PauliOp(49, 0, 1)
+    assert repr(op) == "PauliOp(n=49, x_bits=0, z_bits=1)"
+    assert op == PauliOp.z_op(49, 1) and hash(op) == hash(PauliOp.z_op(49, 1))
+    assert op != PauliOp(49, 1, 0) and op != PauliOp(7, 0, 1)
+    assert len({op, PauliOp(49, 0, 1), PauliOp(7, 0, 1)}) == 2
+    assert op * PauliOp(49, 1, 1) == PauliOp(49, 1, 0)
+    with pytest.raises(AttributeError):
+        op.z_bits = 2
+    with pytest.raises(ValueError, match=r"^operator needs at least one qubit, got n=0$"):
+        PauliOp(0)
+    with pytest.raises(ValueError, match=r"^mask exceeds 3 qubits$"):
+        PauliOp(3, 8)
+    with pytest.raises(ValueError, match=r"^mask exceeds 3 qubits$"):
+        PauliOp(3, 0, 8)
