@@ -18,6 +18,12 @@ measured in X, catching ancilla Z's that pass between its two CNOTs.
 X-family circuits are the exact dual (ancilla |+> control, flag |0>
 target).
 
+``ROUND_ORDER``, ``circuit_phases`` and ``circuits_by_name`` are the one
+catalog of circuits that the fault model and the protocol both read.
+Names are ``z1``-``z21``, ``x1``-``x21`` (inner) and ``z~1``-``z~3``,
+``x~1``-``x~3`` (outer); a trailing ``#`` names the negative-control
+variant, flagless inner or ascending outer.
+
 Errors move through a circuit as one Pauli frame over its wires: the
 ancilla, the flag and the 49 data qubits.  Every gate is a CNOT with one
 rule: the control passes its X to the target, and the target passes its
@@ -35,6 +41,7 @@ flag CNOT and at the boundary positions.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Iterable, NamedTuple
 
@@ -74,12 +81,8 @@ def _target(family: str, mask: int) -> PauliOp:
 
 
 def level2_circuits(family: str = "z", interleaved: bool = True):
-    """Bare-ancilla circuits for the outer generators, in generator order.
-
-    ``interleaved=False`` falls back to plain ascending (subblock by
-    subblock) order; that variant exists for the single-fault catalog
-    and as the negative control in the fault-tolerance audit.
-    """
+    """Bare-ancilla circuits for the outer generators, in generator order
+    (plain ascending CNOT order only as the control and for Table 1)."""
     tag = "" if interleaved else "#"
     out = []
     for index, mask in enumerate(LEVEL2_GENS):
@@ -112,6 +115,28 @@ def level1_circuits(family: str = "z", flagged: bool = True):
             )
         )
     return tuple(out)
+
+
+# (family, level) in a round's measurement order: outer Z, outer X, inner Z, inner X
+ROUND_ORDER = (("z", 2), ("x", 2), ("z", 1), ("x", 1))
+
+
+@functools.lru_cache(maxsize=None)
+def circuit_phases(flagged: bool = True, interleaved: bool = True):
+    """One circuit family, a tuple of circuits per phase of ``ROUND_ORDER``;
+    ``flagged=False`` and ``interleaved=False`` pick the controls."""
+    return tuple(
+        level2_circuits(family, interleaved) if level == 2
+        else level1_circuits(family, flagged)
+        for family, level in ROUND_ORDER
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def circuits_by_name() -> dict[str, ExtractionCircuit]:
+    """All 96 circuits of the four families, by their unique names: the
+    real family and the all-control one hold every circuit once."""
+    return {c.name: c for b in (True, False) for ph in circuit_phases(b, b) for c in ph}
 
 
 # --- propagation -------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
-import json
 import os
 import re
 import sys
@@ -80,6 +79,7 @@ def __getattr__(name: str):
 
 
 def _jdump(obj) -> str:
+    import json  # only JSON output loads it
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 

@@ -1,16 +1,17 @@
 """Full error-correction protocol on the 49-qubit code.
 
-One round measures, in order, the three second-level Z generators, the
-three second-level X generators, the 21 flagged first-level Z circuits
-and the 21 flagged first-level X circuits.  Rounds repeat until the
-outcome bundle is identical four times in a row (at most 16 rounds for
-at most three faults); a fault-free round after another one, such as
-every round of the fault-free tail but its first, repeats the last
-bundle without being simulated.  The final bundle is then decoded in
-four steps: block-parity lookup, per-subblock weight-parity correction
-from a 16-entry table, an outer logical fix when the lookup missed, and
-the mirrored X side.  A bundle stores the syndromes s; its triviality
-vector tau is derived from them, never stored.
+One round measures the circuits in ``wpec.circuits.ROUND_ORDER``.  Its
+fault-free outcomes are the frame's syndromes and a gate fault names its
+circuit, so a negative-control trial (``x1#``, ``z~1#``) needs only the
+table of its family.  Rounds repeat until the outcome bundle is
+identical four times in a row (at most 16 rounds for at most three
+faults); a fault-free round after another one, such as every round of
+the fault-free tail but its first, repeats the last bundle without being
+simulated.  The final bundle is then decoded in four steps: block-parity
+lookup, per-subblock weight-parity correction from a 16-entry table, an
+outer logical fix when the lookup missed, and the mirrored X side.  A
+bundle stores the syndromes s; its triviality vector tau is derived from
+them, never stored.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -26,7 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import check_injection, level1_circuits, level2_circuits, run_circuit
+from .circuits import (
+    ROUND_ORDER,
+    check_injection,
+    circuit_phases,
+    circuits_by_name,
+    run_circuit,
+)
 from .codes import (
     N49,
     STAB7,
@@ -191,7 +198,7 @@ def parse_fault(line: str) -> ScheduledFault:
         if len(parts) != 5:
             raise ValueError(f"gate fault needs circuit, position, local: {line!r}")
         name, pos, local = parts[2], int(parts[3]), parts[4]
-        c = _circuits_by_name().get(name)
+        c = circuits_by_name().get(name)
         if c is None:
             raise ValueError(f"unknown circuit {name!r}")
         check_injection(c, pos, local)
@@ -228,11 +235,12 @@ def parse_fault(line: str) -> ScheduledFault:
 
 
 def parse_schedule(text: str) -> tuple[ScheduledFault, ...]:
+    """One fault per line; a comment starts at a word starting with ``#``."""
     out = []
     for line in text.splitlines():
-        line = line.partition("#")[0].strip()
-        if line:
-            out.append(parse_fault(line))
+        words = list(itertools.takewhile(lambda w: w[0] != "#", line.split()))
+        if words:
+            out.append(parse_fault(" ".join(words)))
     return tuple(out)
 
 
@@ -243,34 +251,17 @@ def format_schedule(faults) -> str:
 # ---------------------------------------------------------------------------
 # Round execution
 
-# The four measurement phases in protocol order, as (family, level).
-_PHASES = (("z", 2), ("x", 2), ("z", 1), ("x", 1))
-_PHASE_FIELD = ("s2z", "s2x", "sz", "sx")
-
-
-@functools.lru_cache(maxsize=1)
-def _circuit_phases():
-    return tuple(
-        (level2_circuits if level == 2 else level1_circuits)(family)
-        for family, level in _PHASES
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _circuits_by_name():
-    return {c.name: c for phase in _circuit_phases() for c in phase}
+_PHASE_FIELD = tuple(("s2" if lvl == 2 else "s") + fam for fam, lvl in ROUND_ORDER)
+# per phase: its syndrome, and whether it reads a data error's X part (Z family)
+_READS = tuple(
+    (level2_syndrome if lvl == 2 else level1_syndrome, fam == "z")
+    for fam, lvl in ROUND_ORDER
+)
 
 
 def _phase_reads(dx: int, dz: int) -> list[int]:
-    """Outcome bits per phase, in ``_PHASES`` order, for a data error
-    present from that phase on: Z-family circuits read its X part,
-    X-family circuits its Z part."""
-    return [
-        level2_syndrome(dx),
-        level2_syndrome(dz),
-        level1_syndrome(dx),
-        level1_syndrome(dz),
-    ]
+    """Outcome bits per phase for a data error present from that phase on."""
+    return [read(dx if zfam else dz) for read, zfam in _READS]
 
 
 class ProtocolState:
@@ -332,10 +323,10 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
             ez = (f.local in ("Z", "Y")) << q
             phase, unread_from = f.phase, 0
         elif f.kind == "gate":
-            c = _circuits_by_name()[f.circuit]
+            c = circuits_by_name()[f.circuit]
             r = run_circuit(c, injections=[(f.position, f.local)])
             ex, ez = r.data_x, r.data_z
-            phase, unread_from = _PHASES.index((c.family, c.level)), c.index + 1
+            phase, unread_from = ROUND_ORDER.index((c.family, c.level)), c.index + 1
             outcomes[phase] ^= r.outcome << c.index
             if r.flag:
                 flags[c.family == "x"] ^= 1 << c.flag_bit
@@ -343,7 +334,7 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
             raise ValueError(f"unknown fault kind {f.kind!r}")
         reads = _phase_reads(ex, ez)
         reads[phase] &= -1 << unread_from  # circuits already measured miss it
-        for p in range(phase, len(_PHASES)):
+        for p in range(phase, len(ROUND_ORDER)):
             outcomes[p] ^= reads[p]
         dx ^= ex
         dz ^= ez
@@ -608,11 +599,12 @@ class FtecReport(NamedTuple):
     n_condition2: int
     n_fallback: int
     max_rounds_used: int
-    failures: tuple[TrialResult, ...]
+    n_failures: int
+    failures: tuple[TrialResult, ...]  # the first _MAX_FAILURES of them
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.n_failures
 
     def render(self) -> str:
         lines = [
@@ -621,7 +613,7 @@ class FtecReport(NamedTuple):
             f"condition 2 checked: {self.n_condition2}",
             f"fallback decodes: {self.n_fallback}",
             f"max rounds used: {self.max_rounds_used}",
-            f"failures: {len(self.failures)}",
+            f"failures: {self.n_failures} ({len(self.failures)} shown)",
         ]
         lines.extend(f.render() for f in self.failures)
         return "\n".join(lines) + "\n"
@@ -639,7 +631,7 @@ def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecRe
     """
     if table is None:
         table = build_lookup_table(T)
-    n = n1 = n2 = nfb = 0
+    n = n1 = n2 = nfb = nfail = 0
     max_rounds = 0
     failures = []
     for trial in trials:
@@ -649,6 +641,7 @@ def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecRe
         n2 += r.condition2 is not None
         nfb += r.fallback_used
         max_rounds = max(max_rounds, r.rounds_used)
+        nfail += not r.ok
         if not r.ok and len(failures) < _MAX_FAILURES:
             failures.append(r)
     return FtecReport(
@@ -657,6 +650,7 @@ def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecRe
         n_condition2=n2,
         n_fallback=nfb,
         max_rounds_used=max_rounds,
+        n_failures=nfail,
         failures=tuple(failures),
     )
 
@@ -697,8 +691,8 @@ _GATE_LOCALS = [
 def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
     kind = rng.choices(("gate", "wait", "flag", "meas"), weights=(10, 5, 2, 3))[0]
     if kind == "gate":
-        name = rng.choice(sorted(_circuits_by_name()))
-        c = _circuits_by_name()[name]
+        name = rng.choice(sorted(c.name for ph in circuit_phases() for c in ph))
+        c = circuits_by_name()[name]
         pos = rng.randint(-1, len(c.gates))
         if pos in (-1, len(c.gates)):
             local = rng.choice(_PAULIS)

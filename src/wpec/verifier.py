@@ -55,11 +55,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
+    circuit_phases,
+    circuits_by_name,
     dedup_effects,
     enumerate_single_faults,
     flag_flip_atoms,
-    level1_circuits,
-    level2_circuits,
     wait_fault_atoms,
 )
 from .codes import (
@@ -141,35 +141,21 @@ class FaultAtom(NamedTuple):
 
 
 class FaultModel(NamedTuple):
-    """Per-circuit pools of distinct single-fault effects, Z side.
+    """Pools of single-fault effects, Z side: G1, G2, W, F.
 
-    gate1 holds one pool per first-level extraction circuit, gate2 one
-    pool per second-level circuit.  wait covers single-qubit Z errors
-    during idle time (input errors are modeled the same way), flag the
-    single flag-measurement flips.
+    gate1 holds the distinct effects of each first-level extraction
+    circuit in turn, gate2 those of each second-level circuit.  wait
+    covers single-qubit Z errors during idle time (input errors are
+    modeled the same way), flag the single flag-measurement flips.
     """
 
-    gate1: tuple[tuple[str, tuple[FaultAtom, ...]], ...]
-    gate2: tuple[tuple[str, tuple[FaultAtom, ...]], ...]
+    gate1: tuple[FaultAtom, ...]
+    gate2: tuple[FaultAtom, ...]
     wait: tuple[FaultAtom, ...]
     flag: tuple[FaultAtom, ...]
 
-    def gate1_atoms(self) -> tuple[FaultAtom, ...]:
-        return tuple(a for _, pool in self.gate1 for a in pool)
-
-    def gate2_atoms(self) -> tuple[FaultAtom, ...]:
-        return tuple(a for _, pool in self.gate2 for a in pool)
-
     def all_atoms(self) -> tuple[FaultAtom, ...]:
-        return self.gate1_atoms() + self.gate2_atoms() + self.wait + self.flag
-
-    def pool_sizes(self) -> dict[str, int]:
-        return {
-            "G1": sum(len(pool) for _, pool in self.gate1),
-            "G2": sum(len(pool) for _, pool in self.gate2),
-            "W": len(self.wait),
-            "F": len(self.flag),
-        }
+        return self.gate1 + self.gate2 + self.wait + self.flag
 
     def signature_pool(self) -> np.ndarray:
         """Distinct nonzero signatures over every atom in the model."""
@@ -181,20 +167,14 @@ class FaultModel(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
     """Build the Z-side single-fault pools for the chosen circuit family."""
-    g1 = []
-    for c in level1_circuits("z", flagged=flagged):
-        pool = tuple(
-            FaultAtom(f"G1[{c.name}]@{f.position}:{f.local}", f.data_z, f.flag21)
-            for f in dedup_effects(enumerate_single_faults(c))
-        )
-        g1.append((c.name, pool))
-    g2 = []
-    for c in level2_circuits("z", interleaved=interleaved):
-        pool = tuple(
-            FaultAtom(f"G2[{c.name}]@{f.position}:{f.local}", f.data_z, f.flag21)
-            for f in dedup_effects(enumerate_single_faults(c))
-        )
-        g2.append((c.name, pool))
+    gate = {1: [], 2: []}  # the Z-family circuits' effects, by level
+    for phase in circuit_phases(flagged, interleaved):
+        for c in (c for c in phase if c.family == "z"):
+            label = f"G{c.level}[{c.name}]@"
+            gate[c.level] += (
+                FaultAtom(f"{label}{f.position}:{f.local}", f.data_z, f.flag21)
+                for f in dedup_effects(enumerate_single_faults(c))
+            )
     wait = tuple(
         FaultAtom(f"W[{f.local}]", f.data_z, 0) for f in wait_fault_atoms()
     )
@@ -203,7 +183,7 @@ def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
         if flagged
         else ()
     )
-    return FaultModel(tuple(g1), tuple(g2), wait, flag)
+    return FaultModel(tuple(gate[1]), tuple(gate[2]), wait, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +272,7 @@ def combination_counts(
     faults.  Raw location-level counts would be larger (many faults share
     an effect) but add no records to the table.
     """
-    sizes = model.pool_sizes().values()  # G1, G2, W, F
+    sizes = tuple(map(len, model))  # G1, G2, W, F
     return tuple(
         (
             FaultNumberCombination(v_g1a=v1, v_g2=v2, v_w=vw, v_f=vf),
@@ -342,7 +322,7 @@ def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     keys |= rank[f.view(np.int64)]
     keys.sort()
     keys = _unique_sorted(keys)
-    flags = flags[(keys & np.uint64(0x7FFF)).view(np.int64)]
+    flags = flags[keys.astype(np.uint16) & np.uint16(0x7FFF)]  # 16-bit temporaries
     keys >>= np.uint64(15)
     return keys, flags
 
@@ -1048,9 +1028,9 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
-    model = fault_model(flagged=True, interleaved=True)
-    g1 = _atom_effect_sets(model.gate1_atoms())
-    g2 = _atom_effect_sets(model.gate2_atoms())
+    model = fault_model()
+    g1 = _atom_effect_sets(model.gate1)
+    g2 = _atom_effect_sets(model.gate2)
 
     marked: list[MarkedCombination] = []
     n_effects = 0
@@ -1153,10 +1133,10 @@ def _scan_witness_sets() -> tuple[tuple[_EffectSets, tuple[str, ...]], ...]:
     """The G1 and G2 atoms as search engines, in atom order and not
     deduplicated (two equal atoms cancel, and a witness may list both),
     with their labels."""
-    model = fault_model(flagged=True, interleaved=True)
+    model = fault_model()
     return tuple(
         (_EffectSets(_atom_columns(atoms)), tuple(a.label for a in atoms))
-        for atoms in (model.gate1_atoms(), model.gate2_atoms())
+        for atoms in (model.gate1, model.gate2)
     )
 
 
@@ -1249,7 +1229,7 @@ def reproduce_table1() -> tuple[Table1Row, ...]:
     what the emitted 13 rows record.  Parities here are literal, not
     canonicalized.
     """
-    circ = level2_circuits("z", interleaved=False)[0]
+    circ = circuits_by_name()["z~1#"]
     order = circ.cnot_order
     suffix = [0] * 29
     for k in range(27, -1, -1):

@@ -13,6 +13,9 @@ import random
 import pytest
 
 from wpec.circuits import (
+    ROUND_ORDER,
+    circuit_phases,
+    circuits_by_name,
     dedup_effects,
     enumerate_single_faults,
     flag_flip_atoms,
@@ -97,6 +100,25 @@ def test_clean_run_measures_the_generator():
             assert r.flag == 0
             want = parity((dx if c.family == "z" else dz) & support)
             assert r.outcome == want
+
+
+def test_catalog_holds_four_families_in_round_order():
+    # both circuit models read the catalog: every family's phases follow
+    # ROUND_ORDER in generator order, and one name resolves each circuit
+    by_name = circuits_by_name()
+    assert len(by_name) == 96
+    for flagged, interleaved in itertools.product((True, False), repeat=2):
+        phases = circuit_phases(flagged, interleaved)
+        assert len(phases) == len(ROUND_ORDER)
+        for (family, level), phase in zip(ROUND_ORDER, phases):
+            assert [(c.family, c.level, c.index) for c in phase] == [
+                (family, level, i) for i in range(len(phase))
+            ]
+            real = flagged if level == 1 else interleaved
+            for c in phase:
+                assert by_name[c.name] == c
+                assert c.name.endswith("#") != real
+
 
 
 # --- single-fault propagation ---------------------------------------------------------

@@ -405,7 +405,8 @@ def test_stdout_write_failure_exits_2_quietly(argv, monkeypatch, tmp_path):
 
 
 def test_importing_the_cli_does_no_table_work():
-    # import-time work would show in the set-up time of every CLI job
+    # import-time work would show in the set-up time of every CLI job,
+    # and the library modules it loads on first use build no circuit
     code = textwrap.dedent("""
         import sys
         calls = []
@@ -415,26 +416,31 @@ def test_importing_the_cli_does_no_table_work():
         sys.setprofile(profile)
         import wpec.cli
         sys.setprofile(None)
+        import wpec.protocol
+        from wpec.circuits import circuit_phases, circuits_by_name
         from wpec.verifier import fault_model
-        print(fault_model.cache_info().currsize, len(calls))
+        print(fault_model.cache_info().currsize, len(calls),
+              circuit_phases.cache_info().currsize,
+              circuits_by_name.cache_info().currsize)
     """)
     proc = _python(["-c", code], stdout=subprocess.PIPE)
     stdout, _ = proc.communicate(timeout=120)
     assert proc.returncode == 0
-    assert stdout.split() == [b"0", b"0"]
+    assert stdout.split() == [b"0", b"0", b"0", b"0"]
 
 
 # Runs ``main`` on the arguments after the first in a fresh interpreter,
-# then writes the names in ``sys.modules`` to the file the first names.
+# then writes the names in ``sys.modules`` to the file the first names,
+# one a line (the probe itself loads no module the test asks about).
 _MODULE_PROBE = textwrap.dedent("""
-    import json, sys
+    import sys
     from wpec.cli import main
     try:
         main(sys.argv[2:])
     except SystemExit:  # --help
         pass
     with open(sys.argv[1], "w") as fh:
-        json.dump(sorted(sys.modules), fh)
+        fh.write("\\n".join(sorted(sys.modules)))
 """)
 
 
@@ -449,20 +455,25 @@ _MODULE_PROBE = textwrap.dedent("""
         "verify-appendix-a --max-faults 1",
         "verify-appendix-b --max-faults 1",
         "reproduce-table1",
+        "decode perfbench/bundle.txt",
+        "verify-claims --code steane --format json-lines",
+        "decode perfbench/bundle.txt --format json-lines",
     ],
 )
 def test_each_subcommand_loads_only_its_modules(command, tmp_path):
     # every module a subcommand does not run adds to its process start-up
-    modules = tmp_path / "modules.json"
+    modules = tmp_path / "modules.txt"
     proc = _python(["-c", _MODULE_PROBE, str(modules), *command.split()],
-                   stdout=subprocess.DEVNULL)
+                   stdout=subprocess.DEVNULL, cwd=ROOT)
     assert proc.wait(timeout=120) == 0
-    loaded = set(json.loads(modules.read_text()))
+    loaded = set(modules.read_text().split())
+    decode = command.startswith("decode")
     table_work = not command.startswith(("--help", "verify-claims"))
     assert "wpec.cli" in loaded
-    assert "wpec.protocol" not in loaded
+    assert ("wpec.protocol" in loaded) == decode
     assert ("wpec.verifier" in loaded) == table_work
     assert ("numpy" in loaded) == (table_work or command.endswith("golay"))
+    assert ("json" in loaded) == command.endswith("json-lines")
 
 
 def test_library_imports_create_no_dataclass():

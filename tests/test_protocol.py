@@ -42,10 +42,9 @@ from wpec.protocol import (
     run_trial,
     run_until_stable,
     sample_trials,
-    _circuit_phases,
     _PHASE_FIELD,
 )
-from wpec.circuits import level1_circuits, run_circuit
+from wpec.circuits import circuit_phases, circuits_by_name, level1_circuits, run_circuit
 from wpec.verifier import build_lookup_table
 
 
@@ -228,6 +227,9 @@ def test_schedule_comments_and_blanks_ignored():
         "0 gate z1 99 ZI",         # position out of range
         "0 gate z1 2 Z",           # one-character local mid-circuit
         "0 gate z~1 -1 IZ",        # outer circuits have no flag wire
+        "0 gate z~1# -1 IZ",       # nor have their controls
+        "0 gate z1# -1 IZ",        # a flagless inner circuit has no flag wire
+        "0 gate z1# 5 ZI",         # and 4 gates
         "0 gate z1 2 II",          # identity is not a fault
         "0 gate z1 2 ZQ",          # bad Pauli letter
         "0 wait 50 Z",             # qubit out of range
@@ -254,10 +256,11 @@ def test_boundary_flag_wire_fault_allowed():
 
 def test_parse_fault_agrees_with_run_circuit():
     # a gate fault line parses exactly when run_circuit takes the injection
-    # and the local error is not the identity
+    # and the local error is not the identity, on the circuits of all four
+    # families
     locals_ = tuple("IXYZQ") + tuple(a + b for a in "IXYZQ" for b in "IXYZQ")
-    n = disagree = 0
-    for c in (c for phase in _circuit_phases() for c in phase):
+    n = disagree = accepted = 0
+    for c in circuits_by_name().values():
         for pos in range(-2, len(c.gates) + 2):
             for local in (*locals_, "ZZZ"):
                 try:
@@ -272,7 +275,8 @@ def test_parse_fault_agrees_with_run_circuit():
                     got = False
                 n += 1
                 disagree += got != want
-    assert (n, disagree) == (18972, 0)
+                accepted += got
+    assert (n, disagree, accepted) == (35340, 0, 13176)
 
 
 # --- decoding ------------------------------------------------------------------
@@ -846,7 +850,7 @@ def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
 
     dx, dz = state.data_error.x_bits, state.data_error.z_bits
     outcomes = dict.fromkeys(_PHASE_FIELD, 0)
-    for phase, circuits in enumerate(_circuit_phases()):
+    for phase, circuits in enumerate(circuit_phases()):
         for w in waits.get(phase, ()):
             q = w.qubit - 1
             if w.local in ("X", "Y"):
@@ -887,25 +891,27 @@ def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
     return bundle
 
 
-def _accepted_round0_lines() -> dict[str, list[str]]:
-    """Every round-0 fault line parse_fault accepts, by kind."""
+@functools.lru_cache(maxsize=None)
+def _accepted_lines(rnd=0, flagged=True, interleaved=True) -> dict[str, list[str]]:
+    """Every fault line of round ``rnd`` that parse_fault accepts, by
+    kind, with the gate faults on the circuits of one family."""
     locals_ = [a for a in "IXYZ"] + [a + b for a in "IXYZ" for b in "IXYZ"]
     candidates = [
-        f"0 gate {c.name} {pos} {local}"
-        for phase in _circuit_phases()
+        f"{rnd} gate {c.name} {pos} {local}"
+        for phase in circuit_phases(flagged, interleaved)
         for c in phase
         for pos in range(-1, len(c.gates) + 1)
         for local in locals_
     ]
     candidates += [
-        f"0 wait {q} {p} {phase}"
+        f"{rnd} wait {q} {p} {phase}"
         for q in range(1, N49 + 1)
         for p in "XYZ"
         for phase in range(4)
     ]
-    candidates += [f"0 flag {side} {bit}" for side in "xz" for bit in range(21)]
+    candidates += [f"{rnd} flag {side} {bit}" for side in "xz" for bit in range(21)]
     candidates += [
-        f"0 meas {fld} {bit}"
+        f"{rnd} meas {fld} {bit}"
         for fld, width in (("sx", 21), ("sz", 21), ("s2x", 3), ("s2z", 3))
         for bit in range(width)
     ]
@@ -930,7 +936,7 @@ def _assert_round_matches_reference(schedule, dx, dz, f_x, f_z):
 
 
 def test_run_round_matches_reference_on_every_single_fault():
-    lines = _accepted_round0_lines()
+    lines = _accepted_lines()
     counts = {kind: len(v) for kind, v in lines.items()}
     assert counts == {"gate": 7848, "wait": 588, "flag": 42, "meas": 48}
     rng = random.Random(61)
@@ -943,7 +949,7 @@ def test_run_round_matches_reference_on_every_single_fault():
 
 
 def test_run_round_matches_reference_on_multi_fault_rounds():
-    lines = _accepted_round0_lines()
+    lines = _accepted_lines()
     pool = [line for kind_lines in lines.values() for line in kind_lines]
     by_circuit = defaultdict(list)
     for line in lines["gate"]:
@@ -976,3 +982,87 @@ def test_trials_match_reference_walk(table, monkeypatch):
     monkeypatch.setattr(protocol, "run_until_stable", _reference_run_until_stable)
     monkeypatch.setattr(protocol, "run_round", _reference_run_round)
     assert got == _trial_outputs(trials, table)
+
+
+# --- negative controls at gate level -----------------------------------------
+
+# (flagged, interleaved) -> (round-3 single-fault trials, failures by kind)
+_CONTROL_FAILURES = {
+    (True, True): (8526, {}),
+    (False, True): (5964, {"gate": 84}),
+    (True, False): (8526, {"gate": 2093, "wait": 231}),
+    (False, False): (5964, {"gate": 1889, "wait": 231}),
+}
+
+
+def _partition_tags(table):
+    """A function from a bundle to the table's group tags of its (stilde,
+    tau) partition on the Z side and on the X side (None for no group)."""
+    tags = dict(zip(table._group_high.tolist(), table.group_tags()))
+    return lambda b: (tags.get(b.stilde_x << 7 | b.tau_x),
+                      tags.get(b.stilde_z << 7 | b.tau_z))
+
+
+@pytest.mark.parametrize("flagged, interleaved", list(_CONTROL_FAILURES))
+def test_single_faults_fail_only_on_control_circuits(flagged, interleaved):
+    # every single fault of round 3 on a clean input, gate faults on the
+    # family's circuits and flag faults only where it has flags, decoded
+    # with the table built for the same family
+    lines = [
+        line for kind, ls in _accepted_lines(3, flagged, interleaved).items()
+        if flagged or kind != "flag" for line in ls
+    ]
+    table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
+    results = [run_trial(Trial(identity(N49), parse_schedule(ln), ln), table)
+               for ln in lines]
+    failures = [r for r in results if not r.ok]
+    partition_tags = _partition_tags(table)
+    n_trials, by_kind = _CONTROL_FAILURES[flagged, interleaved]
+    assert len(results) == n_trials
+    assert Counter(r.trial.schedule[0].kind for r in failures) == by_kind
+    for r in failures:
+        assert r.decode_consistent, r.trial.name
+        if r.condition1 is False:
+            # the effect-level audit flags the partition it decoded from
+            assert "!" in partition_tags(r.bundle), r.trial.name
+    if not flagged and interleaved:
+        # flagless inner circuits fail condition 2 alone, with residual
+        # weight 2, in partitions the audit tags uniform on both sides:
+        # only the gate-level check sees these failures
+        assert {(r.condition1, r.condition2, r.weight_exact, r.weight_normalizer,
+                 partition_tags(r.bundle)) for r in failures} == {
+            (True, False, 2, 2, ("1", "1"))
+        }
+
+
+@pytest.mark.parametrize(
+    "text, flagged, interleaved, conditions",
+    [
+        ("3 gate x1# 1 XI   # flagless inner circuit", False, True, (True, False)),
+        ("3 gate z~1# 14 IX # ascending outer circuit", True, False, (False, True)),
+        ("3 wait 22 X 0", True, False, (False, True)),
+    ],
+)
+def test_negative_control_failures_replay_from_text(
+    text, flagged, interleaved, conditions
+):
+    schedule = parse_schedule(text)
+    assert len(schedule) == 1
+    control = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
+    r = run_trial(Trial(identity(N49), schedule), control)
+    assert (r.condition1, r.condition2) == conditions
+    if schedule[0].kind == "wait":
+        # no control circuit runs: the control table alone fails
+        assert run_trial(Trial(identity(N49), schedule), build_lookup_table(3)).ok
+
+
+def test_report_counts_every_failure():
+    # the report keeps the first failures, but counts them all
+    lines = _accepted_lines(3)["wait"]
+    report = check_ftec_conditions(
+        (Trial(identity(N49), parse_schedule(ln), ln) for ln in lines),
+        table=build_lookup_table(3, interleaved=False),
+    )
+    assert (report.n_trials, report.n_failures, len(report.failures)) == (588, 231, 20)
+    assert not report.ok
+    assert "\nfailures: 231 (20 shown)\n" in report.render()

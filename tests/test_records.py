@@ -55,7 +55,7 @@ RECORDS = {
     protocol.Trial: (("input_error", "schedule", "name"), {"schedule": (), "name": ""}),
     protocol.FtecReport: (
         ("n_trials", "n_condition1", "n_condition2", "n_fallback",
-         "max_rounds_used", "failures"),
+         "max_rounds_used", "n_failures", "failures"),
         {},
     ),
     cli.CheckResult: (("name", "ok", "detail"), {}),

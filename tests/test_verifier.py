@@ -69,12 +69,12 @@ def final_round_report():
 
 def test_pool_sizes():
     m = fault_model()
-    assert m.pool_sizes() == {"G1": 210, "G2": 165, "W": 49, "F": 21}
+    assert tuple(map(len, m)) == (210, 165, 49, 21)  # G1, G2, W, F
 
 
 def test_flagless_model_has_no_flag_pool():
     m = fault_model(flagged=False)
-    assert m.pool_sizes()["F"] == 0
+    assert m.flag == ()
     assert all(a.flag == 0 for a in m.all_atoms())
 
 
@@ -107,7 +107,7 @@ def test_pack_signature_fields():
 def test_full_generator_signature_is_trivial():
     # an ancilla Z before the first CNOT recreates the measured generator
     m = fault_model()
-    prep = [a for _, pool in m.gate2 for a in pool if a.label.endswith("@-1:Z")]
+    prep = [a for a in m.gate2 if a.label.endswith("@-1:Z")]
     assert len(prep) == 3
     for a in prep:
         assert a.error.bit_count() == 28
@@ -399,7 +399,7 @@ def raw_gate_pools(combinations210):
     """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms."""
     model = fault_model()
     out = []
-    for atoms in (model.gate1_atoms(), model.gate2_atoms()):
+    for atoms in (model.gate1, model.gate2):
         cols = v._atom_columns(atoms)
         out.append(
             (v._EffectSets(cols), _subsets(combinations210, cols),
@@ -496,11 +496,11 @@ def test_scan_witness_miss_raises(monkeypatch, final_round_report):
     assert v._scan_witness(fc.counts, ea, fa, eb, fb) == fc.faults
     # without the G2 atoms that reach the early error there is no witness
     model = fault_model()
-    g2 = tuple(a for a in model.gate2_atoms() if a.error != ea)
-    assert len(g2) < len(model.gate2_atoms())
+    g2 = tuple(a for a in model.gate2 if a.error != ea)
+    assert len(g2) < len(model.gate2)
     pools = tuple(
         (v._EffectSets(v._atom_columns(atoms)), tuple(a.label for a in atoms))
-        for atoms in (model.gate1_atoms(), g2)
+        for atoms in (model.gate1, g2)
     )
     monkeypatch.setattr(v, "_scan_witness_sets", lambda: pools)
     with pytest.raises(RuntimeError):
@@ -660,7 +660,7 @@ def test_relaxed_mark_requires_weight():
 
 def test_relaxed_mark_known_example():
     m = fault_model()
-    atom = next(a for a in m.gate2_atoms() if a.label == "G2[z~1]@1:ZI")
+    atom = next(a for a in m.gate2 if a.label == "G2[z~1]@1:ZI")
     counts = FaultNumberCombination(v_g2=1, v_w=2)
     fc = FaultCombination(
         counts, PauliOp.z_op(49, atom.error), error_a=PauliOp.z_op(49, atom.error)
@@ -676,7 +676,7 @@ def test_relaxed_mark_known_example():
     assert not relaxed_mark(fc0, 3)
     # boundary positions have light residuals and stay unmarked
     for label in ("G2[z~1]@0:ZI", "G2[z~1]@26:ZI"):
-        a = next(x for x in m.gate2_atoms() if x.label == label)
+        a = next(x for x in m.gate2 if x.label == label)
         fc_edge = FaultCombination(
             counts, PauliOp.z_op(49, a.error), error_a=PauliOp.z_op(49, a.error)
         )
@@ -775,7 +775,7 @@ def _strictly_increasing(m, f):
 
 @pytest.mark.parametrize("pool", ["gate1", "gate2"])
 def test_effect_sets_match_pure_python(pool):
-    atoms = getattr(fault_model(), f"{pool}_atoms")()
+    atoms = getattr(fault_model(), pool)
     sets = v._atom_effect_sets(atoms)
     expected = _xor_subsets([(a.error, a.flag) for a in atoms])
     for n in range(4):
@@ -789,7 +789,7 @@ def test_effect_sets_match_pure_python(pool):
 
 def test_late_effects_are_early_effects_with_shifted_flags():
     # the scan's late G1 effects: flags in the high 21 bits, same order
-    atoms = fault_model().gate1_atoms()
+    atoms = fault_model().gate1
     sets = v._atom_effect_sets(atoms)
     expected = _xor_subsets([(a.error, a.flag << 21) for a in atoms])
     for n in range(4):
@@ -809,8 +809,8 @@ def test_level1_syndrome_vec_is_linear():
 
 def test_early_survivors_match_scalar_sigma():
     model = fault_model()
-    g1 = v._atom_effect_sets(model.gate1_atoms())
-    g2 = v._atom_effect_sets(model.gate2_atoms())
+    g1 = v._atom_effect_sets(model.gate1)
+    g2 = v._atom_effect_sets(model.gate2)
     early = [
         (m1 ^ m2, f1 ^ f2)
         for m1, f1 in zip(*(x.tolist() for x in g1.up_to(1)))
@@ -832,8 +832,8 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
     # faults are checked below, and the 17,580,853 with three are left to
     # the vectorized path.
     model = fault_model()
-    g1 = v._atom_effect_sets(model.gate1_atoms())
-    g2 = v._atom_effect_sets(model.gate2_atoms())
+    g1 = v._atom_effect_sets(model.gate1)
+    g2 = v._atom_effect_sets(model.gate2)
 
     def effects(sets, k):
         return list(zip(*(c.tolist() for c in sets.up_to(k))))
@@ -881,8 +881,8 @@ def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
     # coset condition is checked as well: its marks include early
     # G1a x G2 ones, which makes what the sigma filter drops visible.
     model = fault_model()
-    g1 = v._atom_effect_sets(model.gate1_atoms())
-    g2 = v._atom_effect_sets(model.gate2_atoms())
+    g1 = v._atom_effect_sets(model.gate1)
+    g2 = v._atom_effect_sets(model.gate2)
     gate_counts = [c for c in itertools.product(range(3), repeat=3) if sum(c) == 2]
     others = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     marked, scanned = set(), set()
@@ -922,11 +922,11 @@ def test_min_coset_weight_vec_matches_scalar():
 
 def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     model = fault_model()
-    atoms = model.gate1_atoms()
+    atoms = model.gate1
     kw = dict(flagged=False, interleaved=False)
     effects = v._atom_effect_sets(atoms).up_to(3)
     keys = build_lookup_table(3, **kw).keys
-    g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2_atoms())
+    g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2)
     fnc = FaultNumberCombination(v_g1a=2, v_g2=1)  # 14,673 x 130 rows
     early = v._early_survivors(fnc, g1, g2)
     monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 12)
@@ -975,7 +975,7 @@ def _engine_pools():
         for variant in VARIANTS
     ]
     model = fault_model()
-    for name, atoms in (("G1", model.gate1_atoms()), ("G2", model.gate2_atoms())):
+    for name, atoms in (("G1", model.gate1), ("G2", model.gate2)):
         pools.append((f"{name} raw", v._atom_columns(atoms), None))
         pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
     pools.append(("wait", v._wait_effect_sets().pool, None))
@@ -1118,7 +1118,7 @@ def test_min_coset_weight_vec_matches_reference():
 
 def test_unique_rows_matches_lexsort_reference():
     model = fault_model()
-    for atoms in (model.gate1_atoms(), model.gate2_atoms()):
+    for atoms in (model.gate1, model.gate2):
         sets = v._EffectSets(v._atom_columns(atoms))
         for k in (2, 3):
             m, f = sets._exact((k, k - 2))
