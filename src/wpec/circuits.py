@@ -42,7 +42,6 @@ flag CNOT and at the boundary positions.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 from .codes import LEVEL1_GENS, LEVEL2_GENS, N49
@@ -183,16 +182,21 @@ def run_circuit(
     """Walk the circuit with an incoming data-error frame, injecting the
     given (position, local error) faults along the way."""
     n_gates = len(c.gates)
-    by_pos: dict[int, list[str]] = defaultdict(list)
+    by_pos: dict[int, list[str]] = {}
     for pos, local in injections:
         check_injection(c, pos, local)
-        by_pos[pos].append(local)
+        by_pos.setdefault(pos, []).append(local)
 
     zfam = c.family == "z"
     x, z = data_x << _DATA0, data_z << _DATA0
-    # the wire a local error's second character lands on, per position
-    others = [_FLG, *(_FLG if q == _FLAG else q + _DATA0 for q in c.gates), _FLG]
-    for pos, other in enumerate(others, start=-1):
+    # per position from -1: the data qubit that a local error's second
+    # character lands on, or _FLAG for the flag wire
+    qubits = (_FLAG, *c.gates, _FLAG)
+    # a CNOT maps the zero frame to itself: such a run starts at its first fault
+    start = -1 if x or z else min(by_pos, default=n_gates)
+    for pos in range(start, n_gates + 1):
+        q = qubits[pos + 1]
+        other = _FLG if q == _FLAG else q + _DATA0
         if 0 <= pos < n_gates:
             ctl, tgt = (other, _ANC) if zfam else (_ANC, other)
             x ^= (x >> ctl & 1) << tgt

@@ -1,9 +1,10 @@
 """Full error-correction protocol on the 49-qubit code.
 
 One round measures the circuits in ``wpec.circuits.ROUND_ORDER``.  Its
-fault-free outcomes are the frame's syndromes and a gate fault names its
-circuit, so a negative-control trial (``x1#``, ``z~1#``) needs only the
-table of its family.  Rounds repeat until the outcome bundle is
+fault-free outcomes are the frame's syndromes, which the state carries
+from round to round, and a gate fault names its circuit, so a
+negative-control trial (``x1#``, ``z~1#``) needs only the table of its
+family.  Rounds repeat until the outcome bundle is
 identical four times in a row (at most 16 rounds for at most three
 faults); a fault-free round after another one, such as every round of
 the fault-free tail but its first, repeats the last bundle without being
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -252,21 +252,27 @@ def format_schedule(faults) -> str:
 # Round execution
 
 _PHASE_FIELD = tuple(("s2" if lvl == 2 else "s") + fam for fam, lvl in ROUND_ORDER)
-# per phase: its syndrome, and whether it reads a data error's X part (Z family)
-_READS = tuple(
-    (level2_syndrome if lvl == 2 else level1_syndrome, fam == "z")
-    for fam, lvl in ROUND_ORDER
-)
+_FIELD_PHASE = {fld: p for p, fld in enumerate(_PHASE_FIELD)}
+_PHASE_OF = {fam_lvl: p for p, fam_lvl in enumerate(ROUND_ORDER)}
 
 
 def _phase_reads(dx: int, dz: int) -> list[int]:
-    """Outcome bits per phase for a data error present from that phase on."""
-    return [read(dx if zfam else dz) for read, zfam in _READS]
+    """Outcome bits per phase of ``ROUND_ORDER`` for a data error present
+    from that phase on: the Z family reads its X part, the X family its
+    Z part."""
+    return [
+        level2_syndrome(dx), level2_syndrome(dz),
+        level1_syndrome(dx), level1_syndrome(dz),
+    ]
 
 
 class ProtocolState:
     """Pauli frame of the true data error plus the per-round log; the
-    rounds of one trial update it in place."""
+    rounds of one trial update it in place.
+
+    The frame is held as its two masks and its four phase reads, which
+    each round carries forward by XOR instead of reading the frame again;
+    assigning ``data_error`` derives the reads anew."""
 
     def __init__(
         self,
@@ -279,16 +285,24 @@ class ProtocolState:
         self._f_x = 0
         self._f_z = 0
 
+    @property
+    def data_error(self) -> PauliOp:
+        return PauliOp(N49, self._dx, self._dz)
+
+    @data_error.setter
+    def data_error(self, op: PauliOp) -> None:
+        self._dx, self._dz = op.x_bits, op.z_bits
+        self._reads = _phase_reads(op.x_bits, op.z_bits)
+
 
 def make_state(
     schedule=(), input_error: PauliOp | None = None
 ) -> ProtocolState:
-    by_round: dict[int, list[ScheduledFault]] = defaultdict(list)
+    by_round: dict[int, tuple[ScheduledFault, ...]] = {}
     for f in schedule:
-        by_round[f.round].append(f)
+        by_round[f.round] = by_round.get(f.round, ()) + (f,)
     return ProtocolState(
-        identity(N49) if input_error is None else input_error,
-        {r: tuple(fs) for r, fs in by_round.items()},
+        identity(N49) if input_error is None else input_error, by_round
     )
 
 
@@ -297,22 +311,24 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
 
     Every circuit is CNOT-only, so a round is linear in the incoming
     frame and its faults.  The fault-free outcomes are the syndromes of
-    the incoming frame, and each fault XORs in its own effect:
+    the incoming frame, which the state carries, and each fault XORs in
+    its own effect:
 
     * a data error left before a phase, or by a gate fault inside one of
       its circuits, is read by the later circuits of that phase and by
-      every later phase, and stays in the frame;
+      every later phase, and stays in the frame, whose reads take all of
+      its syndromes;
     * a gate fault's effect is ``run_circuit`` on the zero frame: its
       data residue, its own outcome bit and its flag;
     * measurement and flag faults flip one bit directly.
     """
     rnd = len(state.round_log)
-    dx, dz = state.data_error.x_bits, state.data_error.z_bits
-    outcomes = _phase_reads(dx, dz)
+    dx, dz, frame = state._dx, state._dz, state._reads
+    outcomes = frame[:]
     flags = [state._f_x, state._f_z]
     for f in state.fault_schedule.get(rnd, ()):
         if f.kind == "meas":
-            outcomes[_PHASE_FIELD.index(f.meas_field)] ^= 1 << f.bit
+            outcomes[_FIELD_PHASE[f.meas_field]] ^= 1 << f.bit
             continue
         if f.kind == "flag":
             flags[f.side == "z"] ^= 1 << f.bit
@@ -326,13 +342,15 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
             c = circuits_by_name()[f.circuit]
             r = run_circuit(c, injections=[(f.position, f.local)])
             ex, ez = r.data_x, r.data_z
-            phase, unread_from = ROUND_ORDER.index((c.family, c.level)), c.index + 1
+            phase, unread_from = _PHASE_OF[c.family, c.level], c.index + 1
             outcomes[phase] ^= r.outcome << c.index
             if r.flag:
                 flags[c.family == "x"] ^= 1 << c.flag_bit
         else:
             raise ValueError(f"unknown fault kind {f.kind!r}")
         reads = _phase_reads(ex, ez)
+        for p, read in enumerate(reads):
+            frame[p] ^= read
         reads[phase] &= -1 << unread_from  # circuits already measured miss it
         for p in range(phase, len(ROUND_ORDER)):
             outcomes[p] ^= reads[p]
@@ -342,7 +360,7 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
     state._f_x, state._f_z = flags
     s2z, s2x, s_z, s_x = outcomes
     bundle = OutcomeBundle(s_x, s_z, s2x, s2z, state._f_x, state._f_z)
-    state.data_error = PauliOp(N49, dx, dz)
+    state._dx, state._dz = dx, dz
     state.round_log.append(bundle)
     return bundle
 
@@ -383,11 +401,13 @@ def run_until_stable(
 # Decoding
 
 @functools.lru_cache(maxsize=1)
-def _block_corrections() -> tuple[int, ...]:
-    """``wpec_steane`` as a table: entry 2s + w is the Z mask of the
-    subblock correction for inner syndrome s and weight parity w."""
+def _block_corrections() -> tuple[tuple[int, ...], ...]:
+    """``wpec_steane`` as a table per subblock: entry [b][2s + w] is the
+    Z mask, shifted onto subblock b, of its correction for inner
+    syndrome s and weight parity w."""
     ct = build_correction_table()
-    return tuple(wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1))
+    flat = [wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1)]
+    return tuple(tuple(m << (7 * b) for m in flat) for b in range(7))
 
 
 # each nonzero outer syndrome is hit by exactly one subblock's column
@@ -410,16 +430,17 @@ class DecodeReport(NamedTuple):
 
 
 def _decode_side(
-    s21: int, stilde: int, tau: int, f21: int, table: LookupTable
+    s21: int, stilde: int, f21: int, table: LookupTable
 ) -> tuple[int, SideReport]:
-    parity = table.lookup_parity(stilde, tau, s21, f21)
+    parity = table.lookup_parity(stilde, tau_from_syndrome(s21), s21, f21)
     fallback = parity is None
     if fallback:
         parity = 127
-    blocks = _block_corrections()
-    mask = 0
-    for b in range(7):
-        mask |= blocks[(s21 >> (3 * b) & 7) << 1 | (parity >> b) & 1] << (7 * b)
+    mask, s, p = 0, s21, parity
+    for block in _block_corrections():
+        mask |= block[(s & 7) << 1 | p & 1]
+        s >>= 3
+        p >>= 1
     # the applied parity always matches the observed outer syndrome for
     # in-table records; a leftover difference only appears on fallback
     residue = stilde ^ syndrome7(parity)
@@ -427,7 +448,7 @@ def _decode_side(
     if residue:
         step3 = _COLUMN_BLOCK[residue]
         mask ^= LOGICAL_REP7 << (7 * step3)
-    return mask, SideReport(parity=parity, fallback=fallback, step3_block=step3)
+    return mask, SideReport(parity, fallback, step3)
 
 
 def decode_with_report(
@@ -443,13 +464,10 @@ def decode_with_report(
     leftover second-level syndrome.  The X side mirrors with the z
     observations.
     """
-    zmask, zrep = _decode_side(
-        bundle.s_x, bundle.stilde_x, bundle.tau_x, bundle.f_x, table
-    )
-    xmask, xrep = _decode_side(
-        bundle.s_z, bundle.stilde_z, bundle.tau_z, bundle.f_z, table
-    )
-    return PauliOp(N49, xmask, zmask), DecodeReport(z_side=zrep, x_side=xrep)
+    s_x, s_z, stilde_x, stilde_z, f_x, f_z = bundle
+    zmask, zrep = _decode_side(s_x, stilde_x, f_x, table)
+    xmask, xrep = _decode_side(s_z, stilde_z, f_z, table)
+    return PauliOp(N49, xmask, zmask), DecodeReport(zrep, xrep)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +482,10 @@ def _joint_block_table():
     z from ez likewise.  The admissible patterns of whole-block logical
     flips are the 8 outer stabilizer patterns, then the same 8 shifted
     by the global logical; counts has one row per (x pattern, z pattern)
-    pair, row 16 x + z, with a 1 at 4b + 2 cx + cz for the entry it
-    takes from block b.  Both are float64 so that the weight sums are
-    one matrix-vector product; they stay exact small integers.
+    pair, the 64 pairs of two outer stabilizer patterns first, with a 1
+    at 4b + 2 cx + cz for the entry it takes from block b.  Both are
+    float64 so that the weight sums are one matrix-vector product; they
+    stay exact small integers.
     """
     stab = np.array(STAB7, dtype=np.uint16)
     ar = np.arange(128, dtype=np.uint16)
@@ -481,7 +500,8 @@ def _joint_block_table():
     bits = ((pats[:, None] >> np.arange(7)[None, :]) & 1).astype(np.int64)
     entry = 4 * np.arange(7) + 2 * bits[:, None, :] + bits[None, :, :]
     counts = (entry[..., None] == np.arange(28)).any(axis=2).astype(np.float64)
-    return joint, counts.reshape(16 * 16, 28)
+    rows = [counts[:8, :8], counts[:8, 8:], counts[8:]]
+    return joint, np.concatenate([r.reshape(-1, 28) for r in rows])
 
 
 def joint_coset_weight(op: PauliOp) -> tuple[int, int]:
@@ -491,14 +511,15 @@ def joint_coset_weight(op: PauliOp) -> tuple[int, int]:
     exact ranges over the stabilizers alone, so it is zero exactly when
     op is a stabilizer; normalizer also allows any logical, so it is the
     distance to the nearest codeword-preserving operator.  Both are
-    minima of one weight vector, exact over its rows whose x and z
-    patterns are both outer stabilizers (x, z < 8).
+    minima of one weight vector, exact over its first 64 rows, whose x
+    and z patterns are both outer stabilizers, and normalizer over all.
     """
     joint, counts = _joint_block_table()
     x, z = op.x_bits, op.z_bits
     rows = [(x >> s & 127) << 7 | (z >> s & 127) for s in range(0, N49, 7)]
     w = counts @ joint.take(rows, 0).reshape(28)
-    return int(w.reshape(16, 16)[:8, :8].min()), int(w.min())
+    exact, rest = np.minimum.reduceat(w, (0, 64)).tolist()
+    return int(exact), int(min(exact, rest))
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +589,11 @@ def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
     state = make_state(trial.schedule, trial.input_error)
     bundle, rounds_used = run_until_stable(state)
     correction, report = decode_with_report(bundle, table)
-    residual = state.data_error * correction
-    v1 = trial.input_error.weight()
-    v2 = sum(
-        len(fs) for r, fs in state.fault_schedule.items() if r < rounds_used
+    residual = PauliOp(
+        N49, state._dx ^ correction.x_bits, state._dz ^ correction.z_bits
     )
+    v1 = trial.input_error.weight()
+    v2 = sum(f.round < rounds_used for f in trial.schedule)
     w_exact, w_norm = joint_coset_weight(residual)
     cond1 = (w_exact == w_norm) if v1 + v2 <= T else None
     cond2 = (w_norm <= v2) if v2 <= T else None

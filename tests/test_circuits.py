@@ -274,6 +274,41 @@ def test_run_circuit_golden_digest():
     )
 
 
+def _xor_results(results):
+    out = (0, 0, 0, 0)
+    for r in results:
+        out = tuple(a ^ b for a, b in zip(out, r))
+    return out
+
+
+def test_run_circuit_is_linear_in_frame_and_injections():
+    # A run on the zero frame starts at its first injection, so several
+    # injections there must still add up to their single runs, and a
+    # nonzero frame must add the frame's own fault-free run.
+    rng = random.Random(20261019)
+    circuits = list(circuits_by_name().values())
+    assert len(circuits) == 96
+    for c in circuits:
+        n_gates = len(c.gates)
+        for _ in range(25):
+            injections = []
+            for _ in range(rng.randint(2, 4)):
+                pos = rng.randint(-1, n_gates)
+                if pos in (-1, n_gates) and (c.flag_bit is None or rng.random() < 0.5):
+                    local = rng.choice("XYZ")
+                else:
+                    local = rng.choice(_GATE_LOCALS[1:])  # no "II"
+                injections.append((pos, local))
+            alone = _xor_results(run_circuit(c, injections=[i]) for i in injections)
+            assert tuple(run_circuit(c, injections=injections)) == alone, (
+                c.name, injections,
+            )
+            dx, dz = rng.getrandbits(49), rng.getrandbits(49)
+            assert tuple(run_circuit(c, dx, dz, injections)) == _xor_results(
+                [run_circuit(c, dx, dz), alone]
+            ), (c.name, injections, dx, dz)
+
+
 # --- fault sets -----------------------------------------------------------------------
 
 

@@ -148,6 +148,26 @@ def test_state_instances_are_independent():
     assert a.round_log and not b.round_log
 
 
+def test_assigned_frame_reads_like_a_fresh_state():
+    # the state carries its frame's syndromes from round to round; a frame
+    # assigned between rounds, as the gate-walk oracle does, must be read
+    # as if a fresh state had started from it
+    rng = random.Random(74)
+    for trial in sample_trials(300, seed=74, max_round=4):
+        k = rng.randint(1, 4)
+        state = make_state(trial.schedule, trial.input_error)
+        for _ in range(k):
+            run_round(state)
+        frame = PauliOp(N49, rng.getrandbits(N49), rng.getrandbits(N49))
+        state.data_error = frame
+        fresh = make_state(trial.schedule, frame)
+        fresh.round_log.extend(state.round_log)
+        fresh._f_x, fresh._f_z = state._f_x, state._f_z
+        for _ in range(4):
+            assert run_round(state) == run_round(fresh), trial.name
+            assert state.data_error == fresh.data_error, trial.name
+
+
 # --- bundle and schedule text forms -------------------------------------------
 
 
@@ -457,9 +477,9 @@ def test_word_syndromes_match_per_block_loops():
 def test_block_correction_table_matches_wpec_steane(monkeypatch):
     ct = build_correction_table()
     blocks = protocol._block_corrections()
-    assert len(blocks) == 16
-    for s, w in itertools.product(range(8), (0, 1)):
-        assert blocks[2 * s + w] == wpec_steane(s, w, ct).z_bits
+    assert [len(block) for block in blocks] == [16] * 7
+    for b, s, w in itertools.product(range(7), range(8), (0, 1)):
+        assert blocks[b][2 * s + w] == wpec_steane(s, w, ct).z_bits << (7 * b)
 
     # a Steane decode builds no Golay table
     def no_golay(mask):
@@ -651,8 +671,10 @@ def test_trial_records_are_immutable_values(table):
 
 
 def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
-    # the span tracer wraps these names; one trial is one weight call
-    # and one parity lookup per side
+    # the span tracer wraps these names; one trial is one weight call,
+    # one parity lookup per side, one round call per simulated round (the
+    # first, and each with a fault in it or in the round before) and one
+    # circuit run per executed gate fault
     calls = Counter()
 
     def counting(name, fn):
@@ -670,10 +692,21 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
         "lookup_parity",
         counting("parity", verifier.LookupTable.lookup_parity),
     )
+    monkeypatch.setattr(protocol, "run_round", counting("round", run_round))
+    monkeypatch.setattr(protocol, "run_circuit", counting("circuit", run_circuit))
     for trial in sample_trials(50, seed=10):
         calls.clear()
-        run_trial(trial, table)
-        assert calls == {"weight": 1, "parity": 2}, trial.name
+        r = run_trial(trial, table)
+        faulty = {f.round for f in trial.schedule}
+        simulated = sum(
+            rnd == 0 or rnd in faulty or rnd - 1 in faulty
+            for rnd in range(r.rounds_used)
+        )
+        gates = sum(
+            f.kind == "gate" and f.round < r.rounds_used for f in trial.schedule
+        )
+        want = {"weight": 1, "parity": 2, "round": simulated, "circuit": gates}
+        assert calls == +Counter(want), trial.name
 
 
 # --- fault-tolerance conditions --------------------------------------------------

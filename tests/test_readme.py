@@ -1,5 +1,6 @@
-"""The README's examples: its fault schedule parses, and the command
-lines whose output it shows in full print exactly that output."""
+"""The README's examples: its fault schedule parses, its library example
+runs and prints the correction it implies, and the command lines whose
+output it shows in full print exactly that output."""
 
 import re
 import shlex
@@ -37,6 +38,13 @@ def test_schedule_block_parses():
     schedule = parse_schedule(block)
     assert len(schedule) == len(block.splitlines())
     assert schedule[-1].circuit == "x1#"
+
+
+def test_library_block_decodes_its_input_error(capsys):
+    # the README's python example: a Z input on qubit 15 is decoded back
+    (block,) = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "I" * 14 + "Z" + "I" * 34 + "\n"
 
 
 def test_command_examples_print_what_the_readme_shows(monkeypatch, tmp_path, capsys):
