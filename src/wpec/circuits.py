@@ -19,7 +19,7 @@ X-family circuits are the exact dual (ancilla |+> control, flag |0>
 target).
 
 ``ROUND_ORDER``, ``circuit_phases`` and ``circuits_by_name`` are the one
-catalog of circuits that the fault model and the protocol both read.
+catalog of circuits that the fault model, Table 1 and the protocol read.
 Names are ``z1``-``z21``, ``x1``-``x21`` (inner) and ``z~1``-``z~3``,
 ``x~1``-``x~3`` (outer); a trailing ``#`` names the negative-control
 variant, flagless inner or ascending outer.
@@ -45,7 +45,7 @@ import functools
 from typing import Iterable, NamedTuple
 
 from .codes import LEVEL1_GENS, LEVEL2_GENS, N49
-from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PauliOp
+from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PAULI_BITS, PauliOp
 
 _FLAG = -1  # gate-list entry for a flag CNOT
 
@@ -150,7 +150,6 @@ class CircuitResult(NamedTuple):
 
 # Frame wires: the ancilla, the flag, then data qubit q at q + _DATA0.
 _ANC, _FLG, _DATA0 = 0, 1, 2
-_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 def check_injection(c: ExtractionCircuit, pos: int, local: str) -> None:
@@ -169,7 +168,7 @@ def check_injection(c: ExtractionCircuit, pos: int, local: str) -> None:
     elif len(local) != 2:
         raise ValueError("gate faults are two-character local errors")
     for ch in local:
-        if ch not in _PAULI_BITS:
+        if ch not in PAULI_BITS:
             raise ValueError(f"bad Pauli character {ch!r}")
 
 
@@ -203,7 +202,7 @@ def run_circuit(
             z ^= (z >> tgt & 1) << ctl
         for local in by_pos.get(pos, ()):
             for wire, ch in zip((_ANC, other), local):
-                bx, bz = _PAULI_BITS[ch]
+                bx, bz = PAULI_BITS[ch]
                 x ^= bx << wire
                 z ^= bz << wire
 
@@ -262,13 +261,3 @@ def dedup_effects(faults: Iterable[SingleFault]) -> list[SingleFault]:
         seen.add(f.effect)
         out.append(f)
     return out
-
-
-def wait_fault_atoms() -> list[SingleFault]:
-    """Single-qubit Z data errors during wait time, one per qubit."""
-    return [SingleFault(-1, f"Z@q{q + 1}", 0, 1 << q, 0, 0) for q in range(N49)]
-
-
-def flag_flip_atoms() -> list[SingleFault]:
-    """Bare flag-measurement flips, one per inner circuit."""
-    return [SingleFault(-1, f"flag{j + 1}", 0, 0, 1 << j, 0) for j in range(21)]

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import importlib
 import os
-import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -60,6 +59,7 @@ if TYPE_CHECKING:
 _LAZY = {
     "OutcomeBundle": "protocol",
     "decode_with_report": "protocol",
+    "RECORD_FIELDS": "verifier",
     "TABLE1_GOLDEN": "verifier",
     "build_lookup_table": "verifier",
     "reproduce_table1": "verifier",
@@ -91,39 +91,25 @@ def _write(fh, fmt: str, records) -> None:
         fh.writelines(_jdump(obj) + "\n" for _, obj in records if obj is not None)
 
 
-_RECORD_FIELDS = ("s", "stilde", "tau", "f", "parity", "tag")
-
-
-def _json_layout(record: bytes):
-    """The JSON line ``_jdump`` writes for one text record line, and the
-    runs (start in the JSON line, start in the text line, length) of its
-    value bytes."""
-    import numpy as np
-
-    fields = list(re.finditer(rb"\S+", record))
-    line = _jdump({n: m.group().decode() for n, m in zip(_RECORD_FIELDS, fields)})
-    line = (line + "\n").encode()
-    runs = []
-    for name, m in zip(_RECORD_FIELDS, fields):
-        key = f'"{name}": "'.encode()
-        runs.append((line.index(key) + len(key), m.start(), m.end() - m.start()))
-    return np.frombuffer(line, dtype=np.uint8), runs
-
-
 def _json_record_chunks(table):
     """Yield the table records as JSON lines, one uint8 array of lines
     (one row each) at a time.
 
-    Record lines are fixed-width, so every JSON line is the first
-    record's line with its six value runs copied from the text columns.
+    Record lines are fixed-width, so every JSON line is one template (a
+    record of ``RECORD_FIELDS`` widths and a tag) with its value runs
+    copied from the text columns.
     """
     import numpy as np
 
-    layout = None
+    fields = [(name, width) for name, _, width in _lib.RECORD_FIELDS] + [("tag", 1)]
+    line = (_jdump({name: "0" * width for name, width in fields}) + "\n").encode()
+    runs, src = [], 0  # (start in the JSON line, start in the text line, length)
+    for name, width in fields:
+        key = f'"{name}": "'.encode()
+        runs.append((line.index(key) + len(key), src, width))
+        src += width + 1
+    template = np.frombuffer(line, dtype=np.uint8)
     for rows in table.record_rows():
-        if layout is None:
-            layout = _json_layout(rows[0].tobytes())
-        template, runs = layout
         out = np.empty((len(rows), len(template)), dtype=np.uint8)
         out[:] = template
         for dst, src, n in runs:

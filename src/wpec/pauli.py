@@ -26,8 +26,9 @@ BLOCK_SIZE = 7
 N_BLOCKS = 7
 MASK7 = (1 << 7) - 1
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+# each Pauli letter as its (x bit, z bit)
+PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_BITS_TO_CHAR = {v: k for k, v in PAULI_BITS.items()}
 
 
 class _PauliFields(NamedTuple):
@@ -57,7 +58,7 @@ class PauliOp(_PauliFields):
         x = z = 0
         for i, c in enumerate(s):
             try:
-                xb, zb = _CHAR_TO_BITS[c]
+                xb, zb = PAULI_BITS[c]
             except KeyError:
                 raise ValueError(f"bad Pauli character {c!r} at position {i}") from None
             x |= xb << i

@@ -43,7 +43,7 @@ from .codes import (
     tau_from_syndrome,
 )
 from .decoder import LOGICAL_REP7, build_correction_table, wpec_steane
-from .pauli import PauliOp, format_bits, identity, parse_bits
+from .pauli import PAULI_BITS, PauliOp, format_bits, identity, parse_bits
 from .verifier import LookupTable, build_lookup_table
 
 _MASK21 = (1 << 21) - 1
@@ -53,6 +53,12 @@ _MAX_FAILURES = 20  # failing trials an FtecReport keeps
 
 # ---------------------------------------------------------------------------
 # Outcome bundles
+
+def _uncommented(line: str) -> str:
+    """The words of a bundle or schedule line, joined by single spaces, up
+    to its comment: a word that starts with ``#`` and the rest of the line."""
+    return " ".join(itertools.takewhile(lambda w: w[0] != "#", line.split()))
+
 
 _BUNDLE_FIELDS = (("s_x", 21), ("s_z", 21), ("s2", 6), ("tau", 14), ("f", 42))
 
@@ -113,10 +119,7 @@ class OutcomeBundle(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "OutcomeBundle":
         got = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in filter(None, map(_uncommented, text.splitlines())):
             name, _, rest = line.partition(":")
             name, rest = name.strip(), rest.strip()
             widths = dict(_BUNDLE_FIELDS)
@@ -235,13 +238,9 @@ def parse_fault(line: str) -> ScheduledFault:
 
 
 def parse_schedule(text: str) -> tuple[ScheduledFault, ...]:
-    """One fault per line; a comment starts at a word starting with ``#``."""
-    out = []
-    for line in text.splitlines():
-        words = list(itertools.takewhile(lambda w: w[0] != "#", line.split()))
-        if words:
-            out.append(parse_fault(" ".join(words)))
-    return tuple(out)
+    """One fault per line; ``_uncommented`` drops the ``#`` comments."""
+    lines = filter(None, map(_uncommented, text.splitlines()))
+    return tuple(map(parse_fault, lines))
 
 
 def format_schedule(faults) -> str:
@@ -334,9 +333,8 @@ def run_round(state: ProtocolState) -> OutcomeBundle:
             flags[f.side == "z"] ^= 1 << f.bit
             continue
         if f.kind == "wait":
-            q = f.qubit - 1
-            ex = (f.local in ("X", "Y")) << q
-            ez = (f.local in ("Z", "Y")) << q
+            q, (bx, bz) = f.qubit - 1, PAULI_BITS[f.local]
+            ex, ez = bx << q, bz << q
             phase, unread_from = f.phase, 0
         elif f.kind == "gate":
             c = circuits_by_name()[f.circuit]
@@ -696,11 +694,9 @@ def exhaustive_input_trials(max_weight: int = 3):
 def _random_input(rng: random.Random, weight: int) -> PauliOp:
     xm = zm = 0
     for q in rng.sample(range(N49), weight):
-        p = rng.choice(_PAULIS)
-        if p in ("X", "Y"):
-            xm |= 1 << q
-        if p in ("Z", "Y"):
-            zm |= 1 << q
+        bx, bz = PAULI_BITS[rng.choice(_PAULIS)]
+        xm |= bx << q
+        zm |= bz << q
     return PauliOp(N49, xm, zm)
 
 

@@ -6,18 +6,19 @@ scale), and both run on one engine, ``_EffectSets``: the XORs of at
 most three distinct single-fault effects of a pool.
 
 The lookup-table build enumerates every combination of up to
-``max_faults`` single faults on the Z-type measurement circuits,
-collapses each combination to a record (first-level syndrome,
-second-level syndrome, block triviality, cumulative flags, block
-parity), and audits the resulting lookup table.  The engine writes the
-XORs of exactly k distinct signatures, for every k <= ``max_faults``,
-into one array; the build packs it into sort keys in place and
-deduplicates them all with one sort.  Within each (second-level
-syndrome, block triviality) partition, either every record carries an
-equivalent block parity (Condition 1), or records with inequivalent
-parities differ in their (syndrome, flags) pair (Condition 2).  A
-partition failing both is reported as a violation together with witness
-fault combinations.
+``max_faults`` single faults of ``fault_model`` (G1 and G2 from the
+Z-type circuits, W and F, one data Z or flag flip each, built there),
+collapses each to a record, and audits the resulting lookup table.  The
+engine writes the XORs of exactly k distinct signatures, for every
+k <= ``max_faults``, into one array; the build packs it into sort keys
+in place and deduplicates them all with one sort.  A key's fields are
+the record's, named once in ``RECORD_FIELDS`` for keys, text and JSON
+lines: first-level syndrome, second-level syndrome, block triviality,
+cumulative flags, block parity.  Within each (second-level syndrome,
+block triviality) partition, either every record carries an equivalent
+block parity (Condition 1), or records with inequivalent parities
+differ in their (syndrome, flags) pair (Condition 2).  A partition
+failing both is a violation, reported with witness fault combinations.
 
 The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
@@ -59,11 +60,11 @@ from .circuits import (
     circuits_by_name,
     dedup_effects,
     enumerate_single_faults,
-    flag_flip_atoms,
-    wait_fault_atoms,
+    run_circuit,
 )
 from .codes import (
     BLOCK_MIN_WT,
+    N49,
     PCANON,
     STAB7,
     block_parity,
@@ -81,6 +82,7 @@ __all__ = [
     "FaultNumberCombination",
     "FaultCombination",
     "LookupTable",
+    "RECORD_FIELDS",
     "Claim2Violation",
     "Claim2Report",
     "MarkedCombination",
@@ -104,7 +106,6 @@ __all__ = [
 
 _P_MASK = 127
 _F_MASK = (1 << 21) - 1
-_S_MASK = (1 << 21) - 1
 _F_SHIFT = 7
 _S_SHIFT = 28
 
@@ -175,14 +176,9 @@ def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
                 FaultAtom(f"{label}{f.position}:{f.local}", f.data_z, f.flag21)
                 for f in dedup_effects(enumerate_single_faults(c))
             )
-    wait = tuple(
-        FaultAtom(f"W[{f.local}]", f.data_z, 0) for f in wait_fault_atoms()
-    )
-    flag = (
-        tuple(FaultAtom(f"F[{f.local}]", 0, f.flag21) for f in flag_flip_atoms())
-        if flagged
-        else ()
-    )
+    wait = tuple(FaultAtom(f"W[Z@q{q + 1}]", 1 << q, 0) for q in range(N49))
+    flag_bits = range(21) if flagged else ()
+    flag = tuple(FaultAtom(f"F[flag{j + 1}]", 0, 1 << j) for j in flag_bits)
     return FaultModel(tuple(gate[1]), tuple(gate[2]), wait, flag)
 
 
@@ -466,25 +462,24 @@ def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
     return sigs
 
 
-def _key_fields(key: int) -> tuple[int, int, int, int, int]:
-    """(stilde, tau, s, f, p) from a sort key."""
-    return (
-        (key >> 56) & 7,
-        (key >> 49) & 127,
-        (key >> 28) & _S_MASK,
-        (key >> 7) & _F_MASK,
-        key & _P_MASK,
-    )
+# A sort key's fields in the order a record prints them, as (name,
+# lowest bit, width); together they tile key bits 0-58.
+RECORD_FIELDS = (
+    ("s", 28, 21), ("stilde", 56, 3), ("tau", 49, 7), ("f", 7, 21), ("parity", 0, 7),
+)
+
+
+def _key_fields(key: int) -> tuple[int, ...]:
+    """A sort key's fields, in ``RECORD_FIELDS`` order."""
+    return tuple(key >> bit & (1 << width) - 1 for _, bit, width in RECORD_FIELDS)
 
 
 # ---------------------------------------------------------------------------
 # Lookup table
 
-# Key bit fields of a record line in print order (s, s2, tau, f, p), as
-# (lowest bit, width).  Bits print low to high, as format_bits does, and
-# a space follows each field; the group tag and a newline end the line.
-_LINE_FIELDS = ((28, 21), (56, 3), (49, 7), (7, 21), (0, 7))
-_LINE_WIDTH = sum(width + 1 for _, width in _LINE_FIELDS) + 2
+# A record line prints each of RECORD_FIELDS low bit first, as format_bits
+# does, and a space after each; the group tag and a newline end the line.
+_LINE_WIDTH = sum(width + 1 for _, _, width in RECORD_FIELDS) + 2
 # A byte's 8 bits as ASCII digits, low bit first, in one little-endian
 # uint64: indexed by a key's bytes, it spells the key's 64 bits in order.
 _BYTE_DIGITS = (
@@ -598,7 +593,7 @@ class LookupTable:
             digits = _BYTE_DIGITS[keys.view(np.uint8)].view(np.uint8).reshape(-1, 64)
             rows = np.empty((len(keys), _LINE_WIDTH), dtype=np.uint8)
             col = 0
-            for bit, width in _LINE_FIELDS:
+            for _, bit, width in RECORD_FIELDS:
                 rows[:, col : col + width] = digits[:, bit : bit + width]
                 rows[:, col + width] = ord(" ")
                 col += width + 1
@@ -771,8 +766,8 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
         lo = int(np.searchsorted(table.keys, np.uint64(base)))
         key_a = int(table.keys[lo])
         key_b = int(table.keys[lo + 1])
-        stilde, tau, s, f, parity_a = _key_fields(key_a)
-        parity_b = _key_fields(key_b)[4]
+        s, stilde, tau, f, parity_a = _key_fields(key_a)
+        parity_b = _key_fields(key_b)[-1]
         witness_a = find_fault_combination(table, key_a)
         witness_b = find_fault_combination(table, key_b)
         if witness_a is None or witness_b is None:
@@ -931,10 +926,6 @@ class FinalRoundReport(NamedTuple):
         ), None
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def _level1_syndrome_vec(masks: np.ndarray) -> np.ndarray:
     """Vectorized ``level1_syndrome``: seven reads of the 7-qubit
     syndrome table, one per subblock."""
@@ -1031,6 +1022,7 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     model = fault_model()
     g1 = _atom_effect_sets(model.gate1)
     g2 = _atom_effect_sets(model.gate2)
+    wait = _atom_effect_sets(model.wait)
 
     marked: list[MarkedCombination] = []
     n_effects = 0
@@ -1042,7 +1034,7 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
         n_effects += examined
         marked.extend(found)
 
-    analyses = tuple(_analyze_completions(m, max_faults) for m in marked)
+    analyses = tuple(_analyze_completions(m, max_faults, wait) for m in marked)
     return FinalRoundReport(
         max_faults=max_faults,
         n_number_combinations=len(combos),
@@ -1089,14 +1081,14 @@ def _scan_number_combination(
     am, af = _early_survivors(fnc, g1, g2)
     if len(am) == 0:
         return [], examined
-    keep = _popcount(bf) <= np.uint64(fnc.v_f)
+    keep = np.bitwise_count(bf) <= np.uint64(fnc.v_f)
     bm, bf = bm[keep], bf[keep] << np.uint64(21)
     if len(bm) == 0:
         return [], examined
 
     fullm = (am[:, None] ^ bm[None, :]).reshape(-1)
     fullf = (af[:, None] | bf[None, :]).reshape(-1)  # flag halves are disjoint
-    keep = _popcount(fullf) <= np.uint64(fnc.v_f)
+    keep = np.bitwise_count(fullf) <= np.uint64(fnc.v_f)
     if not keep.any():
         return [], examined
     wmin = np.zeros(len(fullm), dtype=np.uint16)
@@ -1170,12 +1162,9 @@ def _scan_witness(
     raise RuntimeError(f"no early witness for a marked combination of {fnc}")
 
 
-@functools.lru_cache(maxsize=1)
-def _wait_effect_sets() -> _EffectSets:
-    return _EffectSets((np.uint64(1) << np.arange(49, dtype=np.uint64),))
-
-
-def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAnalysis:
+def _analyze_completions(
+    m: MarkedCombination, max_faults: int, wait: _EffectSets
+) -> CompletionAnalysis:
     """Exact harm check: enumerate every wait-error completion.
 
     The v_w wait errors split into w_a visible before the last round's
@@ -1188,14 +1177,13 @@ def _analyze_completions(m: MarkedCombination, max_faults: int) -> CompletionAna
     ea = fc.early_error.z_bits
     full = fc.error.z_bits
     v_w, v_s = fc.counts.v_w, fc.counts.v_s
-    sets = _wait_effect_sets()
     feasible = 0
     worst: int | None = None
     for w_a in range(v_w + 1):
         w_b = v_w - w_a
-        (wa_masks,) = sets.up_to(w_a)
+        wa_masks, _ = wait.up_to(w_a)
         visible = np.uint64(ea) ^ wa_masks
-        ok = _popcount(_level1_syndrome_vec(visible)) <= np.uint64(v_s)
+        ok = np.bitwise_count(_level1_syndrome_vec(visible)) <= np.uint64(v_s)
         if not ok.any():
             continue
         residual_masks = np.uint64(full) ^ wa_masks[ok]
@@ -1222,21 +1210,18 @@ class Table1Row(NamedTuple):
 def reproduce_table1() -> tuple[Table1Row, ...]:
     """Single-fault error classes of the blockwise second-level circuit.
 
-    An ancilla-line Z after the k-th CNOT lands on every later target,
-    so the possible high-weight errors are a partial tail on one support
-    block followed by full-Z blocks.  Classes with the same tail-length
+    An ancilla-line Z after gate k lands on every later data qubit, so
+    ``run_circuit`` gives the possible high-weight errors as a tail of m
+    qubits on support block pos (k = 7 pos + 6 - m, the preparation at
+    -1) followed by full-Z blocks.  Classes with the same tail-length
     parity share (second-level syndrome, triviality, parity), which is
-    what the emitted 13 rows record.  Parities here are literal, not
-    canonicalized.
+    what the emitted 13 rows record.  Parities are literal, not canonical.
     """
     circ = circuits_by_name()["z~1#"]
-    order = circ.cnot_order
-    suffix = [0] * 29
-    for k in range(27, -1, -1):
-        suffix[k] = suffix[k + 1] | (1 << order[k])
     support = [b for b in range(7) if (circ.target_generator.z_bits >> (7 * b)) & 127]
 
-    def signature(mask: int) -> tuple[int, int, int]:
+    def signature(k: int) -> tuple[int, int, int]:
+        mask = run_circuit(circ, injections=[(k, "Z" if k < 0 else "ZI")]).data_z
         p = block_parity(mask)
         return syndrome7(p), tau_from_syndrome(level1_syndrome(mask)), p
 
@@ -1246,7 +1231,7 @@ def reproduce_table1() -> tuple[Table1Row, ...]:
             "P" if b == support[pos] else ("Z" if b in support[pos + 1 :] else "I")
             for b in range(7)
         )
-        by_m = {m: signature(suffix[7 * pos + 7 - m]) for m in range(1, 8)}
+        by_m = {m: signature(7 * pos + 6 - m) for m in range(1, 8)}
         for m_values in ((7,), (2, 4, 6), (1, 3, 5)):
             sigs = {by_m[m] for m in m_values}
             if len(sigs) != 1:

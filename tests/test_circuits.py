@@ -18,11 +18,9 @@ from wpec.circuits import (
     circuits_by_name,
     dedup_effects,
     enumerate_single_faults,
-    flag_flip_atoms,
     level1_circuits,
     level2_circuits,
     run_circuit,
-    wait_fault_atoms,
 )
 from wpec.codes import GEN7, LEVEL2_GENS, level1_syndrome
 from wpec.pauli import PauliOp, parity
@@ -310,17 +308,6 @@ def test_run_circuit_is_linear_in_frame_and_injections():
 
 
 # --- fault sets -----------------------------------------------------------------------
-
-
-def test_wait_and_flag_pools():
-    ws = wait_fault_atoms()
-    assert len(ws) == 49
-    assert {w.data_z for w in ws} == {1 << q for q in range(49)}
-    assert all(w.flag21 == 0 for w in ws)
-    fs = flag_flip_atoms()
-    assert len(fs) == 21
-    assert {f.flag21 for f in fs} == {1 << j for j in range(21)}
-    assert all(f.data_z == f.data_x == 0 for f in fs)
 
 
 def test_fault_set_composition_parity():

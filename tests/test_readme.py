@@ -66,3 +66,17 @@ def test_command_examples_print_what_the_readme_shows(monkeypatch, tmp_path, cap
         assert lines == shown, command
         compared += 1
     assert compared == 5
+
+
+def test_bundle_comments_follow_the_schedule_rule(tmp_path, capsys):
+    # the README bundle with a trailing comment decodes to the README's
+    # correction; a '#' inside a word starts no comment
+    shown = dict(_examples())
+    bundle, correction = shown["cat bundle.txt"], shown["wpec decode bundle.txt"]
+    path = tmp_path / "bundle.txt"
+    path.write_text("\n".join([bundle[0] + "  # block 3", *bundle[1:]]) + "\n")
+    assert main(["decode", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == correction
+    path.write_text("\n".join([bundle[0] + "#3", *bundle[1:]]) + "\n")
+    assert main(["decode", str(path)]) == 2
+    assert "field s_x needs 21 bits" in capsys.readouterr().err

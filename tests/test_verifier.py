@@ -78,6 +78,21 @@ def test_flagless_model_has_no_flag_pool():
     assert all(a.flag == 0 for a in m.all_atoms())
 
 
+def test_wait_and_flag_pools():
+    ws = fault_model().wait
+    assert len(ws) == 49
+    assert {w.error for w in ws} == {1 << q for q in range(49)}
+    assert all(w.flag == 0 for w in ws)
+    # the labels the audit prints as witnesses
+    assert [w.label for w in ws] == [f"W[Z@q{q}]" for q in range(1, 50)]
+    fs = fault_model().flag
+    assert len(fs) == 21
+    assert {f.flag for f in fs} == {1 << j for j in range(21)}
+    assert all(f.error == 0 for f in fs)
+    assert [f.label for f in fs] == [f"F[flag{j}]" for j in range(1, 22)]
+    assert fault_model(flagged=False).flag == ()
+
+
 def test_distinct_single_signatures():
     m = fault_model()
     # independent recomputation: per-block syndrome/parity tuples
@@ -192,6 +207,20 @@ def test_build_matches_three_sort_reference(flagged, interleaved):
         table = build_lookup_table(m, flagged=flagged, interleaved=interleaved)
         assert table.keys.dtype == np.uint64
         assert np.array_equal(table.keys, _reference_keys_from_sigs(sigs)), m
+
+
+def test_record_fields_tile_the_key():
+    bits = [set(range(lo, lo + width)) for _, lo, width in v.RECORD_FIELDS]
+    assert sum(map(len, bits)) == 59 and set().union(*bits) == set(range(59))
+    assert [name for name, _, _ in v.RECORD_FIELDS] == [
+        "s", "stilde", "tau", "f", "parity",
+    ]
+    # every field of a pool signature's key comes back in print order
+    sigs = fault_model().signature_pool()
+    keys = v._keys_from_sigs(sigs.copy()).tolist()
+    for sig, key in zip(sigs.tolist(), keys):
+        s, f, p = sig >> 28, (sig >> 7) & ((1 << 21) - 1), PCANON[sig & 127]
+        assert v._key_fields(key) == (s, syndrome7(p), tau_from_syndrome(s), f, p)
 
 
 def test_keys_from_sigs_matches_scalar_packing():
@@ -512,7 +541,7 @@ def _reference_lines(table):
     tags = table.group_tags()
     for g in range(table.n_groups):
         for key in table.keys[table._group_start[g] : table._group_end[g]]:
-            stilde, tau, s, f, p = v._key_fields(int(key))
+            s, stilde, tau, f, p = v._key_fields(int(key))
             yield (
                 f"{format_bits(s, 21)} {format_bits(stilde, 3)} "
                 f"{format_bits(tau, 7)} {format_bits(f, 21)} "
@@ -978,7 +1007,7 @@ def _engine_pools():
     for name, atoms in (("G1", model.gate1), ("G2", model.gate2)):
         pools.append((f"{name} raw", v._atom_columns(atoms), None))
         pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
-    pools.append(("wait", v._wait_effect_sets().pool, None))
+    pools.append(("wait", v._atom_effect_sets(model.wait).pool, None))
     return pools
 
 
