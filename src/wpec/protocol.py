@@ -1,10 +1,14 @@
 """Full error-correction protocol on the 49-qubit code.
 
-One round measures the circuits in ``wpec.circuits.ROUND_ORDER``.  Its
-fault-free outcomes are the frame's syndromes, which the state carries
-from round to round, and a gate fault names its circuit, so a
-negative-control trial (``x1#``, ``z~1#``) needs only the table of its
-family.  Rounds repeat until the outcome bundle is
+One round measures the circuits in ``wpec.circuits.ROUND_ORDER``.  Every
+circuit is CNOT-only, so a round is linear: its fault-free outcomes are
+the frame's syndromes, which the state carries from round to round, and
+each fault adds its effect, one packed word of outcome flips, frame
+reads, flag flips and data residue.  A gate fault's word is the XOR of
+unit words from its circuit's table, built from ``run_circuit`` on the
+circuit's first use; a gate fault names its circuit, so a
+negative-control trial (``x1#``, ``z~1#``) needs only the lookup table
+of its family.  Rounds repeat until the outcome bundle is
 identical four times in a row (at most 16 rounds for at most three
 faults); a fault-free round after another one, such as every round of
 the fault-free tail but its first, repeats the last bundle without being
@@ -12,7 +16,8 @@ simulated.  The final bundle is then decoded in four steps: block-parity
 lookup, per-subblock weight-parity correction from a 16-entry table, an
 outer logical fix when the lookup missed, and the mirrored X side.  A
 bundle stores the syndromes s; its triviality vector tau is derived from
-them, never stored.
+them, never stored.  A residual with zero syndromes gets its weights
+from its parities, any other from a search over its stabilizer coset.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -35,6 +40,7 @@ from .circuits import (
     run_circuit,
 )
 from .codes import (
+    LOGICAL49,
     N49,
     STAB7,
     level1_syndrome,
@@ -48,6 +54,7 @@ from .verifier import LookupTable, build_lookup_table
 
 _MASK21 = (1 << 21) - 1
 T = 3  # the fault budget t of the fault-tolerance conditions
+_DISTANCE = 9  # of the 49-qubit code
 _MAX_FAILURES = 20  # failing trials an FtecReport keeps
 
 
@@ -251,114 +258,149 @@ def format_schedule(faults) -> str:
 # Round execution
 
 _PHASE_FIELD = tuple(("s2" if lvl == 2 else "s") + fam for fam, lvl in ROUND_ORDER)
-_FIELD_PHASE = {fld: p for p, fld in enumerate(_PHASE_FIELD)}
 _PHASE_OF = {fam_lvl: p for p, fam_lvl in enumerate(ROUND_ORDER)}
+# A fault's effect word, low bits to high: this round's outcome flips and
+# the reads it leaves in the frame for later rounds (48 bits each, the
+# 3+3+21+21 bit fields of _PHASE_FIELD from _OFFSET on), the flag flips
+# f_x and f_z, the data residue x and z.  A state word is an effect word
+# without its outcome flips.
+_OFFSET = _S2Z, _S2X, _SZ, _SX = (0, 3, 6, 27)
+_FIELD_BIT = dict(zip(_PHASE_FIELD, _OFFSET))
+_OUT, _F_X, _F_Z, _D_X, _D_Z = 48, 96, 117, 138, 187
 
 
-def _phase_reads(dx: int, dz: int) -> list[int]:
-    """Outcome bits per phase of ``ROUND_ORDER`` for a data error present
-    from that phase on: the Z family reads its X part, the X family its
-    Z part."""
-    return [
-        level2_syndrome(dx), level2_syndrome(dz),
-        level1_syndrome(dx), level1_syndrome(dz),
-    ]
+def _phase_reads(dx: int, dz: int) -> int:
+    """Outcome word of a data error present from phase 0 on: the Z family
+    reads its X part, the X family its Z part."""
+    return (level2_syndrome(dx) << _S2Z | level2_syndrome(dz) << _S2X
+            | level1_syndrome(dx) << _SZ | level1_syndrome(dz) << _SX)
+
+
+def _residue(dx: int, dz: int) -> int:
+    """Effect word of a data error left before phase 0."""
+    reads = _phase_reads(dx, dz)
+    return reads | reads << _OUT | dx << _D_X | dz << _D_Z
+
+
+# the units of a local error: X and Z of the ancilla, then of the other wire
+_LOCAL_UNITS = {
+    loc: tuple(i for i, b in enumerate(sum(map(PAULI_BITS.get, loc), ())) if b)
+    for loc in (*"XYZ", *(a + b for a in "IXYZ" for b in "IXYZ"))
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _circuit_effects(name: str) -> tuple[tuple[int, ...], ...]:
+    """Unit effect words of one circuit's gate faults: entry [pos + 1]
+    holds X and Z on the ancilla, then X and Z on the position's other
+    wire where it has one, each one ``run_circuit`` on the zero frame.
+    Propagation is linear, so a local error's effect is the XOR of its
+    units; the circuits measured up to this one miss its residue."""
+    c = circuits_by_name()[name]
+    at = _OFFSET[_PHASE_OF[c.family, c.level]] + c.index  # its outcome bit
+    flag = 0 if c.flag_bit is None else 1 << c.flag_bit + (
+        _F_X if c.family == "z" else _F_Z)
+    ends = ("X", "Z") if c.flag_bit is None else ("X", "Z", "IX", "IZ")
+    n, table = len(c.gates), []
+    for pos in range(-1, n + 1):
+        locals_ = ("XI", "ZI", "IX", "IZ") if 0 <= pos < n else ends
+        runs = [run_circuit(c, injections=[(pos, local)]) for local in locals_]
+        table.append(tuple(
+            _residue(r.data_x, r.data_z) & -2 << at | r.outcome << at | flag * r.flag
+            for r in runs))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=1)
+def _wait_effects() -> dict[str, tuple[int, ...]]:
+    """Effect word of a wait fault per Pauli letter and qubit, as if left
+    before phase 0; a later phase masks off the fields before it."""
+    return {
+        p: tuple(_residue(bx << q, bz << q) for q in range(N49))
+        for p, (bx, bz) in PAULI_BITS.items()
+    }
+
+
+def _effect(f: ScheduledFault) -> int:
+    if f.kind == "gate":
+        units, e = _circuit_effects(f.circuit)[f.position + 1], 0
+        for i in _LOCAL_UNITS[f.local]:
+            e ^= units[i]
+        return e
+    if f.kind == "wait":
+        return _wait_effects()[f.local][f.qubit - 1] & -1 << _OFFSET[f.phase]
+    if f.kind == "flag":
+        return 1 << f.bit + (_F_Z if f.side == "z" else _F_X)
+    if f.kind == "meas":
+        return 1 << f.bit + _FIELD_BIT[f.meas_field]
+    raise ValueError(f"unknown fault kind {f.kind!r}")
+
+
+def _state_field(effect_bit: int, width: int) -> property:
+    """A property over one field of ``ProtocolState._word``."""
+    shift, mask = effect_bit - _OUT, (1 << width) - 1
+
+    def set_(self, value: int) -> None:
+        self._word = self._word & ~(mask << shift) | value << shift
+
+    return property(lambda self: self._word >> shift & mask, set_)
 
 
 class ProtocolState:
     """Pauli frame of the true data error plus the per-round log; the
     rounds of one trial update it in place.
 
-    The frame is held as its two masks and its four phase reads, which
-    each round carries forward by XOR instead of reading the frame again;
-    assigning ``data_error`` derives the reads anew."""
+    The frame and the flags are one state word: the frame's reads, which
+    each round carries forward by XOR instead of reading the frame again,
+    ``_f_x``, ``_f_z`` and the data masks.  Assigning ``data_error``
+    derives the reads anew."""
 
-    def __init__(
-        self,
-        data_error: PauliOp,
-        fault_schedule: dict[int, tuple[ScheduledFault, ...]],
-    ) -> None:
+    _f_x = _state_field(_F_X, 21)
+    _f_z = _state_field(_F_Z, 21)
+
+    def __init__(self, data_error: PauliOp,
+                 fault_schedule: dict[int, tuple[ScheduledFault, ...]]) -> None:
+        self._word = 0
         self.data_error = data_error
         self.round_log: list[OutcomeBundle] = []
         self.fault_schedule = fault_schedule
-        self._f_x = 0
-        self._f_z = 0
 
     @property
     def data_error(self) -> PauliOp:
-        return PauliOp(N49, self._dx, self._dz)
+        w = self._word >> _D_X - _OUT
+        return PauliOp(N49, w & LOGICAL49, w >> N49)
 
     @data_error.setter
     def data_error(self, op: PauliOp) -> None:
-        self._dx, self._dz = op.x_bits, op.z_bits
-        self._reads = _phase_reads(op.x_bits, op.z_bits)
+        flags = self._word & (1 << _D_X - _OUT) - (1 << _F_X - _OUT)
+        self._word = flags | _residue(op.x_bits, op.z_bits) >> _OUT
 
 
-def make_state(
-    schedule=(), input_error: PauliOp | None = None
-) -> ProtocolState:
+def make_state(schedule=(), input_error: PauliOp | None = None) -> ProtocolState:
     by_round: dict[int, tuple[ScheduledFault, ...]] = {}
     for f in schedule:
         by_round[f.round] = by_round.get(f.round, ()) + (f,)
-    return ProtocolState(
-        identity(N49) if input_error is None else input_error, by_round
-    )
+    return ProtocolState(input_error or identity(N49), by_round)
 
 
 def run_round(state: ProtocolState) -> OutcomeBundle:
     """Simulate one full measurement round and append its bundle.
 
     Every circuit is CNOT-only, so a round is linear in the incoming
-    frame and its faults.  The fault-free outcomes are the syndromes of
-    the incoming frame, which the state carries, and each fault XORs in
-    its own effect:
-
-    * a data error left before a phase, or by a gate fault inside one of
-      its circuits, is read by the later circuits of that phase and by
-      every later phase, and stays in the frame, whose reads take all of
-      its syndromes;
-    * a gate fault's effect is ``run_circuit`` on the zero frame: its
-      data residue, its own outcome bit and its flag;
-    * measurement and flag faults flip one bit directly.
+    frame and its faults.  The outcomes are the incoming frame's reads
+    XOR the low bits of its faults' effect words, which hold each
+    fault's own outcome flips and the reads of its data residue by every
+    later circuit; the rest of the words shifts into the state word.
     """
-    rnd = len(state.round_log)
-    dx, dz, frame = state._dx, state._dz, state._reads
-    outcomes = frame[:]
-    flags = [state._f_x, state._f_z]
-    for f in state.fault_schedule.get(rnd, ()):
-        if f.kind == "meas":
-            outcomes[_FIELD_PHASE[f.meas_field]] ^= 1 << f.bit
-            continue
-        if f.kind == "flag":
-            flags[f.side == "z"] ^= 1 << f.bit
-            continue
-        if f.kind == "wait":
-            q, (bx, bz) = f.qubit - 1, PAULI_BITS[f.local]
-            ex, ez = bx << q, bz << q
-            phase, unread_from = f.phase, 0
-        elif f.kind == "gate":
-            c = circuits_by_name()[f.circuit]
-            r = run_circuit(c, injections=[(f.position, f.local)])
-            ex, ez = r.data_x, r.data_z
-            phase, unread_from = _PHASE_OF[c.family, c.level], c.index + 1
-            outcomes[phase] ^= r.outcome << c.index
-            if r.flag:
-                flags[c.family == "x"] ^= 1 << c.flag_bit
-        else:
-            raise ValueError(f"unknown fault kind {f.kind!r}")
-        reads = _phase_reads(ex, ez)
-        for p, read in enumerate(reads):
-            frame[p] ^= read
-        reads[phase] &= -1 << unread_from  # circuits already measured miss it
-        for p in range(phase, len(ROUND_ORDER)):
-            outcomes[p] ^= reads[p]
-        dx ^= ex
-        dz ^= ez
-
-    state._f_x, state._f_z = flags
-    s2z, s2x, s_z, s_x = outcomes
-    bundle = OutcomeBundle(s_x, s_z, s2x, s2z, state._f_x, state._f_z)
-    state._dx, state._dz = dx, dz
+    acc = 0
+    for f in state.fault_schedule.get(len(state.round_log), ()):
+        acc ^= _effect(f)
+    out = (state._word ^ acc) & (1 << _OUT) - 1
+    state._word = word = state._word ^ acc >> _OUT
+    bundle = OutcomeBundle(
+        out >> _SX, out >> _SZ & _MASK21, out >> _S2X & 7, out >> _S2Z & 7,
+        word >> _F_X - _OUT & _MASK21, word >> _F_Z - _OUT & _MASK21,
+    )
     state.round_log.append(bundle)
     return bundle
 
@@ -508,12 +550,20 @@ def joint_coset_weight(op: PauliOp) -> tuple[int, int]:
 
     exact ranges over the stabilizers alone, so it is zero exactly when
     op is a stabilizer; normalizer also allows any logical, so it is the
-    distance to the nearest codeword-preserving operator.  Both are
-    minima of one weight vector, exact over its first 64 rows, whose x
-    and z patterns are both outer stabilizers, and normalizer over all.
+    distance to the nearest codeword-preserving operator.
+
+    An op whose four syndromes (``_phase_reads``) are all zero is in the
+    normalizer and needs no search.  Every stabilizer has even weight and
+    the logicals are all-ones, so op is a stabilizer, (0, 0), when its x
+    and z parts both have even weight, and otherwise a nontrivial logical
+    of the distance-9 code, (9, 0).  Any other op takes both minima of
+    one weight vector, exact over its first 64 rows, whose x and z
+    patterns are both outer stabilizers, and normalizer over all.
     """
-    joint, counts = _joint_block_table()
     x, z = op.x_bits, op.z_bits
+    if not _phase_reads(x, z):
+        return (_DISTANCE, 0) if (x.bit_count() | z.bit_count()) & 1 else (0, 0)
+    joint, counts = _joint_block_table()
     rows = [(x >> s & 127) << 7 | (z >> s & 127) for s in range(0, N49, 7)]
     w = counts @ joint.take(rows, 0).reshape(28)
     exact, rest = np.minimum.reduceat(w, (0, 64)).tolist()
@@ -546,11 +596,8 @@ class TrialResult(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.decode_consistent
-            and self.condition1 is not False
-            and self.condition2 is not False
-        )
+        return (self.decode_consistent and self.condition1 is not False
+                and self.condition2 is not False)
 
     def render(self) -> str:
         lines = [
@@ -575,41 +622,27 @@ def _decode_consistent(bundle: OutcomeBundle, correction: PauliOp) -> bool:
     codespace.  (The true error can still drift from the bundle when a
     fault lands after its last measurement of the final rounds; that
     drift is what condition 2 bounds.)"""
-    return (
-        level1_syndrome(correction.z_bits) == bundle.s_x
-        and level2_syndrome(correction.z_bits) == bundle.stilde_x
-        and level1_syndrome(correction.x_bits) == bundle.s_z
-        and level2_syndrome(correction.x_bits) == bundle.stilde_z
-    )
+    b = bundle
+    return _phase_reads(correction.x_bits, correction.z_bits) == (
+        b.stilde_z << _S2Z | b.stilde_x << _S2X | b.s_z << _SZ | b.s_x << _SX)
 
 
 def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
     state = make_state(trial.schedule, trial.input_error)
     bundle, rounds_used = run_until_stable(state)
     correction, report = decode_with_report(bundle, table)
+    out = state.data_error
     residual = PauliOp(
-        N49, state._dx ^ correction.x_bits, state._dz ^ correction.z_bits
+        N49, out.x_bits ^ correction.x_bits, out.z_bits ^ correction.z_bits
     )
     v1 = trial.input_error.weight()
     v2 = sum(f.round < rounds_used for f in trial.schedule)
     w_exact, w_norm = joint_coset_weight(residual)
     cond1 = (w_exact == w_norm) if v1 + v2 <= T else None
     cond2 = (w_norm <= v2) if v2 <= T else None
-    return TrialResult(
-        trial=trial,
-        rounds_used=rounds_used,
-        bundle=bundle,
-        correction=correction,
-        residual=residual,
-        v1=v1,
-        v2=v2,
-        decode_consistent=_decode_consistent(bundle, correction),
-        fallback_used=report.fallback_used,
-        weight_exact=w_exact,
-        weight_normalizer=w_norm,
-        condition1=cond1,
-        condition2=cond2,
-    )
+    consistent = _decode_consistent(bundle, correction)
+    return TrialResult(trial, rounds_used, bundle, correction, residual, v1, v2,
+                       consistent, report.fallback_used, w_exact, w_norm, cond1, cond2)
 
 
 class FtecReport(NamedTuple):
@@ -650,8 +683,7 @@ def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecRe
     """
     if table is None:
         table = build_lookup_table(T)
-    n = n1 = n2 = nfb = nfail = 0
-    max_rounds = 0
+    n = n1 = n2 = nfb = nfail = max_rounds = 0
     failures = []
     for trial in trials:
         r = run_trial(trial, table)
@@ -663,15 +695,7 @@ def check_ftec_conditions(trials, *, table: LookupTable | None = None) -> FtecRe
         nfail += not r.ok
         if not r.ok and len(failures) < _MAX_FAILURES:
             failures.append(r)
-    return FtecReport(
-        n_trials=n,
-        n_condition1=n1,
-        n_condition2=n2,
-        n_fallback=nfb,
-        max_rounds_used=max_rounds,
-        n_failures=nfail,
-        failures=tuple(failures),
-    )
+    return FtecReport(n, n1, n2, nfb, max_rounds, nfail, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +706,8 @@ def exhaustive_input_trials(max_weight: int = 3):
     yield Trial(identity(N49), name="input:clean")
     for w in range(1, max_weight + 1):
         for qubits in itertools.combinations(range(N49), w):
-            mask = 0
-            for q in qubits:
-                mask |= 1 << q
-            yield Trial(
-                PauliOp.z_op(N49, mask),
-                name="input:" + ",".join(str(q + 1) for q in qubits),
-            )
+            yield Trial(PauliOp.z_op(N49, sum(1 << q for q in qubits)),
+                        name="input:" + ",".join(str(q + 1) for q in qubits))
 
 
 def _random_input(rng: random.Random, weight: int) -> PauliOp:
@@ -700,15 +719,18 @@ def _random_input(rng: random.Random, weight: int) -> PauliOp:
     return PauliOp(N49, xm, zm)
 
 
-_GATE_LOCALS = [
-    a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
-]
+_GATE_LOCALS = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+
+
+@functools.lru_cache(maxsize=1)
+def _circuit_names() -> tuple[str, ...]:
+    return tuple(sorted(c.name for ph in circuit_phases() for c in ph))
 
 
 def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
     kind = rng.choices(("gate", "wait", "flag", "meas"), weights=(10, 5, 2, 3))[0]
     if kind == "gate":
-        name = rng.choice(sorted(c.name for ph in circuit_phases() for c in ph))
+        name = rng.choice(_circuit_names())
         c = circuits_by_name()[name]
         pos = rng.randint(-1, len(c.gates))
         if pos in (-1, len(c.gates)):
@@ -719,17 +741,10 @@ def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
             local = rng.choice(_GATE_LOCALS)
         return ScheduledFault(rnd, "gate", circuit=name, position=pos, local=local)
     if kind == "wait":
-        return ScheduledFault(
-            rnd,
-            "wait",
-            qubit=rng.randint(1, N49),
-            local=rng.choice(_PAULIS),
-            phase=rng.randint(0, 3),
-        )
+        return ScheduledFault(rnd, "wait", qubit=rng.randint(1, N49),
+                              local=rng.choice(_PAULIS), phase=rng.randint(0, 3))
     if kind == "flag":
-        return ScheduledFault(
-            rnd, "flag", side=rng.choice("xz"), bit=rng.randrange(21)
-        )
+        return ScheduledFault(rnd, "flag", side=rng.choice("xz"), bit=rng.randrange(21))
     fld = rng.choice(sorted(_MEAS_WIDTH))
     return ScheduledFault(
         rnd, "meas", meas_field=fld, bit=rng.randrange(_MEAS_WIDTH[fld])
@@ -746,10 +761,7 @@ def sample_trials(n: int, seed: int = 0, *, max_round: int = 5):
     rng = random.Random(seed)
     for i in range(n):
         v2 = rng.randint(1, T)
-        if i % 10 == 9:
-            v1 = rng.randint(8, 12)
-        else:
-            v1 = rng.randint(0, T - v2)
+        v1 = rng.randint(8, 12) if i % 10 == 9 else rng.randint(0, T - v2)
         schedule = tuple(
             _random_fault(rng, rng.randint(0, max_round)) for _ in range(v2)
         )

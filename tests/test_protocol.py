@@ -529,6 +529,42 @@ def test_joint_weight_matches_per_block_gather():
         ), str(op)
 
 
+def test_normalizer_residuals_match_per_block_gather(table):
+    # joint_coset_weight answers a residual with all-zero syndromes without
+    # the search: products of the 24 + 24 generators times each logical
+    # class (x part odd or even, z part likewise), and the residuals of
+    # sampled trials, against the brute-force gather
+    gens = codes.LEVEL1_GENS + codes.LEVEL2_GENS
+    assert len(gens) == 24
+    rng = random.Random(75)
+    ops = []
+    for _ in range(250):
+        x = z = 0
+        for g in gens:
+            x ^= g * rng.getrandbits(1)
+            z ^= g * rng.getrandbits(1)
+        for cx, cz in itertools.product((0, LOGICAL49), repeat=2):
+            ops.append(PauliOp(N49, x ^ cx, z ^ cz))
+    classes = Counter()
+    for op in ops:
+        want = (
+            _reference_joint_coset_weight(op, include_logical=False),
+            _reference_joint_coset_weight(op, include_logical=True),
+        )
+        assert joint_coset_weight(op) == want, str(op)
+        classes[want] += 1
+    assert classes == {(0, 0): 250, (9, 0): 750}
+    in_normalizer = 0
+    for trial in sample_trials(300, seed=5):
+        residual = run_trial(trial, table).residual
+        in_normalizer += not protocol._phase_reads(residual.x_bits, residual.z_bits)
+        assert joint_coset_weight(residual) == (
+            _reference_joint_coset_weight(residual, include_logical=False),
+            _reference_joint_coset_weight(residual, include_logical=True),
+        ), trial.name
+    assert in_normalizer == 299
+
+
 def _reference_run_until_stable(
     state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
 ) -> tuple[OutcomeBundle, int]:
@@ -673,8 +709,11 @@ def test_trial_records_are_immutable_values(table):
 def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
     # the span tracer wraps these names; one trial is one weight call,
     # one parity lookup per side, one round call per simulated round (the
-    # first, and each with a fault in it or in the round before) and one
-    # circuit run per executed gate fault
+    # first, and each with a fault in it or in the round before) and,
+    # once the effect tables exist, no circuit run
+    for name in circuits_by_name():
+        protocol._circuit_effects(name)
+    protocol._wait_effects()
     calls = Counter()
 
     def counting(name, fn):
@@ -702,11 +741,32 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
             rnd == 0 or rnd in faulty or rnd - 1 in faulty
             for rnd in range(r.rounds_used)
         )
-        gates = sum(
-            f.kind == "gate" and f.round < r.rounds_used for f in trial.schedule
-        )
-        want = {"weight": 1, "parity": 2, "round": simulated, "circuit": gates}
+        want = {"weight": 1, "parity": 2, "round": simulated, "circuit": 0}
         assert calls == +Counter(want), trial.name
+
+
+def test_circuit_effect_table_is_built_once_from_unit_faults(monkeypatch):
+    # one run_circuit per wire and letter (X, Z) at each position: the
+    # ancilla and the other wire mid-circuit and at a boundary with a flag
+    # wire, the ancilla alone at a boundary without one; a second use of
+    # the circuit builds nothing
+    calls = Counter()
+
+    def counting(c, *args, **kwargs):
+        calls[c.name] += 1
+        return run_circuit(c, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_circuit", counting)
+    protocol._circuit_effects.cache_clear()
+    for _ in range(2):
+        for name in circuits_by_name():
+            protocol._circuit_effects(name)
+    for name, c in circuits_by_name().items():
+        n_gates = len(c.gates)
+        boundary = 4 if c.flag_bit is not None else 2
+        assert calls[name] == 4 * n_gates + 2 * boundary, name
+        assert len(protocol._circuit_effects(name)) == n_gates + 2
+    assert sum(calls[c.name] for ph in circuit_phases() for c in ph) == 2040
 
 
 # --- fault-tolerance conditions --------------------------------------------------
@@ -857,10 +917,13 @@ def test_failure_rendering_carries_witness(table):
 # --- the gate-by-gate round walk as the oracle of run_round --------------------
 
 
-def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
-    """The round as a walk over all 48 circuits, kept as the oracle of
-    the linear run_round: circuits with an injected fault run gate by
-    gate on the current frame, the others by the support-mask parity."""
+def _reference_run_round(
+    state: ProtocolState, phases=circuit_phases()
+) -> OutcomeBundle:
+    """The round as a walk over the 48 circuits of one family (``phases``,
+    the real one by default), kept as the oracle of the linear run_round:
+    circuits with an injected fault run gate by gate on the current
+    frame, the others by the support-mask parity."""
     rnd = len(state.round_log)
     faults = state.fault_schedule.get(rnd, ())
     waits: dict[int, list[ScheduledFault]] = defaultdict(list)
@@ -883,7 +946,7 @@ def _reference_run_round(state: ProtocolState) -> OutcomeBundle:
 
     dx, dz = state.data_error.x_bits, state.data_error.z_bits
     outcomes = dict.fromkeys(_PHASE_FIELD, 0)
-    for phase, circuits in enumerate(circuit_phases()):
+    for phase, circuits in enumerate(phases):
         for w in waits.get(phase, ()):
             q = w.qubit - 1
             if w.local in ("X", "Y"):
@@ -958,9 +1021,11 @@ def _accepted_lines(rnd=0, flagged=True, interleaved=True) -> dict[str, list[str
     return by_kind
 
 
-def _assert_round_matches_reference(schedule, dx, dz, f_x, f_z):
+def _assert_round_matches_reference(
+    schedule, dx, dz, f_x, f_z, phases=circuit_phases()
+):
     states = []
-    for step in (run_round, _reference_run_round):
+    for step in (run_round, functools.partial(_reference_run_round, phases=phases)):
         state = make_state(schedule, PauliOp(N49, dx, dz))
         state._f_x, state._f_z = f_x, f_z
         bundle = step(state)
@@ -979,6 +1044,29 @@ def test_run_round_matches_reference_on_every_single_fault():
             schedule = parse_schedule(line)
             for frame in frames:
                 _assert_round_matches_reference(schedule, *frame)
+
+
+@pytest.mark.parametrize(
+    "flagged, interleaved, n_gate_lines",
+    [(False, True, 5328), (True, False, 7848), (False, False, 5328)],
+)
+def test_run_round_matches_reference_on_control_circuit_faults(
+    flagged, interleaved, n_gate_lines
+):
+    # the single-fault comparison above on the three control families,
+    # whose circuits reach their effect tables only through these lines
+    # and the failure counts below
+    lines = _accepted_lines(0, flagged, interleaved)
+    counts = {kind: len(v) for kind, v in lines.items()}
+    assert counts == {"gate": n_gate_lines, "wait": 588, "flag": 42, "meas": 48}
+    phases = circuit_phases(flagged, interleaved)
+    rng = random.Random(63)
+    frames = ((0, 0, 0, 0), tuple(rng.getrandbits(n) for n in (49, 49, 21, 21)))
+    for kind_lines in lines.values():
+        for line in kind_lines:
+            schedule = parse_schedule(line)
+            for frame in frames:
+                _assert_round_matches_reference(schedule, *frame, phases=phases)
 
 
 def test_run_round_matches_reference_on_multi_fault_rounds():
