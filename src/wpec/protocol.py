@@ -196,18 +196,25 @@ class ScheduledFault(NamedTuple):
         return f"{self.round} meas {self.meas_field} {self.bit}"
 
 
+def _int_word(word: str, line: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"not an integer: {word!r} in fault line {line!r}") from None
+
+
 def parse_fault(line: str) -> ScheduledFault:
     parts = line.split()
     if len(parts) < 3:
         raise ValueError(f"fault line too short: {line!r}")
-    rnd = int(parts[0])
+    rnd = _int_word(parts[0], line)
     if rnd < 0:
         raise ValueError(f"round must be non-negative: {line!r}")
     kind = parts[1]
     if kind == "gate":
         if len(parts) != 5:
             raise ValueError(f"gate fault needs circuit, position, local: {line!r}")
-        name, pos, local = parts[2], int(parts[3]), parts[4]
+        name, pos, local = parts[2], _int_word(parts[3], line), parts[4]
         c = circuits_by_name().get(name)
         if c is None:
             raise ValueError(f"unknown circuit {name!r}")
@@ -218,8 +225,8 @@ def parse_fault(line: str) -> ScheduledFault:
     if kind == "wait":
         if len(parts) not in (4, 5):
             raise ValueError(f"wait fault needs qubit, Pauli[, phase]: {line!r}")
-        qubit, p = int(parts[2]), parts[3]
-        phase = int(parts[4]) if len(parts) == 5 else 0
+        qubit, p = _int_word(parts[2], line), parts[3]
+        phase = _int_word(parts[4], line) if len(parts) == 5 else 0
         if not 1 <= qubit <= N49:
             raise ValueError(f"qubit {qubit} out of range")
         if p not in _PAULIS:
@@ -230,14 +237,14 @@ def parse_fault(line: str) -> ScheduledFault:
     if kind == "flag":
         if len(parts) != 4:
             raise ValueError(f"flag fault needs side, bit: {line!r}")
-        side, bit = parts[2], int(parts[3])
+        side, bit = parts[2], _int_word(parts[3], line)
         if side not in ("x", "z") or not 0 <= bit < 21:
             raise ValueError(f"bad flag fault: {line!r}")
         return ScheduledFault(rnd, "flag", side=side, bit=bit)
     if kind == "meas":
         if len(parts) != 4:
             raise ValueError(f"meas fault needs field, bit: {line!r}")
-        fld, bit = parts[2], int(parts[3])
+        fld, bit = parts[2], _int_word(parts[3], line)
         if fld not in _MEAS_WIDTH or not 0 <= bit < _MEAS_WIDTH[fld]:
             raise ValueError(f"bad meas fault: {line!r}")
         return ScheduledFault(rnd, "meas", meas_field=fld, bit=bit)
@@ -472,7 +479,7 @@ class DecodeReport(NamedTuple):
 def _decode_side(
     s21: int, stilde: int, f21: int, table: LookupTable
 ) -> tuple[int, SideReport]:
-    parity = table.lookup_parity(stilde, tau_from_syndrome(s21), s21, f21)
+    parity = table.lookup_parity(stilde, s21, f21)
     fallback = parity is None
     if fallback:
         parity = 127

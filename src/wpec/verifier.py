@@ -12,13 +12,13 @@ collapses each to a record, and audits the resulting lookup table.  The
 engine writes the XORs of exactly k distinct signatures, for every
 k <= ``max_faults``, into one array; the build packs it into sort keys
 in place and deduplicates them all with one sort.  A key's fields are
-the record's, named once in ``RECORD_FIELDS`` for keys, text and JSON
-lines: first-level syndrome, second-level syndrome, block triviality,
-cumulative flags, block parity.  Within each (second-level syndrome,
-block triviality) partition, either every record carries an equivalent
-block parity (Condition 1), or records with inequivalent parities
-differ in their (syndrome, flags) pair (Condition 2).  A partition
-failing both is a violation, reported with witness fault combinations.
+the record's, placed by ``RECORD_FIELDS`` alone for every pack, probe,
+cut and print: first-level syndrome, second-level syndrome, block
+triviality, cumulative flags, block parity.  Within each (second-level
+syndrome, block triviality) partition, either every record carries an
+equivalent block parity (Condition 1), or records with inequivalent
+parities differ in their (syndrome, flags) pair (Condition 2).  A
+partition failing both is a violation, reported with witness faults.
 
 The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
@@ -29,12 +29,11 @@ combination is then re-analyzed against its possible wait-error
 completions to bound the weight of the residual error it can leave.
 
 The scan's effects are (Z mask, flag) pairs.  The table's are packed
-uint64 signatures: bits 0-6 hold the block parity (stored canonically,
-as the minimum over the eight stabilizer parity patterns), bits 7-27 the
-flag vector, and bits 28-48 the first-level syndrome.  The canonical
-form ``PCANON`` is linear and its image is 0..15, so the canonical
-parities are a subspace: an XOR of canonical signatures is canonical,
-and the engine works on them as plain XORs.
+uint64 signatures, a key below tau: block parity (stored canonically,
+as the minimum over the eight stabilizer parity patterns), flags and
+first-level syndrome.  The canonical form ``PCANON`` is linear with
+image 0..15, so canonical parities are a subspace: an XOR of canonical
+signatures is canonical, and the engine works on them as plain XORs.
 
 Witnesses come from the same engine.  The witness for an effect is the
 lexicographically first tuple of distinct pool-row indices whose XOR
@@ -104,10 +103,17 @@ __all__ = [
     "table1_records",
 ]
 
-_P_MASK = 127
-_F_MASK = (1 << 21) - 1
-_F_SHIFT = 7
-_S_SHIFT = 28
+# A sort key's fields in the order a record prints them, as (name,
+# lowest bit, width), tiling key bits 0-58: the one statement of the
+# layout.  Parity is the lowest field, in byte 0, and (stilde, tau) the
+# top, above bit 48: a cell is key >> _CELL, a partition key >> _PART
+# (read from the top 16 bits), and a signature the key below tau.
+RECORD_FIELDS = (
+    ("s", 28, 21), ("stilde", 56, 3), ("tau", 49, 7), ("f", 7, 21), ("parity", 0, 7),
+)
+_BIT = {name: bit for name, bit, _ in RECORD_FIELDS}
+_WIDTH = {name: width for name, _, width in RECORD_FIELDS}
+_CELL, _PART = _WIDTH["parity"], _BIT["tau"]
 
 _PCANON_U64 = np.array(PCANON, dtype=np.uint64)
 _SYND7_U64 = np.array([syndrome7(p) for p in range(128)], dtype=np.uint64)
@@ -122,7 +128,7 @@ def pack_signature(error_mask: int, flag: int) -> int:
     to the decoder (equal syndrome, equal flags, equivalent parity).
     """
     p = PCANON[block_parity(error_mask)]
-    return p | (flag << _F_SHIFT) | (level1_syndrome(error_mask) << _S_SHIFT)
+    return p | flag << _BIT["f"] | level1_syndrome(error_mask) << _BIT["s"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +441,19 @@ _TAU9 = tau_from_syndrome(np.arange(512, dtype=np.uint64))
 
 
 # A raw block parity's key bits: its canonical form, and its s-tilde
-# (the syndrome of either) in bits 56-58.
-_PARITY_KEY = _PCANON_U64 | _SYND7_U64[_PCANON_U64] << np.uint64(56)
+# (the syndrome of either).
+_PARITY_KEY = _PCANON_U64 | _SYND7_U64[_PCANON_U64] << np.uint64(_BIT["stilde"])
 
 
 def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
     """Repack signatures as sort keys (s-tilde, tau, s, f, canonical p)
-    in place, _XOR_CHUNK at a time, and return them.  A key's low 49
-    bits are its canonical signature; s-tilde and tau above them are
-    functions of p and s."""
+    in place, _XOR_CHUNK at a time, and return them.  A key below tau
+    is its canonical signature; s-tilde and tau are functions of it."""
+    p_mask = (1 << _CELL) - 1
     for lo in range(0, len(sigs), _XOR_CHUNK):
         chunk = sigs[lo : lo + _XOR_CHUNK]
-        s = chunk.view(np.int64) >> _S_SHIFT  # signed indices skip a conversion
+        s = chunk.view(np.int64) >> _BIT["s"]  # signed indices skip a conversion
+        s &= (1 << _WIDTH["s"]) - 1
         nine = s & 511
         high = _TAU9[nine]
         np.right_shift(s, 9, out=nine)
@@ -454,19 +461,12 @@ def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
         high |= _TAU9[nine] << np.uint64(3)
         np.right_shift(s, 18, out=nine)
         high |= _TAU9[nine] << np.uint64(6)
-        high <<= np.uint64(49)
-        np.bitwise_and(chunk.view(np.int64), _P_MASK, out=nine)
+        high <<= np.uint64(_BIT["tau"])
+        np.bitwise_and(chunk.view(np.int64), p_mask, out=nine)
         high |= _PARITY_KEY[nine]
-        chunk &= np.uint64(~_P_MASK & (2**64 - 1))
+        chunk &= np.uint64(~p_mask & (2**64 - 1))
         chunk |= high
     return sigs
-
-
-# A sort key's fields in the order a record prints them, as (name,
-# lowest bit, width); together they tile key bits 0-58.
-RECORD_FIELDS = (
-    ("s", 28, 21), ("stilde", 56, 3), ("tau", 49, 7), ("f", 7, 21), ("parity", 0, 7),
-)
 
 
 def _key_fields(key: int) -> tuple[int, ...]:
@@ -495,10 +495,10 @@ class LookupTable:
 
     Each record is one achievable (syndrome, second-level syndrome,
     triviality, flags, canonical parity) tuple for at most max_faults
-    faults.  Records are grouped by (second-level syndrome, triviality);
-    a group whose records all share one canonical parity answers lookups
-    unconditionally, otherwise the (syndrome, flags) pair selects the
-    record.
+    faults, as a sort key.  Records are grouped by partition (stilde,
+    tau); a group whose records all share one canonical parity answers
+    lookups unconditionally, otherwise the cell (partition, s, f)
+    selects the record.
     """
 
     def __init__(
@@ -514,20 +514,19 @@ class LookupTable:
         self.interleaved = interleaved
         self.keys = keys
         self.combination_counts = counts
-        # (stilde, tau) is key bits 49-58 and p bits 0-6: read them from
-        # the key bytes, without a full-width temporary per field
-        b = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        high = b[:, 7].astype(np.uint16) << 7
-        high |= b[:, 6] >> 1
+        # read (stilde, tau) from the keys' top 16 bits and p from their
+        # low byte, without a full-width temporary per field
+        le = keys.astype("<u8", copy=False)
+        high = le.view("<u2")[3::4] >> (_PART - 48)
         starts = np.concatenate([[0], np.flatnonzero(high[1:] != high[:-1]) + 1])
         self._group_start = starts
         self._group_end = np.concatenate([starts[1:], [len(keys)]])
         self._group_high = high[starts]
-        p = b[:, 0] & _P_MASK
+        p = le.view(np.uint8)[::8] & (1 << _CELL) - 1
         pmin = np.minimum.reduceat(p, starts)
         pmax = np.maximum.reduceat(p, starts)
         parity = np.where(pmin == pmax, pmin.astype(np.int64), -1)
-        # (stilde << 7 | tau) -> the group's parity, or -1 when mixed; in
+        # partition (key >> _PART) -> its parity, or -1 when mixed; in
         # group order, and of Python ints, so a lookup reads no numpy scalar
         self._parity_of = dict(zip(self._group_high.tolist(), parity.tolist()))
 
@@ -539,41 +538,37 @@ class LookupTable:
     def n_groups(self) -> int:
         return len(self._group_high)
 
-    def lookup_parity(self, stilde: int, tau: int, s: int, f: int) -> int | None:
+    def lookup_parity(self, stilde: int, s: int, f: int) -> int | None:
         """Block parity for an observation, or None when out of table.
 
-        A uniform-parity group answers directly.  A mixed group requires
-        an exact (syndrome, flags) match; a miss means the observation
-        cannot come from at most max_faults faults, and the caller falls
-        back to its out-of-table correction path.
+        A uniform partition (stilde, tau of s) answers directly.  A mixed
+        one requires an exact (syndrome, flags) match; a miss means the
+        observation cannot come from at most max_faults faults, and the
+        caller falls back to its out-of-table correction path.
         """
-        high = stilde << 7 | tau
-        par = self._parity_of.get(high)
-        if par is None:
-            return None
-        if par >= 0:
+        part = stilde << (_BIT["stilde"] - _PART) | tau_from_syndrome(s)
+        par = self._parity_of.get(part)
+        if par is None or par >= 0:  # no such partition, or a uniform one
             return par
-        base = (high << 49) | (s << 28) | (f << 7)
-        lo = int(np.searchsorted(self.keys, np.uint64(base)))
-        if lo < len(self.keys) and int(self.keys[lo]) >> 7 == base >> 7:
-            return int(self.keys[lo]) & _P_MASK
+        probe = part << _PART | s << _BIT["s"] | f << _BIT["f"]
+        lo = int(np.searchsorted(self.keys, np.uint64(probe)))
+        if lo < len(self.keys) and int(self.keys[lo]) >> _CELL == probe >> _CELL:
+            return int(self.keys[lo]) & (1 << _CELL) - 1
         return None
 
     def violated_prefixes(self) -> np.ndarray:
         """Distinct (stilde, tau, s, f) prefixes holding inequivalent parities."""
-        if len(self.keys) < 2:
-            return np.zeros(0, dtype=np.uint64)
         d = self.keys[1:] ^ self.keys[:-1]
         # in place: a second full-width temporary would set the table jobs' peak
-        d >>= np.uint64(7)
+        d >>= np.uint64(_CELL)
         bad = np.flatnonzero(d == 0)
-        return _sorted_unique(self.keys[bad] >> np.uint64(7))
+        return _sorted_unique(self.keys[bad] >> np.uint64(_CELL))
 
     def group_tags(self) -> tuple[str, ...]:
         """'1' uniform parity, '2' disambiguated by (s, f), '!' violated."""
-        violated_high = set((self.violated_prefixes() >> np.uint64(42)).tolist())
+        violated = set((self.violated_prefixes() >> np.uint64(_PART - _CELL)).tolist())
         return tuple(
-            "!" if high in violated_high else "1" if par >= 0 else "2"
+            "!" if high in violated else "1" if par >= 0 else "2"
             for high, par in self._parity_of.items()
         )
 
@@ -657,7 +652,7 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
     the lexicographically first set of at most three pool signatures, by
     increasing size."""
     sets, labels = _table_witnesses(table.flagged, table.interleaved)
-    found = sets.first((key & ((1 << 49) - 1),), (0, 1, 2, 3))
+    found = sets.first((key & (1 << _PART) - 1,), (0, 1, 2, 3))  # below tau
     return None if found is None else tuple(labels[r] for r in found)
 
 
@@ -729,12 +724,12 @@ class Claim2Report(NamedTuple):
         for i, v in enumerate(self.violations, 1):
             obj = {
                 "type": "violation",
-                "s": format_bits(v.s, 21),
-                "stilde": format_bits(v.stilde, 3),
-                "tau": format_bits(v.tau, 7),
-                "f": format_bits(v.f, 21),
-                "parity_a": format_bits(v.parity_a, 7),
-                "parity_b": format_bits(v.parity_b, 7),
+                "s": format_bits(v.s, _WIDTH["s"]),
+                "stilde": format_bits(v.stilde, _WIDTH["stilde"]),
+                "tau": format_bits(v.tau, _WIDTH["tau"]),
+                "f": format_bits(v.f, _WIDTH["f"]),
+                "parity_a": format_bits(v.parity_a, _WIDTH["parity"]),
+                "parity_b": format_bits(v.parity_b, _WIDTH["parity"]),
                 "witness_a": list(v.witness_a),
                 "witness_b": list(v.witness_b),
             }
@@ -762,10 +757,8 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
     tags = table.group_tags()
     violations = []
     for prefix in prefixes[:max_witnesses]:
-        base = int(prefix) << 7
-        lo = int(np.searchsorted(table.keys, np.uint64(base)))
-        key_a = int(table.keys[lo])
-        key_b = int(table.keys[lo + 1])
+        lo = int(np.searchsorted(table.keys, np.uint64(int(prefix) << _CELL)))
+        key_a, key_b = table.keys[lo : lo + 2].tolist()
         s, stilde, tau, f, parity_a = _key_fields(key_a)
         parity_b = _key_fields(key_b)[-1]
         witness_a = find_fault_combination(table, key_a)
@@ -911,7 +904,7 @@ class FinalRoundReport(NamedTuple):
                 f"[{i}] counts {obj['counts']}\n"
                 f"    early error : {fc.early_error.block_form()}\n"
                 f"    full error  : {fc.error.block_form()}\n"
-                f"    flags       : early {format_bits(fc.flag & _F_MASK, 21)} "
+                f"    flags       : early {format_bits(fc.flag, 21)} "
                 f"late {format_bits(fc.flag >> 21, 21)}\n"
                 f"    residual rep: {rep} (weight {m.min_weight})\n"
                 f"    witnesses   : " + ", ".join(fc.faults) + "\n"

@@ -4,6 +4,7 @@ comparisons, and the decode command's bundle handling."""
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -360,6 +361,47 @@ def test_gen_table_stdout_matches_out_file(tmp_path, fmt):
     assert proc.returncode == 0
     assert stdout == out.read_bytes()
     assert len(stdout) > 1_000_000
+
+
+def test_record_fields_alone_place_the_key_fields(tmp_path):
+    # Swap where s and f live, in RECORD_FIELDS only.  If every pack,
+    # probe, cut and print reads it, the outputs stay the same; only the
+    # order of records inside a partition follows the new key order.
+    shutil.copytree(SRC / "wpec", tmp_path / "src" / "wpec",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "wpec" / "verifier.py"
+    text = path.read_text()
+    fields = '("s", 28, 21), ("stilde", 56, 3), ("tau", 49, 7), ("f", 7, 21),'
+    swapped = '("s", 7, 21), ("stilde", 56, 3), ("tau", 49, 7), ("f", 28, 21),'
+    assert text.count(fields) == 1
+    path.write_text(text.replace(fields, swapped))
+
+    def run(src, *argv):
+        proc = subprocess.run(
+            [sys.executable, *argv], cwd=tmp_path, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    bundle = str(ROOT / "perfbench" / "bundle.txt")
+    for argv in (["verify-appendix-a"], ["decode", bundle]):
+        argv = ["-m", "wpec", *argv, "--max-faults", "2"]
+        assert run(tmp_path / "src", *argv) == run(SRC, *argv), argv
+    argv = ["-m", "wpec", "gen-table", "--max-faults", "2", "--ordering", "normal"]
+    lines = run(SRC, *argv).splitlines()
+    swapped_lines = run(tmp_path / "src", *argv).splitlines()
+    assert swapped_lines != lines  # the swap took effect
+    assert sorted(swapped_lines) == sorted(lines)
+    # the bundle above meets only uniform partitions: probe every record,
+    # mixed partitions' included, in the swapped layout
+    probe = textwrap.dedent("""
+        from wpec.verifier import _key_fields, build_lookup_table
+        table = build_lookup_table(2)
+        fields = [_key_fields(key) for key in table.keys.tolist()]
+        print(sum(table.lookup_parity(st, s, f) != p for s, st, _, f, p in fields))
+    """)
+    assert run(tmp_path / "src", "-c", probe) == b"0\n"
 
 
 def test_gen_table_closed_pipe_exits_141_quietly(tmp_path):

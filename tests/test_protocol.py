@@ -269,6 +269,20 @@ def test_fault_parse_rejects(line):
         parse_fault(line)
 
 
+@pytest.mark.parametrize(
+    "line, word",
+    [
+        ("x gate z1 1 XI", "x"),     # round
+        ("0 gate z1 one XI", "one"),  # position
+        ("0 flag x 2.5", "2.5"),      # bit
+    ],
+)
+def test_fault_parse_names_a_non_integer_word_and_its_line(line, word):
+    with pytest.raises(ValueError) as err:
+        parse_fault(line)
+    assert str(err.value) == f"not an integer: {word!r} in fault line {line!r}"
+
+
 def test_boundary_flag_wire_fault_allowed():
     f = parse_fault("0 gate z1 -1 IZ")
     assert f.local == "IZ" and f.position == -1

@@ -258,7 +258,7 @@ def test_lookup_parity_known_observation(table3):
     e = (1 << 0) | (1 << 7)
     s = level1_syndrome(e)
     p = block_parity(e)
-    got = table3.lookup_parity(syndrome7(p), tau_from_syndrome(s), s, 0)
+    got = table3.lookup_parity(syndrome7(p), s, 0)
     assert got == PCANON[p] == 3
 
 
@@ -274,8 +274,15 @@ def test_lookup_parity_sampled_records(table3):
             f ^= atoms[i].flag
         s = level1_syndrome(e)
         p = block_parity(e)
-        got = table3.lookup_parity(syndrome7(p), tau_from_syndrome(s), s, f)
+        got = table3.lookup_parity(syndrome7(p), s, f)
         assert got == PCANON[p]
+    # every record of the budget-1 and budget-2 tables probes back to its
+    # own parity, so the read path packs as the build does on every key
+    for budget in (1, 2):
+        table = build_lookup_table(budget)
+        for key in table.keys.tolist():
+            s, stilde, _, f, p = v._key_fields(key)
+            assert table.lookup_parity(stilde, s, f) == p, hex(key)
 
 
 def test_lookup_parity_out_of_table(table3):
@@ -283,7 +290,9 @@ def test_lookup_parity_out_of_table(table3):
     missing = next(
         h for h in range(8 << 7) if h not in present
     )
-    assert table3.lookup_parity(missing >> 7, missing & 127, 0, 0) is None
+    # an s whose tau is the missing partition's
+    s = sum(1 << 3 * b for b in range(7) if missing >> b & 1)
+    assert table3.lookup_parity(missing >> 7, s, 0) is None
 
     # a mixed partition with an impossible flag pattern
     tags = table3.group_tags()
@@ -292,7 +301,7 @@ def test_lookup_parity_out_of_table(table3):
     key0 = int(table3.keys[int(table3._group_start[g])])
     s0 = (key0 >> 28) & ((1 << 21) - 1)
     all_flags = (1 << 21) - 1  # needs 21 faults, never recorded
-    assert table3.lookup_parity(high >> 7, high & 127, s0, all_flags) is None
+    assert table3.lookup_parity(high >> 7, s0, all_flags) is None
 
 
 def test_corrections_return_to_stabilizer(table3):
@@ -318,7 +327,7 @@ def test_corrections_return_to_stabilizer(table3):
     def check(e, f):
         s = level1_syndrome(e)
         p = block_parity(e)
-        got = table3.lookup_parity(syndrome7(p), tau_from_syndrome(s), s, f)
+        got = table3.lookup_parity(syndrome7(p), s, f)
         assert got == PCANON[p]
         assert min_coset_weight(e ^ correction_for(got, s)) == 0
 
@@ -642,13 +651,14 @@ def test_lookup_parity_probes_with_exact_uint64_keys():
     # Two records of one mixed group that differ only in f.  Near 2^59 a
     # float64 cannot tell their keys apart, so a probe compared in float
     # lands on the f = 1 record and misses the f = 2 one.
-    stilde, tau, s = 7, 0b1010101, 0b101
+    # s is nonzero in syndrome blocks 0, 2, 4 and 6, so its tau is 0b1010101
+    stilde, tau, s = 7, 0b1010101, 1 | 1 << 6 | 1 << 12 | 1 << 18
     base = ((stilde << 7 | tau) << 49) | (s << 28)
     keys = np.array([base | 1 << 7 | 100, base | 2 << 7 | 3], dtype=np.uint64)
     t = v.LookupTable(3, True, True, keys, ())
-    assert t.lookup_parity(stilde, tau, s, 2) == 3
-    assert t.lookup_parity(stilde, tau, s, 1) == 100
-    assert t.lookup_parity(stilde, tau, s, 3) is None
+    assert t.lookup_parity(stilde, s, 2) == 3
+    assert t.lookup_parity(stilde, s, 1) == 100
+    assert t.lookup_parity(stilde, s, 3) is None
 
 
 def test_violations_grow_monotonically():
