@@ -61,17 +61,11 @@ class CorrectionTable:
     fixed weight-2 Z error; golay_min maps all 2^11 syndromes to the
     unique minimal-weight (<=3) Z error.  golay_min is built on first
     use, so a Steane-only decode never computes 2,048 Golay syndromes.
-    Two tables are equal when their wt1 and wt2 are.
     """
 
     def __init__(self, wt1: dict[int, PauliOp], wt2: dict[int, PauliOp]) -> None:
         self.wt1 = wt1
         self.wt2 = wt2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CorrectionTable):
-            return NotImplemented
-        return (self.wt1, self.wt2) == (other.wt1, other.wt2)
 
     @functools.cached_property
     def golay_min(self) -> dict[int, PauliOp]:

@@ -1,23 +1,25 @@
 """Full error-correction protocol on the 49-qubit code.
 
 One round measures the circuits in ``wpec.circuits.ROUND_ORDER``.  Every
-circuit is CNOT-only, so a round is linear: its fault-free outcomes are
-the frame's syndromes, which the state carries from round to round, and
-each fault adds its effect, one packed word of outcome flips, frame
+circuit is CNOT-only, so a round is linear: a trial's whole state is one
+int, the state word of the frame's syndromes, the cumulative flags and
+the data error, and ``run_round(word, effect)`` XORs into it the round's
+effect, the XOR of its faults' packed words of outcome flips, frame
 reads, flag flips and data residue.  A gate fault's word is the XOR of
 unit words from its circuit's table, built from ``run_circuit`` on the
 circuit's first use; a gate fault names its circuit, so a
 negative-control trial (``x1#``, ``z~1#``) needs only the lookup table
-of its family.  Rounds repeat until the outcome bundle is
-identical four times in a row (at most 16 rounds for at most three
-faults); a fault-free round after another one, such as every round of
-the fault-free tail but its first, repeats the last bundle without being
-simulated.  The final bundle is then decoded in four steps: block-parity
-lookup, per-subblock weight-parity correction from a 16-entry table, an
-outer logical fix when the lookup missed, and the mirrored X side.  A
-bundle stores the syndromes s; its triviality vector tau is derived from
-them, never stored.  A residual with zero syndromes gets its weights
-from its parities, any other from a search over its stabilizer coset.
+of its family.  ``run_until_stable(input_error, schedule)`` repeats
+rounds until the outcome bundle is identical four times in a row (at
+most 16 rounds for at most three faults); a fault-free round after
+another one, such as every round of the fault-free tail but its first,
+repeats the last bundle without being simulated.  The final bundle is
+then decoded in four steps: block-parity lookup, per-subblock
+weight-parity correction from a 16-entry table, an outer logical fix
+when the lookup missed, and the mirrored X side.  A bundle stores the
+syndromes s; its triviality vector tau is derived from them, never
+stored.  A residual with zero syndromes gets its weights from its
+parities, any other from a search over its stabilizer coset.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -343,105 +345,62 @@ def _effect(f: ScheduledFault) -> int:
     raise ValueError(f"unknown fault kind {f.kind!r}")
 
 
-def _state_field(effect_bit: int, width: int) -> property:
-    """A property over one field of ``ProtocolState._word``."""
-    shift, mask = effect_bit - _OUT, (1 << width) - 1
-
-    def set_(self, value: int) -> None:
-        self._word = self._word & ~(mask << shift) | value << shift
-
-    return property(lambda self: self._word >> shift & mask, set_)
+def _frame(word: int) -> PauliOp:
+    """The data error of a state word."""
+    w = word >> _D_X - _OUT
+    return PauliOp(N49, w & LOGICAL49, w >> N49)
 
 
-class ProtocolState:
-    """Pauli frame of the true data error plus the per-round log; the
-    rounds of one trial update it in place.
-
-    The frame and the flags are one state word: the frame's reads, which
-    each round carries forward by XOR instead of reading the frame again,
-    ``_f_x``, ``_f_z`` and the data masks.  Assigning ``data_error``
-    derives the reads anew."""
-
-    _f_x = _state_field(_F_X, 21)
-    _f_z = _state_field(_F_Z, 21)
-
-    def __init__(self, data_error: PauliOp,
-                 fault_schedule: dict[int, tuple[ScheduledFault, ...]]) -> None:
-        self._word = 0
-        self.data_error = data_error
-        self.round_log: list[OutcomeBundle] = []
-        self.fault_schedule = fault_schedule
-
-    @property
-    def data_error(self) -> PauliOp:
-        w = self._word >> _D_X - _OUT
-        return PauliOp(N49, w & LOGICAL49, w >> N49)
-
-    @data_error.setter
-    def data_error(self, op: PauliOp) -> None:
-        flags = self._word & (1 << _D_X - _OUT) - (1 << _F_X - _OUT)
-        self._word = flags | _residue(op.x_bits, op.z_bits) >> _OUT
-
-
-def make_state(schedule=(), input_error: PauliOp | None = None) -> ProtocolState:
-    by_round: dict[int, tuple[ScheduledFault, ...]] = {}
-    for f in schedule:
-        by_round[f.round] = by_round.get(f.round, ()) + (f,)
-    return ProtocolState(input_error or identity(N49), by_round)
-
-
-def run_round(state: ProtocolState) -> OutcomeBundle:
-    """Simulate one full measurement round and append its bundle.
+def run_round(word: int, effect: int) -> tuple[int, OutcomeBundle]:
+    """One full measurement round: the next state word and the bundle.
 
     Every circuit is CNOT-only, so a round is linear in the incoming
-    frame and its faults.  The outcomes are the incoming frame's reads
-    XOR the low bits of its faults' effect words, which hold each
-    fault's own outcome flips and the reads of its data residue by every
-    later circuit; the rest of the words shifts into the state word.
+    frame and its faults.  The outcomes are the state word's frame reads
+    XOR the low bits of ``effect``, the XOR of the round's fault effect
+    words, which hold each fault's own outcome flips and the reads of its
+    data residue by every later circuit; the rest of the effect shifts
+    into the state word.
     """
-    acc = 0
-    for f in state.fault_schedule.get(len(state.round_log), ()):
-        acc ^= _effect(f)
-    out = (state._word ^ acc) & (1 << _OUT) - 1
-    state._word = word = state._word ^ acc >> _OUT
-    bundle = OutcomeBundle(
+    out = (word ^ effect) & (1 << _OUT) - 1
+    word ^= effect >> _OUT
+    return word, OutcomeBundle(
         out >> _SX, out >> _SZ & _MASK21, out >> _S2X & 7, out >> _S2Z & 7,
         word >> _F_X - _OUT & _MASK21, word >> _F_Z - _OUT & _MASK21,
     )
-    state.round_log.append(bundle)
-    return bundle
+
+
+_REPEATS, _MAX_ROUNDS = 4, 16
 
 
 def run_until_stable(
-    state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
-) -> tuple[OutcomeBundle, int]:
-    """Run rounds until the bundle repeats ``repeats`` times in a row.
+    input_error: PauliOp, schedule=()
+) -> tuple[OutcomeBundle, int, PauliOp]:
+    """Run rounds from ``input_error`` until the bundle repeats four times
+    in a row: the stable bundle, the number of rounds used and the data
+    error left.
 
-    Returns the stable bundle and the number of rounds used.  At most
-    three faults can change the bundle at most three times, so the loop
-    finishes within 16 rounds; running past that means a bug.
-
+    At most three faults can change the bundle at most three times, so
+    the loop finishes within 16 rounds; running past that means a bug.
     A round without faults leaves the frame and the flags as they were,
     so a fault-free round after another one is not simulated: its bundle
     is the last one again.  That covers every round of the fault-free
     tail but its first, the one after the last scheduled round.
     """
-    log, faulty = state.round_log, state.fault_schedule
-    streak = 0  # equal bundles at the end of the log, a given log's included
-    while streak < len(log) and log[~streak] == log[-1]:
-        streak += 1
-    while len(log) < max_rounds:
-        rnd = len(log)
-        if rnd and rnd not in faulty and rnd - 1 not in faulty:
-            bundle = log[-1]
-            log.append(bundle)
+    effects: dict[int, int] = {}  # round -> XOR of its faults' effects
+    for f in schedule:
+        effects[f.round] = effects.get(f.round, 0) ^ _effect(f)
+    word = _residue(input_error.x_bits, input_error.z_bits) >> _OUT
+    bundle, streak = None, 0  # the last bundle, and how often it came in a row
+    for rnd in range(_MAX_ROUNDS):
+        if rnd and rnd not in effects and rnd - 1 not in effects:
             streak += 1
         else:
-            bundle = run_round(state)
-            streak = streak + 1 if rnd and bundle == log[-2] else 1
-        if streak >= repeats > 0:
-            return bundle, len(log)
-    raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
+            word, new = run_round(word, effects.get(rnd, 0))
+            streak = streak + 1 if new == bundle else 1
+            bundle = new
+        if streak == _REPEATS:
+            return bundle, rnd + 1, _frame(word)
+    raise RuntimeError(f"bundle failed to stabilize within {_MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +594,8 @@ def _decode_consistent(bundle: OutcomeBundle, correction: PauliOp) -> bool:
 
 
 def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
-    state = make_state(trial.schedule, trial.input_error)
-    bundle, rounds_used = run_until_stable(state)
+    bundle, rounds_used, out = run_until_stable(trial.input_error, trial.schedule)
     correction, report = decode_with_report(bundle, table)
-    out = state.data_error
     residual = PauliOp(
         N49, out.x_bits ^ correction.x_bits, out.z_bits ^ correction.z_bits
     )
@@ -762,8 +719,8 @@ def sample_trials(n: int, seed: int = 0, *, max_round: int = 5):
     """Deterministic stream of random fault schedules, 1 to T faults each.
 
     Most trials carry a small input error so condition 1 applies; every
-    tenth gets an input far beyond the code distance, exercising
-    condition 2 alone.
+    tenth gets an input of weight 8 to 12, beyond the correctable weight
+    of 4, exercising condition 2 alone.
     """
     rng = random.Random(seed)
     for i in range(n):

@@ -18,7 +18,7 @@ from wpec.cli import main
 from wpec.codes import LOGICAL23, N23, N49, golay_syndrome
 from wpec.decoder import build_correction_table
 from wpec.pauli import PauliOp
-from wpec.protocol import OutcomeBundle, make_state, run_until_stable
+from wpec.protocol import OutcomeBundle, run_until_stable
 from wpec.verifier import TABLE1_GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -528,10 +528,7 @@ def test_library_imports_create_no_dataclass():
 
 
 def _write_bundle(tmp_path, name, input_mask=0, x_mask=0):
-    state = make_state(
-        input_error=PauliOp(N49, x_mask, input_mask)
-    )
-    bundle, _ = run_until_stable(state)
+    bundle = run_until_stable(PauliOp(N49, x_mask, input_mask))[0]
     path = tmp_path / name
     path.write_text(bundle.render())
     return path

@@ -1,7 +1,6 @@
 """Protocol engine: round execution, stabilization, decoding, and the
 two fault-tolerance conditions under injected fault schedules."""
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -27,7 +26,6 @@ from wpec.decoder import build_correction_table, wpec_steane
 from wpec.pauli import PauliOp, identity, parity
 from wpec.protocol import (
     OutcomeBundle,
-    ProtocolState,
     ScheduledFault,
     Trial,
     check_ftec_conditions,
@@ -35,7 +33,6 @@ from wpec.protocol import (
     exhaustive_input_trials,
     format_schedule,
     joint_coset_weight,
-    make_state,
     parse_fault,
     parse_schedule,
     run_round,
@@ -45,7 +42,7 @@ from wpec.protocol import (
     _PHASE_FIELD,
 )
 from wpec.circuits import circuit_phases, circuits_by_name, level1_circuits, run_circuit
-from wpec.verifier import build_lookup_table
+from wpec.verifier import _BIT, _CELL, _PART, build_lookup_table
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +53,48 @@ def table():
 # --- rounds and stabilization -------------------------------------------------
 
 
+def _word(dx=0, dz=0, f_x=0, f_z=0) -> int:
+    """The state word of a frame and flags, in protocol's own layout."""
+    return (protocol._residue(dx, dz) >> protocol._OUT
+            | f_x << protocol._F_X - protocol._OUT
+            | f_z << protocol._F_Z - protocol._OUT)
+
+
+def _linear_round(state, faults):
+    """``protocol.run_round`` on a (dx, dz, f_x, f_z) state.  The word it
+    returns must equal the word built afresh from its frame and flags:
+    the syndromes it carries by linearity are the frame's."""
+    effect = 0
+    for f in faults:
+        effect ^= protocol._effect(f)
+    word, bundle = protocol.run_round(_word(*state), effect)
+    frame = protocol._frame(word)
+    state = (frame.x_bits, frame.z_bits, bundle.f_x, bundle.f_z)
+    assert word == _word(*state)
+    return state, bundle
+
+
+def _round_log(schedule, n, input_error=identity(N49)):
+    """The bundles of the first n rounds, every one simulated."""
+    state, log = (input_error.x_bits, input_error.z_bits, 0, 0), []
+    for rnd in range(n):
+        state, bundle = _linear_round(state, [f for f in schedule if f.round == rnd])
+        log.append(bundle)
+    return log
+
+
 def test_clean_run_four_zero_rounds():
-    state = make_state()
-    bundle, rounds = run_until_stable(state)
+    bundle, rounds, frame = run_until_stable(identity(N49))
     assert rounds == 4
     assert bundle == OutcomeBundle()
-    assert all(b == OutcomeBundle() for b in state.round_log)
+    assert frame == identity(N49)
+    assert _round_log((), 4) == [OutcomeBundle()] * 4
 
 
 def test_block_logical_input_bundle():
     # Z on every qubit of the first subblock anticommutes with the first
     # outer X generator only and leaves all inner syndromes clean
-    state = make_state(input_error=PauliOp.z_op(N49, 127))
-    bundle, rounds = run_until_stable(state)
+    bundle, rounds, _ = run_until_stable(PauliOp.z_op(N49, 127))
     assert rounds == 4
     assert bundle.stilde_x == 1
     assert bundle.tau_x == 0
@@ -76,28 +102,27 @@ def test_block_logical_input_bundle():
 
 
 def test_flag_fault_changes_f_only():
-    state = make_state(parse_schedule("1 flag x 7"))
-    bundle, rounds = run_until_stable(state)
-    log = state.round_log
+    schedule = parse_schedule("1 flag x 7")
+    bundle, rounds, _ = run_until_stable(identity(N49), schedule)
+    log = _round_log(schedule, 3)
     assert rounds == 5
     assert log[0] == OutcomeBundle()
     assert log[1].f_x == 1 << 7
     assert (log[1].s, log[1].stilde, log[1].tau) == (0, 0, 0)
-    assert log[2] == log[1]  # cumulative flags persist
+    assert log[2] == log[1] == bundle  # cumulative flags persist
 
 
 def test_meas_fault_is_transient():
-    state = make_state(parse_schedule("1 meas sx 4"))
-    bundle, rounds = run_until_stable(state)
-    log = state.round_log
+    schedule = parse_schedule("1 meas sx 4")
+    bundle, rounds, _ = run_until_stable(identity(N49), schedule)
+    log = _round_log(schedule, 3)
     assert rounds == 6
     assert log[1].s_x == 1 << 4
-    assert log[2] == log[0] == OutcomeBundle()
+    assert log[2] == log[0] == bundle == OutcomeBundle()
 
 
 def test_persistent_fault_in_round_two_stabilizes_by_six():
-    state = make_state(parse_schedule("2 wait 5 Z"))
-    bundle, rounds = run_until_stable(state)
+    bundle, rounds, _ = run_until_stable(identity(N49), parse_schedule("2 wait 5 Z"))
     assert rounds == 6
     assert bundle.tau_x == 1
 
@@ -105,8 +130,8 @@ def test_persistent_fault_in_round_two_stabilizes_by_six():
 def test_adversarial_transients_need_all_sixteen_rounds():
     # a measurement flip restarts the identical-streak, so flips in
     # rounds 3, 7 and 11 push stabilization to the designed bound
-    state = make_state(parse_schedule("3 meas sx 0\n7 meas sx 1\n11 meas sx 2"))
-    bundle, rounds = run_until_stable(state)
+    schedule = parse_schedule("3 meas sx 0\n7 meas sx 1\n11 meas sx 2")
+    bundle, rounds, _ = run_until_stable(identity(N49), schedule)
     assert rounds == 16
     assert bundle == OutcomeBundle()
 
@@ -114,16 +139,16 @@ def test_adversarial_transients_need_all_sixteen_rounds():
 def test_beyond_budget_transients_raise():
     sch = parse_schedule("3 meas sx 0\n7 meas sx 0\n11 meas sx 0\n15 meas sx 0")
     with pytest.raises(RuntimeError, match="16 rounds"):
-        run_until_stable(make_state(sch))
+        run_until_stable(identity(N49), sch)
 
 
 def test_wait_fault_phase_ordering():
     # injected before phase 2, so the outer X measurement of the same
     # round (phase 1) still sees nothing while the inner one (phase 3)
     # already reports it
-    state = make_state(parse_schedule("0 wait 1 Z 2"))
-    bundle, rounds = run_until_stable(state)
-    log = state.round_log
+    schedule = parse_schedule("0 wait 1 Z 2")
+    _, rounds, _ = run_until_stable(identity(N49), schedule)
+    log = _round_log(schedule, 2)
     assert log[0].s_x == 1 and log[0].stilde_x == 0
     assert log[1].s_x == 1 and log[1].stilde_x == 1
     assert rounds == 5
@@ -132,40 +157,15 @@ def test_wait_fault_phase_ordering():
 def test_ancilla_fault_mid_circuit_raises_flag_and_spreads():
     # ancilla Z between the two flag couplings of an inner Z circuit
     # flips that circuit's flag and walks onto the last three data qubits
-    state = make_state(parse_schedule("0 gate z1 1 ZI"))
-    bundle, rounds = run_until_stable(state)
+    bundle, rounds, frame = run_until_stable(
+        identity(N49), parse_schedule("0 gate z1 1 ZI")
+    )
     assert bundle.f_x == 1
     assert bundle.f_z == 0
     c = level1_circuits("z")[0]
     spread = PauliOp.z_op(N49, c.target_generator.z_bits & ~(1 << c.gates[0]))
-    assert state.data_error == spread
+    assert frame == spread
     assert bundle.s_x == level1_syndrome(spread.z_bits)
-
-
-def test_state_instances_are_independent():
-    a, b = make_state(), make_state()
-    run_round(a)
-    assert a.round_log and not b.round_log
-
-
-def test_assigned_frame_reads_like_a_fresh_state():
-    # the state carries its frame's syndromes from round to round; a frame
-    # assigned between rounds, as the gate-walk oracle does, must be read
-    # as if a fresh state had started from it
-    rng = random.Random(74)
-    for trial in sample_trials(300, seed=74, max_round=4):
-        k = rng.randint(1, 4)
-        state = make_state(trial.schedule, trial.input_error)
-        for _ in range(k):
-            run_round(state)
-        frame = PauliOp(N49, rng.getrandbits(N49), rng.getrandbits(N49))
-        state.data_error = frame
-        fresh = make_state(trial.schedule, frame)
-        fresh.round_log.extend(state.round_log)
-        fresh._f_x, fresh._f_z = state._f_x, state._f_z
-        for _ in range(4):
-            assert run_round(state) == run_round(fresh), trial.name
-            assert state.data_error == fresh.data_error, trial.name
 
 
 # --- bundle and schedule text forms -------------------------------------------
@@ -178,7 +178,7 @@ def test_bundle_text_roundtrip():
     assert OutcomeBundle.parse(b.render()) == b
     assert OutcomeBundle.parse(b.render() + "\n# comment\n") == b
     for trial in sample_trials(200, seed=9):
-        b = run_until_stable(make_state(trial.schedule, trial.input_error))[0]
+        b = run_until_stable(trial.input_error, trial.schedule)[0]
         assert OutcomeBundle.parse(b.render()) == b
 
 
@@ -327,8 +327,7 @@ def test_decode_weight_two_pair_exactly(table):
     # Z on the first two qubits of subblock 5: clean outer syndrome,
     # one nontrivial subblock, even parity, fixed weight-2 correction
     e = PauliOp.z_op(N49, 0b11 << 28)
-    state = make_state(input_error=e)
-    bundle, _ = run_until_stable(state)
+    bundle = run_until_stable(e)[0]
     assert bundle.stilde_x == 0
     assert bundle.tau_x == 1 << 4
     corr, rep = decode_with_report(bundle, table)
@@ -339,16 +338,14 @@ def test_decode_weight_two_pair_exactly(table):
 
 def test_decode_single_qubit(table):
     e = PauliOp.z_op(N49, 1 << 14)
-    state = make_state(input_error=e)
-    bundle, _ = run_until_stable(state)
+    bundle = run_until_stable(e)[0]
     assert (bundle.stilde_x, bundle.tau_x) == (5, 4)
     assert decode_with_report(bundle, table)[0] == e
 
 
 def test_decode_x_side_mirrors(table):
     e = PauliOp.x_op(N49, 1 << 14)
-    state = make_state(input_error=e)
-    bundle, _ = run_until_stable(state)
+    bundle = run_until_stable(e)[0]
     assert (bundle.stilde_z, bundle.tau_z) == (5, 4)
     assert bundle.s_x == 0
     assert decode_with_report(bundle, table)[0] == e
@@ -388,14 +385,13 @@ def test_decode_out_of_table_fallback(table):
     assert missing, "every group reachable; fallback untestable"
     for st, tau in missing[:3]:
         e = _witness_for_group(st, tau)
-        state = make_state(input_error=e)
-        bundle, _ = run_until_stable(state)
+        bundle, _, frame = run_until_stable(e)
         assert (bundle.stilde_x, bundle.tau_x) == (st, tau)
         corr, rep = decode_with_report(bundle, table)
         assert rep.z_side.fallback
         assert rep.z_side.parity == 127
         assert rep.z_side.step3_block is not None
-        residual = state.data_error * corr
+        residual = frame * corr
         for bits in (residual.x_bits, residual.z_bits):  # in the codespace
             assert level1_syndrome(bits) == level2_syndrome(bits) == 0
         # a stabilizer, or a logical at the code distance
@@ -407,12 +403,11 @@ def test_decode_heavy_error_in_table_is_benign(table):
     # stabilizer span: the observation coincides with a three-wait inner
     # logical, so the lookup answers and the residual is a pure logical
     e = PauliOp.z_op(N49, (1 << 28) - 1)
-    state = make_state(input_error=e)
-    bundle, _ = run_until_stable(state)
+    bundle, _, frame = run_until_stable(e)
     assert (bundle.stilde_x, bundle.tau_x) == (5, 0)
     corr, rep = decode_with_report(bundle, table)
     assert not rep.fallback_used
-    residual = state.data_error * corr
+    residual = frame * corr
     for bits in (residual.x_bits, residual.z_bits):  # in the codespace
         assert level1_syndrome(bits) == level2_syndrome(bits) == 0
     assert joint_coset_weight(residual) == (9, 0)
@@ -579,27 +574,23 @@ def test_normalizer_residuals_match_per_block_gather(table):
     assert in_normalizer == 299
 
 
-def _reference_run_until_stable(
-    state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
-) -> tuple[OutcomeBundle, int]:
+def _reference_run_until_stable(input_error, schedule=(), step=_linear_round):
     """run_until_stable before the fault-free shortcut: every round is
-    simulated (through ``protocol.run_round``, so a test can swap in the
-    gate walk)."""
-    while len(state.round_log) < max_rounds:
-        bundle = protocol.run_round(state)
-        log = state.round_log
-        if len(log) >= repeats and all(b == bundle for b in log[-repeats:]):
-            return bundle, len(log)
-    raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
+    simulated by ``step``, ``protocol.run_round`` or the gate walk."""
+    state, log = (input_error.x_bits, input_error.z_bits, 0, 0), []
+    while len(log) < 16:
+        state, bundle = step(state, [f for f in schedule if f.round == len(log)])
+        log.append(bundle)
+        if log[-4:] == [bundle] * 4:
+            return bundle, len(log), PauliOp(N49, state[0], state[1])
+    raise RuntimeError("bundle failed to stabilize within 16 rounds")
 
 
-def _stable_walk(run, state, **kwargs):
-    state = copy.deepcopy(state)
+def _stable_walk(run, input_error, schedule):
     try:
-        out = run(state, **kwargs)
+        return run(input_error, schedule)
     except RuntimeError as exc:
-        out = str(exc)
-    return out, state.round_log, state.data_error, state._f_x, state._f_z
+        return str(exc)
 
 
 @pytest.mark.parametrize(
@@ -618,77 +609,44 @@ def _stable_walk(run, state, **kwargs):
 )
 def test_fault_free_rounds_match_round_by_round_walk(text):
     schedule = parse_schedule(text)
-    for input_error in (None, PauliOp(N49, 1 << 3, 1 << 40)):
-        state = make_state(schedule, input_error)
-        got = _stable_walk(run_until_stable, state)
-        assert got == _stable_walk(_reference_run_until_stable, state)
+    for input_error in (identity(N49), PauliOp(N49, 1 << 3, 1 << 40)):
+        got = _stable_walk(run_until_stable, input_error, schedule)
+        assert got == _stable_walk(_reference_run_until_stable, input_error, schedule)
     if text.endswith("15 meas sx 0"):
-        assert got[0] == "bundle failed to stabilize within 16 rounds"
-        assert len(got[1]) == 16
+        assert got == "bundle failed to stabilize within 16 rounds"
 
 
 def test_fault_free_rounds_match_on_sampled_schedules():
-    trials = itertools.islice(sample_trials(3000, seed=73, max_round=12), 3000)
-    for trial in trials:
-        state = make_state(trial.schedule, trial.input_error)
-        got = _stable_walk(run_until_stable, state)
-        want = _stable_walk(_reference_run_until_stable, state)
+    for trial in sample_trials(3000, seed=73, max_round=12):
+        got = _stable_walk(run_until_stable, trial.input_error, trial.schedule)
+        want = _stable_walk(_reference_run_until_stable, trial.input_error,
+                            trial.schedule)
         assert got == want, (str(trial.input_error), format_schedule(trial.schedule))
 
 
-def _count_rule_until_stable(
-    state: ProtocolState, *, repeats: int = 4, max_rounds: int = 16
-) -> tuple[OutcomeBundle, int]:
+def _count_rule_until_stable(input_error, schedule=()):
     """run_until_stable with the stability rule the streak replaced: a
-    count of the newest bundle over the last ``repeats`` log entries."""
-    log, faulty = state.round_log, state.fault_schedule
-    while len(log) < max_rounds:
+    count of the newest bundle over the last four log entries."""
+    faulty = {f.round for f in schedule}
+    state, log = (input_error.x_bits, input_error.z_bits, 0, 0), []
+    while len(log) < 16:
         rnd = len(log)
         if rnd and rnd not in faulty and rnd - 1 not in faulty:
             bundle = log[-1]
-            log.append(bundle)
         else:
-            bundle = protocol.run_round(state)
-        if log[-repeats:].count(bundle) == repeats:
-            return bundle, len(log)
-    raise RuntimeError(f"bundle failed to stabilize within {max_rounds} rounds")
+            state, bundle = _linear_round(state, [f for f in schedule if f.round == rnd])
+        log.append(bundle)
+        if log[-4:].count(bundle) == 4:
+            return bundle, len(log), PauliOp(N49, state[0], state[1])
+    raise RuntimeError("bundle failed to stabilize within 16 rounds")
 
 
 def test_streak_matches_count_rule_on_sampled_schedules():
     for trial in sample_trials(300, seed=5):
-        state = make_state(trial.schedule, trial.input_error)
-        got = _stable_walk(run_until_stable, state)
-        assert got == _stable_walk(_count_rule_until_stable, state), (
-            format_schedule(trial.schedule)
-        )
-
-
-def test_streak_matches_count_rule_on_prefilled_logs():
-    # the streak is seeded from the log a state already holds: rounds
-    # run beforehand, or foreign bundles ahead of (or in place of) the
-    # bundle the next rounds repeat, under every streak length
-    states = []
-    for trial in sample_trials(40, seed=6):
-        for k in (1, 2, 3, 5):
-            state = make_state(trial.schedule, trial.input_error)
-            for _ in range(k):
-                run_round(state)
-            states.append(state)
-    other = OutcomeBundle(s_x=1)
-    for j in range(7):
-        for head in ([], [other], [OutcomeBundle(), other]):
-            state = make_state()
-            state.round_log.extend(head + [OutcomeBundle()] * j)
-            states.append(state)
-            state = make_state(parse_schedule("7 meas sx 2"))
-            state.round_log.extend(head + [other] * j)
-            states.append(state)
-    for state in states:
-        for repeats, max_rounds in ((4, 16), (1, 16), (2, 9), (6, 16), (0, 12)):
-            kwargs = dict(repeats=repeats, max_rounds=max_rounds)
-            assert _stable_walk(run_until_stable, state, **kwargs) == _stable_walk(
-                _count_rule_until_stable, state, **kwargs
-            ), (state.round_log, kwargs)
+        got = _stable_walk(run_until_stable, trial.input_error, trial.schedule)
+        assert got == _stable_walk(
+            _count_rule_until_stable, trial.input_error, trial.schedule
+        ), format_schedule(trial.schedule)
 
 
 # --- trial records ----------------------------------------------------------------
@@ -723,8 +681,9 @@ def test_trial_records_are_immutable_values(table):
 def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
     # the span tracer wraps these names; one trial is one weight call,
     # one parity lookup per side, one round call per simulated round (the
-    # first, and each with a fault in it or in the round before) and,
-    # once the effect tables exist, no circuit run
+    # first, and each with a fault in it or in the round before, even
+    # faults whose effects cancel) and, once the effect tables exist, no
+    # circuit run
     for name in circuits_by_name():
         protocol._circuit_effects(name)
     protocol._wait_effects()
@@ -747,7 +706,8 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
     )
     monkeypatch.setattr(protocol, "run_round", counting("round", run_round))
     monkeypatch.setattr(protocol, "run_circuit", counting("circuit", run_circuit))
-    for trial in sample_trials(50, seed=10):
+    cancelling = Trial(identity(N49), parse_schedule("1 meas sx 4\n1 meas sx 4"))
+    for trial in (*sample_trials(50, seed=10), cancelling):
         calls.clear()
         r = run_trial(trial, table)
         faulty = {f.round for f in trial.schedule}
@@ -846,9 +806,12 @@ def criterion8_summary(table):
     keys = table.keys
 
     def is_key(stilde, tau, s, f):
-        prefix = ((stilde << 7 | tau) << 42) | (s << 21) | f
-        lo = int(np.searchsorted(keys, np.uint64(prefix << 7)))
-        return lo < len(keys) and int(keys[lo]) >> 7 == prefix
+        # a key of this cell exists: the first key at or above the cell's
+        # lowest one is in the cell
+        low = (stilde << _BIT["stilde"] | tau << _BIT["tau"]
+               | s << _BIT["s"] | f << _BIT["f"])
+        lo = int(np.searchsorted(keys, np.uint64(low)))
+        return lo < len(keys) and int(keys[lo]) >> _CELL == low >> _CELL
 
     digest = hashlib.sha256()
     in_budget, off_table = 0, []
@@ -931,15 +894,13 @@ def test_failure_rendering_carries_witness(table):
 # --- the gate-by-gate round walk as the oracle of run_round --------------------
 
 
-def _reference_run_round(
-    state: ProtocolState, phases=circuit_phases()
-) -> OutcomeBundle:
+def _reference_run_round(state, faults, phases=circuit_phases()):
     """The round as a walk over the 48 circuits of one family (``phases``,
-    the real one by default), kept as the oracle of the linear run_round:
-    circuits with an injected fault run gate by gate on the current
-    frame, the others by the support-mask parity."""
-    rnd = len(state.round_log)
-    faults = state.fault_schedule.get(rnd, ())
+    the real one by default) on a (dx, dz, f_x, f_z) state, kept as the
+    oracle of the linear run_round: circuits with an injected fault run
+    gate by gate on the current frame, the others by the support-mask
+    parity.  Returns the next state and the round's bundle."""
+    dx, dz, f_x, f_z = state
     waits: dict[int, list[ScheduledFault]] = defaultdict(list)
     gate_inj: dict[str, list[tuple[int, str]]] = defaultdict(list)
     meas_flips: dict[str, int] = defaultdict(int)
@@ -952,13 +913,12 @@ def _reference_run_round(
             meas_flips[f.meas_field] ^= 1 << f.bit
         elif f.kind == "flag":
             if f.side == "x":
-                state._f_x ^= 1 << f.bit
+                f_x ^= 1 << f.bit
             else:
-                state._f_z ^= 1 << f.bit
+                f_z ^= 1 << f.bit
         else:
             raise ValueError(f"unknown fault kind {f.kind!r}")
 
-    dx, dz = state.data_error.x_bits, state.data_error.z_bits
     outcomes = dict.fromkeys(_PHASE_FIELD, 0)
     for phase, circuits in enumerate(phases):
         for w in waits.get(phase, ()):
@@ -982,9 +942,9 @@ def _reference_run_round(
             outcomes[fld] |= out << c.index
             if flg and c.flag_bit is not None:
                 if c.family == "z":
-                    state._f_x ^= 1 << c.flag_bit
+                    f_x ^= 1 << c.flag_bit
                 else:
-                    state._f_z ^= 1 << c.flag_bit
+                    f_z ^= 1 << c.flag_bit
     for fld, mask in meas_flips.items():
         outcomes[fld] ^= mask
 
@@ -993,12 +953,10 @@ def _reference_run_round(
         s_z=outcomes["sz"],
         stilde_x=outcomes["s2x"],
         stilde_z=outcomes["s2z"],
-        f_x=state._f_x,
-        f_z=state._f_z,
+        f_x=f_x,
+        f_z=f_z,
     )
-    state.data_error = PauliOp(N49, dx, dz)
-    state.round_log.append(bundle)
-    return bundle
+    return (dx, dz, f_x, f_z), bundle
 
 
 @functools.lru_cache(maxsize=None)
@@ -1035,16 +993,35 @@ def _accepted_lines(rnd=0, flagged=True, interleaved=True) -> dict[str, list[str
     return by_kind
 
 
+def test_effect_classes_stand_for_their_lines(table):
+    # a trial reads its faults only through their effect words: the 8,526
+    # single-fault lines of a round fall into 3,268 classes, and on the
+    # clean input a sampled line of rounds 0-3 gives its class's first
+    # line's result in every field but the trial
+    rng = random.Random(77)
+
+    @functools.cache
+    def result(line):
+        return run_trial(Trial(identity(N49), parse_schedule(line)), table)[1:]
+
+    for rnd in range(4):
+        classes = defaultdict(list)
+        for kind_lines in _accepted_lines(rnd).values():
+            for line in kind_lines:
+                classes[protocol._effect(parse_fault(line))].append(line)
+        assert (len(classes), sum(map(len, classes.values()))) == (3268, 8526)
+        others = [(line, lines[0]) for lines in classes.values() for line in lines[1:]]
+        for line, first in rng.sample(others, 500):
+            assert result(line) == result(first), (line, first)
+
+
 def _assert_round_matches_reference(
     schedule, dx, dz, f_x, f_z, phases=circuit_phases()
 ):
-    states = []
-    for step in (run_round, functools.partial(_reference_run_round, phases=phases)):
-        state = make_state(schedule, PauliOp(N49, dx, dz))
-        state._f_x, state._f_z = f_x, f_z
-        bundle = step(state)
-        states.append((bundle, state.data_error, state._f_x, state._f_z))
-    assert states[0] == states[1], format_schedule(schedule)
+    state = (dx, dz, f_x, f_z)
+    assert _linear_round(state, schedule) == _reference_run_round(
+        state, schedule, phases
+    ), format_schedule(schedule)
 
 
 def test_run_round_matches_reference_on_every_single_fault():
@@ -1114,8 +1091,11 @@ def test_trials_match_reference_walk(table, monkeypatch):
     trials = list(itertools.islice(sample_trials(10000, seed=20260816), 2000))
     trials += list(exhaustive_input_trials(2))
     got = _trial_outputs(trials, table)
-    monkeypatch.setattr(protocol, "run_until_stable", _reference_run_until_stable)
-    monkeypatch.setattr(protocol, "run_round", _reference_run_round)
+    monkeypatch.setattr(
+        protocol,
+        "run_until_stable",
+        functools.partial(_reference_run_until_stable, step=_reference_run_round),
+    )
     assert got == _trial_outputs(trials, table)
 
 
@@ -1134,8 +1114,12 @@ def _partition_tags(table):
     """A function from a bundle to the table's group tags of its (stilde,
     tau) partition on the Z side and on the X side (None for no group)."""
     tags = dict(zip(table._group_high.tolist(), table.group_tags()))
-    return lambda b: (tags.get(b.stilde_x << 7 | b.tau_x),
-                      tags.get(b.stilde_z << 7 | b.tau_z))
+
+    def part(stilde, tau):  # key >> _PART
+        return (stilde << _BIT["stilde"] | tau << _BIT["tau"]) >> _PART
+
+    return lambda b: (tags.get(part(b.stilde_x, b.tau_x)),
+                      tags.get(part(b.stilde_z, b.tau_z)))
 
 
 @pytest.mark.parametrize("flagged, interleaved", list(_CONTROL_FAILURES))

@@ -114,8 +114,8 @@ def test_pack_signature_fields():
     e = (1 << 0) | (1 << 7)
     sig = pack_signature(e, 0b101)
     assert sig & 127 == PCANON[0b0000011] == 3
-    assert (sig >> 7) & ((1 << 21) - 1) == 0b101
-    assert sig >> 28 == level1_syndrome(e)
+    assert sig >> v._BIT["f"] & (1 << 21) - 1 == 0b101
+    assert sig >> v._BIT["s"] & (1 << 21) - 1 == level1_syndrome(e)
     assert level1_syndrome(e) == 1 | (1 << 3)
 
 
@@ -183,15 +183,15 @@ def test_pair_records_match_pure_python():
 def _reference_keys_from_sigs(sigs):
     """The seven-pass packing the table-driven one replaced, sorted."""
     p = sigs & np.uint64(127)
-    f = (sigs >> np.uint64(7)) & np.uint64((1 << 21) - 1)
-    s = sigs >> np.uint64(28)
+    f = (sigs >> np.uint64(v._BIT["f"])) & np.uint64((1 << 21) - 1)
+    s = (sigs >> np.uint64(v._BIT["s"])) & np.uint64((1 << 21) - 1)
     stilde = np.array([syndrome7(x) for x in range(128)], dtype=np.uint64)[p]
     tau = np.zeros(len(sigs), dtype=np.uint64)
     for b in range(7):
         nonzero = ((s >> np.uint64(3 * b)) & np.uint64(7)) != 0
         tau |= nonzero.astype(np.uint64) << np.uint64(b)
-    keys = (stilde << np.uint64(56)) | (tau << np.uint64(49))
-    keys |= (s << np.uint64(28)) | (f << np.uint64(7)) | p
+    keys = stilde << np.uint64(v._BIT["stilde"]) | tau << np.uint64(v._BIT["tau"])
+    keys |= (s << np.uint64(v._BIT["s"])) | (f << np.uint64(v._BIT["f"])) | p
     keys.sort()
     return keys
 
@@ -229,8 +229,10 @@ def test_keys_from_sigs_matches_scalar_packing():
     sigs = [0, (1 << 49) - 1] + [rng.getrandbits(49) for _ in range(5000)]
     keys = v._keys_from_sigs(np.array(sigs, dtype=np.uint64)).tolist()
     for sig, key in zip(sigs, keys):
-        stilde, tau = syndrome7(sig & 127), tau_from_syndrome(sig >> 28)
-        assert key == _canon_sig(sig) | tau << 49 | stilde << 56, sig
+        s = sig >> v._BIT["s"] & (1 << 21) - 1
+        stilde, tau = syndrome7(sig & 127), tau_from_syndrome(s)
+        assert key == (_canon_sig(sig) | tau << v._BIT["tau"]
+                       | stilde << v._BIT["stilde"]), sig
     assert len(keys) == len(sigs)
 
 
@@ -292,16 +294,17 @@ def test_lookup_parity_out_of_table(table3):
     )
     # an s whose tau is the missing partition's
     s = sum(1 << 3 * b for b in range(7) if missing >> b & 1)
-    assert table3.lookup_parity(missing >> 7, s, 0) is None
+    stilde_at = v._BIT["stilde"] - v._PART  # in a partition, key >> _PART
+    assert table3.lookup_parity(missing >> stilde_at, s, 0) is None
 
     # a mixed partition with an impossible flag pattern
     tags = table3.group_tags()
     g = tags.index("2")
     high = int(table3._group_high[g])
     key0 = int(table3.keys[int(table3._group_start[g])])
-    s0 = (key0 >> 28) & ((1 << 21) - 1)
+    s0 = (key0 >> v._BIT["s"]) & ((1 << 21) - 1)
     all_flags = (1 << 21) - 1  # needs 21 faults, never recorded
-    assert table3.lookup_parity(high >> 7, s0, all_flags) is None
+    assert table3.lookup_parity(high >> stilde_at, s0, all_flags) is None
 
 
 def test_corrections_return_to_stabilizer(table3):
@@ -560,7 +563,7 @@ def _reference_lines(table):
 
 def _reference_record_chunks(table):
     """The unpackbits formatter the slice-copy one replaced."""
-    fields = ((28, 21), (56, 3), (49, 7), (7, 21), (0, 7))
+    fields = [(lo, width) for _, lo, width in v.RECORD_FIELDS]
     digit_bits = np.array([lo + i for lo, width in fields for i in range(width)])
     digit_cols = np.arange(len(digit_bits)) + np.repeat(
         np.arange(len(fields)), [width for _, width in fields]
@@ -653,8 +656,9 @@ def test_lookup_parity_probes_with_exact_uint64_keys():
     # lands on the f = 1 record and misses the f = 2 one.
     # s is nonzero in syndrome blocks 0, 2, 4 and 6, so its tau is 0b1010101
     stilde, tau, s = 7, 0b1010101, 1 | 1 << 6 | 1 << 12 | 1 << 18
-    base = ((stilde << 7 | tau) << 49) | (s << 28)
-    keys = np.array([base | 1 << 7 | 100, base | 2 << 7 | 3], dtype=np.uint64)
+    base = stilde << v._BIT["stilde"] | tau << v._BIT["tau"] | s << v._BIT["s"]
+    f = v._BIT["f"]
+    keys = np.array([base | 1 << f | 100, base | 2 << f | 3], dtype=np.uint64)
     t = v.LookupTable(3, True, True, keys, ())
     assert t.lookup_parity(stilde, s, 2) == 3
     assert t.lookup_parity(stilde, s, 1) == 100
