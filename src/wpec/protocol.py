@@ -5,21 +5,27 @@ circuit is CNOT-only, so a round is linear: a trial's whole state is one
 int, the state word of the frame's syndromes, the cumulative flags and
 the data error, and ``run_round(word, effect)`` XORs into it the round's
 effect, the XOR of its faults' packed words of outcome flips, frame
-reads, flag flips and data residue.  A gate fault's word is the XOR of
-unit words from its circuit's table, built from ``run_circuit`` on the
-circuit's first use; a gate fault names its circuit, so a
-negative-control trial (``x1#``, ``z~1#``) needs only the lookup table
-of its family.  ``run_until_stable(input_error, schedule)`` repeats
-rounds until the outcome bundle is identical four times in a row (at
-most 16 rounds for at most three faults); a fault-free round after
-another one, such as every round of the fault-free tail but its first,
-repeats the last bundle without being simulated.  The final bundle is
-then decoded in four steps: block-parity lookup, per-subblock
-weight-parity correction from a 16-entry table, an outer logical fix
-when the lookup missed, and the mirrored X side.  A bundle stores the
-syndromes s; its triviality vector tau is derived from them, never
-stored.  A residual with zero syndromes gets its weights from its
-parities, any other from a search over its stabilizer coset.
+reads, flag flips and data residue, and returns with the next word the
+round's packed observation: 48 outcome bits, then the 42 cumulative
+flags.  A data error's frame reads are 9 reads of tables over 11-bit
+chunks of dx | dz << 49.  A gate fault's word is the XOR of unit words
+from its circuit's table, built from ``run_circuit`` on the circuit's
+first use; a gate fault names its circuit, so a negative-control trial
+(``x1#``, ``z~1#``) needs only the lookup table of its family.
+``run_until_stable(input_error, schedule)`` repeats rounds until the
+observation is identical four times in a row (at most 16 rounds for at
+most three faults) and unpacks only that one into an ``OutcomeBundle``;
+a fault-free round after another one, such as every round of the
+fault-free tail but its first, repeats the last observation without
+being simulated.  The final bundle is then decoded in four steps:
+block-parity lookup, the weight-parity corrections of all seven
+subblocks in three table reads (subblocks 0-2 and 3-5 each by 9 inner
+syndrome bits and 3 parities, subblock 6 by 3 and 1), an outer logical
+fix when the lookup missed, and the mirrored X side.  Every table is
+built on first use.  A bundle stores the syndromes s; its triviality
+vector tau is derived from them, never stored.  A residual with zero
+syndromes gets its weights from its parities, any other from a search
+over its stabilizer coset.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -278,11 +284,32 @@ _FIELD_BIT = dict(zip(_PHASE_FIELD, _OFFSET))
 _OUT, _F_X, _F_Z, _D_X, _D_Z = 48, 96, 117, 138, 187
 
 
+_CHUNK = 11  # bits of the data word dx | dz << 49 that one table read takes
+
+
+@functools.lru_cache(maxsize=1)
+def _read_chunks() -> tuple[tuple[int, ...], ...]:
+    """``_phase_reads`` as 9 tables over 11-bit chunks of the data word:
+    entry [c][e] is the XOR of the unit reads of the bits set in e, the
+    Z family reading the X part, the X family the Z part."""
+    units = [level2_syndrome(1 << q) << s2 | level1_syndrome(1 << q) << s1
+             for s2, s1 in ((_S2Z, _SZ), (_S2X, _SX)) for q in range(N49)]
+    units = np.array(units + [0] * (-2 * N49 % _CHUNK), dtype=np.uint64)
+    units = units.reshape(-1, _CHUNK)
+    tables = np.zeros((len(units), 1), dtype=np.uint64)
+    for j in range(_CHUNK):  # entries with bit j set: those without it, XOR unit j
+        tables = np.hstack([tables, tables ^ units[:, j:j + 1]])
+    return tuple(map(tuple, tables.tolist()))
+
+
 def _phase_reads(dx: int, dz: int) -> int:
-    """Outcome word of a data error present from phase 0 on: the Z family
-    reads its X part, the X family its Z part."""
-    return (level2_syndrome(dx) << _S2Z | level2_syndrome(dz) << _S2X
-            | level1_syndrome(dx) << _SZ | level1_syndrome(dz) << _SX)
+    """Outcome word of a data error present from phase 0 on: one table
+    read per 11-bit chunk of dx | dz << 49."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = _read_chunks()
+    d = dx | dz << N49
+    return (t0[d & 2047] ^ t1[d >> 11 & 2047] ^ t2[d >> 22 & 2047]
+            ^ t3[d >> 33 & 2047] ^ t4[d >> 44 & 2047] ^ t5[d >> 55 & 2047]
+            ^ t6[d >> 66 & 2047] ^ t7[d >> 77 & 2047] ^ t8[d >> 88])
 
 
 def _residue(dx: int, dz: int) -> int:
@@ -351,22 +378,32 @@ def _frame(word: int) -> PauliOp:
     return PauliOp(N49, w & LOGICAL49, w >> N49)
 
 
-def run_round(word: int, effect: int) -> tuple[int, OutcomeBundle]:
-    """One full measurement round: the next state word and the bundle.
+# An observation: a round's 48 outcome bits, then the 42 cumulative flags
+# f_x and f_z, as a state word holds them from bit _OUT on.
+_FLAGS = (1 << 42) - 1 << _OUT
+
+
+def _bundle(obs: int) -> OutcomeBundle:
+    """The outcome bundle of a packed observation."""
+    return OutcomeBundle(
+        obs >> _SX & _MASK21, obs >> _SZ & _MASK21, obs >> _S2X & 7, obs & 7,
+        obs >> _OUT & _MASK21, obs >> _F_Z - _OUT & _MASK21,
+    )
+
+
+def run_round(word: int, effect: int) -> tuple[int, int]:
+    """One full measurement round: the next state word and the packed
+    observation, which ``_bundle`` unpacks.
 
     Every circuit is CNOT-only, so a round is linear in the incoming
     frame and its faults.  The outcomes are the state word's frame reads
     XOR the low bits of ``effect``, the XOR of the round's fault effect
     words, which hold each fault's own outcome flips and the reads of its
     data residue by every later circuit; the rest of the effect shifts
-    into the state word.
+    into the state word, whose flags the observation takes.
     """
-    out = (word ^ effect) & (1 << _OUT) - 1
-    word ^= effect >> _OUT
-    return word, OutcomeBundle(
-        out >> _SX, out >> _SZ & _MASK21, out >> _S2X & 7, out >> _S2Z & 7,
-        word >> _F_X - _OUT & _MASK21, word >> _F_Z - _OUT & _MASK21,
-    )
+    new = word ^ effect >> _OUT
+    return new, (word ^ effect) & (1 << _OUT) - 1 | new & _FLAGS
 
 
 _REPEATS, _MAX_ROUNDS = 4, 16
@@ -390,16 +427,16 @@ def run_until_stable(
     for f in schedule:
         effects[f.round] = effects.get(f.round, 0) ^ _effect(f)
     word = _residue(input_error.x_bits, input_error.z_bits) >> _OUT
-    bundle, streak = None, 0  # the last bundle, and how often it came in a row
+    obs, streak = None, 0  # the last observation, and how often it came in a row
     for rnd in range(_MAX_ROUNDS):
         if rnd and rnd not in effects and rnd - 1 not in effects:
             streak += 1
         else:
             word, new = run_round(word, effects.get(rnd, 0))
-            streak = streak + 1 if new == bundle else 1
-            bundle = new
+            streak = streak + 1 if new == obs else 1
+            obs = new
         if streak == _REPEATS:
-            return bundle, rnd + 1, _frame(word)
+            return _bundle(obs), rnd + 1, _frame(word)
     raise RuntimeError(f"bundle failed to stabilize within {_MAX_ROUNDS} rounds")
 
 
@@ -407,13 +444,16 @@ def run_until_stable(
 # Decoding
 
 @functools.lru_cache(maxsize=1)
-def _block_corrections() -> tuple[tuple[int, ...], ...]:
-    """``wpec_steane`` as a table per subblock: entry [b][2s + w] is the
-    Z mask, shifted onto subblock b, of its correction for inner
-    syndrome s and weight parity w."""
+def _side_tables() -> tuple[tuple[int, ...], ...]:
+    """``wpec_steane`` as three tables of one side's Z mask: subblocks
+    0-2 and 3-5, each entry [s << 3 | p] for their 9 inner syndrome bits
+    s and 3 weight parities p, then subblock 6, entry [s << 1 | p]."""
     ct = build_correction_table()
-    flat = [wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1)]
-    return tuple(tuple(m << (7 * b) for m in flat) for b in range(7))
+    flat = np.array([wpec_steane(s, w, ct).z_bits for s in range(8) for w in (0, 1)],
+                    dtype=np.uint64)
+    i = np.arange(1 << 12, dtype=np.uint64)
+    low = sum(flat[(i >> 3 * b + 3 & 7) << 1 | i >> b & 1] << 7 * b for b in range(3))
+    return tuple(tuple(t.tolist()) for t in (low, low << 21, flat << 42))
 
 
 # each nonzero outer syndrome is hit by exactly one subblock's column
@@ -442,11 +482,9 @@ def _decode_side(
     fallback = parity is None
     if fallback:
         parity = 127
-    mask, s, p = 0, s21, parity
-    for block in _block_corrections():
-        mask |= block[(s & 7) << 1 | p & 1]
-        s >>= 3
-        p >>= 1
+    low, mid, high = _side_tables()
+    mask = (low[(s21 & 511) << 3 | parity & 7] | mid[s21 >> 6 & 4088 | parity >> 3 & 7]
+            | high[s21 >> 17 & 14 | parity >> 6])
     # the applied parity always matches the observed outer syndrome for
     # in-table records; a leftover difference only appears on fallback
     residue = stilde ^ syndrome7(parity)
