@@ -9,14 +9,14 @@ The lookup-table build enumerates every combination of up to
 ``max_faults`` single faults of ``fault_model`` (G1 and G2 from the
 Z-type circuits, W and F, one data Z or flag flip each, built there),
 collapses each to a record, and audits the resulting lookup table.  The
-engine writes the XORs of exactly k distinct signatures, for every
-k <= ``max_faults``, into one array; the build packs it into sort keys
-in place and deduplicates them all with one sort.  A key's fields are
-the record's, placed by ``RECORD_FIELDS`` alone for every pack, probe,
-cut and print: first-level syndrome, second-level syndrome, block
-triviality, cumulative flags, block parity.  Within each (second-level
-syndrome, block triviality) partition, either every record carries an
-equivalent block parity (Condition 1), or records with inequivalent
+engine writes the XORs of exactly k distinct pool rows (signatures with
+their s-tilde bits), for every k <= ``max_faults``, into one array; the
+build ORs tau into it in place and dedups it with one sort.  A key's
+fields are the record's, placed by ``RECORD_FIELDS`` alone for every
+pack, probe, cut and print: first-level syndrome, second-level syndrome,
+block triviality, cumulative flags, block parity.  Within each partition
+(second-level syndrome, block triviality), either every record carries
+an equivalent block parity (Condition 1), or records with inequivalent
 parities differ in their (syndrome, flags) pair (Condition 2).  A
 partition failing both is a violation, reported with witness faults.
 
@@ -34,6 +34,8 @@ as the minimum over the eight stabilizer parity patterns), flags and
 first-level syndrome.  The canonical form ``PCANON`` is linear with
 image 0..15, so canonical parities are a subspace: an XOR of canonical
 signatures is canonical, and the engine works on them as plain XORs.
+``syndrome7`` is linear too, so s-tilde bits ride along in those XORs;
+tau, a nonlinear function of the syndrome, is read per key.
 
 Witnesses come from the same engine.  The witness for an effect is the
 lexicographically first tuple of distinct pool-row indices whose XOR
@@ -333,10 +335,11 @@ class _EffectSets:
     """XORs of at most three distinct rows of an effect pool.
 
     A row is a tuple of uint64 columns: (signature,) for the lookup
-    table, (mask, flag) for the final-round scan.  Rows keep the order
-    they are given in; callers that want distinct rows pass them
-    deduplicated.  Rows compare as they are: a table pool is canonical,
-    and so is every XOR of its rows (see the module docstring).
+    table (with its s-tilde bits for the build), (mask, flag) for the
+    final-round scan.  Rows keep the order they are given in; callers
+    that want distinct rows pass them deduplicated.  Rows compare as they
+    are: a table pool is canonical, and so is every XOR of its rows (see
+    the module docstring).
 
     ``_exact`` forms the XORs and is the one walk of index tuples, in
     lexicographic order: singles, the ``triu`` pair list, then triples
@@ -435,38 +438,39 @@ class _EffectSets:
         return None
 
 
-# Subblock triviality of 9 inner syndrome bits (three subblocks), so tau
-# is three table reads, one per 9-bit third of the 21-bit syndrome.
-_TAU9 = tau_from_syndrome(np.arange(512, dtype=np.uint64))
-
-
 # A raw block parity's key bits: its canonical form, and its s-tilde
 # (the syndrome of either).
 _PARITY_KEY = _PCANON_U64 | _SYND7_U64[_PCANON_U64] << np.uint64(_BIT["stilde"])
 
+# tau's key bits from the syndrome's subblocks 0-3 (its low 12 bits) and
+# 4-6 (its high 9 bits): two table reads per key.
+_TAU_LO, _TAU_HI = (
+    tau_from_syndrome(np.arange(1 << n, dtype=np.uint64)) << np.uint64(_BIT["tau"] + b)
+    for n, b in ((12, 0), (9, 4))
+)
 
-def _keys_from_sigs(sigs: np.ndarray) -> np.ndarray:
-    """Repack signatures as sort keys (s-tilde, tau, s, f, canonical p)
-    in place, _XOR_CHUNK at a time, and return them.  A key below tau
-    is its canonical signature; s-tilde and tau are functions of it."""
-    p_mask = (1 << _CELL) - 1
-    for lo in range(0, len(sigs), _XOR_CHUNK):
-        chunk = sigs[lo : lo + _XOR_CHUNK]
-        s = chunk.view(np.int64) >> _BIT["s"]  # signed indices skip a conversion
-        s &= (1 << _WIDTH["s"]) - 1
-        nine = s & 511
-        high = _TAU9[nine]
-        np.right_shift(s, 9, out=nine)
-        nine &= 511
-        high |= _TAU9[nine] << np.uint64(3)
-        np.right_shift(s, 18, out=nine)
-        high |= _TAU9[nine] << np.uint64(6)
-        high <<= np.uint64(_BIT["tau"])
-        np.bitwise_and(chunk.view(np.int64), p_mask, out=nine)
-        high |= _PARITY_KEY[nine]
-        chunk &= np.uint64(~p_mask & (2**64 - 1))
-        chunk |= high
-    return sigs
+
+def _pool_keys(sigs: np.ndarray) -> np.ndarray:
+    """Signatures as keys without tau: canonical parity and s-tilde, both
+    linear in the raw parity, so pool keys XOR as their signatures do."""
+    p_mask = np.uint64((1 << _CELL) - 1)
+    return sigs & ~p_mask | _PARITY_KEY[sigs & p_mask]
+
+
+def _add_tau(keys: np.ndarray) -> np.ndarray:
+    """OR tau, a function of s, into keys in place, _XOR_CHUNK at a time
+    through two reused buffers, and return them."""
+    idx = np.empty(min(len(keys), _XOR_CHUNK), dtype=np.int64)
+    tau = np.empty(len(idx), dtype=np.uint64)
+    for lo in range(0, len(keys), _XOR_CHUNK):
+        chunk = keys[lo : lo + _XOR_CHUNK]
+        i, t = idx[: len(chunk)], tau[: len(chunk)]
+        for table, bit in ((_TAU_LO, _BIT["s"]), (_TAU_HI, _BIT["s"] + 12)):
+            np.right_shift(chunk.view(np.int64), bit, out=i)  # signed indices
+            i &= len(table) - 1
+            np.take(table, i, out=t, mode="clip")  # in range: skip the check
+            chunk |= t
+    return keys
 
 
 def _key_fields(key: int) -> tuple[int, ...]:
@@ -478,16 +482,22 @@ def _key_fields(key: int) -> tuple[int, ...]:
 # Lookup table
 
 # A record line prints each of RECORD_FIELDS low bit first, as format_bits
-# does, and a space after each; the group tag and a newline end the line.
-_LINE_WIDTH = sum(width + 1 for _, _, width in RECORD_FIELDS) + 2
-# A byte's 8 bits as ASCII digits, low bit first, in one little-endian
-# uint64: indexed by a key's bytes, it spells the key's 64 bits in order.
-_BYTE_DIGITS = (
-    (np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8)) & 1
-    | ord("0")
-).view("<u8").ravel()
-# Records per formatted chunk: bounds the formatter's transient memory.
-_FORMAT_CHUNK = 1 << 16
+# does, and a space after each, then the group tag and a newline.  Its
+# first 64 columns are the bits of one print word: each field moved by a
+# shift and a mask from its key bits to its columns, separators 0.
+_COLUMNS = tuple(itertools.accumulate((w + 1 for *_, w in RECORD_FIELDS), initial=0))
+_LINE_WIDTH = _COLUMNS[-1] + 2
+_PRINT_MOVES = tuple(
+    (np.left_shift if col >= bit else np.right_shift, np.uint64(abs(col - bit)),
+     np.uint64((1 << width) - 1 << col))
+    for (_, bit, width), col in zip(RECORD_FIELDS, _COLUMNS)
+)
+# Added to the print word's bits: '0' under digits, ' ' under separators.
+_DIGIT_OFFSET = np.frombuffer(
+    "".join("0" * width + " " for _, _, width in RECORD_FIELDS).encode(), dtype=np.uint8
+)
+# Records per formatted chunk: its rows stay in L2.
+_FORMAT_CHUNK = 1 << 13
 
 
 class LookupTable:
@@ -566,34 +576,38 @@ class LookupTable:
 
     def group_tags(self) -> tuple[str, ...]:
         """'1' uniform parity, '2' disambiguated by (s, f), '!' violated."""
-        violated = set((self.violated_prefixes() >> np.uint64(_PART - _CELL)).tolist())
+        return self._tags(self.violated_prefixes())
+
+    def _tags(self, prefixes: np.ndarray) -> tuple[str, ...]:
+        """``group_tags`` given the ``violated_prefixes``."""
+        violated = set((prefixes >> np.uint64(_PART - _CELL)).tolist())
         return tuple(
             "!" if high in violated else "1" if par >= 0 else "2"
             for high, par in self._parity_of.items()
         )
 
     def record_rows(self):
-        """Yield the record lines _FORMAT_CHUNK at a time, as uint8 arrays
-        of ASCII bytes with one row per line (newline included).
+        """Yield the record lines _FORMAT_CHUNK at a time, as fresh uint8
+        arrays of ASCII bytes with one row per line (newline included).
 
-        Each key's bytes index ``_BYTE_DIGITS`` into one row of 64 digit
-        columns, bit order; every field is a contiguous slice of it.  The
+        Each key's fields move, in print order, into one print word, whose
+        64 bits ``np.unpackbits`` spreads over the row's first 64 columns;
+        ``_DIGIT_OFFSET`` turns them into digits and separators.  The
         per-record tag comes from its group.
         """
         sizes = self._group_end - self._group_start
         tags = np.frombuffer("".join(self.group_tags()).encode(), dtype=np.uint8)
         tags = np.repeat(tags, sizes)
         for lo in range(0, self.n_records, _FORMAT_CHUNK):
-            keys = self.keys[lo : lo + _FORMAT_CHUNK].astype("<u8", copy=False)
-            digits = _BYTE_DIGITS[keys.view(np.uint8)].view(np.uint8).reshape(-1, 64)
+            keys = self.keys[lo : lo + _FORMAT_CHUNK]
+            word = np.zeros(len(keys), dtype="<u8")
+            for shift, n, mask in _PRINT_MOVES:
+                word |= shift(keys, n) & mask
+            bits = np.unpackbits(word.view(np.uint8), bitorder="little").reshape(-1, 64)
             rows = np.empty((len(keys), _LINE_WIDTH), dtype=np.uint8)
-            col = 0
-            for _, bit, width in RECORD_FIELDS:
-                rows[:, col : col + width] = digits[:, bit : bit + width]
-                rows[:, col + width] = ord(" ")
-                col += width + 1
-            rows[:, col] = tags[lo : lo + _FORMAT_CHUNK]
-            rows[:, col + 1] = ord("\n")
+            np.add(bits, _DIGIT_OFFSET, out=rows[:, : len(_DIGIT_OFFSET)])
+            rows[:, -2] = tags[lo : lo + _FORMAT_CHUNK]
+            rows[:, -1] = ord("\n")
             yield rows
 
     def record_lines(self):
@@ -613,18 +627,19 @@ def build_lookup_table(
     Signatures compose by XOR, and a multiset of faults with a repeated
     effect collapses pairwise, so the reachable set for at most
     ``max_faults`` faults is the union over every k <= ``max_faults`` of
-    the XORs of k distinct single-fault signatures.  The engine writes
-    them all into one array (canonical, as the pool is), which is packed
-    into sort keys in place and deduplicated by one in-place sort: a
-    key's low 49 bits are its canonical signature and the bits above
-    (s-tilde, tau) are functions of it, so equal keys are exactly equal
-    canonical signatures.
+    the XORs of k distinct single-fault signatures.  The pool rows carry
+    their s-tilde bits, a linear function of the parity, so the engine
+    writes keys without tau into one array (canonical, as the pool is);
+    tau is ORed in place, two table reads per key, and one in-place sort
+    deduplicates them: a key's low 49 bits are its canonical signature
+    and the bits above (s-tilde, tau) are functions of it, so equal keys
+    are exactly equal canonical signatures.
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=flagged, interleaved=interleaved)
-    sets = _EffectSets((model.signature_pool(),))
-    keys = _keys_from_sigs(sets._exact(range(max_faults + 1))[0])
+    sets = _EffectSets((_pool_keys(model.signature_pool()),))
+    keys = _add_tau(sets._exact(range(max_faults + 1))[0])
     keys.sort()
     keys = _unique_sorted(keys)  # drops the last reference to the XORs
     counts = combination_counts(model, max_faults)
@@ -754,7 +769,7 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
     one witness fault combination per parity.
     """
     prefixes = table.violated_prefixes()
-    tags = table.group_tags()
+    tags = table._tags(prefixes)
     violations = []
     for prefix in prefixes[:max_witnesses]:
         lo = int(np.searchsorted(table.keys, np.uint64(int(prefix) << _CELL)))

@@ -174,7 +174,7 @@ def test_pair_records_match_pure_python():
                     x ^= sig
                 reach.add(_canon_sig(x))
             expected = np.sort(
-                v._keys_from_sigs(np.array(sorted(reach), dtype=np.uint64))
+                v._add_tau(v._pool_keys(np.array(sorted(reach), dtype=np.uint64)))
             )
             table = build_lookup_table(k, flagged=flagged, interleaved=interleaved)
             assert np.array_equal(table.keys, expected), (flagged, interleaved, k)
@@ -217,23 +217,57 @@ def test_record_fields_tile_the_key():
     ]
     # every field of a pool signature's key comes back in print order
     sigs = fault_model().signature_pool()
-    keys = v._keys_from_sigs(sigs.copy()).tolist()
+    keys = v._add_tau(v._pool_keys(sigs)).tolist()
     for sig, key in zip(sigs.tolist(), keys):
         s, f, p = sig >> 28, (sig >> 7) & ((1 << 21) - 1), PCANON[sig & 127]
         assert v._key_fields(key) == (s, syndrome7(p), tau_from_syndrome(s), f, p)
 
 
 def test_keys_from_sigs_matches_scalar_packing():
-    # raw block parities come out canonical
+    # raw block parities come out canonical, through pool packing and tau
     rng = random.Random(56)
     sigs = [0, (1 << 49) - 1] + [rng.getrandbits(49) for _ in range(5000)]
-    keys = v._keys_from_sigs(np.array(sigs, dtype=np.uint64)).tolist()
+    keys = v._add_tau(v._pool_keys(np.array(sigs, dtype=np.uint64))).tolist()
     for sig, key in zip(sigs, keys):
         s = sig >> v._BIT["s"] & (1 << 21) - 1
         stilde, tau = syndrome7(sig & 127), tau_from_syndrome(s)
         assert key == (_canon_sig(sig) | tau << v._BIT["tau"]
                        | stilde << v._BIT["stilde"]), sig
     assert len(keys) == len(sigs)
+
+
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_pool_keys_stilde_is_linear_over_pairs(flagged, interleaved):
+    # the build XORs pool keys with s-tilde already in them: every pair
+    # XOR must carry the syndrome of its (canonical) parity bits
+    pool = v._pool_keys(fault_model(flagged, interleaved).signature_pool())
+    i, j = np.triu_indices(len(pool), k=1)
+    xor = (pool[i] ^ pool[j]).tolist()
+    assert len(xor) == math.comb(len(pool), 2)
+    for x in xor:
+        p = x & 127
+        assert x >> v._BIT["stilde"] == syndrome7(p) and PCANON[p] == p, hex(x)
+
+
+def test_tau_tables_match_tau_from_syndrome(monkeypatch):
+    s = np.arange(1 << 21, dtype=np.uint64)
+    expected = tau_from_syndrome(s)
+    tables = v._TAU_LO[s & np.uint64(4095)] | v._TAU_HI[s >> np.uint64(12)]
+    assert np.array_equal(tables >> np.uint64(v._BIT["tau"]), expected)
+    # _add_tau reads s past the s-tilde bits, in chunks that need not
+    # divide the key count
+    stilde = (s * np.uint64(5) & np.uint64(7)) << np.uint64(v._BIT["stilde"])
+    monkeypatch.setattr(v, "_XOR_CHUNK", 1000)
+    keys = v._add_tau(s << np.uint64(v._BIT["s"]) | stilde)
+    tau = keys >> np.uint64(v._BIT["tau"]) & np.uint64(127)
+    assert np.array_equal(tau, expected)
+    rest = keys ^ tau << np.uint64(v._BIT["tau"])
+    assert np.array_equal(rest, s << np.uint64(v._BIT["s"]) | stilde)
+
+
+def test_table_keys_own_their_buffer(table3):
+    # keys viewing the 12 MB XOR buffer would keep it alive in every job
+    assert table3.keys.base is None and table3.keys.flags.owndata
 
 
 def test_full_table_audit(table3, report3):
@@ -593,6 +627,33 @@ def test_record_lines_match_format_bits(monkeypatch, flagged, interleaved):
     assert len(chunks) == -(-table.n_records // v._FORMAT_CHUNK)
     assert chunks == list(_reference_record_chunks(table))
     assert list(table.record_lines()) == list(_reference_lines(table))
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 997])
+@pytest.mark.parametrize("budget,flagged,interleaved", [(1, True, True), (2, False, False)])
+def test_record_rows_match_reference_at_any_chunk(
+    monkeypatch, chunk, budget, flagged, interleaved
+):
+    table = build_lookup_table(budget, flagged=flagged, interleaved=interleaved)
+    monkeypatch.setattr(v, "_FORMAT_CHUNK", chunk)
+    assert table.n_records % chunk or chunk == 1
+    reference = list(_reference_record_chunks(table))
+    # fully materialized first: a buffer reused across chunks would show
+    rows = list(table.record_rows())
+    assert [r.tobytes() for r in rows] == reference
+    if not flagged:
+        assert b"!" in b"".join(reference)
+
+
+def test_audit_reads_violated_prefixes_once(monkeypatch):
+    table = build_lookup_table(2, flagged=False, interleaved=False)
+    calls = []
+    method = v.LookupTable.violated_prefixes
+    monkeypatch.setattr(
+        v.LookupTable, "violated_prefixes", lambda self: calls.append(1) or method(self)
+    )
+    report = verify_claim2(table)
+    assert calls == [1] and report.n_violated_groups > 0
 
 
 @pytest.mark.parametrize(
