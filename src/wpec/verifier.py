@@ -289,8 +289,8 @@ def combination_counts(
 # ---------------------------------------------------------------------------
 # Signature set arithmetic
 
-# Keys are packed, and the scan's cross-product syndromes formed, this
-# many rows at a time, which bounds their temporaries.
+# Keys are packed, and the scan's syndromes formed, this many rows at a
+# time, which bounds their temporaries.
 _XOR_CHUNK = 1 << 18
 
 
@@ -307,26 +307,47 @@ def _unique_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _unique_rows(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _unique_rows(
+    cols: tuple[np.ndarray, ...] | list[np.ndarray], *, consume: bool = False
+) -> tuple[np.ndarray, ...]:
     """Distinct rows of one or two uint64 columns, sorted by the columns
     in order.  Two columns (49-bit masks, 21-bit flags) become one sort
     key, mask << 15 | the flag's rank among the distinct flags, so both
-    cases are a plain sort + adjacent diff (a lexsort is ~3x slower)."""
+    cases are a plain sort + adjacent diff (a lexsort is ~3x slower).
+
+    The columns are left as they are, unless ``consume``: then ``cols``
+    is a list of arrays the caller gives up.  It is emptied, the masks'
+    buffer becomes the sort key, and the raw flags are freed before the
+    distinct rows are copied out."""
     if len(cols) == 1:
         return (_sorted_unique(cols[0]),)
     m, f = cols
-    flags = _sorted_unique(f)
-    if len(m) and (int(m.max()) >> 49 or int(flags[-1]) >> 21 or len(flags) > 1 << 15):
+    if consume:
+        cols.clear()  # m and f now hold the last references
+    else:
+        m = m.copy()
+    # validated before any flag indexes the rank table
+    if len(m) and (int(m.max()) >> 49 or int(f.max()) >> 21):
+        raise ValueError(
+            "rows must be 49-bit masks with at most 2^15 distinct 21-bit flags"
+        )
+    present = np.zeros(1 << 21, dtype=bool)
+    present[f.view(np.int64)] = True  # the distinct flags without a sorted copy
+    flags = np.flatnonzero(present)
+    del present
+    if len(flags) > 1 << 15:
         raise ValueError(
             "rows must be 49-bit masks with at most 2^15 distinct 21-bit flags"
         )
     rank = np.zeros(1 << 21, dtype=np.uint16)
-    rank[flags.view(np.int64)] = np.arange(len(flags))
-    keys = m << np.uint64(15)
-    keys |= rank[f.view(np.int64)]
-    keys.sort()
-    keys = _unique_sorted(keys)
-    flags = flags[keys.astype(np.uint16) & np.uint16(0x7FFF)]  # 16-bit temporaries
+    rank[flags] = np.arange(len(flags))
+    m <<= np.uint64(15)
+    m |= rank[f.view(np.int64)]
+    del f, rank
+    m.sort()
+    keys = _unique_sorted(m)
+    del m
+    flags = flags.astype(np.uint64)[keys.astype(np.uint16) & np.uint16(0x7FFF)]
     keys >>= np.uint64(15)
     return keys, flags
 
@@ -414,7 +435,8 @@ class _EffectSets:
         a repeated effect cancels pairwise), sorted by the columns in
         order; memoized per v."""
         if v not in self._up_to:
-            self._up_to[v] = _unique_rows(self._exact(range(v, -1, -2)))
+            exact = list(self._exact(range(v, -1, -2)))  # fresh: packed in place
+            self._up_to[v] = _unique_rows(exact, consume=True)
         return self._up_to[v]
 
     def syndromes(self, v: int) -> np.ndarray:
@@ -934,16 +956,35 @@ class FinalRoundReport(NamedTuple):
         ), None
 
 
+# The (low bit, width) of each mask chunk ``_syndrome_tables`` reads.
+_SYNDROME_CHUNKS = ((0, 13), (13, 12), (25, 12), (37, 12))
+
+
+@functools.lru_cache(maxsize=1)
+def _syndrome_tables() -> tuple[np.ndarray, ...]:
+    """``level1_syndrome`` as one table per chunk of a mask: entry [c][e]
+    is the XOR of the syndromes of the qubits set in e (the syndrome is
+    linear).  Built on first use."""
+    tables = []
+    for lo, width in _SYNDROME_CHUNKS:
+        table = np.zeros(1, dtype=np.uint64)
+        for q in range(lo, lo + width):  # entries with q set: those without, XOR q's
+            unit = np.uint64(level1_syndrome(1 << q))
+            table = np.concatenate([table, table ^ unit])
+        tables.append(table)
+    return tuple(tables)
+
+
 def _level1_syndrome_vec(masks: np.ndarray) -> np.ndarray:
-    """Vectorized ``level1_syndrome``: seven reads of the 7-qubit
-    syndrome table, one per subblock."""
+    """Vectorized ``level1_syndrome``: the XOR of one table read per
+    chunk of the mask."""
     m = masks.view(np.int64)  # signed indices skip a conversion per read
-    blk = m & 127
-    s = _SYND7_U64[blk]
-    for b in range(1, 7):
-        np.right_shift(m, 7 * b, out=blk)
-        blk &= 127
-        s |= _SYND7_U64[blk] << np.uint64(3 * b)
+    chunk = np.empty_like(m)
+    s = np.zeros(len(m), dtype=np.uint64)
+    for (lo, width), table in zip(_SYNDROME_CHUNKS, _syndrome_tables()):
+        np.right_shift(m, lo, out=chunk)
+        chunk &= (1 << width) - 1
+        s ^= table[chunk]
     return s
 
 
@@ -1058,18 +1099,57 @@ def _early_survivors(
     """Early (G1a x G2) effects whose sigma fits the flip budget, in
     cross-product order.  The level-1 syndrome is linear, so the cross
     product's syndromes are XORs of the pools' memoized syndromes,
-    formed about _XOR_CHUNK at a time."""
-    (g1m, g1f), g1s = g1.up_to(fnc.v_g1a), g1.syndromes(fnc.v_g1a)
-    (g2m, g2f), g2s = g2.up_to(fnc.v_g2), g2.syndromes(fnc.v_g2)
-    n2 = len(g2s)
-    step = max(1, _XOR_CHUNK // n2)
-    keep = []
-    for lo in range(0, len(g1s), step):
-        syn = (g1s[lo : lo + step, None] ^ g2s).reshape(-1)
-        fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
-        keep.append(lo * n2 + np.flatnonzero(fits))
-    i1, i2 = np.divmod(np.concatenate(keep), n2)
+    formed about _XOR_CHUNK at a time.  With v_w = v_s = 0 sigma fits
+    only a zero syndrome, so the survivors are the pairs of equal
+    syndromes, which ``_syndrome_join`` finds without the cross product."""
+    (g1m, g1f), (g2m, g2f) = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
+    if fnc.v_w == fnc.v_s == 0:
+        i1, i2 = _syndrome_join(g1, fnc.v_g1a, g2, fnc.v_g2)
+    else:
+        g1s, g2s = g1.syndromes(fnc.v_g1a), g2.syndromes(fnc.v_g2)
+        n2 = len(g2s)
+        step = max(1, _XOR_CHUNK // n2)
+        keep = []
+        for lo in range(0, len(g1s), step):
+            syn = (g1s[lo : lo + step, None] ^ g2s).reshape(-1)
+            fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
+            keep.append(lo * n2 + np.flatnonzero(fits))
+        i1, i2 = np.divmod(np.concatenate(keep), n2)
     return g1m[i1] ^ g2m[i2], g1f[i1] ^ g2f[i2]
+
+
+def _syndrome_join(
+    g1: _EffectSets, v1: int, g2: _EffectSets, v2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i1, i2) of ``g1.up_to(v1)`` x ``g2.up_to(v2)`` whose
+    masks have equal level-1 syndromes, in cross-product order.
+
+    A one-row side (``up_to(0)``) makes it a filter over the other side,
+    whose syndromes are formed _XOR_CHUNK rows at a time and never held
+    whole.  Otherwise both sides are short (at most ``up_to(2)``): the
+    second side's memoized syndromes are sorted, stably, and each row of
+    the first finds its run of equal ones by binary search."""
+    m1, m2 = g1.up_to(v1)[0], g2.up_to(v2)[0]
+    if len(m1) == 1 or len(m2) == 1:
+        one, other = (m1, m2) if len(m1) == 1 else (m2, m1)
+        target = _level1_syndrome_vec(one)[0]
+        step = _XOR_CHUNK
+        # one expression per chunk: no chunk's syndromes outlive its filter
+        hit = np.concatenate([
+            lo + np.flatnonzero(_level1_syndrome_vec(other[lo : lo + step]) == target)
+            for lo in range(0, len(other), step)
+        ])
+        zero = np.zeros_like(hit)
+        return (zero, hit) if len(m1) == 1 else (hit, zero)
+    s1, s2 = g1.syndromes(v1), g2.syndromes(v2)
+    order = np.argsort(s2, kind="stable")
+    s2 = s2[order]
+    lo = np.searchsorted(s2, s1, side="left")
+    n = np.searchsorted(s2, s1, side="right") - lo
+    i1 = np.repeat(np.arange(len(s1)), n)
+    # output slot k holds match k - start[i1] of its row: order[lo[i1] + that]
+    start = np.cumsum(n) - n
+    return i1, order[np.arange(len(i1)) - np.repeat(start - lo, n)]
 
 
 def _scan_number_combination(

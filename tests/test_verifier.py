@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -857,6 +858,18 @@ def test_final_round_scan_golden(final_round_report, capsys):
     assert digest == APPENDIX_B_JSON_LINES_SHA256
 
 
+def test_final_round_scan_traced_peak():
+    # numpy reports its buffers to tracemalloc, so the bound is on the
+    # scan's live arrays, whatever the allocator's heap layout
+    tracemalloc.start()
+    try:
+        run_appendix_b(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 << 20
+
+
 def _xor_subsets(pool):
     """Distinct (mask, flag) XORs of n, n-2, ... distinct pool entries,
     for n = 0..3."""
@@ -976,33 +989,48 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
     assert marked == scanned
 
 
-@pytest.mark.parametrize("max_faults, n_marked", [(3, 0), (2, 12597)])
-def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
-    # The three relaxed conditions applied to the unfiltered cross product
-    # of every effect combination with exactly two gate faults, through
-    # the vector primitives checked against their scalar references
-    # above.  At the paper's budget nothing is marked, so budget 2 in the
-    # coset condition is checked as well: its marks include early
-    # G1a x G2 ones, which makes what the sigma filter drops visible.
+def _unfiltered_marks(fnc, g1, g2, max_faults, chunk=1 << 18):
+    """The three relaxed conditions over the unfiltered cross product of
+    fnc's early G1, G2 and late G1 effects, ``chunk`` combinations at a
+    time, through the vector primitives checked against their scalar
+    references above: the marked (fnc, early mask, full mask, flags), and
+    the early (mask, flag) pairs that pass the sigma condition, in
+    cross-product order."""
+    (m1, f1), (m2, f2) = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
+    mb, fb = g1.up_to(fnc.v_g1b)
+    n2, nb = len(m2), len(mb)
+    marked, early = set(), []
+    total = len(m1) * n2 * nb
+    for lo in range(0, total, chunk):
+        i1, rest = np.divmod(np.arange(lo, min(lo + chunk, total)), n2 * nb)
+        i2, ib = np.divmod(rest, nb)
+        am, af = m1[i1] ^ m2[i2], f1[i1] ^ f2[i2]
+        fm, ff = am ^ mb[ib], af | fb[ib] << np.uint64(21)
+        sig = v._sigma_from_syndrome(v._level1_syndrome_vec(am), fnc.v_w) <= fnc.v_s
+        flags = np.bitwise_count(ff) <= fnc.v_f
+        heavy = v._min_coset_weight_vec(fm).astype(np.int64) + fnc.v_w > max_faults
+        for i in np.flatnonzero(sig & flags & heavy).tolist():
+            marked.add((fnc, int(am[i]), int(fm[i]), int(ff[i])))
+        first = sig & (ib == 0)  # each early pair once
+        early += zip(am[first].tolist(), af[first].tolist())
+    return marked, early
+
+
+def _check_scan_against_unfiltered(fncs, max_faults):
+    """Marks and early survivors of ``_scan_number_combination`` against
+    ``_unfiltered_marks`` for each number combination: the marked sets
+    of both, the number of effect combinations and of early survivors."""
     model = fault_model()
     g1 = v._atom_effect_sets(model.gate1)
     g2 = v._atom_effect_sets(model.gate2)
-    gate_counts = [c for c in itertools.product(range(3), repeat=3) if sum(c) == 2]
-    others = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     marked, scanned = set(), set()
-    n_effects = 0
-    for (va1, vb1, v2), (vw, vf, vs) in itertools.product(gate_counts, others):
-        fnc = FaultNumberCombination(va1, vb1, v2, vw, vf, vs)
-        (m1, f1), (m2, f2), (mb, fb) = g1.up_to(va1), g2.up_to(v2), g1.up_to(vb1)
-        am = np.repeat((m1[:, None] ^ m2[None, :]).reshape(-1), len(mb))
-        af = np.repeat((f1[:, None] ^ f2[None, :]).reshape(-1), len(mb))
-        fm = am ^ np.tile(mb, len(m1) * len(m2))
-        ff = af | np.tile(fb << np.uint64(21), len(m1) * len(m2))
-        sig = v._sigma_from_syndrome(v._level1_syndrome_vec(am), vw) <= vs
-        flags = np.bitwise_count(ff) <= vf
-        heavy = v._min_coset_weight_vec(fm).astype(np.int64) + vw > max_faults
-        for i in np.flatnonzero(sig & flags & heavy).tolist():
-            marked.add((fnc, int(am[i]), int(fm[i]), int(ff[i])))
+    n_effects = n_early = 0
+    for fnc in fncs:
+        marks, early = _unfiltered_marks(fnc, g1, g2, max_faults)
+        marked |= marks
+        survivors = v._early_survivors(fnc, g1, g2)
+        assert list(zip(*(c.tolist() for c in survivors))) == early, fnc
+        n_early += len(early)
         found, examined = v._scan_number_combination(fnc, g1, g2, max_faults)
         n_effects += examined
         scanned |= {
@@ -1010,9 +1038,38 @@ def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
              m.combination.flag)
             for m in found
         }
-    assert n_effects == 453936
-    assert len(marked) == n_marked
     assert marked == scanned
+    return len(marked), n_effects, n_early
+
+
+@pytest.mark.parametrize("max_faults, n_marked", [(3, 0), (2, 12597)])
+def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
+    # Every effect combination with exactly two gate faults.  At the
+    # paper's budget nothing is marked, so budget 2 in the coset
+    # condition is checked as well: its marks include early G1a x G2
+    # ones, which makes what the sigma filter drops visible.
+    gate_counts = [c for c in itertools.product(range(3), repeat=3) if sum(c) == 2]
+    others = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    fncs = [
+        FaultNumberCombination(*gates, *rest)
+        for gates, rest in itertools.product(gate_counts, others)
+    ]
+    got = _check_scan_against_unfiltered(fncs, max_faults)
+    assert got == (n_marked, 453_936, 20_544)
+
+
+def test_marking_of_three_gate_fault_combinations():
+    # Every effect combination with three gate faults, and so no wait,
+    # flag or flip fault: 17,580,853, all through the syndrome join of
+    # _early_survivors (v_w = v_s = 0).  None is marked, and the early
+    # survivors the join keeps are exactly those sigma keeps.
+    fncs = [
+        FaultNumberCombination(*gates)
+        for gates in itertools.product(range(4), repeat=3)
+        if sum(gates) == 3
+    ]
+    got = _check_scan_against_unfiltered(fncs, 3)
+    assert got == (0, 17_580_853, 26_966)
 
 
 def test_min_coset_weight_vec_matches_scalar():
@@ -1031,14 +1088,19 @@ def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     effects = v._atom_effect_sets(atoms).up_to(3)
     keys = build_lookup_table(3, **kw).keys
     g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2)
-    fnc = FaultNumberCombination(v_g1a=2, v_g2=1)  # 14,673 x 130 rows
-    early = v._early_survivors(fnc, g1, g2)
+    fncs = (
+        FaultNumberCombination(v_g1a=2, v_s=1),  # sigma over 14,673 rows
+        FaultNumberCombination(v_g1a=3),  # a zero-syndrome filter over 770,512 rows
+    )
+    early = [v._early_survivors(fnc, g1, g2) for fnc in fncs]
     monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 12)
     small = v._atom_effect_sets(atoms).up_to(3)
     assert all(np.array_equal(a, b) for a, b in zip(small, effects))
     assert np.array_equal(build_lookup_table(3, **kw).keys, keys)
-    assert all(map(np.array_equal, v._early_survivors(fnc, g1, g2), early))
-    assert 0 < len(early[0]) < 14673 * 130
+    for fnc, rows in zip(fncs, early):
+        assert all(map(np.array_equal, v._early_survivors(fnc, g1, g2), rows)), fnc
+    assert 0 < len(early[0][0]) < 14673
+    assert 0 < len(early[1][0]) < 770512
 
 
 def _reference_exact(cols, k, canon=None):
