@@ -203,7 +203,7 @@ def _steane_checks() -> list[CheckResult]:
 def _golay_checks() -> list[CheckResult]:
     """Parity split of the 23-qubit centralizer, perfectness of the
     weight<=3 leader table, and decoding soundness over all 2^23 Z
-    masks (vectorized, in chunks)."""
+    masks (counted by syndrome and weight-parity class)."""
     import numpy as np
 
     out = []
@@ -214,11 +214,12 @@ def _golay_checks() -> list[CheckResult]:
     logical_odd = bool(
         ((np.bitwise_count(span ^ np.uint32(LOGICAL23)) & 1) == 1).all()
     )
-    distinct = len(np.unique(span))
+    elements = set(span.tolist())
+    distinct = len(elements)
     out.append(
         CheckResult(
             "stabilizer span size",
-            distinct == 2048 and set(map(int, span)) == set(golay_z_stabilizers()),
+            distinct == 2048 and elements == golay_z_stabilizers(),
             f"{distinct} distinct elements from 11 generators",
         )
     )
@@ -271,52 +272,53 @@ def _golay_checks() -> list[CheckResult]:
     return out
 
 
-# The 2^23 sweep splits each error into its low _GOLAY_LOW_BITS bits and
-# a high part, and runs over the high parts one at a time; 2^14 int64
-# rows per step stay in cache.
-_GOLAY_LOW_BITS = 14
+# The class count splits each error into its low _GOLAY_LOW_BITS bits and
+# a high part; the counts do not depend on where.  At 16 the low
+# histogram takes 2^16 keys and the high one at most 128 adds.
+_GOLAY_LOW_BITS = 16
 
 
-def _golay_syndromes(bits: range) -> np.ndarray:
-    """``golay_syndrome`` of every mask over the given qubit bits, indexed
-    by the mask shifted down by the first bit."""
+def _golay_keys(bits: range) -> np.ndarray:
+    """Key ``golay_syndrome(e) | (weight of e & 1) << 11`` of every mask e
+    over the given qubit bits, indexed by e shifted down by the first
+    bit.  Both parts are linear, so a key is the XOR of its qubits'."""
     import numpy as np
 
-    synd = np.zeros(1, dtype=np.int64)
-    for b in bits:
-        synd = np.concatenate([synd, synd ^ golay_syndrome(1 << b)])
-    return synd
+    keys = np.zeros(1, dtype=np.int64)
+    for b in bits:  # masks with b set: those without, XOR b's key
+        keys = np.concatenate([keys, keys ^ (golay_syndrome(1 << b) | 1 << 11)])
+    return keys
 
 
 def _golay_sweep(ct: CorrectionTable) -> tuple[int, int, int]:
     """Decode each of the 2^23 Z errors with ``wpec_golay`` from its
-    syndrome and weight parity.  Returns how many errors have trivial
+    syndrome s and weight parity p.  Returns how many errors have trivial
     syndrome, and how many residuals (error ^ correction) have odd
-    weight or a nonzero syndrome."""
+    weight or a nonzero syndrome.
+
+    The errors are counted by class, the key k = s | p << 11.  Syndrome
+    and weight parity are GF(2)-linear, so every error e of a class gets
+    the same correction c, and its residual e ^ c has syndrome s ^ s(c)
+    and parity p ^ |c|: one decode per class decides all its errors.
+    The class sizes are the XOR-convolution of the key histograms of the
+    low and the high bits of an error.
+    """
     import numpy as np
 
-    # correction[s | w << 11] = wpec_golay(s, w); int64 throughout, so
-    # every array indexes another without a conversion
-    correction = np.array(
-        [wpec_golay(s, w, ct).z_bits for w in (0, 1) for s in range(2048)],
-        dtype=np.int64,
-    )
-    low = _GOLAY_LOW_BITS
-    synd_lo = _golay_syndromes(range(low))
-    synd_hi = _golay_syndromes(range(low, N23))
-    e_lo = np.arange(1 << low, dtype=np.int64)
-    key_lo = synd_lo | (np.bitwise_count(e_lo).astype(np.int64) & 1) << 11
-    zero_synd = odd = off = 0
-    for hi in range(1 << (N23 - low)):
-        s_hi = int(synd_hi[hi])
-        zero_synd += int(np.count_nonzero(synd_lo == s_hi))
-        residual = correction[key_lo ^ (s_hi | (hi.bit_count() & 1) << 11)]
-        residual ^= e_lo
-        residual ^= hi << low
-        odd += int(np.count_nonzero(np.bitwise_count(residual) & 1))
-        r_synd = synd_lo[residual & ((1 << low) - 1)] ^ synd_hi[residual >> low]
-        off += int(np.count_nonzero(r_synd))
-    return zero_synd, odd, off
+    low = np.bincount(_golay_keys(range(_GOLAY_LOW_BITS)), minlength=4096)
+    high = np.bincount(_golay_keys(range(_GOLAY_LOW_BITS, N23)), minlength=4096)
+    keys = np.arange(4096)
+    n = np.zeros(4096, dtype=np.int64)  # n[k]: errors in class k
+    for kh in np.flatnonzero(high).tolist():  # low key k ^ kh joins class k
+        n += high[kh] * low[keys ^ kh]
+    n = n.tolist()
+    odd = off = 0
+    for k, size in enumerate(n):
+        s, p = k & 2047, k >> 11
+        c = wpec_golay(s, p, ct).z_bits
+        odd += size * (p ^ c.bit_count() & 1)
+        off += size * (golay_syndrome(c) != s)
+    return n[0] + n[2048], odd, off
 
 
 def _concat49_checks() -> list[CheckResult]:

@@ -188,12 +188,26 @@ GOLAY_ROW1 = sum(c << k for k, c in enumerate(GOLAY_POLY))
 GOLAY_ROWS = tuple(GOLAY_ROW1 << i for i in range(11))
 
 
+@functools.cache
+def _golay_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``golay_syndrome`` as two tables, over the low 12 and the high 11
+    bits of a mask: entry e is the XOR of the syndromes of the qubits set
+    in e (the syndrome is linear).  Built on first use."""
+    tables = []
+    for bits in (range(12), range(12, N23)):
+        table = [0]
+        for q in bits:  # entries with q set: those without, XOR q's
+            unit = sum((row >> q & 1) << i for i, row in enumerate(GOLAY_ROWS))
+            table += [t ^ unit for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def golay_syndrome(mask: int) -> int:
-    """11-bit syndrome of a 23-qubit error support mask."""
-    s = 0
-    for i, row in enumerate(GOLAY_ROWS):
-        s |= parity(mask & row) << i
-    return s
+    """11-bit syndrome of a 23-qubit error support mask: bit i is its
+    overlap parity with ``GOLAY_ROWS[i]``, read as two table entries."""
+    lo, hi = _golay_tables()
+    return lo[mask & 4095] ^ hi[mask >> 12 & 2047]
 
 
 @functools.cache

@@ -66,28 +66,34 @@ def test_verify_claims_json_lines(capsys):
     assert any("soundness" in r["check"] for r in records)
 
 
-def _reference_golay_sweep(ct):
-    # the whole-array sweep: one 2^23-row pass per step
-    leaders = np.zeros(2048, dtype=np.uint32)
-    for s, op in ct.golay_min.items():
-        leaders[s] = op.z_bits
+def _golay_corrections(ct):
+    # correction[s | p << 11]: what the sweep's wpec_golay, patched or
+    # not, gives syndrome s and weight parity p
+    return np.array(
+        [cli.wpec_golay(k & 2047, k >> 11, ct).z_bits for k in range(4096)],
+        dtype=np.uint32,
+    )
+
+
+def _reference_golay_sweep(correction):
+    # the per-error sweep: every one of the 2^23 errors decoded in one
+    # whole-array pass
     synd = np.zeros(1, dtype=np.uint16)  # synd[e] = golay_syndrome(e)
     for b in range(N23):
         synd = np.concatenate([synd, synd ^ np.uint16(golay_syndrome(1 << b))])
     e = np.arange(1 << N23, dtype=np.uint32)
-    zero_synd = int((synd == 0).sum())
-    flip = ((np.bitwise_count(leaders[synd]) ^ np.bitwise_count(e)) & 1).astype(bool)
-    corr = leaders[synd] ^ np.where(flip, np.uint32(LOGICAL23), np.uint32(0))
-    residual = e ^ corr
-    odd = int(((np.bitwise_count(residual) & 1) != 0).sum())
-    off = int((synd[residual] != 0).sum())
+    parity = (np.bitwise_count(e) & 1).astype(np.uint16)
+    residual = e ^ correction[synd | parity << 11]
+    zero_synd = int(np.count_nonzero(synd == 0))
+    odd = int(np.count_nonzero(np.bitwise_count(residual) & 1))
+    off = int(np.count_nonzero(synd[residual]))
     return zero_synd, odd, off
 
 
 def test_golay_sweep_matches_whole_array_reference(monkeypatch):
     ct = build_correction_table()
     counts = cli._golay_sweep(ct)
-    assert counts == _reference_golay_sweep(ct) == (4096, 0, 0)
+    assert counts == _reference_golay_sweep(_golay_corrections(ct)) == (4096, 0, 0)
     checks = cli._golay_checks()
     for low in (10, 19):
         monkeypatch.setattr(cli, "_GOLAY_LOW_BITS", low)
@@ -102,13 +108,23 @@ def test_golay_soundness_fails_on_a_corrupt_leader(monkeypatch, capsys):
     leaders = dict(ct.golay_min)
     leaders[5] = leaders[6]
     ct.__dict__["golay_min"] = leaders  # what the cached property reads
-    assert cli._golay_sweep(ct) == (4096, 0, 4096)
+    counts = cli._golay_sweep(ct)
+    assert counts == _reference_golay_sweep(_golay_corrections(ct)) == (4096, 0, 4096)
     monkeypatch.setattr(cli, "build_correction_table", lambda: ct)
     assert main(["verify-claims", "--code", "golay"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "FAIL weight-parity decoding soundness (2^23 errors): 0 residuals of " \
         "odd weight, 4096 of nonzero syndrome" in lines
     assert lines[-1] == "golay: 4/6 checks passed"
+
+
+def test_golay_soundness_fails_without_the_logical_flip(monkeypatch):
+    # a decoder that always applies the leader leaves a logical Z on the
+    # half of each syndrome's 4,096 errors whose parity differs from it
+    ct = build_correction_table()
+    monkeypatch.setattr(cli, "wpec_golay", lambda s, w, table: table.golay_min[s])
+    counts = cli._golay_sweep(ct)
+    assert counts == _reference_golay_sweep(_golay_corrections(ct)) == (4096, 1 << 22, 0)
 
 
 @pytest.mark.parametrize("job", ["verify-appendix-b", "verify-claims-golay"])
@@ -516,6 +532,7 @@ def test_each_subcommand_loads_only_its_modules(command, tmp_path):
     assert ("wpec.verifier" in loaded) == table_work
     assert ("numpy" in loaded) == (table_work or command.endswith("golay"))
     assert ("json" in loaded) == command.endswith("json-lines")
+    assert "numpy.ma" not in loaded
 
 
 def test_library_imports_create_no_dataclass():

@@ -27,6 +27,7 @@ from wpec.codes import (
     PCANON,
     STAB7,
     STAB7_SET,
+    _golay_tables,
     block_parity,
     golay_syndrome,
     golay_z_stabilizers,
@@ -275,6 +276,21 @@ def test_golay_syndrome_basics():
     assert golay_syndrome(0) == 0
     assert golay_syndrome(1) == 1  # qubit 1 sits only in row 1
     assert golay_syndrome(GOLAY_ROWS[4]) == 0
+
+
+def test_golay_syndrome_tables_match_row_parities():
+    # all 2^23 masks: the two table reads of golay_syndrome against the
+    # overlap parities with GOLAY_ROWS that define the syndrome
+    lo, hi = (np.array(t, dtype=np.uint16) for t in _golay_tables())
+    e = np.arange(1 << N23, dtype=np.uint32)
+    want = np.zeros(1 << N23, dtype=np.uint16)
+    for i, row in enumerate(GOLAY_ROWS):
+        want |= (np.bitwise_count(e & np.uint32(row)) & 1).astype(np.uint16) << i
+    assert np.array_equal(lo[e & 4095] ^ hi[e >> 12], want)
+    # and golay_syndrome reads those entries: every unit, and masks
+    # spread over all 23 bits
+    masks = [1 << b for b in range(N23)] + list(range(0, 1 << N23, 1021))
+    assert [golay_syndrome(m) for m in masks] == want[masks].tolist()
 
 
 def test_golay_stabilizer_weights_even_logical_coset_odd():
