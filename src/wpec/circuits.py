@@ -37,11 +37,18 @@ i (a faulty gate acts ideally and then errs), len(gates) right before
 the measurements.  A two-character local error reads (ancilla wire,
 other wire); the other wire is the gate's data qubit, or the flag at a
 flag CNOT and at the boundary positions.
+
+``unit_results`` is the one single-fault table that the fault model and
+the protocol read: per position, the results of X and Z on each wire
+that the position touches, each one run on the zero frame on the
+circuit's first use.  A run is linear, so ``fault_result`` gets any
+local error's result as the XOR of its units.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, NamedTuple
 
 from .codes import LEVEL1_GENS, LEVEL2_GENS, N49
@@ -211,53 +218,35 @@ def run_circuit(
     return CircuitResult(x >> _DATA0, z >> _DATA0, outcome, flag)
 
 
-# --- fault enumeration ---------------------------------------------------------
+# --- the single-fault table ----------------------------------------------------
+
+# the units of a local error: X and Z of the ancilla, then of the other wire
+LOCAL_UNITS = {
+    loc: tuple(i for i, b in enumerate(sum(map(PAULI_BITS.get, loc), ())) if b)
+    for loc in (*"XYZ", *(a + b for a in "IXYZ" for b in "IXYZ"))
+}
 
 
-class SingleFault(NamedTuple):
-    """One fault location/error choice with its propagated effect."""
-
-    position: int
-    local: str
-    data_x: int
-    data_z: int
-    flag21: int
-    outcome: int
-
-    @property
-    def effect(self) -> tuple[int, int, int, int]:
-        return (self.data_x, self.data_z, self.flag21, self.outcome)
-
-
-def enumerate_single_faults(c: ExtractionCircuit) -> list[SingleFault]:
-    """Every single fault of the damaging type for this family: Z-type
-    locals in Z-family circuits (X-type by duality), over all gates and
-    the preparation/measurement boundaries."""
-    p = "Z" if c.family == "z" else "X"
-    n_gates = len(c.gates)
-    picks: list[tuple[int, str]] = [(-1, p)]
-    if c.flag_bit is not None:
-        picks.append((-1, "I" + p))
-    for i in range(n_gates):
-        picks += [(i, p + "I"), (i, "I" + p), (i, p + p)]
-    picks.append((n_gates, p))
-    if c.flag_bit is not None:
-        picks.append((n_gates, "I" + p))
-    out = []
-    for pos, local in picks:
-        r = run_circuit(c, injections=[(pos, local)])
-        flag21 = r.flag << c.flag_bit if r.flag else 0
-        out.append(SingleFault(pos, local, r.data_x, r.data_z, flag21, r.outcome))
-    return out
+@functools.lru_cache(maxsize=None)
+def unit_results(name: str) -> tuple[tuple[CircuitResult, ...], ...]:
+    """The one single-fault table of circuit ``name``: entry [pos + 1]
+    holds the results of X and Z on the ancilla, then of X and Z on the
+    position's other wire where it has one, each one ``run_circuit`` on
+    the zero frame.  Propagation is linear, so a local error's result is
+    the XOR of its ``LOCAL_UNITS``."""
+    c = circuits_by_name()[name]
+    n, flagged = len(c.gates), c.flag_bit is not None
+    return tuple(
+        tuple(run_circuit(c, injections=[(pos, local)]) for local in (
+            ("XI", "ZI", "IX", "IZ") if flagged or 0 <= pos < n else "XZ"))
+        for pos in range(-1, n + 1)
+    )
 
 
-def dedup_effects(faults: Iterable[SingleFault]) -> list[SingleFault]:
-    """First representative of each distinct nonzero propagated effect."""
-    seen = set()
-    out = []
-    for f in faults:
-        if f.effect == (0, 0, 0, 0) or f.effect in seen:
-            continue
-        seen.add(f.effect)
-        out.append(f)
+def fault_result(name: str, pos: int, local: str) -> CircuitResult:
+    """The result of one fault of circuit ``name`` on the zero frame, read
+    from its table as the XOR of the local error's units."""
+    units, out = unit_results(name)[pos + 1], CircuitResult(0, 0, 0, 0)
+    for i in LOCAL_UNITS[local]:
+        out = CircuitResult(*map(operator.xor, out, units[i]))
     return out

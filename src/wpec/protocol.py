@@ -9,9 +9,10 @@ reads, flag flips and data residue, and returns with the next word the
 round's packed observation: 48 outcome bits, then the 42 cumulative
 flags.  A data error's frame reads are 9 reads of tables over 11-bit
 chunks of dx | dz << 49.  A gate fault's word is the XOR of unit words
-from its circuit's table, built from ``run_circuit`` on the circuit's
-first use; a gate fault names its circuit, so a negative-control trial
-(``x1#``, ``z~1#``) needs only the lookup table of its family.
+packed, on the circuit's first use, from the one single-fault table
+``circuits.unit_results`` that the fault model reads too; a gate fault
+names its circuit, so a negative-control trial (``x1#``, ``z~1#``)
+needs only the lookup table of its family.
 ``run_until_stable(input_error, schedule)`` repeats rounds until the
 observation is identical four times in a row (at most 16 rounds for at
 most three faults) and unpacks only that one into an ``OutcomeBundle``;
@@ -41,11 +42,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
+    LOCAL_UNITS,
     ROUND_ORDER,
     check_injection,
     circuit_phases,
     circuits_by_name,
-    run_circuit,
+    run_circuit,  # unused; perfbench/tracing.py wraps protocol.run_circuit
+    unit_results,
 )
 from .codes import (
     LOGICAL49,
@@ -318,33 +321,21 @@ def _residue(dx: int, dz: int) -> int:
     return reads | reads << _OUT | dx << _D_X | dz << _D_Z
 
 
-# the units of a local error: X and Z of the ancilla, then of the other wire
-_LOCAL_UNITS = {
-    loc: tuple(i for i, b in enumerate(sum(map(PAULI_BITS.get, loc), ())) if b)
-    for loc in (*"XYZ", *(a + b for a in "IXYZ" for b in "IXYZ"))
-}
-
-
 @functools.lru_cache(maxsize=None)
 def _circuit_effects(name: str) -> tuple[tuple[int, ...], ...]:
-    """Unit effect words of one circuit's gate faults: entry [pos + 1]
-    holds X and Z on the ancilla, then X and Z on the position's other
-    wire where it has one, each one ``run_circuit`` on the zero frame.
-    Propagation is linear, so a local error's effect is the XOR of its
-    units; the circuits measured up to this one miss its residue."""
+    """Unit effect words of one circuit's gate faults, packed from its
+    ``unit_results``: a local error's effect is the XOR of its
+    ``LOCAL_UNITS``; the circuits measured up to this one miss its
+    residue."""
     c = circuits_by_name()[name]
     at = _OFFSET[_PHASE_OF[c.family, c.level]] + c.index  # its outcome bit
     flag = 0 if c.flag_bit is None else 1 << c.flag_bit + (
         _F_X if c.family == "z" else _F_Z)
-    ends = ("X", "Z") if c.flag_bit is None else ("X", "Z", "IX", "IZ")
-    n, table = len(c.gates), []
-    for pos in range(-1, n + 1):
-        locals_ = ("XI", "ZI", "IX", "IZ") if 0 <= pos < n else ends
-        runs = [run_circuit(c, injections=[(pos, local)]) for local in locals_]
-        table.append(tuple(
-            _residue(r.data_x, r.data_z) & -2 << at | r.outcome << at | flag * r.flag
-            for r in runs))
-    return tuple(table)
+    return tuple(
+        tuple(_residue(r.data_x, r.data_z) & -2 << at | r.outcome << at | flag * r.flag
+              for r in units)
+        for units in unit_results(name)
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -360,7 +351,7 @@ def _wait_effects() -> dict[str, tuple[int, ...]]:
 def _effect(f: ScheduledFault) -> int:
     if f.kind == "gate":
         units, e = _circuit_effects(f.circuit)[f.position + 1], 0
-        for i in _LOCAL_UNITS[f.local]:
+        for i in LOCAL_UNITS[f.local]:
             e ^= units[i]
         return e
     if f.kind == "wait":

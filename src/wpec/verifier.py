@@ -1,14 +1,17 @@
 """Exhaustive fault enumeration for the 49-qubit weight-parity protocol.
 
 Two enumerations live here, both working on the Z side of the CSS split
-(the X side is its exact dual and is exercised separately at small
-scale), and both run on one engine, ``_EffectSets``: the XORs of at
-most three distinct single-fault effects of a pool.
+(the X side has the same signature pool: the protocol's effect words,
+cut to either side, are checked against it in
+``test_effect_words_project_onto_the_fault_model_pool``), and both run
+on one engine, ``_EffectSets``: the XORs of at most three distinct
+single-fault effects of a pool.
 
 The lookup-table build enumerates every combination of up to
 ``max_faults`` single faults of ``fault_model`` (G1 and G2 from the
-Z-type circuits, W and F, one data Z or flag flip each, built there),
-collapses each to a record, and audits the resulting lookup table.  The
+Z-type circuits' unit tables in ``circuits``, W and F, one data Z or
+flag flip each, built there), collapses each to a record, and audits
+the resulting lookup table.  The
 engine writes the XORs of exactly k distinct pool rows (signatures with
 their s-tilde bits), for every k <= ``max_faults``, into one array; the
 build ORs tau into it in place and dedups it with one sort.  A key's
@@ -56,13 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import (
-    circuit_phases,
-    circuits_by_name,
-    dedup_effects,
-    enumerate_single_faults,
-    run_circuit,
-)
+from .circuits import circuit_phases, circuits_by_name, fault_result
 from .codes import (
     BLOCK_MIN_WT,
     N49,
@@ -153,7 +150,8 @@ class FaultModel(NamedTuple):
     """Pools of single-fault effects, Z side: G1, G2, W, F.
 
     gate1 holds the distinct effects of each first-level extraction
-    circuit in turn, gate2 those of each second-level circuit.  wait
+    circuit in turn, gate2 those of each second-level circuit, both read
+    from the one single-fault table, ``circuits.unit_results``.  wait
     covers single-qubit Z errors during idle time (input errors are
     modeled the same way), flag the single flag-measurement flips.
     """
@@ -175,15 +173,28 @@ class FaultModel(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def fault_model(flagged: bool = True, interleaved: bool = True) -> FaultModel:
-    """Build the Z-side single-fault pools for the chosen circuit family."""
+    """Build the Z-side single-fault pools for the chosen circuit family.
+
+    A Z-family circuit's atoms are the first of each distinct nonzero
+    result of its Z-type locals, XORed from the circuit's one
+    single-fault table (``circuits.fault_result``): the preparation Z
+    (and flag Z), then ZI, IZ and ZZ after each gate, then the
+    measurement Z (and flag Z), each labelled
+    ``G<level>[<name>]@<pos>:<local>``.
+    """
     gate = {1: [], 2: []}  # the Z-family circuits' effects, by level
     for phase in circuit_phases(flagged, interleaved):
         for c in (c for c in phase if c.family == "z"):
-            label = f"G{c.level}[{c.name}]@"
-            gate[c.level] += (
-                FaultAtom(f"{label}{f.position}:{f.local}", f.data_z, f.flag21)
-                for f in dedup_effects(enumerate_single_faults(c))
-            )
+            n, seen = len(c.gates), {(0, 0, 0, 0)}
+            ends = ("Z",) if c.flag_bit is None else ("Z", "IZ")
+            for pos in range(-1, n + 1):
+                for local in ("ZI", "IZ", "ZZ") if 0 <= pos < n else ends:
+                    r = fault_result(c.name, pos, local)
+                    if r not in seen:
+                        seen.add(r)
+                        gate[c.level].append(FaultAtom(
+                            f"G{c.level}[{c.name}]@{pos}:{local}", r.data_z,
+                            r.flag << c.flag_bit if r.flag else 0))
     wait = tuple(FaultAtom(f"W[Z@q{q + 1}]", 1 << q, 0) for q in range(N49))
     flag_bits = range(21) if flagged else ()
     flag = tuple(FaultAtom(f"F[flag{j + 1}]", 0, 1 << j) for j in flag_bits)
@@ -1299,17 +1310,18 @@ def reproduce_table1() -> tuple[Table1Row, ...]:
     """Single-fault error classes of the blockwise second-level circuit.
 
     An ancilla-line Z after gate k lands on every later data qubit, so
-    ``run_circuit`` gives the possible high-weight errors as a tail of m
-    qubits on support block pos (k = 7 pos + 6 - m, the preparation at
-    -1) followed by full-Z blocks.  Classes with the same tail-length
-    parity share (second-level syndrome, triviality, parity), which is
-    what the emitted 13 rows record.  Parities are literal, not canonical.
+    the circuit's unit table (``circuits.unit_results``) gives the
+    possible high-weight errors as a tail of m qubits on support block
+    pos (k = 7 pos + 6 - m, the preparation at -1) followed by full-Z
+    blocks.  Classes with the same tail-length parity share
+    (second-level syndrome, triviality, parity), which is what the
+    emitted 13 rows record.  Parities are literal, not canonical.
     """
     circ = circuits_by_name()["z~1#"]
     support = [b for b in range(7) if (circ.target_generator.z_bits >> (7 * b)) & 127]
 
     def signature(k: int) -> tuple[int, int, int]:
-        mask = run_circuit(circ, injections=[(k, "Z" if k < 0 else "ZI")]).data_z
+        mask = fault_result(circ.name, k, "Z" if k < 0 else "ZI").data_z
         p = block_parity(mask)
         return syndrome7(p), tau_from_syndrome(level1_syndrome(mask)), p
 

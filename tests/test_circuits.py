@@ -16,14 +16,14 @@ from wpec.circuits import (
     ROUND_ORDER,
     circuit_phases,
     circuits_by_name,
-    dedup_effects,
-    enumerate_single_faults,
     level1_circuits,
     level2_circuits,
     run_circuit,
+    unit_results,
 )
 from wpec.codes import GEN7, LEVEL2_GENS, level1_syndrome
 from wpec.pauli import PauliOp, parity
+from wpec.verifier import fault_model
 
 Z1 = level1_circuits("z")[0]
 Z2L = level2_circuits("z")[0]
@@ -171,10 +171,21 @@ def test_propagate_validates():
         propagate(Z1, 0, "QI")
 
 
+def _atoms(pool, name):
+    """The fault-model atoms of circuit ``name`` in ``pool``, in order."""
+    return [a for a in pool if f"[{name}]@" in a.label]
+
+
+def _z_units(name):
+    """Every Z-type unit result of circuit ``name``: the ancilla's and the
+    other wire's Z at each position."""
+    return [r for units in unit_results(name) for r in units[1::2]]
+
+
 def test_inner_circuit_fault_catalog_frozen():
     a, b, c, d = 1 << 0, 1 << 2, 1 << 3, 1 << 4
-    atoms = dedup_effects(enumerate_single_faults(Z1))
-    got = {(f.data_z, f.flag21) for f in atoms}
+    atoms = _atoms(fault_model().gate1, "z1")
+    got = {(f.error, f.flag) for f in atoms}
     assert got == {
         (a, 0),
         (b, 0),
@@ -188,32 +199,44 @@ def test_inner_circuit_fault_catalog_frozen():
         (0, 1),
     }
     assert len(atoms) == 10
-    assert all(f.outcome == 0 and f.data_x == 0 for f in atoms)
+    assert all(r.outcome == 0 and r.data_x == 0 for r in _z_units("z1"))
 
 
 def test_outer_circuit_fault_catalog_structure():
-    atoms = dedup_effects(enumerate_single_faults(Z2L))
-    assert len(atoms) == 55
-    assert all(f.flag21 == 0 and f.outcome == 0 for f in atoms)
-    order = Z2L.cnot_order
-    suffixes = set()
-    for k in range(28):
-        m = 0
-        for q in order[k:]:
-            m |= 1 << q
-        suffixes.add(m)
-    singles = {1 << q for q in order}
-    assert {f.data_z for f in atoms} == suffixes | singles
-    assert len(suffixes | singles) == 55
+    # the interleaved circuit of the real family and the ascending one of
+    # its control, each with the suffixes of its own CNOT order
+    for interleaved in (True, False):
+        circuit = level2_circuits("z", interleaved)[0]
+        atoms = _atoms(fault_model(True, interleaved).gate2, circuit.name)
+        assert len(atoms) == 55
+        assert all(f.flag == 0 for f in atoms)
+        assert all(r.outcome == 0 for r in _z_units(circuit.name))
+        order = circuit.cnot_order
+        suffixes = set()
+        for k in range(28):
+            m = 0
+            for q in order[k:]:
+                m |= 1 << q
+            suffixes.add(m)
+        singles = {1 << q for q in order}
+        assert {f.error for f in atoms} == suffixes | singles
+        assert len(suffixes | singles) == 55
 
 
 def test_x_family_is_the_exact_dual():
-    cz = Z1
-    cx = level1_circuits("x")[0]
-    for f in enumerate_single_faults(cz):
-        ex, flag21, outcome = propagate(cx, f.position, f.local.replace("Z", "X"))
-        assert ex.x_bits == f.data_z and ex.z_bits == 0
-        assert flag21 == f.flag21 and outcome == f.outcome
+    # at every position of every circuit, each X-family unit with X and Z
+    # swapped is its Z-family twin's unit of the other letter
+    for name in circuits_by_name():
+        if name[0] != "x":
+            continue
+        twin = unit_results("z" + name[1:])
+        for units, z_units in zip(unit_results(name), twin, strict=True):
+            assert len(units) == len(z_units)
+            for i, r in enumerate(units):
+                z = z_units[i ^ 1]
+                assert (r.data_x, r.data_z, r.outcome, r.flag) == (
+                    z.data_z, z.data_x, z.outcome, z.flag
+                ), (name, i)
 
 
 # --- golden propagation digest ------------------------------------------------------
@@ -311,11 +334,10 @@ def test_run_circuit_is_linear_in_frame_and_injections():
 
 
 def test_fault_set_composition_parity():
-    atoms = dedup_effects(enumerate_single_faults(Z1))
+    atoms = _atoms(fault_model().gate1, "z1")
+    # Z-family faults leave no data X and never flip the outcome
+    assert all(r.data_x == 0 and r.outcome == 0 for r in _z_units("z1"))
     # a single fault never cancels; two distinct ones never do either
-    assert all(a.effect != (0, 0, 0, 0) for a in atoms)
+    assert all((a.error, a.flag) != (0, 0) for a in atoms)
     for a, b in itertools.combinations(atoms, 2):
-        dx, dz, fl, oc = (x ^ y for x, y in zip(a.effect, b.effect))
-        # Z-family faults leave no data X and never flip the outcome
-        assert dx == 0 and oc == 0
-        assert (dz, fl) != (0, 0)
+        assert (a.error ^ b.error, a.flag ^ b.flag) != (0, 0)

@@ -475,16 +475,17 @@ def test_importing_the_cli_does_no_table_work():
         import wpec.cli
         sys.setprofile(None)
         import wpec.protocol
-        from wpec.circuits import circuit_phases, circuits_by_name
+        from wpec.circuits import circuit_phases, circuits_by_name, unit_results
         from wpec.verifier import fault_model
         print(fault_model.cache_info().currsize, len(calls),
               circuit_phases.cache_info().currsize,
-              circuits_by_name.cache_info().currsize)
+              circuits_by_name.cache_info().currsize,
+              unit_results.cache_info().currsize)
     """)
     proc = _python(["-c", code], stdout=subprocess.PIPE)
     stdout, _ = proc.communicate(timeout=120)
     assert proc.returncode == 0
-    assert stdout.split() == [b"0", b"0", b"0", b"0"]
+    assert stdout.split() == [b"0"] * 5
 
 
 # Runs ``main`` on the arguments after the first in a fresh interpreter,

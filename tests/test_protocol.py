@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wpec import codes, decoder, protocol, verifier
+from wpec import circuits, codes, decoder, protocol, verifier
 from wpec.codes import (
     LOGICAL49,
     N49,
@@ -819,7 +819,7 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
         counting("parity", verifier.LookupTable.lookup_parity),
     )
     monkeypatch.setattr(protocol, "run_round", counting("round", run_round))
-    monkeypatch.setattr(protocol, "run_circuit", counting("circuit", run_circuit))
+    monkeypatch.setattr(circuits, "run_circuit", counting("circuit", run_circuit))
     cancelling = Trial(identity(N49), parse_schedule("1 meas sx 4\n1 meas sx 4"))
     for trial in (*sample_trials(50, seed=10), cancelling):
         calls.clear()
@@ -836,25 +836,33 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
 def test_circuit_effect_table_is_built_once_from_unit_faults(monkeypatch):
     # one run_circuit per wire and letter (X, Z) at each position: the
     # ancilla and the other wire mid-circuit and at a boundary with a flag
-    # wire, the ancilla alone at a boundary without one; a second use of
-    # the circuit builds nothing
+    # wire, the ancilla alone at a boundary without one; the fault model
+    # and the protocol read the same unit table, so the real family costs
+    # 2,040 runs for both, and a second use of a circuit builds nothing
     calls = Counter()
 
     def counting(c, *args, **kwargs):
         calls[c.name] += 1
         return run_circuit(c, *args, **kwargs)
 
-    monkeypatch.setattr(protocol, "run_circuit", counting)
+    monkeypatch.setattr(circuits, "run_circuit", counting)
+    circuits.unit_results.cache_clear()
     protocol._circuit_effects.cache_clear()
+    verifier.fault_model.cache_clear()
+    real = [c.name for ph in circuit_phases() for c in ph]
     for _ in range(2):
-        for name in circuits_by_name():
+        verifier.fault_model()
+        for name in real:
             protocol._circuit_effects(name)
+        assert calls.total() == 2040
+    for name in circuits_by_name():
+        protocol._circuit_effects(name)
     for name, c in circuits_by_name().items():
         n_gates = len(c.gates)
         boundary = 4 if c.flag_bit is not None else 2
         assert calls[name] == 4 * n_gates + 2 * boundary, name
         assert len(protocol._circuit_effects(name)) == n_gates + 2
-    assert sum(calls[c.name] for ph in circuit_phases() for c in ph) == 2040
+    assert sum(calls[name] for name in real) == 2040
 
 
 # --- fault-tolerance conditions --------------------------------------------------
@@ -1143,6 +1151,38 @@ def test_effect_classes_stand_for_their_lines(table):
         others = [(line, lines[0]) for lines in classes.values() for line in lines[1:]]
         for line, first in rng.sample(others, 500):
             assert result(line) == result(first), (line, first)
+
+
+@pytest.mark.parametrize(
+    "flagged, interleaved, pool_size",
+    [(True, True, 208), (True, False, 196), (False, True, 145), (False, False, 124)],
+)
+def test_effect_words_project_onto_the_fault_model_pool(
+    flagged, interleaved, pool_size
+):
+    # the atom map: every round-0 fault line's effect word, cut to (data Z,
+    # f_x) and to (data X, f_z) and packed as a table signature, is 0 or a
+    # signature of the Z-side fault model's pool, and each side covers the
+    # pool.  So the model's restriction to Z-type locals in Z-family
+    # circuits loses nothing, and the X side has the same pool.  The
+    # flagless families also take flag-flip lines, whose 21 single-flag
+    # signatures their model, without F atoms, does not hold.
+    pool = set(verifier.fault_model(flagged, interleaved).signature_pool().tolist())
+    assert len(pool) == pool_size
+    flags = {verifier.pack_signature(0, 1 << j) for j in range(21)}
+    mask49, mask21 = (1 << N49) - 1, (1 << 21) - 1
+    for d, f in ((protocol._D_Z, protocol._F_X), (protocol._D_X, protocol._F_Z)):
+        sigs, outside = set(), defaultdict(set)
+        for kind, lines in _accepted_lines(0, flagged, interleaved).items():
+            for line in lines:
+                e = protocol._effect(parse_fault(line))
+                sig = verifier.pack_signature(e >> d & mask49, e >> f & mask21)
+                sigs.add(sig)
+                if sig and sig not in pool:
+                    outside[kind].add(sig)
+        extra = {} if flagged else {"flag": flags}
+        assert sigs - {0} == pool.union(*extra.values())
+        assert dict(outside) == extra
 
 
 def _assert_round_matches_reference(

@@ -73,6 +73,33 @@ def test_pool_sizes():
     assert tuple(map(len, m)) == (210, 165, 49, 21)  # G1, G2, W, F
 
 
+@pytest.mark.parametrize(
+    "flagged, interleaved, n_atoms, digest",
+    [
+        (True, True, 445,
+         "b166101e21dbd39164f896373199d7b46bdf9d1ad3e40e3cec3f58a8c3ff7b26"),
+        (True, False, 445,
+         "b3a136e4c57009713bf605d39f892ea20c51c13d070124811fff757dc7d6d71c"),
+        (False, True, 361,
+         "12f858666592b9e9c133cf399469920b9aaf794fa3aa0f53b195d0fda8107de3"),
+        (False, False, 361,
+         "584d3dd5538ff60dbd044151fdb41d0a0235c5c20ae7bb4a8d8e88008063be75"),
+    ],
+    ids=["permuted-flagged", "blockwise-flagged", "permuted-flagless",
+         "negative-control"],
+)
+def test_fault_model_golden_digest(flagged, interleaved, n_atoms, digest):
+    # every atom's label, error and flag in pool order, for all four
+    # circuit variants: audit witnesses print these labels, and the
+    # engine's first-witness search follows this order.  The digests were
+    # captured from the per-pick walk that the unit table replaced.
+    atoms = fault_model(flagged, interleaved).all_atoms()
+    h = hashlib.sha256()
+    for a in atoms:
+        h.update(f"{a.label} {a.error} {a.flag}\n".encode())
+    assert (len(atoms), h.hexdigest()) == (n_atoms, digest)
+
+
 def test_flagless_model_has_no_flag_pool():
     m = fault_model(flagged=False)
     assert m.flag == ()
