@@ -20,7 +20,7 @@ import contextlib
 import importlib
 import os
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .codes import (
     GOLAY_ROWS,
@@ -48,14 +48,13 @@ from .decoder import (
 )
 from .pauli import PauliOp, format_bits, render_text
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Library names bound on first use (PEP 562), so that a process imports
-# only the modules its subcommand runs, and numpy only where it is used.
-# The commands reach these names as attributes of this module
-# (``_lib.name``): a wrapper set on the module attribute is then the
-# function that gets called.
+# only the modules its subcommand runs, and numpy only where it is used:
+# ``verify-claims`` loads none, since the Golay suite sizes its classes
+# from the image of the linear key map, on plain ints.  The commands
+# reach these names as attributes of this module (``_lib.name``): a
+# wrapper set on the module attribute is then the function that gets
+# called.
 _LAZY = {
     "OutcomeBundle": "protocol",
     "decode_with_report": "protocol",
@@ -204,17 +203,13 @@ def _golay_checks() -> list[CheckResult]:
     """Parity split of the 23-qubit centralizer, perfectness of the
     weight<=3 leader table, and decoding soundness over all 2^23 Z
     masks (counted by syndrome and weight-parity class)."""
-    import numpy as np
-
     out = []
-    span = np.zeros(1, dtype=np.uint32)
+    span = [0]
     for g in GOLAY_ROWS:
-        span = np.concatenate([span, span ^ np.uint32(g)])
-    stab_even = bool(((np.bitwise_count(span) & 1) == 0).all())
-    logical_odd = bool(
-        ((np.bitwise_count(span ^ np.uint32(LOGICAL23)) & 1) == 1).all()
-    )
-    elements = set(span.tolist())
+        span += [x ^ g for x in span]
+    stab_even = not any(x.bit_count() & 1 for x in span)
+    logical_odd = all((x ^ LOGICAL23).bit_count() & 1 for x in span)
+    elements = set(span)
     distinct = len(elements)
     out.append(
         CheckResult(
@@ -272,22 +267,22 @@ def _golay_checks() -> list[CheckResult]:
     return out
 
 
-# The class count splits each error into its low _GOLAY_LOW_BITS bits and
-# a high part; the counts do not depend on where.  At 16 the low
-# histogram takes 2^16 keys and the high one at most 128 adds.
-_GOLAY_LOW_BITS = 16
+def _golay_class_sizes() -> list[int]:
+    """Number of the 2^23 Z errors e in each class, indexed by the key
+    ``golay_syndrome(e) | (weight of e & 1) << 11``.
 
-
-def _golay_keys(bits: range) -> np.ndarray:
-    """Key ``golay_syndrome(e) | (weight of e & 1) << 11`` of every mask e
-    over the given qubit bits, indexed by e shifted down by the first
-    bit.  Both parts are linear, so a key is the XOR of its qubits'."""
-    import numpy as np
-
-    keys = np.zeros(1, dtype=np.int64)
-    for b in bits:  # masks with b set: those without, XOR b's key
-        keys = np.concatenate([keys, keys ^ (golay_syndrome(1 << b) | 1 << 11)])
-    return keys
+    The key map is GF(2)-linear, so its image is the span of the 23
+    unit keys, and each key of the image is reached by 2^23 / |image|
+    errors (a fibre of the map); every other key by none."""
+    image = [0]
+    for q in range(N23):
+        key = golay_syndrome(1 << q) | 1 << 11
+        if key not in image:
+            image += [k ^ key for k in image]
+    sizes = [0] * 4096
+    for k in image:
+        sizes[k] = (1 << N23) // len(image)
+    return sizes
 
 
 def _golay_sweep(ct: CorrectionTable) -> tuple[int, int, int]:
@@ -300,18 +295,11 @@ def _golay_sweep(ct: CorrectionTable) -> tuple[int, int, int]:
     and weight parity are GF(2)-linear, so every error e of a class gets
     the same correction c, and its residual e ^ c has syndrome s ^ s(c)
     and parity p ^ |c|: one decode per class decides all its errors.
-    The class sizes are the XOR-convolution of the key histograms of the
-    low and the high bits of an error.
+    The classes are the fibres of that linear key map, all of one size
+    over its image (``_golay_class_sizes``), counted on plain ints: the
+    job loads no numpy.
     """
-    import numpy as np
-
-    low = np.bincount(_golay_keys(range(_GOLAY_LOW_BITS)), minlength=4096)
-    high = np.bincount(_golay_keys(range(_GOLAY_LOW_BITS, N23)), minlength=4096)
-    keys = np.arange(4096)
-    n = np.zeros(4096, dtype=np.int64)  # n[k]: errors in class k
-    for kh in np.flatnonzero(high).tolist():  # low key k ^ kh joins class k
-        n += high[kh] * low[keys ^ kh]
-    n = n.tolist()
+    n = _golay_class_sizes()
     odd = off = 0
     for k, size in enumerate(n):
         s, p = k & 2047, k >> 11

@@ -15,7 +15,7 @@ import pytest
 
 from wpec import cli, verifier
 from wpec.cli import main
-from wpec.codes import LOGICAL23, N23, N49, golay_syndrome
+from wpec.codes import GOLAY_ROWS, LOGICAL23, N23, N49, golay_syndrome
 from wpec.decoder import build_correction_table
 from wpec.pauli import PauliOp
 from wpec.protocol import OutcomeBundle, run_until_stable
@@ -75,30 +75,60 @@ def _golay_corrections(ct):
     )
 
 
-def _reference_golay_sweep(correction):
-    # the per-error sweep: every one of the 2^23 errors decoded in one
-    # whole-array pass
+def _reference_golay_keys():
+    # every one of the 2^23 errors e, its syndrome and its class key
+    # golay_syndrome(e) | (weight of e & 1) << 11, as whole arrays
     synd = np.zeros(1, dtype=np.uint16)  # synd[e] = golay_syndrome(e)
     for b in range(N23):
         synd = np.concatenate([synd, synd ^ np.uint16(golay_syndrome(1 << b))])
     e = np.arange(1 << N23, dtype=np.uint32)
     parity = (np.bitwise_count(e) & 1).astype(np.uint16)
-    residual = e ^ correction[synd | parity << 11]
+    return e, synd, synd | parity << 11
+
+
+def _reference_golay_sweep(correction):
+    # the per-error sweep: every one of the 2^23 errors decoded in one
+    # whole-array pass
+    e, synd, keys = _reference_golay_keys()
+    residual = e ^ correction[keys]
     zero_synd = int(np.count_nonzero(synd == 0))
     odd = int(np.count_nonzero(np.bitwise_count(residual) & 1))
     off = int(np.count_nonzero(synd[residual]))
     return zero_synd, odd, off
 
 
-def test_golay_sweep_matches_whole_array_reference(monkeypatch):
+def test_golay_sweep_matches_whole_array_reference():
     ct = build_correction_table()
     counts = cli._golay_sweep(ct)
     assert counts == _reference_golay_sweep(_golay_corrections(ct)) == (4096, 0, 0)
-    checks = cli._golay_checks()
-    for low in (10, 19):
-        monkeypatch.setattr(cli, "_GOLAY_LOW_BITS", low)
-        assert cli._golay_sweep(ct) == counts, low
-        assert cli._golay_checks() == checks, low
+
+
+def test_golay_class_sizes_match_the_key_histogram():
+    # the fibres of the linear key map against a count of all 2^23 keys
+    keys = _reference_golay_keys()[2]
+    sizes = cli._golay_class_sizes()
+    assert sizes == np.bincount(keys, minlength=4096).tolist()
+    assert sizes == [2048] * 4096
+
+
+@pytest.mark.parametrize(
+    "patch, failed",
+    [
+        (("GOLAY_ROWS", GOLAY_ROWS[:10] + GOLAY_ROWS[9:10]),
+         "FAIL stabilizer span size: 1024 distinct elements from 11 generators"),
+        (("GOLAY_ROWS", GOLAY_ROWS[:10] + (1,)),
+         "FAIL all 2048 stabilizers even weight: no odd element"),
+        (("LOGICAL23", LOGICAL23 ^ 1),
+         "FAIL all 2048 logical-coset elements odd weight: no even element"),
+    ],
+    ids=["repeated-row", "odd-row", "even-logical"],
+)
+def test_golay_span_checks_fail_on_a_bad_code(patch, failed, monkeypatch, capsys):
+    # the suite reads the rows and the logical through cli's own names;
+    # the syndromes, the leaders and the sweep keep the true code
+    monkeypatch.setattr(cli, *patch)
+    assert main(["verify-claims", "--code", "golay"]) == 1
+    assert failed in capsys.readouterr().out.splitlines()
 
 
 def test_golay_soundness_fails_on_a_corrupt_leader(monkeypatch, capsys):
@@ -531,7 +561,7 @@ def test_each_subcommand_loads_only_its_modules(command, tmp_path):
     assert "wpec.cli" in loaded
     assert ("wpec.protocol" in loaded) == decode
     assert ("wpec.verifier" in loaded) == table_work
-    assert ("numpy" in loaded) == (table_work or command.endswith("golay"))
+    assert ("numpy" in loaded) == table_work
     assert ("json" in loaded) == command.endswith("json-lines")
     assert "numpy.ma" not in loaded
 
