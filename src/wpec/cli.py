@@ -36,7 +36,9 @@ from .codes import (
     golay_syndrome,
     golay_z_stabilizers,
     min_coset_weight,
+    span,
     syndrome7,
+    xor_table,
 )
 from .decoder import (
     CorrectionTable,
@@ -204,12 +206,10 @@ def _golay_checks() -> list[CheckResult]:
     weight<=3 leader table, and decoding soundness over all 2^23 Z
     masks (counted by syndrome and weight-parity class)."""
     out = []
-    span = [0]
-    for g in GOLAY_ROWS:
-        span += [x ^ g for x in span]
-    stab_even = not any(x.bit_count() & 1 for x in span)
-    logical_odd = all((x ^ LOGICAL23).bit_count() & 1 for x in span)
-    elements = set(span)
+    table = xor_table(GOLAY_ROWS)  # the 2^11 subset XORs, repeats kept
+    stab_even = not any(x.bit_count() & 1 for x in table)
+    logical_odd = all((x ^ LOGICAL23).bit_count() & 1 for x in table)
+    elements = set(table)
     distinct = len(elements)
     out.append(
         CheckResult(
@@ -274,11 +274,7 @@ def _golay_class_sizes() -> list[int]:
     The key map is GF(2)-linear, so its image is the span of the 23
     unit keys, and each key of the image is reached by 2^23 / |image|
     errors (a fibre of the map); every other key by none."""
-    image = [0]
-    for q in range(N23):
-        key = golay_syndrome(1 << q) | 1 << 11
-        if key not in image:
-            image += [k ^ key for k in image]
+    image = span(golay_syndrome(1 << q) | 1 << 11 for q in range(N23))
     sizes = [0] * 4096
     for k in image:
         sizes[k] = (1 << N23) // len(image)

@@ -15,11 +15,17 @@ Syndrome bit conventions:
   syndrome of that parity vector.  All of them are computed on whole
   49-bit words, with no per-subblock function call.
 * Golay code: 11 bits, bit i against row i+1 of the circulant.
+
+Syndromes and weight parities are GF(2)-linear in the error, so the
+package tabulates every such map with one builder, ``xor_table`` (entry
+e is the XOR of the unit images of the bits set in e), and takes spans
+of generators with ``span``.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterable
 
 from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, parity
 
@@ -31,15 +37,27 @@ GEN7 = (0b0011101, 0b0111010, 0b1110100)
 LOGICAL7 = MASK7  # Z (or X) on every qubit
 
 
-def _span(gens: tuple[int, ...]) -> tuple[int, ...]:
+def xor_table(units: Iterable[int]) -> list[int]:
+    """A GF(2)-linear map as a table of 2^len(units) entries: entry e is
+    the XOR of the i-th unit over the bits i set in e."""
+    table = [0]
+    for u in units:  # entries with this bit set: those without, XOR u
+        table += [t ^ u for t in table]
+    return table
+
+
+def span(gens: Iterable[int]) -> frozenset[int]:
+    """Every XOR of a subset of ``gens``, doubling only on a generator
+    not already in the span."""
     out = {0}
     for g in gens:
-        out |= {x ^ g for x in out}
-    return tuple(sorted(out))
+        if g not in out:
+            out |= {x ^ g for x in out}
+    return frozenset(out)
 
 
 #: The eight Z-type (equally X-type) stabilizer support masks, ascending.
-STAB7 = _span(GEN7)
+STAB7 = tuple(sorted(span(GEN7)))
 STAB7_SET = frozenset(STAB7)
 
 #: syndrome7 as a 128-entry lookup: bit i = overlap parity with GEN7[i].
@@ -191,16 +209,11 @@ GOLAY_ROWS = tuple(GOLAY_ROW1 << i for i in range(11))
 @functools.cache
 def _golay_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``golay_syndrome`` as two tables, over the low 12 and the high 11
-    bits of a mask: entry e is the XOR of the syndromes of the qubits set
-    in e (the syndrome is linear).  Built on first use."""
-    tables = []
-    for bits in (range(12), range(12, N23)):
-        table = [0]
-        for q in bits:  # entries with q set: those without, XOR q's
-            unit = sum((row >> q & 1) << i for i, row in enumerate(GOLAY_ROWS))
-            table += [t ^ unit for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    bits of a mask: the ``xor_table`` of those qubits' unit syndromes
+    (the syndrome is linear).  Built on first use."""
+    units = [sum((row >> q & 1) << i for i, row in enumerate(GOLAY_ROWS))
+             for q in range(N23)]
+    return tuple(xor_table(units[:12])), tuple(xor_table(units[12:]))
 
 
 def golay_syndrome(mask: int) -> int:
@@ -213,4 +226,4 @@ def golay_syndrome(mask: int) -> int:
 @functools.cache
 def golay_z_stabilizers() -> frozenset[int]:
     """All 2^11 support masks in the span of the Golay rows."""
-    return frozenset(_span(GOLAY_ROWS))
+    return span(GOLAY_ROWS)

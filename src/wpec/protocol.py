@@ -58,6 +58,7 @@ from .codes import (
     level2_syndrome,
     syndrome7,
     tau_from_syndrome,
+    xor_table,
 )
 from .decoder import LOGICAL_REP7, build_correction_table, wpec_steane
 from .pauli import PAULI_BITS, PauliOp, format_bits, identity, parse_bits
@@ -181,7 +182,9 @@ class ScheduledFault(NamedTuple):
                                           before the given phase (0..3)
       flag <side> <bit>                   flip of one cumulative flag bit
                                           (side x = flags raised by the
-                                          Z-family circuits)
+                                          Z-family circuits), also on a
+                                          flagless family, where no
+                                          circuit can raise it
       meas <field> <bit>                  flip of one outcome bit this
                                           round; field in sx, sz, s2x, s2z
     """
@@ -293,16 +296,12 @@ _CHUNK = 11  # bits of the data word dx | dz << 49 that one table read takes
 @functools.lru_cache(maxsize=1)
 def _read_chunks() -> tuple[tuple[int, ...], ...]:
     """``_phase_reads`` as 9 tables over 11-bit chunks of the data word:
-    entry [c][e] is the XOR of the unit reads of the bits set in e, the
-    Z family reading the X part, the X family the Z part."""
+    the ``xor_table`` of the chunk's unit reads, the Z family reading the
+    X part, the X family the Z part.  The last chunk has 10 bits."""
     units = [level2_syndrome(1 << q) << s2 | level1_syndrome(1 << q) << s1
              for s2, s1 in ((_S2Z, _SZ), (_S2X, _SX)) for q in range(N49)]
-    units = np.array(units + [0] * (-2 * N49 % _CHUNK), dtype=np.uint64)
-    units = units.reshape(-1, _CHUNK)
-    tables = np.zeros((len(units), 1), dtype=np.uint64)
-    for j in range(_CHUNK):  # entries with bit j set: those without it, XOR unit j
-        tables = np.hstack([tables, tables ^ units[:, j:j + 1]])
-    return tuple(map(tuple, tables.tolist()))
+    return tuple(tuple(xor_table(units[lo:lo + _CHUNK]))
+                 for lo in range(0, len(units), _CHUNK))
 
 
 def _phase_reads(dx: int, dz: int) -> int:

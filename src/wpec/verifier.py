@@ -71,6 +71,7 @@ from .codes import (
     min_coset_weight,
     syndrome7,
     tau_from_syndrome,
+    xor_table,
 )
 from .pauli import PauliOp, format_bits, render_text
 
@@ -167,7 +168,7 @@ class FaultModel(NamedTuple):
     def signature_pool(self) -> np.ndarray:
         """Distinct nonzero signatures over every atom in the model."""
         sigs = np.array([a.signature for a in self.all_atoms()], dtype=np.uint64)
-        sigs = _sorted_unique(sigs)
+        sigs = _unique_sorted(np.sort(sigs))
         return sigs[sigs != 0]
 
 
@@ -305,38 +306,27 @@ def combination_counts(
 _XOR_CHUNK = 1 << 18
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (sort + adjacent diff; numpy 2's
-    ``np.unique`` hashes instead, which is ~10x slower on uint64)."""
-    return _unique_sorted(np.sort(a))
-
-
 def _unique_sorted(a: np.ndarray) -> np.ndarray:
-    """Distinct values of a sorted array, by adjacent diff."""
+    """Distinct values of a sorted array, by adjacent diff (numpy 2's
+    ``np.unique`` hashes instead, which is ~10x slower on uint64)."""
     keep = np.ones(len(a), dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
 
 
-def _unique_rows(
-    cols: tuple[np.ndarray, ...] | list[np.ndarray], *, consume: bool = False
-) -> tuple[np.ndarray, ...]:
+def _unique_rows(cols: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Distinct rows of one or two uint64 columns, sorted by the columns
     in order.  Two columns (49-bit masks, 21-bit flags) become one sort
     key, mask << 15 | the flag's rank among the distinct flags, so both
     cases are a plain sort + adjacent diff (a lexsort is ~3x slower).
 
-    The columns are left as they are, unless ``consume``: then ``cols``
-    is a list of arrays the caller gives up.  It is emptied, the masks'
-    buffer becomes the sort key, and the raw flags are freed before the
-    distinct rows are copied out."""
+    ``cols`` is a list of arrays the caller gives up.  It is emptied,
+    the masks' buffer becomes the sort key, and the raw flags are freed
+    before the distinct rows are copied out."""
     if len(cols) == 1:
-        return (_sorted_unique(cols[0]),)
+        return (_unique_sorted(np.sort(cols.pop())),)
     m, f = cols
-    if consume:
-        cols.clear()  # m and f now hold the last references
-    else:
-        m = m.copy()
+    cols.clear()  # m and f now hold the last references
     # validated before any flag indexes the rank table
     if len(m) and (int(m.max()) >> 49 or int(f.max()) >> 21):
         raise ValueError(
@@ -384,7 +374,6 @@ class _EffectSets:
     def __init__(self, cols: tuple[np.ndarray, ...]) -> None:
         self.pool = cols
         self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
-        self._syndromes: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def _pairs(self):
@@ -447,15 +436,8 @@ class _EffectSets:
         order; memoized per v."""
         if v not in self._up_to:
             exact = list(self._exact(range(v, -1, -2)))  # fresh: packed in place
-            self._up_to[v] = _unique_rows(exact, consume=True)
+            self._up_to[v] = _unique_rows(exact)
         return self._up_to[v]
-
-    def syndromes(self, v: int) -> np.ndarray:
-        """Level-1 syndromes of the masks (first column) of ``up_to(v)``;
-        memoized per v."""
-        if v not in self._syndromes:
-            self._syndromes[v] = _level1_syndrome_vec(self.up_to(v)[0])
-        return self._syndromes[v]
 
     def first(self, target: tuple[int, ...], sizes) -> tuple[int, ...] | None:
         """The lexicographically first tuple of distinct row indices whose
@@ -605,7 +587,7 @@ class LookupTable:
         # in place: a second full-width temporary would set the table jobs' peak
         d >>= np.uint64(_CELL)
         bad = np.flatnonzero(d == 0)
-        return _sorted_unique(self.keys[bad] >> np.uint64(_CELL))
+        return _unique_sorted(np.sort(self.keys[bad] >> np.uint64(_CELL)))
 
     def group_tags(self) -> tuple[str, ...]:
         """'1' uniform parity, '2' disambiguated by (s, f), '!' violated."""
@@ -973,17 +955,14 @@ _SYNDROME_CHUNKS = ((0, 13), (13, 12), (25, 12), (37, 12))
 
 @functools.lru_cache(maxsize=1)
 def _syndrome_tables() -> tuple[np.ndarray, ...]:
-    """``level1_syndrome`` as one table per chunk of a mask: entry [c][e]
-    is the XOR of the syndromes of the qubits set in e (the syndrome is
-    linear).  Built on first use."""
-    tables = []
-    for lo, width in _SYNDROME_CHUNKS:
-        table = np.zeros(1, dtype=np.uint64)
-        for q in range(lo, lo + width):  # entries with q set: those without, XOR q's
-            unit = np.uint64(level1_syndrome(1 << q))
-            table = np.concatenate([table, table ^ unit])
-        tables.append(table)
-    return tuple(tables)
+    """``level1_syndrome`` as one table per chunk of a mask: the
+    ``xor_table`` of the chunk's unit syndromes (the syndrome is linear).
+    Built on first use."""
+    return tuple(
+        np.array(xor_table(level1_syndrome(1 << q) for q in range(lo, lo + width)),
+                 dtype=np.uint64)
+        for lo, width in _SYNDROME_CHUNKS
+    )
 
 
 def _level1_syndrome_vec(masks: np.ndarray) -> np.ndarray:
@@ -1062,7 +1041,7 @@ def _atom_columns(atoms: tuple[FaultAtom, ...]) -> tuple[np.ndarray, np.ndarray]
 
 def _atom_effect_sets(atoms: tuple[FaultAtom, ...]) -> _EffectSets:
     """The effect sets of a pool of Z-side atoms, over its distinct rows."""
-    return _EffectSets(_unique_rows(_atom_columns(atoms)))
+    return _EffectSets(_unique_rows(list(_atom_columns(atoms))))
 
 
 def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
@@ -1109,15 +1088,15 @@ def _early_survivors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Early (G1a x G2) effects whose sigma fits the flip budget, in
     cross-product order.  The level-1 syndrome is linear, so the cross
-    product's syndromes are XORs of the pools' memoized syndromes,
-    formed about _XOR_CHUNK at a time.  With v_w = v_s = 0 sigma fits
-    only a zero syndrome, so the survivors are the pairs of equal
-    syndromes, which ``_syndrome_join`` finds without the cross product."""
+    product's syndromes are XORs of the pools' syndromes, formed about
+    _XOR_CHUNK at a time.  With v_w = v_s = 0 sigma fits only a zero
+    syndrome, so the survivors are the pairs of equal syndromes, which
+    ``_syndrome_join`` finds without the cross product."""
     (g1m, g1f), (g2m, g2f) = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
     if fnc.v_w == fnc.v_s == 0:
         i1, i2 = _syndrome_join(g1, fnc.v_g1a, g2, fnc.v_g2)
     else:
-        g1s, g2s = g1.syndromes(fnc.v_g1a), g2.syndromes(fnc.v_g2)
+        g1s, g2s = _level1_syndrome_vec(g1m), _level1_syndrome_vec(g2m)
         n2 = len(g2s)
         step = max(1, _XOR_CHUNK // n2)
         keep = []
@@ -1138,8 +1117,8 @@ def _syndrome_join(
     A one-row side (``up_to(0)``) makes it a filter over the other side,
     whose syndromes are formed _XOR_CHUNK rows at a time and never held
     whole.  Otherwise both sides are short (at most ``up_to(2)``): the
-    second side's memoized syndromes are sorted, stably, and each row of
-    the first finds its run of equal ones by binary search."""
+    second side's syndromes are sorted, stably, and each row of the
+    first finds its run of equal ones by binary search."""
     m1, m2 = g1.up_to(v1)[0], g2.up_to(v2)[0]
     if len(m1) == 1 or len(m2) == 1:
         one, other = (m1, m2) if len(m1) == 1 else (m2, m1)
@@ -1152,7 +1131,7 @@ def _syndrome_join(
         ])
         zero = np.zeros_like(hit)
         return (zero, hit) if len(m1) == 1 else (hit, zero)
-    s1, s2 = g1.syndromes(v1), g2.syndromes(v2)
+    s1, s2 = _level1_syndrome_vec(m1), _level1_syndrome_vec(m2)
     order = np.argsort(s2, kind="stable")
     s2 = s2[order]
     lo = np.searchsorted(s2, s1, side="left")

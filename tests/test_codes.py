@@ -35,8 +35,10 @@ from wpec.codes import (
     level2_syndrome,
     min_coset_rep,
     min_coset_weight,
+    span,
     syndrome7,
     tau_from_syndrome,
+    xor_table,
 )
 from wpec.pauli import PauliOp
 
@@ -51,6 +53,54 @@ CODES = {
     "concat49": (N49, LEVEL1_GENS + LEVEL2_GENS, LOGICAL49),
     "golay": (N23, GOLAY_ROWS, LOGICAL23),
 }
+
+
+# --- GF(2) table builder -----------------------------------------------------
+
+
+def _seeded_unit_lists():
+    """Unit lists of every length 0..12: seeded 30-bit values drawn from a
+    short pool, so many lists repeat a unit or hold a dependent one."""
+    rng = random.Random(2006)
+    for n in range(13):
+        pool = [rng.getrandbits(30) for _ in range(8)]
+        pool += [pool[0] ^ pool[1], 0]
+        for _ in range(3):
+            yield [rng.choice(pool) for _ in range(n)]
+
+
+def _rank(vectors) -> int:
+    """GF(2) rank by elimination, top bits distinct and descending."""
+    basis = []
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = sorted(basis + [x], reverse=True)
+    return len(basis)
+
+
+def test_xor_table_is_the_xor_over_set_bits():
+    for units in _seeded_unit_lists():
+        table = xor_table(units)
+        assert len(table) == 1 << len(units)
+        for e, entry in enumerate(table):
+            want = 0
+            for i, u in enumerate(units):
+                if e >> i & 1:
+                    want ^= u
+            assert entry == want, (units, e)
+
+
+def test_span_is_the_set_of_the_xor_table():
+    for gens in _seeded_unit_lists():
+        got = span(gens)
+        assert got == set(xor_table(gens)), gens
+        assert len(got) == 1 << _rank(gens), gens
+    # a repeated row adds nothing
+    golay = span(GOLAY_ROWS + GOLAY_ROWS[4:5])
+    assert len(golay) == 2048
+    assert golay == golay_z_stabilizers()
 
 
 # --- 7-qubit code ------------------------------------------------------------

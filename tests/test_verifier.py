@@ -231,7 +231,7 @@ def test_build_matches_three_sort_reference(flagged, interleaved):
     sets = v._EffectSets((pool,))
     for m in (1, 2, 3):
         (at_max,), (below_max,) = sets.up_to(m), sets.up_to(m - 1)
-        sigs = v._sorted_unique(np.concatenate([at_max, below_max]))
+        sigs = v._unique_sorted(np.sort(np.concatenate([at_max, below_max])))
         table = build_lookup_table(m, flagged=flagged, interleaved=interleaved)
         assert table.keys.dtype == np.uint64
         assert np.array_equal(table.keys, _reference_keys_from_sigs(sigs)), m
@@ -926,9 +926,7 @@ def test_effect_sets_match_pure_python(pool):
         m, f = sets.up_to(n)
         assert _strictly_increasing(m, f), (pool, n)
         assert set(zip(m.tolist(), f.tolist())) == expected[n], (pool, n)
-        s = sets.syndromes(n)
-        assert s.tolist()[:500] == [level1_syndrome(x) for x in m.tolist()[:500]]
-        assert sets.up_to(n)[0] is m and sets.syndromes(n) is s
+        assert sets.up_to(n)[0] is m
 
 
 def test_late_effects_are_early_effects_with_shifted_flags():
@@ -1312,16 +1310,18 @@ def test_unique_rows_matches_lexsort_reference():
         sets = v._EffectSets(v._atom_columns(atoms))
         for k in (2, 3):
             m, f = sets._exact((k, k - 2))
-            got = v._unique_rows((m, f))
-            assert all(map(np.array_equal, got, _reference_unique_rows(m, f))), k
+            want = _reference_unique_rows(m, f)
+            got = v._unique_rows([m.copy(), f.copy()])
+            assert all(map(np.array_equal, got, want)), k
     # many repeats, extreme values, and the most distinct flags that pack
     rng = np.random.default_rng(49)
     m = rng.choice(np.array([0, 1, LOGICAL49], dtype=np.uint64), size=3 << 15)
     f = rng.permutation(1 << 21)[: 1 << 15].astype(np.uint64)
     f[:2] = (0, (1 << 21) - 1)
     f = np.concatenate([f, f, f])
-    got = v._unique_rows((m, f))
-    assert all(map(np.array_equal, got, _reference_unique_rows(m, f)))
+    want = _reference_unique_rows(m, f)
+    got = v._unique_rows([m.copy(), f.copy()])
+    assert all(map(np.array_equal, got, want))
 
 
 @pytest.mark.parametrize(
@@ -1333,7 +1333,7 @@ def test_unique_rows_matches_lexsort_reference():
     ],
 )
 def test_unique_rows_rejects_rows_it_cannot_pack(m, f):
-    cols = (np.array(m, dtype=np.uint64), np.array(list(f), dtype=np.uint64))
+    cols = [np.array(m, dtype=np.uint64), np.array(list(f), dtype=np.uint64)]
     with pytest.raises(ValueError, match="49-bit masks"):
         v._unique_rows(cols)
 
