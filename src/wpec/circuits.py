@@ -73,10 +73,6 @@ class ExtractionCircuit(NamedTuple):
     gates: tuple[int, ...]
     flag_bit: int | None = None
 
-    @property
-    def cnot_order(self) -> tuple[int, ...]:
-        return tuple(q for q in self.gates if q != _FLAG)
-
 
 def _support(mask: int) -> list[int]:
     return [q for q in range(N49) if (mask >> q) & 1]

@@ -223,7 +223,6 @@ def golay_syndrome(mask: int) -> int:
     return lo[mask & 4095] ^ hi[mask >> 12 & 2047]
 
 
-@functools.cache
 def golay_z_stabilizers() -> frozenset[int]:
     """All 2^11 support masks in the span of the Golay rows."""
     return span(GOLAY_ROWS)

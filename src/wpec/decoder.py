@@ -47,7 +47,7 @@ class LogicalClass(enum.Enum):
 def classify_logical(m: PauliOp) -> LogicalClass:
     """Logical action of a Z-type operator in the centralizer: the
     weight parity decides (even = identity, odd = logical Z)."""
-    if not m.is_z_type() or m.n != N7:
+    if m.x_bits or m.n != N7:
         raise ValueError("expected a Z-type 7-qubit operator")
     if syndrome7(m.z_bits):
         raise ValueError("operator anticommutes with a check; no logical class")

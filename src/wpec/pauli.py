@@ -2,15 +2,15 @@
 
 Every operator is a pair of packed bit masks (x_bits, z_bits) over n qubits.
 Phases are deliberately not tracked: syndromes, weight parities and logical
-classes are all phase-blind, and dropping phases keeps multiplication a pair
-of XORs.
+classes are all phase-blind.  ``PauliOp`` validates, carries and prints the
+masks; the package's algebra (products, syndromes, parities, commutation)
+runs on the masks themselves, as XORs and ANDs of ints.
 
 Conventions used across the whole package:
 
 * Qubit k (1-based, the k-th character of a Pauli string) lives at bit k-1
   of the masks.  So ``ZIIIIII`` has z_bits == 1.
 * Y means both the x bit and the z bit are set; it counts once for weight.
-* Operators of different length never interoperate; mixing lengths raises.
 * Blocks: a 49-qubit register is read as seven 7-qubit subblocks, subblock
   b (0-based) occupying bits 7b .. 7b+6.
 * Records are ``typing.NamedTuple`` classes: immutable values that are
@@ -39,7 +39,8 @@ class _PauliFields(NamedTuple):
 
 class PauliOp(_PauliFields):
     """An n-qubit Pauli operator, phases ignored: an immutable value,
-    equal and hashed by (n, x_bits, z_bits)."""
+    equal and hashed by (n, x_bits, z_bits), that validates, carries and
+    prints its masks.  Algebra on operators is done on the masks."""
 
     __slots__ = ()
 
@@ -74,35 +75,11 @@ class PauliOp(_PauliFields):
     def x_op(cls, n: int, mask: int) -> "PauliOp":
         return cls(n, mask, 0)
 
-    # -- basic algebra -----------------------------------------------------
+    # -- weight ------------------------------------------------------------
 
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
         return (self.x_bits | self.z_bits).bit_count()
-
-    def commutes(self, other: "PauliOp") -> bool:
-        """Symplectic inner product == 0 (mod 2), i.e. the two commute."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        a = (self.x_bits & other.z_bits).bit_count()
-        b = (self.z_bits & other.x_bits).bit_count()
-        return ((a + b) & 1) == 0
-
-    def __mul__(self, other: "PauliOp") -> "PauliOp":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return PauliOp(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
-
-    def is_z_type(self) -> bool:
-        return self.x_bits == 0
-
-    # -- block structure ---------------------------------------------------
-
-    def restrict(self, block: int) -> "PauliOp":
-        """The 7-qubit factor living on subblock ``block`` (0..6) of a 49-qubit operator."""
-        _check_block(self.n, block)
-        sh = BLOCK_SIZE * block
-        return PauliOp(BLOCK_SIZE, (self.x_bits >> sh) & MASK7, (self.z_bits >> sh) & MASK7)
 
     # -- text --------------------------------------------------------------
 
@@ -116,14 +93,8 @@ class PauliOp(_PauliFields):
         """Render a 49-qubit operator as seven space-separated subblock strings."""
         if self.n != N_BLOCKS * BLOCK_SIZE:
             raise ValueError("block_form expects a 49-qubit operator")
-        return " ".join(str(self.restrict(b)) for b in range(N_BLOCKS))
-
-
-def _check_block(n: int, block: int) -> None:
-    if n % BLOCK_SIZE != 0:
-        raise ValueError(f"operator length {n} is not a whole number of subblocks")
-    if not 0 <= block < n // BLOCK_SIZE:
-        raise ValueError(f"block {block} out of range for n={n}")
+        text = str(self)
+        return " ".join(text[i : i + BLOCK_SIZE] for i in range(0, self.n, BLOCK_SIZE))
 
 
 def identity(n: int) -> PauliOp:

@@ -88,10 +88,10 @@ class OutcomeBundle(NamedTuple):
     s_x/s_z are the 21 first-level outcomes per side, stilde the 3
     second-level outcomes, and f the flag vector accumulated (mod 2)
     since the first round; tau, the per-subblock nontriviality vector,
-    is a property computed from s.  The x-labeled fields feed the
-    Z-error decode: they flip under Z errors on data.  f_x collects the
-    flags of the Z-family circuits, which catch dangerous Z spread onto
-    data.
+    is a property computed from s_x and s_z.  The x-labeled fields feed
+    the Z-error decode: they flip under Z errors on data.  f_x collects
+    the flags of the Z-family circuits, which catch dangerous Z spread
+    onto data.
     """
 
     s_x: int = 0
@@ -100,10 +100,6 @@ class OutcomeBundle(NamedTuple):
     stilde_z: int = 0
     f_x: int = 0
     f_z: int = 0
-
-    @property
-    def s(self) -> int:
-        return self.s_x | (self.s_z << 21)
 
     @property
     def stilde(self) -> int:

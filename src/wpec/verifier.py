@@ -818,8 +818,9 @@ def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Repor
 # Final-round scan (relaxed conditions and post-analysis)
 
 
-def sigma(error: PauliOp | int, v_w: int) -> int:
-    """Sum of the 7 - v_w smallest per-block syndrome Hamming weights.
+def sigma(mask: int, v_w: int) -> int:
+    """Sum of the 7 - v_w smallest per-block level-1 syndrome Hamming
+    weights of the Z error ``mask`` (a 49-bit int).
 
     Wait errors can hide the syndromes of at most v_w subblocks, so only
     the smallest weights of the remaining blocks are charged against the
@@ -827,12 +828,6 @@ def sigma(error: PauliOp | int, v_w: int) -> int:
     """
     if not 0 <= v_w <= 7:
         raise ValueError(f"v_w must be within 0..7, got {v_w}")
-    if isinstance(error, PauliOp):
-        if error.x_bits:
-            raise ValueError("sigma expects a Z-type operator")
-        mask = error.z_bits
-    else:
-        mask = error
     s = level1_syndrome(mask)
     weights = sorted(((s >> (3 * b)) & 7).bit_count() for b in range(7))
     return sum(weights[: 7 - v_w])
@@ -849,7 +844,7 @@ def relaxed_mark(fc: FaultCombination, max_faults: int = 3) -> bool:
     """
     if fc.error.x_bits or (fc.error_a is not None and fc.error_a.x_bits):
         raise ValueError("relaxed_mark expects Z-type errors")
-    if sigma(fc.early_error, fc.counts.v_w) > fc.counts.v_s:
+    if sigma(fc.early_error.z_bits, fc.counts.v_w) > fc.counts.v_s:
         return False
     if fc.flag.bit_count() > fc.counts.v_f:
         return False
@@ -1157,23 +1152,15 @@ def _scan_number_combination(
     bm, bf = g1.up_to(fnc.v_g1b)
     examined = len(g1.up_to(fnc.v_g1a)[0]) * len(g2.up_to(fnc.v_g2)[0]) * len(bm)
     am, af = _early_survivors(fnc, g1, g2)
-    if len(am) == 0:
-        return [], examined
     keep = np.bitwise_count(bf) <= np.uint64(fnc.v_f)
     bm, bf = bm[keep], bf[keep] << np.uint64(21)
-    if len(bm) == 0:
-        return [], examined
 
     fullm = (am[:, None] ^ bm[None, :]).reshape(-1)
     fullf = (af[:, None] | bf[None, :]).reshape(-1)  # flag halves are disjoint
     keep = np.bitwise_count(fullf) <= np.uint64(fnc.v_f)
-    if not keep.any():
-        return [], examined
     wmin = np.zeros(len(fullm), dtype=np.uint16)
     wmin[keep] = _min_coset_weight_vec(fullm[keep])
     hot = keep & (wmin.astype(np.int64) + fnc.v_w > max_faults)
-    if not hot.any():
-        return [], examined
 
     out = []
     nb = len(bm)

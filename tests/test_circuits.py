@@ -43,22 +43,24 @@ def propagate(c, position, local_error):
 
 def test_level2_interleaved_order():
     # support subblocks 1,3,4,5 visited round-robin, first qubits first
-    assert Z2L.cnot_order[:8] == (0, 14, 21, 28, 1, 15, 22, 29)
-    assert Z2L.cnot_order[-4:] == (6, 20, 27, 34)
-    assert len(Z2L.cnot_order) == 28
+    # an outer circuit has no flag CNOT: its gates are its CNOT order
+    assert Z2L.gates[:8] == (0, 14, 21, 28, 1, 15, 22, 29)
+    assert Z2L.gates[-4:] == (6, 20, 27, 34)
+    assert len(Z2L.gates) == 28
     assert Z2L.flag_bit is None
     assert Z2L.name == "z~1"
 
 
 def test_level2_blockwise_order():
     c = level2_circuits("z", interleaved=False)[0]
-    assert c.cnot_order == tuple(q for q in range(49) if (LEVEL2_GENS[0] >> q) & 1)
+    assert c.gates == tuple(q for q in range(49) if (LEVEL2_GENS[0] >> q) & 1)
     assert c.name == "z~1#"
 
 
 def test_level1_gate_layout():
+    # data CNOTs 0, 2, 3, 4 in ascending order, the flag (-1) after the
+    # first and before the last
     assert Z1.gates == (0, -1, 2, 3, -1, 4)
-    assert Z1.cnot_order == (0, 2, 3, 4)
     assert Z1.flag_bit == 0
     assert Z1.name == "z1"
 
@@ -75,7 +77,7 @@ def test_level1_flag_bit_indexing():
 def test_x_family_construction():
     c = level2_circuits("x")[1]
     assert c.family == "x" and c.name == "x~2"
-    assert c.cnot_order[:4] == (7, 21, 28, 35)  # subblocks 2,4,5,6
+    assert c.gates[:4] == (7, 21, 28, 35)  # subblocks 2,4,5,6
 
 
 # --- fault-free runs ----------------------------------------------------------------
@@ -211,7 +213,7 @@ def test_outer_circuit_fault_catalog_structure():
         assert len(atoms) == 55
         assert all(f.flag == 0 for f in atoms)
         assert all(r.outcome == 0 for r in _z_units(circuit.name))
-        order = circuit.cnot_order
+        order = circuit.gates
         suffixes = set()
         for k in range(28):
             m = 0

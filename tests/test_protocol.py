@@ -117,7 +117,7 @@ def test_flag_fault_changes_f_only():
     assert rounds == 5
     assert log[0] == OutcomeBundle()
     assert log[1].f_x == 1 << 7
-    assert (log[1].s, log[1].stilde, log[1].tau) == (0, 0, 0)
+    assert (log[1].s_x, log[1].s_z, log[1].stilde, log[1].tau) == (0, 0, 0, 0)
     assert log[2] == log[1] == bundle  # cumulative flags persist
 
 
@@ -400,7 +400,7 @@ def test_decode_out_of_table_fallback(table):
         assert rep.z_side.fallback
         assert rep.z_side.parity == 127
         assert rep.z_side.step3_block is not None
-        residual = frame * corr
+        residual = PauliOp(N49, frame.x_bits ^ corr.x_bits, frame.z_bits ^ corr.z_bits)
         for bits in (residual.x_bits, residual.z_bits):  # in the codespace
             assert level1_syndrome(bits) == level2_syndrome(bits) == 0
         # a stabilizer, or a logical at the code distance
@@ -416,7 +416,7 @@ def test_decode_heavy_error_in_table_is_benign(table):
     assert (bundle.stilde_x, bundle.tau_x) == (5, 0)
     corr, rep = decode_with_report(bundle, table)
     assert not rep.fallback_used
-    residual = frame * corr
+    residual = PauliOp(N49, frame.x_bits ^ corr.x_bits, frame.z_bits ^ corr.z_bits)
     for bits in (residual.x_bits, residual.z_bits):  # in the codespace
         assert level1_syndrome(bits) == level2_syndrome(bits) == 0
     assert joint_coset_weight(residual) == (9, 0)

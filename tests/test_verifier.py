@@ -126,8 +126,7 @@ def test_distinct_single_signatures():
     # independent recomputation: per-block syndrome/parity tuples
     seen = set()
     for a in m.all_atoms():
-        op = PauliOp.z_op(49, a.error)
-        blocks = tuple(syndrome7(op.restrict(b).z_bits) for b in range(7))
+        blocks = tuple(syndrome7(a.error >> (7 * b)) for b in range(7))
         par = block_parity(a.error)
         canon = min(par ^ s for s in STAB7)
         key = (blocks, a.flag, canon)
@@ -771,13 +770,10 @@ def test_sigma_examples():
     assert sigma(e, 0) == 3
     assert sigma(e, 1) == 1
     assert sigma(e, 2) == 0
-    assert sigma(PauliOp.z_op(49, e), 1) == 1
     assert sigma(0, 0) == 0
     assert sigma(0, 7) == 0
     with pytest.raises(ValueError):
         sigma(e, 8)
-    with pytest.raises(ValueError):
-        sigma(PauliOp.x_op(49, 1), 0)
 
 
 def test_relaxed_mark_requires_weight():
@@ -788,6 +784,16 @@ def test_relaxed_mark_requires_weight():
         FaultNumberCombination(v_g1a=1), PauliOp.z_op(49, 0), flag=1
     )
     assert not relaxed_mark(flagged)
+
+
+def test_relaxed_mark_rejects_x_type_errors():
+    z, x = PauliOp.z_op(49, 1), PauliOp(49, 1, 1)
+    for fc in (
+        FaultCombination(FaultNumberCombination(v_g2=1), x),  # full error
+        FaultCombination(FaultNumberCombination(v_g2=1), z, error_a=x),  # early
+    ):
+        with pytest.raises(ValueError, match="^relaxed_mark expects Z-type errors$"):
+            relaxed_mark(fc)
 
 
 def test_relaxed_mark_known_example():
@@ -1095,6 +1101,60 @@ def test_marking_of_three_gate_fault_combinations():
     ]
     got = _check_scan_against_unfiltered(fncs, 3)
     assert got == (0, 17_580_853, 26_966)
+
+
+def _pool(*rows):
+    """Synthetic scan pool of (Z mask, flag) rows."""
+    return v._EffectSets(tuple(np.array(c, dtype=np.uint64) for c in zip(*rows)))
+
+
+def _first_empty_stage(fnc, g1, g2, max_faults):
+    """The first stage of ``_scan_number_combination`` that holds no row."""
+    am, af = v._early_survivors(fnc, g1, g2)
+    bm, bf = g1.up_to(fnc.v_g1b)
+    late = np.bitwise_count(bf) <= fnc.v_f
+    fullf = af[:, None] | bf[late][None, :] << np.uint64(21)
+    fits = np.bitwise_count(fullf) <= fnc.v_f
+    fullm = am[:, None] ^ bm[late][None, :]
+    hot = v._min_coset_weight_vec(fullm[fits]).astype(np.int64) + fnc.v_w > max_faults
+    stages = {"early": len(am), "late": late.sum(), "flag": fits.sum(),
+              "hot": hot.sum()}
+    return next(name for name, n in stages.items() if n == 0)
+
+
+@pytest.mark.parametrize(
+    "stage, fnc, pools",
+    [
+        # one data Z in each of two subblocks: sigma 1 > v_s = 0, even
+        # with one wait fault hiding a subblock
+        ("early", FaultNumberCombination(v_g1a=1, v_w=1), ((1 | 1 << 7, 0),)),
+        # every late effect raises a flag, and no flag fault is allowed
+        ("late", FaultNumberCombination(v_g1b=1), ((0, 1),)),
+        # every early survivor raises a flag, and no flag fault is allowed
+        ("flag", FaultNumberCombination(v_g1a=1), ((0, 1),)),
+        # the real pools: no single G2 fault leaves a residual heavier
+        # than the budget
+        ("hot", FaultNumberCombination(v_g2=1), None),
+    ],
+)
+def test_scan_passes_empty_stages_through(stage, fnc, pools):
+    if pools is None:
+        model = fault_model()
+        g1, g2 = v._atom_effect_sets(model.gate1), v._atom_effect_sets(model.gate2)
+    else:
+        g1 = g2 = _pool(*pools)
+    assert _first_empty_stage(fnc, g1, g2, 3) == stage
+    sizes = ((g1, fnc.v_g1a), (g2, fnc.v_g2), (g1, fnc.v_g1b))
+    examined = math.prod(len(g.up_to(k)[0]) for g, k in sizes)
+    assert v._scan_number_combination(fnc, g1, g2, 3) == ([], examined)
+
+
+def test_vector_helpers_take_empty_input():
+    empty = np.zeros(0, dtype=np.uint64)
+    for v_w in range(8):
+        assert v._sigma_from_syndrome(empty, v_w).shape == (0,)
+    assert v._min_coset_weight_vec(empty).shape == (0,)
+    assert v._level1_syndrome_vec(empty).shape == (0,)
 
 
 def test_min_coset_weight_vec_matches_scalar():
