@@ -438,8 +438,8 @@ def cmd_decode(args, fh) -> int:
     record = {
         "correction": str(correction),
         "fallback": report.fallback_used,
-        "z_parity": format_bits(report.z_side.parity, 7),
-        "x_parity": format_bits(report.x_side.parity, 7),
+        "z_parity": format_bits(report.z_parity, 7),
+        "x_parity": format_bits(report.x_parity, 7),
     }
     _write(fh, args.format, [(record["correction"], record)])
     return 0

@@ -47,8 +47,7 @@ class PauliOp(_PauliFields):
     def __new__(cls, n: int, x_bits: int = 0, z_bits: int = 0) -> "PauliOp":
         if n <= 0:
             raise ValueError(f"operator needs at least one qubit, got n={n}")
-        full = (1 << n) - 1
-        if x_bits & ~full or z_bits & ~full:
+        if (x_bits | z_bits) >> n:
             raise ValueError(f"mask exceeds {n} qubits")
         return tuple.__new__(cls, (n, x_bits, z_bits))
 

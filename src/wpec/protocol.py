@@ -15,18 +15,20 @@ names its circuit, so a negative-control trial (``x1#``, ``z~1#``)
 needs only the lookup table of its family.
 ``run_until_stable(input_error, schedule)`` repeats rounds until the
 observation is identical four times in a row (at most 16 rounds for at
-most three faults) and unpacks only that one into an ``OutcomeBundle``;
-a fault-free round after another one, such as every round of the
-fault-free tail but its first, repeats the last observation without
-being simulated.  The final bundle is then decoded in four steps:
-block-parity lookup, the weight-parity corrections of all seven
-subblocks in three table reads (subblocks 0-2 and 3-5 each by 9 inner
-syndrome bits and 3 parities, subblock 6 by 3 and 1), an outer logical
-fix when the lookup missed, and the mirrored X side.  Every table is
-built on first use.  A bundle stores the syndromes s; its triviality
-vector tau is derived from them, never stored.  A residual with zero
-syndromes gets its weights from its parities, any other from a search
-over its stabilizer coset.
+most three faults), unpacks only that one into an ``OutcomeBundle`` and
+returns it with the final state word; a fault-free round after another
+one, such as every round of the fault-free tail but its first, repeats
+the last observation without being simulated.  The final bundle is then
+decoded in four steps: block-parity lookup, the weight-parity
+corrections of all seven subblocks in three table reads (subblocks 0-2
+and 3-5 each by 9 inner syndrome bits and 3 parities, subblock 6 by 3
+and 1), an outer logical fix when the lookup missed, and the mirrored X
+side.  Every table is built on first use.  A bundle stores the
+syndromes s; its triviality vector tau is derived from them, never
+stored.  A trial reads the correction's syndromes once; XORed with the
+frame's reads, which the final word holds, they are the residual's.  A
+residual with zero syndromes gets its weights from its parities, any
+other from a search over its stabilizer coset.
 
 Faults are injected from a declarative schedule so any failing trial is
 replayable from its text form.
@@ -358,14 +360,10 @@ def _effect(f: ScheduledFault) -> int:
     raise ValueError(f"unknown fault kind {f.kind!r}")
 
 
-def _frame(word: int) -> PauliOp:
-    """The data error of a state word."""
-    w = word >> _D_X - _OUT
-    return PauliOp(N49, w & LOGICAL49, w >> N49)
-
-
 # An observation: a round's 48 outcome bits, then the 42 cumulative flags
-# f_x and f_z, as a state word holds them from bit _OUT on.
+# f_x and f_z, as a state word holds them from bit _OUT on.  A state
+# word's own low 48 bits are the reads of its data error (``_phase_reads``).
+_READS = (1 << _OUT) - 1
 _FLAGS = (1 << 42) - 1 << _OUT
 
 
@@ -389,7 +387,7 @@ def run_round(word: int, effect: int) -> tuple[int, int]:
     into the state word, whose flags the observation takes.
     """
     new = word ^ effect >> _OUT
-    return new, (word ^ effect) & (1 << _OUT) - 1 | new & _FLAGS
+    return new, (word ^ effect) & _READS | new & _FLAGS
 
 
 _REPEATS, _MAX_ROUNDS = 4, 16
@@ -397,10 +395,12 @@ _REPEATS, _MAX_ROUNDS = 4, 16
 
 def run_until_stable(
     input_error: PauliOp, schedule=()
-) -> tuple[OutcomeBundle, int, PauliOp]:
+) -> tuple[OutcomeBundle, int, int]:
     """Run rounds from ``input_error`` until the bundle repeats four times
-    in a row: the stable bundle, the number of rounds used and the data
-    error left.
+    in a row: the stable bundle, the number of rounds used and the final
+    state word, whose data error is the frame left (x part from bit
+    ``_D_X - _OUT`` on, z part 49 bits above it) and whose low 48 bits
+    are that frame's reads.
 
     At most three faults can change the bundle at most three times, so
     the loop finishes within 16 rounds; running past that means a bug.
@@ -422,7 +422,7 @@ def run_until_stable(
             streak = streak + 1 if new == obs else 1
             obs = new
         if streak == _REPEATS:
-            return _bundle(obs), rnd + 1, _frame(word)
+            return _bundle(obs), rnd + 1, word
     raise RuntimeError(f"bundle failed to stabilize within {_MAX_ROUNDS} rounds")
 
 
@@ -446,24 +446,27 @@ def _side_tables() -> tuple[tuple[int, ...], ...]:
 _COLUMN_BLOCK = {syndrome7(1 << b): b for b in range(7)}
 
 
-class SideReport(NamedTuple):
-    parity: int
-    fallback: bool
-    step3_block: int | None
-
-
 class DecodeReport(NamedTuple):
-    z_side: SideReport
-    x_side: SideReport
+    """Per side, Z first: the applied block parity, whether the lookup
+    missed and fell back, and the subblock that took the outer logical
+    fix, if any."""
+
+    z_parity: int
+    z_fallback: bool
+    z_step3_block: int | None
+    x_parity: int
+    x_fallback: bool
+    x_step3_block: int | None
 
     @property
     def fallback_used(self) -> bool:
-        return self.z_side.fallback or self.x_side.fallback
+        return self.z_fallback or self.x_fallback
 
 
 def _decode_side(
     s21: int, stilde: int, f21: int, table: LookupTable
-) -> tuple[int, SideReport]:
+) -> tuple[int, int, bool, int | None]:
+    """One side's Z mask, then its three ``DecodeReport`` fields."""
     parity = table.lookup_parity(stilde, s21, f21)
     fallback = parity is None
     if fallback:
@@ -478,7 +481,7 @@ def _decode_side(
     if residue:
         step3 = _COLUMN_BLOCK[residue]
         mask ^= LOGICAL_REP7 << (7 * step3)
-    return mask, SideReport(parity, fallback, step3)
+    return mask, parity, fallback, step3
 
 
 def decode_with_report(
@@ -495,9 +498,9 @@ def decode_with_report(
     observations.
     """
     s_x, s_z, stilde_x, stilde_z, f_x, f_z = bundle
-    zmask, zrep = _decode_side(s_x, stilde_x, f_x, table)
-    xmask, xrep = _decode_side(s_z, stilde_z, f_z, table)
-    return PauliOp(N49, xmask, zmask), DecodeReport(zrep, xrep)
+    zmask, zp, zfb, z3 = _decode_side(s_x, stilde_x, f_x, table)
+    xmask, xp, xfb, x3 = _decode_side(s_z, stilde_z, f_z, table)
+    return PauliOp(N49, xmask, zmask), DecodeReport(zp, zfb, z3, xp, xfb, x3)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +545,12 @@ def joint_coset_weight(op: PauliOp) -> tuple[int, int]:
     op is a stabilizer; normalizer also allows any logical, so it is the
     distance to the nearest codeword-preserving operator.
 
-    An op whose four syndromes (``_phase_reads``) are all zero is in the
-    normalizer and needs no search.  Every stabilizer has even weight and
-    the logicals are all-ones, so op is a stabilizer, (0, 0), when its x
-    and z parts both have even weight, and otherwise a nontrivial logical
-    of the distance-9 code, (9, 0).  Any other op takes both minima of
-    one weight vector, exact over its first 64 rows, whose x and z
-    patterns are both outer stabilizers, and normalizer over all.
+    Both minima come from one weight vector, exact over its first 64
+    rows, whose x and z patterns are both outer stabilizers, and
+    normalizer over all.  ``run_trial`` calls it only for a residual with
+    nonzero syndromes; one with all-zero syndromes it answers itself.
     """
     x, z = op.x_bits, op.z_bits
-    if not _phase_reads(x, z):
-        return (_DISTANCE, 0) if (x.bit_count() | z.bit_count()) & 1 else (0, 0)
     joint, counts = _joint_block_table()
     rows = [(x >> s & 127) << 7 | (z >> s & 127) for s in range(0, N49, 7)]
     w = counts @ joint.take(rows, 0).reshape(28)
@@ -606,29 +604,41 @@ class TrialResult(NamedTuple):
         return "\n".join(lines)
 
 
-def _decode_consistent(bundle: OutcomeBundle, correction: PauliOp) -> bool:
-    """The correction must cancel exactly the measured syndromes, so a
-    data error faithfully reflected by the bundle returns to the
-    codespace.  (The true error can still drift from the bundle when a
-    fault lands after its last measurement of the final rounds; that
-    drift is what condition 2 bounds.)"""
-    b = bundle
-    return _phase_reads(correction.x_bits, correction.z_bits) == (
-        b.stilde_z << _S2Z | b.stilde_x << _S2X | b.s_z << _SZ | b.s_x << _SX)
-
-
 def run_trial(trial: Trial, table: LookupTable) -> TrialResult:
-    bundle, rounds_used, out = run_until_stable(trial.input_error, trial.schedule)
+    """Run, decode and classify one trial, reading the correction's
+    syndromes once.
+
+    The decode is consistent when the correction cancels exactly the
+    measured syndromes, so a data error faithfully reflected by the
+    bundle returns to the codespace.  (The true error can still drift
+    from the bundle when a fault lands after its last measurement of the
+    final rounds; condition 2 bounds that drift.)  The correction's
+    reads XOR the frame's, the final word's low bits, are the residual's
+    syndromes; only nonzero ones go to ``joint_coset_weight``'s search.
+    A residual with zero syndromes is in the normalizer.  Every
+    stabilizer has even weight and the logicals are all-ones, so it is a
+    stabilizer, (0, 0), when its x and z parts both have even weight,
+    and otherwise a nontrivial logical of the distance-9 code, (9, 0).
+    """
+    bundle, rounds_used, word = run_until_stable(trial.input_error, trial.schedule)
     correction, report = decode_with_report(bundle, table)
-    residual = PauliOp(
-        N49, out.x_bits ^ correction.x_bits, out.z_bits ^ correction.z_bits
-    )
+    _, cx, cz = correction
+    reads = _phase_reads(cx, cz)
+    s_x, s_z, stilde_x, stilde_z, _, _ = bundle
+    consistent = reads == stilde_z << _S2Z | stilde_x << _S2X | s_z << _SZ | s_x << _SX
+    data = word >> _D_X - _OUT
+    rx, rz = data & LOGICAL49 ^ cx, data >> N49 ^ cz
+    residual = PauliOp(N49, rx, rz)
+    if reads != word & _READS:
+        w_exact, w_norm = joint_coset_weight(residual)
+    elif (rx.bit_count() | rz.bit_count()) & 1:
+        w_exact, w_norm = _DISTANCE, 0
+    else:
+        w_exact = w_norm = 0
     v1 = trial.input_error.weight()
     v2 = sum(f.round < rounds_used for f in trial.schedule)
-    w_exact, w_norm = joint_coset_weight(residual)
     cond1 = (w_exact == w_norm) if v1 + v2 <= T else None
     cond2 = (w_norm <= v2) if v2 <= T else None
-    consistent = _decode_consistent(bundle, correction)
     return TrialResult(trial, rounds_used, bundle, correction, residual, v1, v2,
                        consistent, report.fallback_used, w_exact, w_norm, cond1, cond2)
 

@@ -52,6 +52,7 @@ and G2 atoms in atom order (equal atoms kept apart) with sizes v, v-2,
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -554,6 +555,12 @@ class LookupTable:
         # partition (key >> _PART) -> its parity, or -1 when mixed; in
         # group order, and of Python ints, so a lookup reads no numpy scalar
         self._parity_of = dict(zip(self._group_high.tolist(), parity.tolist()))
+        # mixed partition -> its records' (start, end), for a bisect over a
+        # zero-copy view of the keys whose items are Python ints
+        mixed = parity < 0
+        self._bounds = dict(zip(self._group_high[mixed].tolist(), zip(
+            starts[mixed].tolist(), self._group_end[mixed].tolist())))
+        self._key_view = memoryview(le)
 
     @property
     def n_records(self) -> int:
@@ -567,18 +574,21 @@ class LookupTable:
         """Block parity for an observation, or None when out of table.
 
         A uniform partition (stilde, tau of s) answers directly.  A mixed
-        one requires an exact (syndrome, flags) match; a miss means the
-        observation cannot come from at most max_faults faults, and the
-        caller falls back to its out-of-table correction path.
+        one requires an exact (syndrome, flags) match, found by a bisect
+        over that partition's records alone; a miss means the observation
+        cannot come from at most max_faults faults, and the caller falls
+        back to its out-of-table correction path.
         """
         part = stilde << (_BIT["stilde"] - _PART) | tau_from_syndrome(s)
         par = self._parity_of.get(part)
         if par is None or par >= 0:  # no such partition, or a uniform one
             return par
+        start, end = self._bounds[part]
         probe = part << _PART | s << _BIT["s"] | f << _BIT["f"]
-        lo = int(np.searchsorted(self.keys, np.uint64(probe)))
-        if lo < len(self.keys) and int(self.keys[lo]) >> _CELL == probe >> _CELL:
-            return int(self.keys[lo]) & (1 << _CELL) - 1
+        keys = self._key_view
+        lo = bisect.bisect_left(keys, probe, start, end)
+        if lo < end and keys[lo] >> _CELL == probe >> _CELL:
+            return keys[lo] & (1 << _CELL) - 1
         return None
 
     def violated_prefixes(self) -> np.ndarray:
@@ -1078,6 +1088,10 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     )
 
 
+# the row indices of an empty selection
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
 def _early_survivors(
     fnc: FaultNumberCombination, g1: _EffectSets, g2: _EffectSets
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1093,8 +1107,8 @@ def _early_survivors(
     else:
         g1s, g2s = _level1_syndrome_vec(g1m), _level1_syndrome_vec(g2m)
         n2 = len(g2s)
-        step = max(1, _XOR_CHUNK // n2)
-        keep = []
+        step = max(1, _XOR_CHUNK // max(n2, 1))
+        keep = [_NO_ROWS]  # an empty pool side makes no chunk or empty ones
         for lo in range(0, len(g1s), step):
             syn = (g1s[lo : lo + step, None] ^ g2s).reshape(-1)
             fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
@@ -1120,10 +1134,10 @@ def _syndrome_join(
         target = _level1_syndrome_vec(one)[0]
         step = _XOR_CHUNK
         # one expression per chunk: no chunk's syndromes outlive its filter
-        hit = np.concatenate([
+        hit = np.concatenate([_NO_ROWS, *(
             lo + np.flatnonzero(_level1_syndrome_vec(other[lo : lo + step]) == target)
             for lo in range(0, len(other), step)
-        ])
+        )])
         zero = np.zeros_like(hit)
         return (zero, hit) if len(m1) == 1 else (hit, zero)
     s1, s2 = _level1_syndrome_vec(m1), _level1_syndrome_vec(m2)

@@ -64,6 +64,12 @@ def _word(dx=0, dz=0, f_x=0, f_z=0) -> int:
             | f_z << protocol._F_Z - protocol._OUT)
 
 
+def _frame(word) -> PauliOp:
+    """The data error of a state word."""
+    d = word >> protocol._D_X - protocol._OUT
+    return PauliOp(N49, d & LOGICAL49, d >> N49)
+
+
 def _linear_round(state, faults):
     """``protocol.run_round`` on a (dx, dz, f_x, f_z) state, its packed
     observation unpacked by ``protocol._bundle``.  The word it returns
@@ -77,7 +83,7 @@ def _linear_round(state, faults):
     # are equal bundles
     assert obs >> 90 == 0
     bundle = protocol._bundle(obs)
-    frame = protocol._frame(word)
+    frame = _frame(word)
     state = (frame.x_bits, frame.z_bits, bundle.f_x, bundle.f_z)
     assert word == _word(*state)
     return state, bundle
@@ -93,10 +99,10 @@ def _round_log(schedule, n, input_error=identity(N49)):
 
 
 def test_clean_run_four_zero_rounds():
-    bundle, rounds, frame = run_until_stable(identity(N49))
+    bundle, rounds, word = run_until_stable(identity(N49))
     assert rounds == 4
     assert bundle == OutcomeBundle()
-    assert frame == identity(N49)
+    assert _frame(word) == identity(N49)
     assert _round_log((), 4) == [OutcomeBundle()] * 4
 
 
@@ -166,9 +172,10 @@ def test_wait_fault_phase_ordering():
 def test_ancilla_fault_mid_circuit_raises_flag_and_spreads():
     # ancilla Z between the two flag couplings of an inner Z circuit
     # flips that circuit's flag and walks onto the last three data qubits
-    bundle, rounds, frame = run_until_stable(
+    bundle, rounds, word = run_until_stable(
         identity(N49), parse_schedule("0 gate z1 1 ZI")
     )
+    frame = _frame(word)
     assert bundle.f_x == 1
     assert bundle.f_z == 0
     c = level1_circuits("z")[0]
@@ -329,7 +336,7 @@ def test_decode_all_zero_is_identity(table):
     corr, rep = decode_with_report(OutcomeBundle(), table)
     assert corr.weight() == 0
     assert not rep.fallback_used
-    assert rep.z_side.step3_block is None
+    assert rep.z_step3_block is None
 
 
 def test_decode_weight_two_pair_exactly(table):
@@ -341,7 +348,7 @@ def test_decode_weight_two_pair_exactly(table):
     assert bundle.tau_x == 1 << 4
     corr, rep = decode_with_report(bundle, table)
     assert corr == e
-    assert rep.z_side.parity == 0
+    assert rep.z_parity == 0
     assert not rep.fallback_used
 
 
@@ -394,12 +401,13 @@ def test_decode_out_of_table_fallback(table):
     assert missing, "every group reachable; fallback untestable"
     for st, tau in missing[:3]:
         e = _witness_for_group(st, tau)
-        bundle, _, frame = run_until_stable(e)
+        bundle, _, word = run_until_stable(e)
+        frame = _frame(word)
         assert (bundle.stilde_x, bundle.tau_x) == (st, tau)
         corr, rep = decode_with_report(bundle, table)
-        assert rep.z_side.fallback
-        assert rep.z_side.parity == 127
-        assert rep.z_side.step3_block is not None
+        assert rep.z_fallback
+        assert rep.z_parity == 127
+        assert rep.z_step3_block is not None
         residual = PauliOp(N49, frame.x_bits ^ corr.x_bits, frame.z_bits ^ corr.z_bits)
         for bits in (residual.x_bits, residual.z_bits):  # in the codespace
             assert level1_syndrome(bits) == level2_syndrome(bits) == 0
@@ -412,7 +420,8 @@ def test_decode_heavy_error_in_table_is_benign(table):
     # stabilizer span: the observation coincides with a three-wait inner
     # logical, so the lookup answers and the residual is a pure logical
     e = PauliOp.z_op(N49, (1 << 28) - 1)
-    bundle, _, frame = run_until_stable(e)
+    bundle, _, word = run_until_stable(e)
+    frame = _frame(word)
     assert (bundle.stilde_x, bundle.tau_x) == (5, 0)
     corr, rep = decode_with_report(bundle, table)
     assert not rep.fallback_used
@@ -546,7 +555,7 @@ def _reference_decode_side(s21, stilde, f21, table):
     if residue:
         step3 = next(b for b in range(7) if syndrome7(1 << b) == residue)
         mask ^= LOGICAL_REP7 << (7 * step3)
-    return mask, protocol.SideReport(parity, fallback, step3)
+    return mask, parity, fallback, step3
 
 
 class _FixedParity:
@@ -587,11 +596,12 @@ def test_decode_with_report_matches_block_loop():
             if k % 2:
                 implied = syndrome7(127 if parity is None else parity)
                 b = b._replace(stilde_x=implied, stilde_z=implied)
-            zmask, zrep = _reference_decode_side(b.s_x, b.stilde_x, b.f_x, table)
-            xmask, xrep = _reference_decode_side(b.s_z, b.stilde_z, b.f_z, table)
+            zmask, *zrep = _reference_decode_side(b.s_x, b.stilde_x, b.f_x, table)
+            xmask, *xrep = _reference_decode_side(b.s_z, b.stilde_z, b.f_z, table)
             assert decode_with_report(b, table) == (
-                PauliOp(N49, xmask, zmask), protocol.DecodeReport(zrep, xrep))
-            step3[zrep.step3_block is not None, zrep.fallback] += 1
+                PauliOp(N49, xmask, zmask), protocol.DecodeReport(*zrep, *xrep))
+            _, fallback, step3_block = zrep
+            step3[step3_block is not None, fallback] += 1
     assert set(step3) == {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -653,10 +663,11 @@ def test_joint_weight_matches_per_block_gather():
 
 
 def test_normalizer_residuals_match_per_block_gather(table):
-    # joint_coset_weight answers a residual with all-zero syndromes without
-    # the search: products of the 24 + 24 generators times each logical
-    # class (x part odd or even, z part likewise), and the residuals of
-    # sampled trials, against the brute-force gather
+    # the coset search on ops with all-zero syndromes, which run_trial
+    # answers by its parity rule instead: products of the 24 + 24
+    # generators times each logical class (x part odd or even, z part
+    # likewise), and the residuals of sampled trials, against the
+    # brute-force gather
     gens = codes.LEVEL1_GENS + codes.LEVEL2_GENS
     assert len(gens) == 24
     rng = random.Random(75)
@@ -696,7 +707,7 @@ def _reference_run_until_stable(input_error, schedule=(), step=_linear_round):
         state, bundle = step(state, [f for f in schedule if f.round == len(log)])
         log.append(bundle)
         if log[-4:] == [bundle] * 4:
-            return bundle, len(log), PauliOp(N49, state[0], state[1])
+            return bundle, len(log), _word(*state)
     raise RuntimeError("bundle failed to stabilize within 16 rounds")
 
 
@@ -751,7 +762,7 @@ def _count_rule_until_stable(input_error, schedule=()):
             state, bundle = _linear_round(state, [f for f in schedule if f.round == rnd])
         log.append(bundle)
         if log[-4:].count(bundle) == 4:
-            return bundle, len(log), PauliOp(N49, state[0], state[1])
+            return bundle, len(log), _word(*state)
     raise RuntimeError("bundle failed to stabilize within 16 rounds")
 
 
@@ -769,7 +780,7 @@ def test_streak_matches_count_rule_on_sampled_schedules():
 def _records(table, trial):
     r = run_trial(trial, table)
     report = decode_with_report(r.bundle, table)[1]
-    return r.bundle, report.z_side, report, r
+    return r.bundle, report, r
 
 
 def test_trial_records_are_immutable_values(table):
@@ -778,26 +789,79 @@ def test_trial_records_are_immutable_values(table):
     )
     first, second = _records(table, trial), _records(table, trial)
     for rec, twin, name in zip(
-        first, second, ("s_x", "parity", "z_side", "rounds_used")
+        first, second, ("s_x", "z_parity", "rounds_used")
     ):
         assert rec is not twin
         assert rec == twin and hash(rec) == hash(twin)
         with pytest.raises(AttributeError):
             setattr(rec, name, getattr(rec, name))
-    bundle, side, report, result = first
+    bundle, report, result = first
     assert (bundle.f, report.fallback_used, result.ok) == (1, False, True)
     assert repr(OutcomeBundle()) == (
         "OutcomeBundle(s_x=0, s_z=0, stilde_x=0, stilde_z=0, f_x=0, f_z=0)"
     )
-    assert repr(side) == "SideReport(parity=5, fallback=False, step3_block=None)"
+    assert repr(report) == (
+        "DecodeReport(z_parity=5, z_fallback=False, z_step3_block=None, "
+        "x_parity=0, x_fallback=False, x_step3_block=None)"
+    )
+
+
+# An X error on data qubit 4 before the last phase of round 3: the checks
+# that see X errors (phases 0 and 2) have run, so round 3 repeats the
+# clean bundle, four clean rounds are stable, and the error stays in the
+# frame unseen.
+_HIDDEN_FINAL_FAULT = "3 wait 4 X 3"
+
+
+def _outcome_bits(bundle):
+    """A bundle's 48 outcome bits, laid out as a state word's reads."""
+    return (bundle.stilde_z << protocol._S2Z | bundle.stilde_x << protocol._S2X
+            | bundle.s_z << protocol._SZ | bundle.s_x << protocol._SX)
+
+
+def test_one_read_verdict_matches_the_old_composition(table):
+    # run_trial reads the correction's syndromes once and takes the
+    # frame's reads from the final state word.  Against what it replaced:
+    # weights from joint_coset_weight of the residual, and consistency
+    # from the correction's reads against the bundle.  The stability
+    # lemma: unless a fault is scheduled in the last round, the stable
+    # bundle's outcome bits are the frame's reads.
+    in_last_round = 0
+    for trial in (*sample_trials(2000, seed=31), *exhaustive_input_trials(3)):
+        r = run_trial(trial, table)
+        bundle, rounds, word = run_until_stable(trial.input_error, trial.schedule)
+        frame, c = _frame(word), r.correction
+        assert (bundle, rounds) == (r.bundle, r.rounds_used)
+        assert r.residual == PauliOp(N49, frame.x_bits ^ c.x_bits, frame.z_bits ^ c.z_bits)
+        assert (r.weight_exact, r.weight_normalizer) == joint_coset_weight(r.residual)
+        assert r.decode_consistent == (
+            protocol._phase_reads(c.x_bits, c.z_bits) == _outcome_bits(bundle))
+        reads = protocol._phase_reads(frame.x_bits, frame.z_bits)
+        assert word & protocol._READS == reads
+        if any(f.round == rounds - 1 for f in trial.schedule):
+            in_last_round += 1
+        else:
+            assert _outcome_bits(bundle) == reads, trial.name
+    assert in_last_round == 35
+
+
+def test_hidden_final_round_fault(table):
+    trial = Trial(identity(N49), parse_schedule(_HIDDEN_FINAL_FAULT))
+    bundle, rounds, word = run_until_stable(trial.input_error, trial.schedule)
+    hidden = PauliOp.x_op(N49, 1 << 3)
+    assert (bundle, rounds, _frame(word)) == (OutcomeBundle(), 4, hidden)
+    assert _outcome_bits(bundle) == 0 != word & protocol._READS
+    r = run_trial(trial, table)
+    assert (r.correction, r.residual, r.decode_consistent) == (identity(N49), hidden, True)
+    assert (r.weight_exact, r.weight_normalizer, r.v1, r.v2, r.ok) == (1, 1, 0, 1, True)
 
 
 def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
-    # the span tracer wraps these names; one trial is one weight call,
-    # one parity lookup per side, one round call per simulated round (the
-    # first, and each with a fault in it or in the round before, even
-    # faults whose effects cancel) and, once the effect tables exist, no
-    # circuit run
+    # the span tracer wraps these names; one trial is one weight call if
+    # its residual has nonzero syndromes (none otherwise), one parity
+    # lookup per side, one round call per simulated round (the first, and
+    # each with a fault in it or in the round before, even faults whose
+    # effects cancel) and, once the effect tables exist, no circuit run
     for name in circuits_by_name():
         protocol._circuit_effects(name)
     protocol._wait_effects()
@@ -821,7 +885,9 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
     monkeypatch.setattr(protocol, "run_round", counting("round", run_round))
     monkeypatch.setattr(circuits, "run_circuit", counting("circuit", run_circuit))
     cancelling = Trial(identity(N49), parse_schedule("1 meas sx 4\n1 meas sx 4"))
-    for trial in (*sample_trials(50, seed=10), cancelling):
+    hidden = Trial(identity(N49), parse_schedule(_HIDDEN_FINAL_FAULT))
+    searched = Counter()
+    for trial in (*sample_trials(50, seed=10), cancelling, hidden):
         calls.clear()
         r = run_trial(trial, table)
         faulty = {f.round for f in trial.schedule}
@@ -829,8 +895,11 @@ def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
             rnd == 0 or rnd in faulty or rnd - 1 in faulty
             for rnd in range(r.rounds_used)
         )
-        want = {"weight": 1, "parity": 2, "round": simulated, "circuit": 0}
+        search = bool(protocol._phase_reads(r.residual.x_bits, r.residual.z_bits))
+        searched[search] += 1
+        want = {"weight": search, "parity": 2, "round": simulated, "circuit": 0}
         assert calls == +Counter(want), trial.name
+    assert searched == {False: 51, True: 1}
 
 
 def test_circuit_effect_table_is_built_once_from_unit_faults(monkeypatch):

@@ -368,6 +368,49 @@ def test_lookup_parity_out_of_table(table3):
     assert table3.lookup_parity(high >> stilde_at, s0, all_flags) is None
 
 
+def _cell_beside(s, f, step):
+    """The (s, f) cell next to (s, f) in key order within its partition,
+    below for step -1 and above for +1, or None at the partition's end.
+    f runs over all 21 bits; s over the syndromes of the same tau, each
+    nontrivial subblock stepping through 1..7, the lowest first."""
+    f += step
+    if 0 <= f < 1 << 21:
+        return s, f
+    f &= (1 << 21) - 1  # wrapped: all ones below, zero above
+    tau = tau_from_syndrome(s)
+    for b in range(7):
+        if tau >> b & 1:
+            d = (s >> 3 * b & 7) + step
+            if 1 <= d <= 7:
+                return s & ~(7 << 3 * b) | d << 3 * b, f
+            s = s & ~(7 << 3 * b) | (7 if step < 0 else 1) << 3 * b
+    return None
+
+
+def test_lookup_parity_reads_group_edges(table3):
+    # The first and last records of every group answer their own parity,
+    # and in a mixed group the cells just outside them answer None: the
+    # read of a mixed group is bounded by that group's start and end.
+    # The budget-3 table's last group is mixed, so one probe lands past
+    # the last key.
+    probed = []
+    for table in (build_lookup_table(1), build_lookup_table(2), table3):
+        keys, tags = table.keys.tolist(), table.group_tags()
+        n = 0
+        bounds = zip(table._group_start.tolist(), table._group_end.tolist())
+        for tag, (lo, hi) in zip(tags, bounds):
+            for key, step in ((keys[lo], -1), (keys[hi - 1], 1)):
+                s, stilde, _, f, p = v._key_fields(key)
+                assert table.lookup_parity(stilde, s, f) == p, hex(key)
+                beside = _cell_beside(s, f, step)
+                if tag != "1" and beside is not None:
+                    assert table.lookup_parity(stilde, *beside) is None, hex(key)
+                    n += 1
+        probed.append(n)
+    assert tags[-1] == "2" and _cell_beside(*v._key_fields(keys[-1])[::3], 1)
+    assert probed == [0, 71, 1276]
+
+
 def test_corrections_return_to_stabilizer(table3):
     ct = build_correction_table()
 
@@ -1135,12 +1178,19 @@ def _first_empty_stage(fnc, g1, g2, max_faults):
         # the real pools: no single G2 fault leaves a residual heavier
         # than the budget
         ("hot", FaultNumberCombination(v_g2=1), None),
+        # a G2 pool with no rows has no G2 effect to pair: through the
+        # sigma filter's chunks, and through the syndrome join
+        ("early", FaultNumberCombination(v_g2=1, v_w=1), "empty-g2"),
+        ("early", FaultNumberCombination(v_g2=1), "empty-g2"),
     ],
 )
 def test_scan_passes_empty_stages_through(stage, fnc, pools):
     if pools is None:
         model = fault_model()
         g1, g2 = v._atom_effect_sets(model.gate1), v._atom_effect_sets(model.gate2)
+    elif pools == "empty-g2":  # the real G1
+        g1 = v._atom_effect_sets(fault_model().gate1)
+        g2 = v._EffectSets((np.zeros(0, dtype=np.uint64),) * 2)
     else:
         g1 = g2 = _pool(*pools)
     assert _first_empty_stage(fnc, g1, g2, 3) == stage
