@@ -155,24 +155,26 @@ class CircuitResult(NamedTuple):
 _ANC, _FLG, _DATA0 = 0, 1, 2
 
 
+_ONE_WIRE = tuple("IXYZ")
+_TWO_WIRE = tuple(a + b for a in "IXYZ" for b in "IXYZ")
+_LOCALS = _ONE_WIRE + _TWO_WIRE
+
+
+def injection_locals(c: ExtractionCircuit, pos: int) -> tuple[str, ...]:
+    """The local errors that position ``pos`` of ``c`` can carry, identity
+    first: a Pauli on each wire it touches, the ancilla and the gate's
+    other wire or, at a boundary, the flag if any; none off the circuit."""
+    if 0 <= pos < len(c.gates):
+        return _TWO_WIRE
+    if pos not in (-1, len(c.gates)):
+        return ()
+    return _ONE_WIRE if c.flag_bit is None else _LOCALS
+
+
 def check_injection(c: ExtractionCircuit, pos: int, local: str) -> None:
-    """Raise ValueError unless ``local`` is a local error that position
-    ``pos`` of ``c`` can carry: one Pauli letter per wire it touches, the
-    ancilla and the gate's other wire mid-circuit, the ancilla and (where
-    there is one) the flag at the boundaries."""
-    n_gates = len(c.gates)
-    if not -1 <= pos <= n_gates:
-        raise ValueError(f"position {pos} out of range for {c.name}")
-    if pos in (-1, n_gates):
-        if len(local) == 2 and c.flag_bit is None:
-            raise ValueError(f"{c.name} has no flag wire")
-        if len(local) not in (1, 2):
-            raise ValueError("boundary faults touch the ancilla and flag only")
-    elif len(local) != 2:
-        raise ValueError("gate faults are two-character local errors")
-    for ch in local:
-        if ch not in PAULI_BITS:
-            raise ValueError(f"bad Pauli character {ch!r}")
+    """Raise ValueError unless ``local`` is in ``injection_locals(c, pos)``."""
+    if local not in injection_locals(c, pos):
+        raise ValueError(f"{c.name} has no local error {local!r} at position {pos}")
 
 
 def run_circuit(
@@ -219,7 +221,7 @@ def run_circuit(
 # the units of a local error: X and Z of the ancilla, then of the other wire
 LOCAL_UNITS = {
     loc: tuple(i for i, b in enumerate(sum(map(PAULI_BITS.get, loc), ())) if b)
-    for loc in (*"XYZ", *(a + b for a in "IXYZ" for b in "IXYZ"))
+    for loc in _LOCALS
 }
 
 
@@ -231,11 +233,10 @@ def unit_results(name: str) -> tuple[tuple[CircuitResult, ...], ...]:
     the zero frame.  Propagation is linear, so a local error's result is
     the XOR of its ``LOCAL_UNITS``."""
     c = circuits_by_name()[name]
-    n, flagged = len(c.gates), c.flag_bit is not None
     return tuple(
         tuple(run_circuit(c, injections=[(pos, local)]) for local in (
-            ("XI", "ZI", "IX", "IZ") if flagged or 0 <= pos < n else "XZ"))
-        for pos in range(-1, n + 1)
+            ("XI", "ZI", "IX", "IZ") if "IX" in injection_locals(c, pos) else "XZ"))
+        for pos in range(-1, len(c.gates) + 1)
     )
 
 

@@ -46,9 +46,9 @@ import numpy as np
 from .circuits import (
     LOCAL_UNITS,
     ROUND_ORDER,
-    check_injection,
     circuit_phases,
     circuits_by_name,
+    injection_locals,
     run_circuit,  # unused; perfbench/tracing.py wraps protocol.run_circuit
     unit_results,
 )
@@ -176,8 +176,8 @@ class ScheduledFault(NamedTuple):
       gate <circuit> <position> <local>   Pauli after a gate of a named
                                           circuit (position -1 and
                                           n_gates are the boundaries)
-      wait <qubit> <P> <phase>            data error on a qubit (1-based)
-                                          before the given phase (0..3)
+      wait <qubit> <P> [<phase>]          data error on a qubit (1-based)
+                                          before phase 0..3 (default 0)
       flag <side> <bit>                   flip of one cumulative flag bit
                                           (side x = flags raised by the
                                           Z-family circuits), also on a
@@ -230,9 +230,8 @@ def parse_fault(line: str) -> ScheduledFault:
         c = circuits_by_name().get(name)
         if c is None:
             raise ValueError(f"unknown circuit {name!r}")
-        check_injection(c, pos, local)
-        if set(local) == {"I"}:
-            raise ValueError(f"identity is not a fault: {line!r}")
+        if not local.strip("I") or local not in injection_locals(c, pos):
+            raise ValueError(f"{name} has no fault {local!r} at position {pos}: {line!r}")
         return ScheduledFault(rnd, "gate", circuit=name, position=pos, local=local)
     if kind == "wait":
         if len(parts) not in (4, 5):
@@ -717,12 +716,14 @@ def _random_input(rng: random.Random, weight: int) -> PauliOp:
     return PauliOp(N49, xm, zm)
 
 
-_GATE_LOCALS = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
-
-
 @functools.lru_cache(maxsize=1)
 def _circuit_names() -> tuple[str, ...]:
     return tuple(sorted(c.name for ph in circuit_phases() for c in ph))
+
+
+def _fault_locals(c, pos: int) -> tuple[str, ...]:
+    """What a gate fault can name: ``injection_locals`` but the identity."""
+    return tuple(local for local in injection_locals(c, pos) if local.strip("I"))
 
 
 def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
@@ -736,7 +737,7 @@ def _random_fault(rng: random.Random, rnd: int) -> ScheduledFault:
             if c.flag_bit is not None and rng.random() < 0.3:
                 local = "I" + rng.choice(_PAULIS)
         else:
-            local = rng.choice(_GATE_LOCALS)
+            local = rng.choice(_fault_locals(c, pos))
         return ScheduledFault(rnd, "gate", circuit=name, position=pos, local=local)
     if kind == "wait":
         return ScheduledFault(rnd, "wait", qubit=rng.randint(1, N49),
@@ -754,7 +755,10 @@ def sample_trials(n: int, seed: int = 0, *, max_round: int = 5):
 
     Most trials carry a small input error so condition 1 applies; every
     tenth gets an input of weight 8 to 12, beyond the correctable weight
-    of 4, exercising condition 2 alone.
+    of 4, exercising condition 2 alone.  Fault kinds gate, wait, flag
+    and meas come 10:5:2:3.  A gate fault is one of ``_fault_locals``
+    mid-circuit; at a boundary it is a Pauli on the ancilla, or, on a
+    flagged circuit 3 times in 10, on the flag wire.
     """
     rng = random.Random(seed)
     for i in range(n):

@@ -23,7 +23,7 @@ USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py")) + [
 # name -> why it stays although nothing listed above uses it yet
 ALLOWED = {
     "format_schedule": "the schedule text form that check-protocol's "
-    "failure dumps will write (ROADMAP item 1)",
+    "failure dumps will write (ROADMAP item 2c)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

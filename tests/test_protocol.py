@@ -302,14 +302,19 @@ def test_fault_parse_names_a_non_integer_word_and_its_line(line, word):
 def test_boundary_flag_wire_fault_allowed():
     f = parse_fault("0 gate z1 -1 IZ")
     assert f.local == "IZ" and f.position == -1
+    with pytest.raises(ValueError) as err:
+        parse_fault("0 gate z~1 -1 IZ")
+    assert str(err.value) == "z~1 has no fault 'IZ' at position -1: '0 gate z~1 -1 IZ'"
 
 
 def test_parse_fault_agrees_with_run_circuit():
     # a gate fault line parses exactly when run_circuit takes the injection
     # and the local error is not the identity, on the circuits of all four
-    # families
+    # families; the lines it takes are the walk's gate lines of the real
+    # and the all-control family, which hold every circuit once
     locals_ = tuple("IXYZQ") + tuple(a + b for a in "IXYZQ" for b in "IXYZQ")
-    n = disagree = accepted = 0
+    n = disagree = 0
+    accepted = []
     for c in circuits_by_name().values():
         for pos in range(-2, len(c.gates) + 2):
             for local in (*locals_, "ZZZ"):
@@ -319,14 +324,14 @@ def test_parse_fault_agrees_with_run_circuit():
                 except ValueError:
                     want = False
                 try:
-                    parse_fault(f"0 gate {c.name} {pos} {local}")
+                    accepted.append(str(parse_fault(f"0 gate {c.name} {pos} {local}")))
                     got = True
                 except ValueError:
                     got = False
                 n += 1
                 disagree += got != want
-                accepted += got
-    assert (n, disagree, accepted) == (35340, 0, 13176)
+    assert (n, disagree, len(accepted)) == (35340, 0, 13176)
+    assert accepted == _fault_lines()["gate"] + _fault_lines(0, False, False)["gate"]
 
 
 # --- decoding ------------------------------------------------------------------
@@ -819,30 +824,46 @@ def _outcome_bits(bundle):
             | bundle.s_z << protocol._SZ | bundle.s_x << protocol._SX)
 
 
+def _check_one_read_verdict(trial, table):
+    """Check run_trial's one read against what it replaced: weights from
+    joint_coset_weight of the residual, consistency from the correction's
+    reads against the bundle; and the stability lemma: unless a fault is
+    scheduled in the last round, the stable bundle's outcome bits are the
+    frame's reads.  Returns the result and whether one is."""
+    r = run_trial(trial, table)
+    bundle, rounds, word = run_until_stable(trial.input_error, trial.schedule)
+    frame, c = _frame(word), r.correction
+    assert (bundle, rounds) == (r.bundle, r.rounds_used)
+    assert r.residual == PauliOp(N49, frame.x_bits ^ c.x_bits, frame.z_bits ^ c.z_bits)
+    assert (r.weight_exact, r.weight_normalizer) == joint_coset_weight(r.residual)
+    assert r.decode_consistent == (
+        protocol._phase_reads(c.x_bits, c.z_bits) == _outcome_bits(bundle))
+    reads = protocol._phase_reads(frame.x_bits, frame.z_bits)
+    assert word & protocol._READS == reads
+    in_last_round = any(f.round == rounds - 1 for f in trial.schedule)
+    if not in_last_round:
+        assert _outcome_bits(bundle) == reads, trial.name
+    return r, in_last_round
+
+
 def test_one_read_verdict_matches_the_old_composition(table):
-    # run_trial reads the correction's syndromes once and takes the
-    # frame's reads from the final state word.  Against what it replaced:
-    # weights from joint_coset_weight of the residual, and consistency
-    # from the correction's reads against the bundle.  The stability
-    # lemma: unless a fault is scheduled in the last round, the stable
-    # bundle's outcome bits are the frame's reads.
-    in_last_round = 0
-    for trial in (*sample_trials(2000, seed=31), *exhaustive_input_trials(3)):
-        r = run_trial(trial, table)
-        bundle, rounds, word = run_until_stable(trial.input_error, trial.schedule)
-        frame, c = _frame(word), r.correction
-        assert (bundle, rounds) == (r.bundle, r.rounds_used)
-        assert r.residual == PauliOp(N49, frame.x_bits ^ c.x_bits, frame.z_bits ^ c.z_bits)
-        assert (r.weight_exact, r.weight_normalizer) == joint_coset_weight(r.residual)
-        assert r.decode_consistent == (
-            protocol._phase_reads(c.x_bits, c.z_bits) == _outcome_bits(bundle))
-        reads = protocol._phase_reads(frame.x_bits, frame.z_bits)
-        assert word & protocol._READS == reads
-        if any(f.round == rounds - 1 for f in trial.schedule):
-            in_last_round += 1
-        else:
-            assert _outcome_bits(bundle) == reads, trial.name
+    trials = (*sample_trials(2000, seed=31), *exhaustive_input_trials(3))
+    in_last_round = sum(_check_one_read_verdict(t, table)[1] for t in trials)
     assert in_last_round == 35
+
+
+def test_one_read_verdict_holds_on_every_single_fault_class(table):
+    # the first line of every effect class of rounds 0-3 on the clean
+    # input: the 280 runs with the fault in the last round are round 3's
+    # 279 hidden nonzero classes and its zero-effect class
+    firsts = [lines[0] for rnd in range(4) for lines in _effect_classes(rnd).values()]
+    runs = [_check_one_read_verdict(Trial(identity(N49), parse_schedule(ln), ln), table)
+            for ln in firsts]
+    assert len(runs) == 13072
+    assert [r.trial.name for r, _ in runs if not r.ok] == []
+    last = [r.trial.name for r, in_last_round in runs if in_last_round]
+    assert len(last) == 280 and {line.split()[0] for line in last} == {"3"}
+    assert _effect_classes(3)[0][0] == "3 gate z~1 27 ZI"
 
 
 def test_hidden_final_round_fault(table):
@@ -1167,37 +1188,35 @@ def _reference_run_round(state, faults, phases=circuit_phases()):
 
 
 @functools.lru_cache(maxsize=None)
-def _accepted_lines(rnd=0, flagged=True, interleaved=True) -> dict[str, list[str]]:
-    """Every fault line of round ``rnd`` that parse_fault accepts, by
-    kind, with the gate faults on the circuits of one family."""
-    locals_ = [a for a in "IXYZ"] + [a + b for a in "IXYZ" for b in "IXYZ"]
-    candidates = [
-        f"{rnd} gate {c.name} {pos} {local}"
-        for phase in circuit_phases(flagged, interleaved)
-        for c in phase
-        for pos in range(-1, len(c.gates) + 1)
-        for local in locals_
-    ]
-    candidates += [
-        f"{rnd} wait {q} {p} {phase}"
-        for q in range(1, N49 + 1)
-        for p in "XYZ"
-        for phase in range(4)
-    ]
-    candidates += [f"{rnd} flag {side} {bit}" for side in "xz" for bit in range(21)]
-    candidates += [
-        f"{rnd} meas {fld} {bit}"
-        for fld, width in (("sx", 21), ("sz", 21), ("s2x", 3), ("s2z", 3))
-        for bit in range(width)
-    ]
-    by_kind = defaultdict(list)
-    for line in candidates:
-        try:
-            parse_fault(line)
-        except ValueError:
-            continue
-        by_kind[line.split()[1]].append(line)
-    return by_kind
+def _fault_lines(rnd=0, flagged=True, interleaved=True) -> dict[str, list[str]]:
+    """Every single-fault line of round ``rnd``, by kind: the gate faults
+    on the circuits of one family, and flag faults only where the family
+    has flags, as in its fault model."""
+    lines = {
+        "gate": [f"{rnd} gate {c.name} {pos} {local}"
+                 for phase in circuit_phases(flagged, interleaved) for c in phase
+                 for pos in range(-1, len(c.gates) + 1)
+                 for local in protocol._fault_locals(c, pos)],
+        "wait": [f"{rnd} wait {q} {p} {phase}" for q in range(1, N49 + 1)
+                 for p in protocol._PAULIS for phase in range(4)],
+        "flag": [f"{rnd} flag {side} {bit}" for side in "xz" for bit in range(21)],
+        "meas": [f"{rnd} meas {fld} {bit}"
+                 for fld, width in protocol._MEAS_WIDTH.items() for bit in range(width)],
+    }
+    if not flagged:
+        del lines["flag"]
+    return lines
+
+
+@functools.lru_cache(maxsize=None)
+def _effect_classes(rnd) -> dict[int, list[str]]:
+    """The single-fault lines of round ``rnd`` on the real family, grouped
+    by effect word, each class in line order."""
+    classes = defaultdict(list)
+    for kind_lines in _fault_lines(rnd).values():
+        for line in kind_lines:
+            classes[protocol._effect(parse_fault(line))].append(line)
+    return classes
 
 
 def test_effect_classes_stand_for_their_lines(table):
@@ -1212,10 +1231,7 @@ def test_effect_classes_stand_for_their_lines(table):
         return run_trial(Trial(identity(N49), parse_schedule(line)), table)[1:]
 
     for rnd in range(4):
-        classes = defaultdict(list)
-        for kind_lines in _accepted_lines(rnd).values():
-            for line in kind_lines:
-                classes[protocol._effect(parse_fault(line))].append(line)
+        classes = _effect_classes(rnd)
         assert (len(classes), sum(map(len, classes.values()))) == (3268, 8526)
         others = [(line, lines[0]) for lines in classes.values() for line in lines[1:]]
         for line, first in rng.sample(others, 500):
@@ -1233,25 +1249,16 @@ def test_effect_words_project_onto_the_fault_model_pool(
     # f_x) and to (data X, f_z) and packed as a table signature, is 0 or a
     # signature of the Z-side fault model's pool, and each side covers the
     # pool.  So the model's restriction to Z-type locals in Z-family
-    # circuits loses nothing, and the X side has the same pool.  The
-    # flagless families also take flag-flip lines, whose 21 single-flag
-    # signatures their model, without F atoms, does not hold.
+    # circuits loses nothing, and the X side has the same pool.
     pool = set(verifier.fault_model(flagged, interleaved).signature_pool().tolist())
     assert len(pool) == pool_size
-    flags = {verifier.pack_signature(0, 1 << j) for j in range(21)}
+    effects = [protocol._effect(parse_fault(line))
+               for lines in _fault_lines(0, flagged, interleaved).values()
+               for line in lines]
     mask49, mask21 = (1 << N49) - 1, (1 << 21) - 1
     for d, f in ((protocol._D_Z, protocol._F_X), (protocol._D_X, protocol._F_Z)):
-        sigs, outside = set(), defaultdict(set)
-        for kind, lines in _accepted_lines(0, flagged, interleaved).items():
-            for line in lines:
-                e = protocol._effect(parse_fault(line))
-                sig = verifier.pack_signature(e >> d & mask49, e >> f & mask21)
-                sigs.add(sig)
-                if sig and sig not in pool:
-                    outside[kind].add(sig)
-        extra = {} if flagged else {"flag": flags}
-        assert sigs - {0} == pool.union(*extra.values())
-        assert dict(outside) == extra
+        sigs = {verifier.pack_signature(e >> d & mask49, e >> f & mask21) for e in effects}
+        assert sigs - {0} == pool
 
 
 def _assert_round_matches_reference(
@@ -1263,44 +1270,33 @@ def _assert_round_matches_reference(
     ), format_schedule(schedule)
 
 
-def test_run_round_matches_reference_on_every_single_fault():
-    lines = _accepted_lines()
-    counts = {kind: len(v) for kind, v in lines.items()}
-    assert counts == {"gate": 7848, "wait": 588, "flag": 42, "meas": 48}
-    rng = random.Random(61)
-    frames = ((0, 0, 0, 0), tuple(rng.getrandbits(n) for n in (49, 49, 21, 21)))
-    for kind_lines in lines.values():
-        for line in kind_lines:
-            schedule = parse_schedule(line)
-            for frame in frames:
-                _assert_round_matches_reference(schedule, *frame)
-
-
 @pytest.mark.parametrize(
-    "flagged, interleaved, n_gate_lines",
-    [(False, True, 5328), (True, False, 7848), (False, False, 5328)],
+    "flagged, interleaved, seed, n_gate_lines",
+    [(True, True, 61, 7848), (False, True, 63, 5328), (True, False, 63, 7848),
+     (False, False, 63, 5328)],
 )
-def test_run_round_matches_reference_on_control_circuit_faults(
-    flagged, interleaved, n_gate_lines
+def test_run_round_matches_reference_on_every_single_fault(
+    flagged, interleaved, seed, n_gate_lines
 ):
-    # the single-fault comparison above on the three control families,
-    # whose circuits reach their effect tables only through these lines
-    # and the failure counts below
-    lines = _accepted_lines(0, flagged, interleaved)
+    # on each family, whose control circuits reach their effect tables
+    # only through these lines and the failure counts below
+    lines = _fault_lines(0, flagged, interleaved)
     counts = {kind: len(v) for kind, v in lines.items()}
-    assert counts == {"gate": n_gate_lines, "wait": 588, "flag": 42, "meas": 48}
+    flags = {"flag": 42} if flagged else {}
+    assert counts == {"gate": n_gate_lines, "wait": 588, **flags, "meas": 48}
     phases = circuit_phases(flagged, interleaved)
-    rng = random.Random(63)
+    rng = random.Random(seed)
     frames = ((0, 0, 0, 0), tuple(rng.getrandbits(n) for n in (49, 49, 21, 21)))
     for kind_lines in lines.values():
         for line in kind_lines:
             schedule = parse_schedule(line)
+            assert format_schedule(schedule) == line + "\n"  # it prints back
             for frame in frames:
                 _assert_round_matches_reference(schedule, *frame, phases=phases)
 
 
 def test_run_round_matches_reference_on_multi_fault_rounds():
-    lines = _accepted_lines()
+    lines = _fault_lines()
     pool = [line for kind_lines in lines.values() for line in kind_lines]
     by_circuit = defaultdict(list)
     for line in lines["gate"]:
@@ -1363,13 +1359,9 @@ def _partition_tags(table):
 
 @pytest.mark.parametrize("flagged, interleaved", list(_CONTROL_FAILURES))
 def test_single_faults_fail_only_on_control_circuits(flagged, interleaved):
-    # every single fault of round 3 on a clean input, gate faults on the
-    # family's circuits and flag faults only where it has flags, decoded
-    # with the table built for the same family
-    lines = [
-        line for kind, ls in _accepted_lines(3, flagged, interleaved).items()
-        if flagged or kind != "flag" for line in ls
-    ]
+    # every single fault of round 3 on a clean input, decoded with the
+    # table built for the same family
+    lines = [line for ls in _fault_lines(3, flagged, interleaved).values() for line in ls]
     table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
     results = [run_trial(Trial(identity(N49), parse_schedule(ln), ln), table)
                for ln in lines]
@@ -1416,7 +1408,7 @@ def test_negative_control_failures_replay_from_text(
 
 def test_report_counts_every_failure():
     # the report keeps the first failures, but counts them all
-    lines = _accepted_lines(3)["wait"]
+    lines = _fault_lines(3)["wait"]
     report = check_ftec_conditions(
         (Trial(identity(N49), parse_schedule(ln), ln) for ln in lines),
         table=build_lookup_table(3, interleaved=False),
