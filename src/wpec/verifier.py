@@ -4,7 +4,7 @@ Two enumerations live here, both working on the Z side of the CSS split
 (the X side has the same signature pool: the protocol's effect words,
 cut to either side, are checked against it in
 ``test_effect_words_project_onto_the_fault_model_pool``), and both run
-on one engine, ``_EffectSets``: the XORs of at most three distinct
+on one engine, ``_EffectSets``: the XORs of any number of distinct
 single-fault effects of a pool.
 
 The lookup-table build enumerates every combination of up to
@@ -40,14 +40,15 @@ signatures is canonical, and the engine works on them as plain XORs.
 ``syndrome7`` is linear too, so s-tilde bits ride along in those XORs;
 tau, a nonlinear function of the syndrome, is read per key.
 
-Witnesses come from the same engine.  The witness for an effect is the
-lexicographically first tuple of distinct pool-row indices whose XOR
-equals it, trying subset sizes in a given order; only the rows and the
-sizes depend on the caller.  Audit witnesses search the table's pool
-(distinct canonical signatures in ascending order, each labelled by its
-first atom) with sizes 0, 1, 2, 3.  Scan witnesses search the raw G1
-and G2 atoms in atom order (equal atoms kept apart) with sizes v, v-2,
-... for each category's fault number v.
+Witnesses come from the same engine, through one search, ``first``:
+the lexicographically first tuple of distinct pool-row indices whose
+XOR a predicate picks, trying subset sizes in a given order.  Audit
+witnesses search the table's pool (distinct canonical signatures in
+ascending order, each labelled by its first atom) for the record's
+signature, sizes 0 to 3.  Scan witnesses search the raw G1 and G2 atoms
+in atom order (equal atoms kept apart), sizes v, v-2, ... per category's
+fault number v: late G1 for its effect, early G1 for a complement in
+G2's ``up_to``, then G2 for that complement.
 """
 
 from __future__ import annotations
@@ -355,7 +356,7 @@ def _unique_rows(cols: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 
 
 class _EffectSets:
-    """XORs of at most three distinct rows of an effect pool.
+    """XORs of distinct rows of an effect pool, any number at a time.
 
     A row is a tuple of uint64 columns: (signature,) for the lookup
     table (with its s-tilde bits for the build), (mask, flag) for the
@@ -364,72 +365,55 @@ class _EffectSets:
     are: a table pool is canonical, and so is every XOR of its rows (see
     the module docstring).
 
-    ``_exact`` forms the XORs and is the one walk of index tuples, in
-    lexicographic order: singles, the ``triu`` pair list, then triples
-    i < j < k as ``pool[i]`` ^ the pairs (j, k) from ``after[i]`` on, one
-    contiguous slice per i.  ``up_to`` answers which effects are
-    reachable, ``first`` which rows reach a given one, and
-    ``row_indices`` names the index tuple of a row of ``_exact``.
+    ``_blocks`` is the one walk of index tuples, in lexicographic order:
+    sizes 0 and 1 are one block each, and the k-subsets with lowest index
+    i are one block, ``pool[i]`` ^ the suffix of level k - 1 above i.
+    One level (the XORs of exactly k - 1 rows, in walk order) is kept:
+    the source of the last size walked.  ``_exact`` writes the blocks
+    out, ``up_to`` answers which effects are reachable, and ``first``
+    which rows reach one that a predicate picks.
     """
 
     def __init__(self, cols: tuple[np.ndarray, ...]) -> None:
         self.pool = cols
         self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
+        self._level = 1, cols  # the kept level: its size, its XORs
 
-    @functools.cached_property
-    def _pairs(self):
-        """The pair list (i < j, lexicographic), its XORs, and after[i],
-        the first pair whose lower index is above i."""
+    def _blocks(self, k: int, out: tuple[np.ndarray, ...] | None = None):
+        """Yield (lo, block) per block of the k-subsets: lo is the rank of
+        its first subset among the C(n, k), block its XORs, one array per
+        column.  A block is written into ``out`` (C(n, k) rows per
+        column) at lo if given, else into a buffer the next block reuses."""
         n = len(self.pool[0])
-        i, j = np.triu_indices(n, k=1)
-        after = np.searchsorted(i, np.arange(n), side="right")
-        return i, j, tuple(c[i] ^ c[j] for c in self.pool), after
+        if k < 2:
+            block = self.pool if k else tuple(np.zeros(1, np.uint64) for _ in self.pool)
+            for dst, col in zip(out or (), block):
+                dst[:] = col
+            yield 0, block
+            return
+        if self._level[0] != k - 1:
+            self._level = k - 1, self._exact((k - 1,))
+        level = self._level[1]
+        buf = out or tuple(np.empty(math.comb(n - 1, k - 1), np.uint64) for _ in level)
+        lo = 0
+        for i in range(n - k + 1):
+            # the (k-1)-subsets above i are the level's last m rows, m >= 1
+            m, at = math.comb(n - 1 - i, k - 1), lo if out else 0
+            yield lo, tuple(np.bitwise_xor(col[i], src[-m:], out=dst[at : at + m])
+                            for col, src, dst in zip(self.pool, level, buf))
+            lo += m
 
     def _exact(self, sizes) -> tuple[np.ndarray, ...]:
         """XORs of exactly k distinct pool rows for each k in ``sizes``,
         one block per k in that order, each block in lexicographic order
         of its index tuples; one preallocated array per column."""
         n = len(self.pool[0])
-        if any(k not in (0, 1, 2, 3) for k in sizes):
-            raise ValueError(f"subset sizes {tuple(sizes)} not all within 0..3")
-        out = tuple(
-            np.empty(sum(math.comb(n, k) for k in sizes), dtype=np.uint64)
-            for _ in self.pool
-        )
-        _, _, pairs, after = self._pairs
-        for dst, col, pair in zip(out, self.pool, pairs):
-            lo = 0
-            for k in sizes:
-                if k == 0:
-                    dst[lo] = 0
-                    lo += 1
-                elif k == 1:
-                    dst[lo : lo + n] = col
-                    lo += n
-                elif k == 2:
-                    dst[lo : lo + len(pair)] = pair
-                    lo += len(pair)
-                else:
-                    for i in range(n):
-                        rest = pair[after[i] :]
-                        np.bitwise_xor(col[i], rest, out=dst[lo : lo + len(rest)])
-                        lo += len(rest)
+        ends = list(itertools.accumulate((math.comb(n, k) for k in sizes), initial=0))
+        out = tuple(np.empty(ends[-1], dtype=np.uint64) for _ in self.pool)
+        for k, lo, hi in zip(sizes, ends, ends[1:]):
+            for _ in self._blocks(k, tuple(c[lo:hi] for c in out)):
+                pass
         return out
-
-    def row_indices(self, k: int, r: int) -> tuple[int, ...]:
-        """The index tuple of row r of ``_exact((k,))``."""
-        pi, pj, _, after = self._pairs
-        if k == 0:
-            return ()
-        if k == 1:
-            return (r,)
-        if k == 2:
-            return int(pi[r]), int(pj[r])
-        # the triples with lowest index i fill the next len(pi) - after[i] rows
-        ends = np.cumsum(len(pi) - after)
-        i = int(np.searchsorted(ends, r, side="right"))
-        p = r - int(ends[i]) + len(pi)
-        return i, int(pi[p]), int(pj[p])
 
     def up_to(self, v: int) -> tuple[np.ndarray, ...]:
         """Distinct XORs of exactly v faults (v, v-2, ... distinct rows:
@@ -440,18 +424,33 @@ class _EffectSets:
             self._up_to[v] = _unique_rows(exact)
         return self._up_to[v]
 
-    def first(self, target: tuple[int, ...], sizes) -> tuple[int, ...] | None:
+    def first(self, match, sizes) -> tuple[int, ...] | None:
         """The lexicographically first tuple of distinct row indices whose
-        XOR is ``target``, trying the subset sizes in the order given;
-        None when no size reaches it."""
+        XOR ``match`` (a block's columns -> a boolean array) picks, trying
+        the subset sizes in the order given; None when no size reaches
+        one.  The hit's rank is unranked in the combinatorial number
+        system: each index moves past i while the rank passes the subsets
+        that start at i."""
+        n = len(self.pool[0])
         for k in sizes:
-            rows = self._exact((k,))
-            hit = np.logical_and.reduce(
-                [c == np.uint64(x) for c, x in zip(rows, target)]
-            )
-            if hit.any():
-                return self.row_indices(k, int(hit.argmax()))
+            for lo, block in self._blocks(k):
+                hit = match(block)
+                if hit.any():
+                    r, i, found = lo + int(hit.argmax()), 0, []
+                    for left in range(k, 0, -1):
+                        while r >= (c := math.comb(n - 1 - i, left - 1)):
+                            r, i = r - c, i + 1
+                        found.append(i)
+                        i += 1
+                    return tuple(found)
         return None
+
+
+def _equal(target: tuple[int, ...]):
+    """A ``first`` predicate: the rows equal to ``target``, one int per column."""
+    return lambda cols: np.logical_and.reduce(
+        [c == np.uint64(t) for c, t in zip(cols, target)]
+    )
 
 
 # A raw block parity's key bits: its canonical form, and its s-tilde
@@ -692,7 +691,7 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
     the lexicographically first set of at most three pool signatures, by
     increasing size."""
     sets, labels = _table_witnesses(table.flagged, table.interleaved)
-    found = sets.first((key & (1 << _PART) - 1,), (0, 1, 2, 3))  # below tau
+    found = sets.first(_equal((key & (1 << _PART) - 1,)), range(4))  # below tau
     return None if found is None else tuple(labels[r] for r in found)
 
 
@@ -1220,25 +1219,26 @@ def _scan_witness(
     run v, v-2, ... per category.  Marked combinations are reachable by
     construction, so a miss raises."""
     (g1_raw, g1_labels), (g2_raw, g2_labels) = _scan_witness_sets()
-    late = g1_raw.first((eb, fb >> 21), range(fnc.v_g1b, -1, -2))
+    late = g1_raw.first(_equal((eb, fb >> 21)), range(fnc.v_g1b, -1, -2))
     if late is None:
         raise RuntimeError(f"no late witness for a marked combination of {fnc}")
     m2, f2 = g2_raw.up_to(fnc.v_g2)
-    for k1 in range(fnc.v_g1a, -1, -2):
-        m1, f1 = g1_raw._exact((k1,))
-        # k1 + v_g2 <= 3 keeps this all-pairs comparison to a few million
-        m, f = np.uint64(ea) ^ m1, np.uint64(fa) ^ f1
-        hit = np.flatnonzero(((m[:, None] == m2) & (f[:, None] == f2)).any(axis=1))
-        if len(hit):
-            x = int(hit[0])
-            early1 = g1_raw.row_indices(k1, x)
-            early2 = g2_raw.first((int(m[x]), int(f[x])), range(fnc.v_g2, -1, -2))
-            return (
-                tuple(g1_labels[r] for r in early1)
-                + tuple(g2_labels[r] for r in early2)
-                + tuple(f"late:{g1_labels[r]}" for r in late)
-            )
-    raise RuntimeError(f"no early witness for a marked combination of {fnc}")
+    # v_g1a + v_g2 <= 3 keeps each block's all-pairs comparison small
+    early1 = g1_raw.first(
+        lambda c: (((np.uint64(ea) ^ c[0])[:, None] == m2)
+                   & ((np.uint64(fa) ^ c[1])[:, None] == f2)).any(axis=1),
+        range(fnc.v_g1a, -1, -2),
+    )
+    if early1 is None:
+        raise RuntimeError(f"no early witness for a marked combination of {fnc}")
+    rest = [e ^ int(np.bitwise_xor.reduce(c[list(early1)]))
+            for e, c in zip((ea, fa), g1_raw.pool)]
+    early2 = g2_raw.first(_equal(rest), range(fnc.v_g2, -1, -2))
+    return (
+        tuple(g1_labels[r] for r in early1)
+        + tuple(g2_labels[r] for r in early2)
+        + tuple(f"late:{g1_labels[r]}" for r in late)
+    )
 
 
 def _analyze_completions(

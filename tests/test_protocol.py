@@ -877,6 +877,39 @@ def test_hidden_final_round_fault(table):
     assert (r.weight_exact, r.weight_normalizer, r.v1, r.v2, r.ok) == (1, 1, 0, 1, True)
 
 
+# Seven faults whose signatures XOR to the logical: the circuits' fault
+# distance is 7, so A (4 faults) and B (3) leave bundles no decoder of
+# them can tell apart, and only one of the two is corrected.
+_A = ("0 gate z2 -1 IZ", "0 gate z2 2 ZI", "0 gate z4 3 IZ", "0 gate z~1 1 ZI")
+_B = ("0 gate z10 3 IZ", "0 gate z~3 2 ZI", "0 gate z~2 5 ZI")
+
+
+def test_seven_faults_reach_the_logical(table):
+    a, b, both = (
+        run_trial(Trial(identity(N49), parse_schedule("\n".join(lines))), table)
+        for lines in (_A, _B, _A + _B)
+    )
+    assert (a.rounds_used, b.rounds_used, a.bundle) == (5, 5, b.bundle)
+    assert not (a.fallback_used or b.fallback_used)
+    assert (b.weight_exact, b.weight_normalizer, b.ok) == (0, 0, True)
+    assert (a.weight_exact, a.weight_normalizer, a.v2) == (9, 0, 4)
+    assert (a.condition1, a.condition2) == (None, None)
+    assert (both.bundle, both.weight_exact, both.weight_normalizer) == (
+        OutcomeBundle(), 9, 0)
+    # the engine: the seven atoms' signatures XOR to L, no three or fewer
+    # pool signatures do, and the first four that reach sig(B) ^ L are A
+    labels = [f"G{circuits_by_name()[c].level}[{c}]@{pos}:{local}"
+              for _, _, c, pos, local in (line.split() for line in _A + _B)]
+    sig = {a.label: a.signature for a in verifier.fault_model().all_atoms()}
+    logical = codes.PCANON[LOGICAL_REP7]
+    assert functools.reduce(int.__xor__, (sig[x] for x in labels)) == logical
+    sets, pool_labels = verifier._table_witnesses(True, True)
+    assert sets.first(verifier._equal((logical,)), range(4)) is None
+    sig_b = functools.reduce(int.__xor__, (sig[x] for x in labels[4:]))
+    found = sets.first(verifier._equal((sig_b ^ logical,)), range(5))
+    assert sorted(pool_labels[r] for r in found) == sorted(labels[:4])
+
+
 def test_one_trial_reads_one_weight_pair_and_two_parities(table, monkeypatch):
     # the span tracer wraps these names; one trial is one weight call if
     # its residual has nonzero syndromes (none otherwise), one parity

@@ -531,11 +531,11 @@ def test_first_matches_brute_force_on_table_pool(
         keys += [int(table.keys[lo]), int(table.keys[lo + 1])]
     for key in keys:
         sig = key & ((1 << 49) - 1)
-        found = sets.first((sig,), (0, 1, 2, 3))
+        found = sets.first(v._equal((sig,)), (0, 1, 2, 3))
         assert found == _brute_first(subsets, (sig,), range(4)), key
         assert find_fault_combination(table, key) == tuple(labels[r] for r in found)
     unreachable = pack_signature(0, (1 << 21) - 1)  # 21 flags, never recorded
-    assert sets.first((unreachable,), (0, 1, 2, 3)) is None
+    assert sets.first(v._equal((unreachable,)), (0, 1, 2, 3)) is None
     assert _brute_first(subsets, (unreachable,), range(4)) is None
 
 
@@ -566,11 +566,11 @@ def test_first_matches_brute_force_on_raw_atoms(raw_gate_pools):
                     int(np.bitwise_xor.reduce(c[picks])) if picks else 0
                     for c in sets.pool
                 )
-                assert sets.first(target, sizes) == _brute_first(
+                assert sets.first(v._equal(target), sizes) == _brute_first(
                     subsets, target, sizes
                 ), (n, picks)
         # two equal atoms reach the empty effect before the empty subset does
-        pair = sets.first((0, 0), (2, 0))
+        pair = sets.first(v._equal((0, 0)), (2, 0))
         assert pair == _brute_first(subsets, (0, 0), (2, 0))
         assert len(pair) == 2
 
@@ -639,6 +639,9 @@ def test_scan_witness_miss_raises(monkeypatch, final_round_report):
     eb = ea ^ fc.error.z_bits
     fa, fb = fc.flag & ((1 << 21) - 1), fc.flag >> 21 << 21
     assert v._scan_witness(fc.counts, ea, fa, eb, fb) == fc.faults
+    # no single G1 atom is the 49-qubit logical, so one late fault misses it
+    with pytest.raises(RuntimeError, match="no late witness"):
+        v._scan_witness(FaultNumberCombination(v_g1b=1), 0, 0, LOGICAL49, 0)
     # without the G2 atoms that reach the early error there is no witness
     model = fault_model()
     g2 = tuple(a for a in model.gate2 if a.error != ea)
@@ -648,7 +651,7 @@ def test_scan_witness_miss_raises(monkeypatch, final_round_report):
         for atoms in (model.gate1, g2)
     )
     monkeypatch.setattr(v, "_scan_witness_sets", lambda: pools)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="no early witness"):
         v._scan_witness(fc.counts, ea, fa, eb, fb)
 
 
@@ -1301,29 +1304,60 @@ def test_exact_matches_gather_reference_in_order():
             assert all(map(np.array_equal, got, ref)), (name, sizes)
 
 
-def test_row_indices_round_trip():
-    # first row, last row and every k = 3 block boundary of each pool
+def _rank(n, idx):
+    """The rank of a sorted index tuple among the len(idx)-subsets of
+    range(n), in lexicographic order: the subsets before it, counted."""
+    k, rank, lo = len(idx), 0, 0
+    for j, i in enumerate(idx):
+        rank += sum(math.comb(n - 1 - x, k - 1 - j) for x in range(lo, i))
+        lo = i + 1
+    return rank
+
+
+def test_first_round_trip():
+    # first row, last row and every k = 3 block boundary of each pool:
+    # first names the earliest row with that row's XOR
     for name, cols, _ in _engine_pools():
-        sets = v._EffectSets(cols)
-        _, _, pairs, after = sets._pairs
-        boundaries = np.cumsum(len(pairs[0]) - after)[:-1].tolist()
+        sets, n = v._EffectSets(cols), len(cols[0])
+        boundaries = [math.comb(n, 3) - math.comb(n - i, 3) for i in range(1, n - 2)]
         for k in range(4):
             rows = sets._exact((k,))
             n_rows = len(rows[0])
             for r in {0, n_rows - 1, *(boundaries if k == 3 else ())}:
                 if not 0 <= r < n_rows:
                     continue
-                idx = sets.row_indices(k, r)
+                target = tuple(int(c[r]) for c in rows)
+                idx = sets.first(v._equal(target), (k,))
                 assert len(idx) == k and list(idx) == sorted(set(idx)), (name, k, r)
-                for c, row in zip(cols, rows):
+                earliest = v._equal(target)(rows).argmax()
+                assert _rank(n, idx) == earliest <= r, (name, k, r)
+                for c, t in zip(cols, target):
                     xor = np.bitwise_xor.reduce(c[list(idx)]) if k else 0
-                    assert int(xor) == int(row[r]), (name, k, r)
+                    assert int(xor) == t, (name, k, r)
 
 
-def test_exact_rejects_unsupported_sizes():
-    sets = v._EffectSets((np.arange(1, 6, dtype=np.uint64),))
-    with pytest.raises(ValueError, match="subset sizes"):
-        sets._exact((1, 4))
+def test_walk_reaches_any_size():
+    # sizes 4 and 5 on the last 24 rows of the real table pool, against
+    # itertools' XORs in order, and first at every block boundary
+    pool = fault_model().signature_pool()[-24:]
+    sets = v._EffectSets((pool,))
+    walks = {
+        k: np.array([np.bitwise_xor.reduce(pool[list(c)]) if k else 0
+                     for c in itertools.combinations(range(24), k)], dtype=np.uint64)
+        for k in range(6)
+    }
+    for sizes in ((4,), (5,), (4, 2)):
+        (got,) = sets._exact(sizes)
+        assert np.array_equal(got, np.concatenate([walks[k] for k in sizes])), sizes
+    repeats = 0
+    for k in (3, 4):
+        subsets = list(itertools.combinations(range(24), k))
+        for i in range(24 - k + 1):
+            r = math.comb(24, k) - math.comb(24 - i, k)
+            earliest = int(np.argmax(walks[k] == walks[k][r]))
+            assert sets.first(v._equal((int(walks[k][r]),)), (k,)) == subsets[earliest]
+            repeats += earliest < r
+    assert repeats  # some boundary XOR is reached earlier
 
 
 def test_parity_key_table_matches_pcanon_and_syndrome7():
