@@ -52,7 +52,7 @@ import operator
 from typing import Iterable, NamedTuple
 
 from .codes import LEVEL1_GENS, LEVEL2_GENS, N49
-from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PAULI_BITS, PauliOp
+from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, PAULI_BITS
 
 _FLAG = -1  # gate-list entry for a flag CNOT
 
@@ -60,26 +60,25 @@ _FLAG = -1  # gate-list entry for a flag CNOT
 class ExtractionCircuit(NamedTuple):
     """One generator-measurement circuit, immutable.
 
-    ``gates`` holds data-qubit indices (global, 0-based) with -1 for a
-    flag CNOT.  ``flag_bit`` is this circuit's index into the 21-bit
-    flag vector of its family, or None when there is no flag.
+    ``support`` is the measured generator's 49-bit qubit mask: its Z
+    qubits in the "z" family, its X qubits in the "x" family (one mask
+    for both, the code being self-dual).  ``gates`` holds data-qubit
+    indices (global, 0-based) with -1 for a flag CNOT.  ``flag_bit`` is
+    this circuit's index into the 21-bit flag vector of its family, or
+    None when there is no flag.
     """
 
     name: str
     family: str  # "z" or "x"
     level: int  # 1 (inner) or 2 (outer)
     index: int  # 0-based within the level
-    target_generator: PauliOp
+    support: int
     gates: tuple[int, ...]
     flag_bit: int | None = None
 
 
 def _support(mask: int) -> list[int]:
     return [q for q in range(N49) if (mask >> q) & 1]
-
-
-def _target(family: str, mask: int) -> PauliOp:
-    return (PauliOp.z_op if family == "z" else PauliOp.x_op)(N49, mask)
 
 
 def level2_circuits(family: str = "z", interleaved: bool = True):
@@ -93,12 +92,8 @@ def level2_circuits(family: str = "z", interleaved: bool = True):
             gates = tuple(BLOCK_SIZE * b + r for r in range(BLOCK_SIZE) for b in blocks)
         else:
             gates = tuple(_support(mask))
-        out.append(
-            ExtractionCircuit(
-                f"{family}~{index + 1}{tag}", family, 2, index,
-                _target(family, mask), gates,
-            )
-        )
+        name = f"{family}~{index + 1}{tag}"
+        out.append(ExtractionCircuit(name, family, 2, index, mask, gates))
     return tuple(out)
 
 
@@ -113,7 +108,7 @@ def level1_circuits(family: str = "z", flagged: bool = True):
         out.append(
             ExtractionCircuit(
                 f"{family}{index + 1}{tag}", family, 1, index,
-                _target(family, mask), gates, index if flagged else None,
+                mask, gates, index if flagged else None,
             )
         )
     return tuple(out)

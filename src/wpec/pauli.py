@@ -70,10 +70,6 @@ class PauliOp(_PauliFields):
         """Z-type operator with Z exactly on the bits set in ``mask``."""
         return cls(n, 0, mask)
 
-    @classmethod
-    def x_op(cls, n: int, mask: int) -> "PauliOp":
-        return cls(n, mask, 0)
-
     # -- weight ------------------------------------------------------------
 
     def weight(self) -> int:

@@ -244,23 +244,20 @@ class FaultNumberCombination(_FaultNumbers):
 
 
 class FaultCombination(NamedTuple):
-    """A concrete multiset of faults collapsed to its combined effect.
+    """A concrete multiset of final-round faults collapsed to its
+    combined effect.
 
-    error is the full data error; flag is 21 bits for lookup-table
-    records and 42 bits for the final-round scan (low half from early
-    circuits, high half from late ones).  error_a, when set, is the part
-    of the error still visible to the last measurement round.
+    error is the full data error and early_error the part of it still
+    visible to the last measurement round (the early faults' share).
+    flag is 42 bits: the low half from early circuits, the high half
+    from late ones.
     """
 
     counts: FaultNumberCombination
     error: PauliOp
+    early_error: PauliOp
     flag: int = 0
     faults: tuple[str, ...] = ()
-    error_a: PauliOp | None = None
-
-    @property
-    def early_error(self) -> PauliOp:
-        return self.error if self.error_a is None else self.error_a
 
 
 def _multiset_count(size: int, v: int) -> int:
@@ -698,6 +695,8 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
 # ---------------------------------------------------------------------------
 # Lookup-table audit
 
+_MAX_WITNESSES = 20  # violated cells a Claim2Report expands
+
 
 class Claim2Violation(NamedTuple):
     """A (stilde, tau, s, f) cell holding two inequivalent parities."""
@@ -785,17 +784,18 @@ class Claim2Report(NamedTuple):
             yield f"... {unexpanded} further violations not expanded", None
 
 
-def verify_claim2(table: LookupTable, *, max_witnesses: int = 20) -> Claim2Report:
+def verify_claim2(table: LookupTable) -> Claim2Report:
     """Audit a lookup table against the two decodability conditions.
 
     Any (stilde, tau, s, f) cell containing two inequivalent block
-    parities defeats both conditions; each such cell is reported with
+    parities defeats both conditions.  Every such cell is counted; the
+    first ``_MAX_WITNESSES`` of them, in key order, are expanded with
     one witness fault combination per parity.
     """
     prefixes = table.violated_prefixes()
     tags = table._tags(prefixes)
     violations = []
-    for prefix in prefixes[:max_witnesses]:
+    for prefix in prefixes[:_MAX_WITNESSES]:
         lo = int(np.searchsorted(table.keys, np.uint64(int(prefix) << _CELL)))
         key_a, key_b = table.keys[lo : lo + 2].tolist()
         s, stilde, tau, f, parity_a = _key_fields(key_a)
@@ -851,7 +851,7 @@ def relaxed_mark(fc: FaultCombination, max_faults: int = 3) -> bool:
     stabilizer group).  Marking over-approximates danger; the
     post-analysis refines it.
     """
-    if fc.error.x_bits or (fc.error_a is not None and fc.error_a.x_bits):
+    if fc.error.x_bits or fc.early_error.x_bits:
         raise ValueError("relaxed_mark expects Z-type errors")
     if sigma(fc.early_error.z_bits, fc.counts.v_w) > fc.counts.v_s:
         return False
@@ -1188,9 +1188,9 @@ def _scan_number_combination(
         fc = FaultCombination(
             counts=fnc,
             error=PauliOp.z_op(49, ea ^ eb),
+            early_error=PauliOp.z_op(49, ea),
             flag=fa | fb,
             faults=_scan_witness(fnc, ea, fa, eb, fb),
-            error_a=PauliOp.z_op(49, ea),
         )
         if not relaxed_mark(fc, max_faults):
             raise RuntimeError("vectorized marking disagrees with relaxed_mark")
@@ -1298,7 +1298,7 @@ def reproduce_table1() -> tuple[Table1Row, ...]:
     emitted 13 rows record.  Parities are literal, not canonical.
     """
     circ = circuits_by_name()["z~1#"]
-    support = [b for b in range(7) if (circ.target_generator.z_bits >> (7 * b)) & 127]
+    support = [b for b in range(7) if (circ.support >> (7 * b)) & 127]
 
     def signature(k: int) -> tuple[int, int, int]:
         mask = fault_result(circ.name, k, "Z" if k < 0 else "ZI").data_z

@@ -71,7 +71,7 @@ def test_level1_flag_bit_indexing():
     for j, c in enumerate(cs):
         assert c.flag_bit == j
         assert c.index == j
-        assert c.target_generator.z_bits == GEN7[j % 3] << (7 * (j // 3))
+        assert c.support == GEN7[j % 3] << (7 * (j // 3))
 
 
 def test_x_family_construction():
@@ -92,13 +92,12 @@ def test_clean_run_measures_the_generator():
         + level1_circuits("x")
     )
     for c in circuits:
-        support = c.target_generator.x_bits | c.target_generator.z_bits
         for _ in range(20):
             dx, dz = rng.getrandbits(49), rng.getrandbits(49)
             r = run_circuit(c, dx, dz)
             assert (r.data_x, r.data_z) == (dx, dz)
             assert r.flag == 0
-            want = parity((dx if c.family == "z" else dz) & support)
+            want = parity((dx if c.family == "z" else dz) & c.support)
             assert r.outcome == want
 
 

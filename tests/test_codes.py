@@ -107,7 +107,7 @@ def test_span_is_the_set_of_the_xor_table():
 
 
 def test_steane_generator_strings():
-    assert [str(PauliOp.x_op(N7, m)) for m in GEN7] == ["XIXXXII", "IXIXXXI", "IIXIXXX"]
+    assert [str(PauliOp(N7, m)) for m in GEN7] == ["XIXXXII", "IXIXXXI", "IIXIXXX"]
     assert [str(PauliOp.z_op(N7, m)) for m in GEN7] == ["ZIZZZII", "IZIZZZI", "IIZIZZZ"]
     assert str(PauliOp.z_op(N7, LOGICAL7)) == "ZZZZZZZ"
 
@@ -160,7 +160,7 @@ def test_concat49_generator_counts_and_weights():
     gens = LEVEL1_GENS + LEVEL2_GENS  # one X and one Z generator each
     assert 2 * len(gens) == 48
     assert [g.bit_count() for g in gens] == [4] * 21 + [28] * 3
-    assert PauliOp.x_op(N49, gens[21]).weight() == 28  # first outer generator
+    assert PauliOp(N49, gens[21]).weight() == 28  # first outer generator
     # each subblock carries the 7-qubit code's generators
     assert LEVEL1_GENS == tuple(g << (7 * b) for b in range(7) for g in GEN7)
 
@@ -320,7 +320,7 @@ def test_golay_rows_shift_and_weight():
 
 def test_golay_code_object():
     assert (N23, len(GOLAY_ROWS), LOGICAL23) == (23, 11, MASK23)
-    assert str(PauliOp.x_op(N23, GOLAY_ROWS[0])) == "XXXXXIIXIIXIXIIIIIIIIII"
+    assert str(PauliOp(N23, GOLAY_ROWS[0])) == "XXXXXIIXIIXIXIIIIIIIIII"
 
 
 def test_golay_syndrome_basics():
@@ -356,6 +356,6 @@ def test_golay_stabilizer_weights_even_logical_coset_odd():
 
 def test_generator_table_concat_has_48_rows():
     gens = LEVEL1_GENS + LEVEL2_GENS
-    rows = [str(PauliOp.x_op(N49, m)) for m in gens] + [str(PauliOp.z_op(N49, m)) for m in gens]
+    rows = [str(PauliOp(N49, m)) for m in gens] + [str(PauliOp.z_op(N49, m)) for m in gens]
     assert len(rows) == 48
     assert rows[21] == "X" * 7 + "I" * 7 + "X" * 21 + "I" * 14

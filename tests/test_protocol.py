@@ -179,7 +179,7 @@ def test_ancilla_fault_mid_circuit_raises_flag_and_spreads():
     assert bundle.f_x == 1
     assert bundle.f_z == 0
     c = level1_circuits("z")[0]
-    spread = PauliOp.z_op(N49, c.target_generator.z_bits & ~(1 << c.gates[0]))
+    spread = PauliOp.z_op(N49, c.support & ~(1 << c.gates[0]))
     assert frame == spread
     assert bundle.s_x == level1_syndrome(spread.z_bits)
 
@@ -365,7 +365,7 @@ def test_decode_single_qubit(table):
 
 
 def test_decode_x_side_mirrors(table):
-    e = PauliOp.x_op(N49, 1 << 14)
+    e = PauliOp(N49, 1 << 14)
     bundle = run_until_stable(e)[0]
     assert (bundle.stilde_z, bundle.tau_z) == (5, 4)
     assert bundle.s_x == 0
@@ -441,7 +441,7 @@ def test_decode_heavy_error_in_table_is_benign(table):
 
 def test_joint_weight_of_logicals():
     zl = PauliOp.z_op(N49, LOGICAL49)
-    xl = PauliOp.x_op(N49, LOGICAL49)
+    xl = PauliOp(N49, LOGICAL49)
     yl = PauliOp(N49, LOGICAL49, LOGICAL49)
     for op in (zl, xl, yl):
         assert joint_coset_weight(op) == (9, 0)
@@ -747,36 +747,20 @@ def test_fault_free_rounds_match_round_by_round_walk(text):
 
 
 def test_fault_free_rounds_match_on_sampled_schedules():
+    # gapped: a round the loop skips (neither it nor the round before has a
+    # fault) comes before a fault in a round the loop runs, so the streak
+    # must count across the skip and restart at the fault
+    gapped = 0
     for trial in sample_trials(3000, seed=73, max_round=12):
         got = _stable_walk(run_until_stable, trial.input_error, trial.schedule)
         want = _stable_walk(_reference_run_until_stable, trial.input_error,
                             trial.schedule)
         assert got == want, (str(trial.input_error), format_schedule(trial.schedule))
-
-
-def _count_rule_until_stable(input_error, schedule=()):
-    """run_until_stable with the stability rule the streak replaced: a
-    count of the newest bundle over the last four log entries."""
-    faulty = {f.round for f in schedule}
-    state, log = (input_error.x_bits, input_error.z_bits, 0, 0), []
-    while len(log) < 16:
-        rnd = len(log)
-        if rnd and rnd not in faulty and rnd - 1 not in faulty:
-            bundle = log[-1]
-        else:
-            state, bundle = _linear_round(state, [f for f in schedule if f.round == rnd])
-        log.append(bundle)
-        if log[-4:].count(bundle) == 4:
-            return bundle, len(log), _word(*state)
-    raise RuntimeError("bundle failed to stabilize within 16 rounds")
-
-
-def test_streak_matches_count_rule_on_sampled_schedules():
-    for trial in sample_trials(300, seed=5):
-        got = _stable_walk(run_until_stable, trial.input_error, trial.schedule)
-        assert got == _stable_walk(
-            _count_rule_until_stable, trial.input_error, trial.schedule
-        ), format_schedule(trial.schedule)
+        used = got[1] if isinstance(got, tuple) else 16
+        faulty = {f.round for f in trial.schedule}
+        skipped = [r for r in range(1, used) if r not in faulty and r - 1 not in faulty]
+        gapped += any(r < q < used for r in skipped for q in faulty)
+    assert gapped == 793
 
 
 # --- trial records ----------------------------------------------------------------
@@ -869,7 +853,7 @@ def test_one_read_verdict_holds_on_every_single_fault_class(table):
 def test_hidden_final_round_fault(table):
     trial = Trial(identity(N49), parse_schedule(_HIDDEN_FINAL_FAULT))
     bundle, rounds, word = run_until_stable(trial.input_error, trial.schedule)
-    hidden = PauliOp.x_op(N49, 1 << 3)
+    hidden = PauliOp(N49, 1 << 3)
     assert (bundle, rounds, _frame(word)) == (OutcomeBundle(), 4, hidden)
     assert _outcome_bits(bundle) == 0 != word & protocol._READS
     r = run_trial(trial, table)
@@ -996,7 +980,7 @@ def test_last_round_fault_keeps_codeword(table):
     # invisible to the stable bundle; the output then carries a benign
     # weight-1 error and an ideal decode still returns the codeword
     trial = Trial(
-        PauliOp.x_op(N49, 1 << 36),
+        PauliOp(N49, 1 << 36),
         parse_schedule("3 gate x14 5 IX"),
         name="late-x",
     )
@@ -1196,10 +1180,8 @@ def _reference_run_round(state, faults, phases=circuit_phases()):
                 dx, dz = res.data_x, res.data_z
                 out, flg = res.outcome, res.flag
             else:
-                gen = c.target_generator
                 src = dx if c.family == "z" else dz
-                mask = gen.z_bits if c.family == "z" else gen.x_bits
-                out, flg = (src & mask).bit_count() & 1, 0
+                out, flg = (src & c.support).bit_count() & 1, 0
             outcomes[fld] |= out << c.index
             if flg and c.flag_bit is not None:
                 if c.family == "z":

@@ -13,7 +13,7 @@ from wpec.verifier import FaultNumberCombination
 RECORDS = {
     PauliOp: (("n", "x_bits", "z_bits"), {"x_bits": 0, "z_bits": 0}),
     circuits.ExtractionCircuit: (
-        ("name", "family", "level", "index", "target_generator", "gates", "flag_bit"),
+        ("name", "family", "level", "index", "support", "gates", "flag_bit"),
         {"flag_bit": None},
     ),
     verifier.FaultAtom: (("label", "error", "flag"), {}),
@@ -23,8 +23,8 @@ RECORDS = {
         dict.fromkeys(("v_g1a", "v_g1b", "v_g2", "v_w", "v_f", "v_s"), 0),
     ),
     verifier.FaultCombination: (
-        ("counts", "error", "flag", "faults", "error_a"),
-        {"flag": 0, "faults": (), "error_a": None},
+        ("counts", "error", "early_error", "flag", "faults"),
+        {"flag": 0, "faults": ()},
     ),
     verifier.Claim2Violation: (
         ("stilde", "tau", "s", "f", "parity_a", "parity_b", "witness_a", "witness_b"),

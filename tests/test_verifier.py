@@ -541,21 +541,23 @@ def test_first_matches_brute_force_on_table_pool(
 
 @pytest.fixture(scope="module")
 def raw_gate_pools(combinations210):
-    """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms."""
+    """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms,
+    by pool name."""
     model = fault_model()
-    out = []
-    for atoms in (model.gate1, model.gate2):
+    out = {}
+    for pool in ("gate1", "gate2"):
+        atoms = getattr(model, pool)
         cols = v._atom_columns(atoms)
-        out.append(
-            (v._EffectSets(cols), _subsets(combinations210, cols),
-             [a.label for a in atoms])
+        out[pool] = (
+            v._EffectSets(cols), _subsets(combinations210, cols),
+            [a.label for a in atoms],
         )
     return out
 
 
 def test_first_matches_brute_force_on_raw_atoms(raw_gate_pools):
     rng = random.Random(17)
-    for sets, subsets, _ in raw_gate_pools:
+    for sets, subsets, _ in raw_gate_pools.values():
         n = len(sets.pool[0])
         for v_ in range(4):
             sizes = range(v_, -1, -2)
@@ -579,7 +581,7 @@ def _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb):
     """Scan witness labels by brute force: the first late G1 subset, the
     first early G1 subset whose complement some G2 subset reaches, and
     the first such G2 subset."""
-    (_, sub1, labels1), (_, sub2, labels2) = raw_gate_pools
+    (_, sub1, labels1), (_, sub2, labels2) = raw_gate_pools.values()
     late = _brute_first(sub1, (eb, fb >> 21), range(fnc.v_g1b, -1, -2))
     if late is None:
         return None
@@ -605,7 +607,7 @@ def _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb):
 
 
 def test_scan_witness_matches_brute_force(raw_gate_pools):
-    (g1, _, _), (g2, _, _) = raw_gate_pools
+    (g1, _, _), (g2, _, _) = raw_gate_pools.values()
     rng = random.Random(23)
     shapes = [s for s in itertools.product(range(4), repeat=3) if sum(s) <= 3]
     assert len(shapes) == 20
@@ -778,10 +780,10 @@ def test_flagless_blockwise_circuits_violate():
 
 def test_claim2_witness_miss_raises(monkeypatch):
     t = build_lookup_table(2, flagged=False, interleaved=False)
-    assert verify_claim2(t, max_witnesses=1).violations[0].witness_b
+    assert verify_claim2(t).violations[0].witness_b
     monkeypatch.setattr(v, "find_fault_combination", lambda table, key: None)
     with pytest.raises(RuntimeError, match="no witness"):
-        verify_claim2(t, max_witnesses=1)
+        verify_claim2(t)
 
 
 def test_lookup_parity_probes_with_exact_uint64_keys():
@@ -823,20 +825,19 @@ def test_sigma_examples():
 
 
 def test_relaxed_mark_requires_weight():
-    empty = FaultCombination(FaultNumberCombination(), PauliOp.z_op(49, 0))
+    z0 = PauliOp.z_op(49, 0)
+    empty = FaultCombination(FaultNumberCombination(), z0, z0)
     assert not relaxed_mark(empty)
     # flags over budget
-    flagged = FaultCombination(
-        FaultNumberCombination(v_g1a=1), PauliOp.z_op(49, 0), flag=1
-    )
+    flagged = FaultCombination(FaultNumberCombination(v_g1a=1), z0, z0, flag=1)
     assert not relaxed_mark(flagged)
 
 
 def test_relaxed_mark_rejects_x_type_errors():
     z, x = PauliOp.z_op(49, 1), PauliOp(49, 1, 1)
     for fc in (
-        FaultCombination(FaultNumberCombination(v_g2=1), x),  # full error
-        FaultCombination(FaultNumberCombination(v_g2=1), z, error_a=x),  # early
+        FaultCombination(FaultNumberCombination(v_g2=1), x, z),  # full error
+        FaultCombination(FaultNumberCombination(v_g2=1), z, x),  # early
     ):
         with pytest.raises(ValueError, match="^relaxed_mark expects Z-type errors$"):
             relaxed_mark(fc)
@@ -846,25 +847,18 @@ def test_relaxed_mark_known_example():
     m = fault_model()
     atom = next(a for a in m.gate2 if a.label == "G2[z~1]@1:ZI")
     counts = FaultNumberCombination(v_g2=1, v_w=2)
-    fc = FaultCombination(
-        counts, PauliOp.z_op(49, atom.error), error_a=PauliOp.z_op(49, atom.error)
-    )
+    e = PauliOp.z_op(49, atom.error)
+    fc = FaultCombination(counts, e, e)
     assert min_coset_weight(atom.error) == 2
     assert relaxed_mark(fc, 3)
     # the same fault without wait budget stays unmarked
-    fc0 = FaultCombination(
-        FaultNumberCombination(v_g2=1),
-        PauliOp.z_op(49, atom.error),
-        error_a=PauliOp.z_op(49, atom.error),
-    )
+    fc0 = FaultCombination(FaultNumberCombination(v_g2=1), e, e)
     assert not relaxed_mark(fc0, 3)
     # boundary positions have light residuals and stay unmarked
     for label in ("G2[z~1]@0:ZI", "G2[z~1]@26:ZI"):
         a = next(x for x in m.gate2 if x.label == label)
-        fc_edge = FaultCombination(
-            counts, PauliOp.z_op(49, a.error), error_a=PauliOp.z_op(49, a.error)
-        )
-        assert not relaxed_mark(fc_edge, 3)
+        edge = PauliOp.z_op(49, a.error)
+        assert not relaxed_mark(FaultCombination(counts, edge, edge), 3)
 
 
 def test_final_round_scan(final_round_report):
@@ -949,48 +943,40 @@ def test_final_round_scan_traced_peak():
     assert peak <= 30 << 20
 
 
-def _xor_subsets(pool):
-    """Distinct (mask, flag) XORs of n, n-2, ... distinct pool entries,
-    for n = 0..3."""
-    exact = [
-        {(0, 0)},
-        set(pool),
-        {(a ^ c, b ^ d) for (a, b), (c, d) in itertools.combinations(pool, 2)},
-        {
-            (a ^ c ^ e, b ^ d ^ f)
-            for (a, b), (c, d), (e, f) in itertools.combinations(pool, 3)
-        },
-    ]
-    return [set().union(*exact[n::-2]) for n in range(4)]
-
-
 def _strictly_increasing(m, f):
     """True when the (m, f) pairs are strictly increasing, m first."""
     return bool(np.all((m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (f[1:] > f[:-1]))))
 
 
+def _reachable(subsets, n, shift=0):
+    """The distinct (mask, flag << shift) XORs of n, n-2, ... distinct
+    raw atoms, sorted: what the deduplicated pool's ``up_to(n)`` holds."""
+    m, f = (np.concatenate(c) for c in zip(*(x for _, x in subsets[n::-2])))
+    return _reference_unique_rows(m, f << np.uint64(shift))
+
+
 @pytest.mark.parametrize("pool", ["gate1", "gate2"])
-def test_effect_sets_match_pure_python(pool):
-    atoms = getattr(fault_model(), pool)
-    sets = v._atom_effect_sets(atoms)
-    expected = _xor_subsets([(a.error, a.flag) for a in atoms])
+def test_effect_sets_match_pure_python(raw_gate_pools, pool):
+    sets = v._atom_effect_sets(getattr(fault_model(), pool))
+    _, subsets, _ = raw_gate_pools[pool]
     for n in range(4):
         m, f = sets.up_to(n)
         assert _strictly_increasing(m, f), (pool, n)
-        assert set(zip(m.tolist(), f.tolist())) == expected[n], (pool, n)
+        want = _reachable(subsets, n)
+        assert np.array_equal(m, want[0]) and np.array_equal(f, want[1]), (pool, n)
         assert sets.up_to(n)[0] is m
 
 
-def test_late_effects_are_early_effects_with_shifted_flags():
+def test_late_effects_are_early_effects_with_shifted_flags(raw_gate_pools):
     # the scan's late G1 effects: flags in the high 21 bits, same order
-    atoms = fault_model().gate1
-    sets = v._atom_effect_sets(atoms)
-    expected = _xor_subsets([(a.error, a.flag << 21) for a in atoms])
+    sets = v._atom_effect_sets(fault_model().gate1)
+    _, subsets, _ = raw_gate_pools["gate1"]
     for n in range(4):
         m, f = sets.up_to(n)
         shifted = f << np.uint64(21)
         assert _strictly_increasing(m, shifted), n
-        assert set(zip(m.tolist(), shifted.tolist())) == expected[n], n
+        want = _reachable(subsets, n, 21)
+        assert np.array_equal(m, want[0]) and np.array_equal(shifted, want[1]), n
 
 
 def test_level1_syndrome_vec_is_linear():
@@ -1047,8 +1033,8 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
                 fc = FaultCombination(
                     fnc,
                     PauliOp.z_op(49, m1 ^ m2 ^ mb),
+                    PauliOp.z_op(49, m1 ^ m2),
                     flag=(f1 ^ f2) | (fb << 21),
-                    error_a=PauliOp.z_op(49, m1 ^ m2),
                 )
                 if relaxed_mark(fc, 3):
                     marked.add((fnc, m1 ^ m2, m1 ^ m2 ^ mb, fc.flag))
@@ -1238,34 +1224,6 @@ def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     assert 0 < len(early[1][0]) < 770512
 
 
-def _reference_exact(cols, k, canon=None):
-    """The gather-based walk the slice engine replaced: XORs of exactly k
-    distinct rows in lexicographic order of their index tuples, canonical
-    after each XOR if asked, triples formed by index arrays in chunks."""
-
-    def xor(a, ia, b, ib):
-        out = tuple(x[ia] ^ y[ib] for x, y in zip(a, b))
-        return out if canon is None else (canon(out[0]),) + out[1:]
-
-    if k == 0:
-        return tuple(np.zeros(1, dtype=np.uint64) for _ in cols)
-    if k == 1:
-        return cols
-    n = len(cols[0])
-    i, j = np.triu_indices(n, k=1)
-    pairs = xor(cols, i, cols, j)
-    if k == 2:
-        return pairs
-    after = np.searchsorted(i, np.arange(n), side="right")
-    first = np.concatenate([[0], np.cumsum(len(i) - after)])
-    parts = []
-    for lo in range(0, int(first[-1]), 1 << 18):
-        rows = np.arange(lo, min(lo + (1 << 18), int(first[-1])))
-        low = np.searchsorted(first, rows, side="right") - 1
-        parts.append(xor(cols, low, pairs, after[low] + rows - first[low]))
-    return tuple(np.concatenate(c) for c in zip(*parts))
-
-
 def _engine_pools():
     """(name, columns, canon) of every pool the engine serves: the table
     pools of the four variants, the scan's raw and deduplicated G1 and G2
@@ -1283,19 +1241,17 @@ def _engine_pools():
     return pools
 
 
-def test_exact_matches_gather_reference_in_order():
+def test_exact_matches_brute_force_in_order(combinations210):
     for name, cols, canon in _engine_pools():
         sets = v._EffectSets(cols)
-        blocks = []
+        blocks = [xors for _, xors in _subsets(combinations210, cols)]
         for k in range(4):
             got = sets._exact((k,))
             assert len(got[0]) == math.comb(len(cols[0]), k), (name, k)
-            ref = _reference_exact(cols, k)
-            assert all(map(np.array_equal, got, ref)), (name, k)
+            assert all(map(np.array_equal, got, blocks[k])), (name, k)
             if canon is not None:
                 # the raw XORs of a canonical pool are already canonical
-                assert np.array_equal(got[0], _reference_exact(cols, k, canon)[0]), k
-            blocks.append(got)
+                assert np.array_equal(got[0], canon(got[0])), k
         # several sizes in one call: the blocks back to back, in the order asked
         for sizes in ((3, 1), (0, 1, 2, 3), (2, 0)):
             got = sets._exact(sizes)
@@ -1304,33 +1260,22 @@ def test_exact_matches_gather_reference_in_order():
             assert all(map(np.array_equal, got, ref)), (name, sizes)
 
 
-def _rank(n, idx):
-    """The rank of a sorted index tuple among the len(idx)-subsets of
-    range(n), in lexicographic order: the subsets before it, counted."""
-    k, rank, lo = len(idx), 0, 0
-    for j, i in enumerate(idx):
-        rank += sum(math.comb(n - 1 - x, k - 1 - j) for x in range(lo, i))
-        lo = i + 1
-    return rank
-
-
-def test_first_round_trip():
+def test_first_round_trip(combinations210):
     # first row, last row and every k = 3 block boundary of each pool:
-    # first names the earliest row with that row's XOR
+    # first names the earliest subset with that subset's XOR
     for name, cols, _ in _engine_pools():
         sets, n = v._EffectSets(cols), len(cols[0])
         boundaries = [math.comb(n, 3) - math.comb(n - i, 3) for i in range(1, n - 2)]
-        for k in range(4):
-            rows = sets._exact((k,))
-            n_rows = len(rows[0])
-            for r in {0, n_rows - 1, *(boundaries if k == 3 else ())}:
-                if not 0 <= r < n_rows:
+        for k, (tuples, xors) in enumerate(_subsets(combinations210, cols)):
+            for r in {0, len(tuples) - 1, *(boundaries if k == 3 else ())}:
+                if not 0 <= r < len(tuples):
                     continue
-                target = tuple(int(c[r]) for c in rows)
+                target = tuple(int(c[r]) for c in xors)
                 idx = sets.first(v._equal(target), (k,))
                 assert len(idx) == k and list(idx) == sorted(set(idx)), (name, k, r)
-                earliest = v._equal(target)(rows).argmax()
-                assert _rank(n, idx) == earliest <= r, (name, k, r)
+                # the oracle's earliest hit, at r or before
+                hits = v._equal(target)(tuple(c[: r + 1] for c in xors))
+                assert idx == tuple(tuples[hits.argmax()].tolist()), (name, k, r)
                 for c, t in zip(cols, target):
                     xor = np.bitwise_xor.reduce(c[list(idx)]) if k else 0
                     assert int(xor) == t, (name, k, r)
