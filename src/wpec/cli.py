@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import os
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .codes import (
     GOLAY_ROWS,
@@ -597,5 +598,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry of ``python -m wpec`` and the ``wpec`` script: exit
+    with ``main``'s code.
+
+    On every way out (a return, argparse's exit, an exception) the
+    collector is frozen first, so the collections of interpreter shutdown
+    skip the objects numpy and the package leave alive, 20-28 ms of a
+    numpy job otherwise.  ``main`` called as a library freezes nothing.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -366,7 +366,8 @@ class _EffectSets:
     sizes 0 and 1 are one block each, and the k-subsets with lowest index
     i are one block, ``pool[i]`` ^ the suffix of level k - 1 above i.
     One level (the XORs of exactly k - 1 rows, in walk order) is kept:
-    the source of the last size walked.  ``_exact`` writes the blocks
+    the source of the last size walked, or level 2 once ``_exact`` has
+    written it.  ``_exact`` writes the blocks
     out, ``up_to`` answers which effects are reachable, and ``first``
     which rows reach one that a predicate picks.
     """
@@ -408,8 +409,13 @@ class _EffectSets:
         ends = list(itertools.accumulate((math.comb(n, k) for k in sizes), initial=0))
         out = tuple(np.empty(ends[-1], dtype=np.uint64) for _ in self.pool)
         for k, lo, hi in zip(sizes, ends, ends[1:]):
-            for _ in self._blocks(k, tuple(c[lo:hi] for c in out)):
+            dst = tuple(c[lo:hi] for c in out)
+            for _ in self._blocks(k, dst):
                 pass
+            if k == 2:
+                # level 2 is small and the source of size 3: keep a copy
+                # (callers write into ``out``), so size 3 does not walk it again
+                self._level = 2, tuple(c.copy() for c in dst)
         return out
 
     def up_to(self, v: int) -> tuple[np.ndarray, ...]:

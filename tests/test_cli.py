@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, golden
 comparisons, and the decode command's bundle handling."""
 
+import gc
 import hashlib
 import json
 import os
@@ -450,10 +451,18 @@ def test_record_fields_alone_place_the_key_fields(tmp_path):
     assert run(tmp_path / "src", "-c", probe) == b"0\n"
 
 
-def test_gen_table_closed_pipe_exits_141_quietly(tmp_path):
+# The two process entries: the module and what the console script runs.
+_ENTRIES = pytest.mark.parametrize(
+    "entry", [["-m", "wpec"], ["-c", "from wpec.cli import run; run()"]],
+    ids=["module", "script"],
+)
+
+
+@_ENTRIES
+def test_gen_table_closed_pipe_exits_141_quietly(entry, tmp_path):
     err = tmp_path / "err.txt"
     with open(err, "wb") as err_fh:
-        proc = _python(["-m", "wpec", "gen-table"], stdout=subprocess.PIPE,
+        proc = _python([*entry, "gen-table"], stdout=subprocess.PIPE,
                        stderr=err_fh)
         line = proc.stdout.readline()  # what `| head -1` reads
         proc.stdout.close()
@@ -480,16 +489,50 @@ def test_write_failure_exits_2_with_a_message(argv, capsys):
     "argv",
     [["gen-table", "--max-faults", "1"], ["verify-claims", "--code", "steane"]],
 )
-def test_stdout_write_failure_exits_2_quietly(argv, monkeypatch, tmp_path):
+@_ENTRIES
+def test_stdout_write_failure_exits_2_quietly(entry, argv, monkeypatch, tmp_path):
     # block-buffered stdout: the steane report fits the buffer, so only the
     # final flush fails; the exit-time flush must not add a second message
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     err = tmp_path / "err.txt"
     with open("/dev/full", "wb") as full, open(err, "wb") as err_fh:
-        proc = _python(["-m", "wpec", *argv], stdout=full, stderr=err_fh)
+        proc = _python([*entry, *argv], stdout=full, stderr=err_fh)
         assert proc.wait(timeout=120) == 2
     assert err.read_text().startswith("error: cannot write output: ")
     assert err.read_text().count("\n") == 1
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the process entry freezes; a library caller keeps its collector
+    assert main(["verify-claims", "--code", "steane"]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+# Runs ``python -m wpec`` on the arguments, with an exit hook that prints
+# to stderr, as its last line, whether the collector was frozen by then.
+_FREEZE_PROBE = textwrap.dedent("""
+    import atexit, gc, runpy, sys
+    atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+    sys.argv = ["wpec", *sys.argv[1:]]
+    runpy.run_module("wpec", run_name="__main__", alter_sys=True)
+""")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("verify-claims --code steane", 0), ("--help", 0),
+     ("gen-table --max-faults 4", 2)],
+)
+def test_process_entry_freezes_the_collector_on_every_exit(command, code):
+    proc = _python(["-c", _FREEZE_PROBE, *command.split()],
+                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == code
+    assert stderr.splitlines()[-1] == b"True"
 
 
 def test_importing_the_cli_does_no_table_work():

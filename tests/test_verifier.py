@@ -477,12 +477,13 @@ def test_find_fault_combination_on_first_record(table3):
 @pytest.fixture(scope="module")
 def combinations210():
     """Index tuples of every k-subset of range(210), k = 0..3, in
-    itertools order.  The subsets of a smaller range(n) are the rows
-    whose indices are all below n, in the same order."""
-    return [np.zeros((1, 0), dtype=np.intp)] + [
+    itertools order, as uint8 (every index is below 210).  The subsets of
+    a smaller range(n) are the rows whose indices are all below n, in the
+    same order."""
+    return [np.zeros((1, 0), dtype=np.uint8)] + [
         np.fromiter(
             itertools.combinations(range(210), k),
-            dtype=np.dtype((np.intp, k)),
+            dtype=np.dtype((np.uint8, k)),
             count=math.comb(210, k),
         )
         for k in (1, 2, 3)
@@ -514,16 +515,38 @@ def _brute_first(subsets, target, sizes):
     return None
 
 
+@pytest.fixture(scope="module")
+def engine_subsets(combinations210):
+    """(columns, canon, brute-force subsets) of every pool the engine
+    serves, by name: the table pools of the four variants (their subset
+    XORs made canonical), the scan's raw and deduplicated G1 and G2
+    atoms, and the wait pool.  Built once for every test that reads them."""
+    pools = [
+        (f"table{variant}", (fault_model(*variant).signature_pool(),),
+         _canon_sig_array)
+        for variant in VARIANTS
+    ]
+    model = fault_model()
+    for name, atoms in (("G1", model.gate1), ("G2", model.gate2)):
+        pools.append((f"{name} raw", v._atom_columns(atoms), None))
+        pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
+    pools.append(("wait", v._atom_effect_sets(model.wait).pool, None))
+    return {
+        name: (cols, canon, _subsets(combinations210, cols, canon))
+        for name, cols, canon in pools
+    }
+
+
 @pytest.mark.parametrize("flagged,interleaved", VARIANTS)
 def test_first_matches_brute_force_on_table_pool(
-    combinations210, flagged, interleaved
+    engine_subsets, flagged, interleaved
 ):
     table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
     sets, labels = v._table_witnesses(flagged, interleaved)
     assert np.array_equal(
         sets.pool[0], fault_model(flagged, interleaved).signature_pool()
     )
-    subsets = _subsets(combinations210, sets.pool, _canon_sig_array)
+    subsets = engine_subsets[f"table{(flagged, interleaved)}"][2]
     rng = random.Random(31)
     keys = [int(table.keys[rng.randrange(table.n_records)]) for _ in range(30)]
     for prefix in table.violated_prefixes()[:20]:  # every printed violation
@@ -540,17 +563,15 @@ def test_first_matches_brute_force_on_table_pool(
 
 
 @pytest.fixture(scope="module")
-def raw_gate_pools(combinations210):
+def raw_gate_pools(engine_subsets):
     """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms,
     by pool name."""
     model = fault_model()
     out = {}
-    for pool in ("gate1", "gate2"):
-        atoms = getattr(model, pool)
-        cols = v._atom_columns(atoms)
+    for pool, name in (("gate1", "G1 raw"), ("gate2", "G2 raw")):
+        cols, _, subsets = engine_subsets[name]
         out[pool] = (
-            v._EffectSets(cols), _subsets(combinations210, cols),
-            [a.label for a in atoms],
+            v._EffectSets(cols), subsets, [a.label for a in getattr(model, pool)],
         )
     return out
 
@@ -1224,27 +1245,10 @@ def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     assert 0 < len(early[1][0]) < 770512
 
 
-def _engine_pools():
-    """(name, columns, canon) of every pool the engine serves: the table
-    pools of the four variants, the scan's raw and deduplicated G1 and G2
-    atoms, and the wait pool."""
-    pools = [
-        (f"table{variant}", (fault_model(*variant).signature_pool(),),
-         _canon_sig_array)
-        for variant in VARIANTS
-    ]
-    model = fault_model()
-    for name, atoms in (("G1", model.gate1), ("G2", model.gate2)):
-        pools.append((f"{name} raw", v._atom_columns(atoms), None))
-        pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
-    pools.append(("wait", v._atom_effect_sets(model.wait).pool, None))
-    return pools
-
-
-def test_exact_matches_brute_force_in_order(combinations210):
-    for name, cols, canon in _engine_pools():
+def test_exact_matches_brute_force_in_order(engine_subsets):
+    for name, (cols, canon, subsets) in engine_subsets.items():
         sets = v._EffectSets(cols)
-        blocks = [xors for _, xors in _subsets(combinations210, cols)]
+        blocks = [xors for _, xors in subsets]
         for k in range(4):
             got = sets._exact((k,))
             assert len(got[0]) == math.comb(len(cols[0]), k), (name, k)
@@ -1260,13 +1264,13 @@ def test_exact_matches_brute_force_in_order(combinations210):
             assert all(map(np.array_equal, got, ref)), (name, sizes)
 
 
-def test_first_round_trip(combinations210):
+def test_first_round_trip(engine_subsets):
     # first row, last row and every k = 3 block boundary of each pool:
     # first names the earliest subset with that subset's XOR
-    for name, cols, _ in _engine_pools():
+    for name, (cols, _, subsets) in engine_subsets.items():
         sets, n = v._EffectSets(cols), len(cols[0])
         boundaries = [math.comb(n, 3) - math.comb(n - i, 3) for i in range(1, n - 2)]
-        for k, (tuples, xors) in enumerate(_subsets(combinations210, cols)):
+        for k, (tuples, xors) in enumerate(subsets):
             for r in {0, len(tuples) - 1, *(boundaries if k == 3 else ())}:
                 if not 0 <= r < len(tuples):
                     continue
