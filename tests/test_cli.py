@@ -267,6 +267,8 @@ PINNED_OUTPUTS = {
         0, "06b858430be00711154e6b10d4b44fd9aa15dd9c0398adad1f825add398dba2d"),
     "verify-appendix-b --max-faults 2 --format json-lines": (
         0, "76e2889a89ef8826e32a123ba45a5be68d0c6b37e870188c1a28dc9855b4d1f4"),
+    "verify-appendix-b --max-faults 3 --format json-lines": (
+        0, "b73f837fc928e06257bac216b6856b00c4b114303d1ef6cebf2762cc9aa114fd"),
     "decode perfbench/bundle.txt --format json-lines": (
         0, "bbdde1bce62889c78e581e09248f32d774deb87e0b7d285001f91c83ff626a77"),
 }
