@@ -25,6 +25,7 @@ of generators with ``span``.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable
 
 from .pauli import BLOCK_SIZE, MASK7, N_BLOCKS, parity
@@ -221,6 +222,23 @@ def golay_syndrome(mask: int) -> int:
     overlap parity with ``GOLAY_ROWS[i]``, read as two table entries."""
     lo, hi = _golay_tables()
     return lo[mask & 4095] ^ hi[mask >> 12 & 2047]
+
+
+@functools.cache
+def golay_leaders() -> tuple[int, ...]:
+    """The coset leader of each 11-bit Golay syndrome, indexed by it: the
+    one error of weight <= 3 with that syndrome.  The code is perfect with
+    distance 7, so the 2,048 errors of weight <= 3 have distinct
+    syndromes (checked here) and fill all 2,048.  Built on first use."""
+    leaders = [-1] * 2048
+    for w in range(4):
+        for qs in itertools.combinations(range(N23), w):
+            m = sum(1 << q for q in qs)
+            s = golay_syndrome(m)
+            if leaders[s] >= 0:
+                raise RuntimeError(f"two errors of weight <= 3 share syndrome {s}")
+            leaders[s] = m
+    return tuple(leaders)
 
 
 def golay_z_stabilizers() -> frozenset[int]:

@@ -29,7 +29,7 @@ from .codes import (
     LOGICAL23,
     N7,
     N23,
-    golay_syndrome,
+    golay_leaders,
     syndrome7,
 )
 from .pauli import PauliOp
@@ -59,8 +59,9 @@ class CorrectionTable:
 
     wt1/wt2 map the seven nonzero 3-bit syndromes to the weight-1 and a
     fixed weight-2 Z error; golay_min maps all 2^11 syndromes to the
-    unique minimal-weight (<=3) Z error.  golay_min is built on first
-    use, so a Steane-only decode never computes 2,048 Golay syndromes.
+    unique minimal-weight (<=3) Z error, ``codes.golay_leaders``.  It is
+    built on first use, so a Steane-only decode never computes 2,048
+    Golay syndromes.
     """
 
     def __init__(self, wt1: dict[int, PauliOp], wt2: dict[int, PauliOp]) -> None:
@@ -69,21 +70,7 @@ class CorrectionTable:
 
     @functools.cached_property
     def golay_min(self) -> dict[int, PauliOp]:
-        golay_min: dict[int, PauliOp] = {}
-        for w in range(4):
-            for qs in itertools.combinations(range(N23), w):
-                m = sum(1 << q for q in qs)
-                s = golay_syndrome(m)
-                if s in golay_min:
-                    if golay_min[s].weight() == w:
-                        raise RuntimeError(
-                            "two weight-%d errors share syndrome %d" % (w, s)
-                        )
-                    continue
-                golay_min[s] = PauliOp.z_op(N23, m)
-        if len(golay_min) != 2048:
-            raise RuntimeError("weight<=3 errors did not cover every syndrome")
-        return golay_min
+        return {s: PauliOp.z_op(N23, m) for s, m in enumerate(golay_leaders())}
 
 
 def build_correction_table() -> CorrectionTable:

@@ -31,8 +31,8 @@ relaxed detectability conditions are marked, and every marked
 combination is then re-analyzed against its possible wait-error
 completions to bound the weight of the residual error it can leave.
 
-The scan's effects are (Z mask, flag) pairs.  The table's are packed
-uint64 signatures, a key below tau: block parity (stored canonically,
+Both enumerations work on one uint64 column.  The table's rows are
+packed signatures, a key below tau: block parity (stored canonically,
 as the minimum over the eight stabilizer parity patterns), flags and
 first-level syndrome.  The canonical form ``PCANON`` is linear with
 image 0..15, so canonical parities are a subspace: an XOR of canonical
@@ -40,12 +40,24 @@ signatures is canonical, and the engine works on them as plain XORs.
 ``syndrome7`` is linear too, so s-tilde bits ride along in those XORs;
 tau, a nonlinear function of the syndrome, is read per key.
 
+The scan's rows are (Z mask, flag) pairs packed as
+``mask << 11 | golay_syndrome(flag)``: the 21 flags, read as a 23-bit
+error, ride as their 11-bit syndrome under the [[23,1,7]] Golay code.
+The packing is linear, so keys XOR as their effects do, and it is
+lossless on flags of weight at most 3: two of them differ by a vector of
+weight at most 6, and with distance 7 no nonzero one of those has
+syndrome 0.  Every scan atom raises at most one flag and a scan row XORs
+at most three atoms, so every row packs; a packed pool refuses larger
+subsets, where a weight-4 and a weight-3 flag vector can share a
+syndrome.  A row's flags are the coset leader of its syndrome
+(``codes.golay_leaders``), and their weight the leader's.
+
 Witnesses come from the same engine, through one search, ``first``:
 the lexicographically first tuple of distinct pool-row indices whose
 XOR a predicate picks, trying subset sizes in a given order.  Audit
 witnesses search the table's pool (distinct canonical signatures in
 ascending order, each labelled by its first atom) for the record's
-signature, sizes 0 to 3.  Scan witnesses search the raw G1 and G2 atoms
+signature, sizes 0 to 3.  Scan witnesses search the raw G1 and G2 keys
 in atom order (equal atoms kept apart), sizes v, v-2, ... per category's
 fault number v: late G1 for its effect, early G1 for a complement in
 G2's ``up_to``, then G2 for that complement.
@@ -68,6 +80,8 @@ from .codes import (
     PCANON,
     STAB7,
     block_parity,
+    golay_leaders,
+    golay_syndrome,
     level1_syndrome,
     min_coset_rep,
     min_coset_weight,
@@ -313,128 +327,95 @@ def _unique_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _unique_rows(cols: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Distinct rows of one or two uint64 columns, sorted by the columns
-    in order.  Two columns (49-bit masks, 21-bit flags) become one sort
-    key, mask << 15 | the flag's rank among the distinct flags, so both
-    cases are a plain sort + adjacent diff (a lexsort is ~3x slower).
-
-    ``cols`` is a list of arrays the caller gives up.  It is emptied,
-    the masks' buffer becomes the sort key, and the raw flags are freed
-    before the distinct rows are copied out."""
-    if len(cols) == 1:
-        return (_unique_sorted(np.sort(cols.pop())),)
-    m, f = cols
-    cols.clear()  # m and f now hold the last references
-    # validated before any flag indexes the rank table
-    if len(m) and (int(m.max()) >> 49 or int(f.max()) >> 21):
-        raise ValueError(
-            "rows must be 49-bit masks with at most 2^15 distinct 21-bit flags"
-        )
-    present = np.zeros(1 << 21, dtype=bool)
-    present[f.view(np.int64)] = True  # the distinct flags without a sorted copy
-    flags = np.flatnonzero(present)
-    del present
-    if len(flags) > 1 << 15:
-        raise ValueError(
-            "rows must be 49-bit masks with at most 2^15 distinct 21-bit flags"
-        )
-    rank = np.zeros(1 << 21, dtype=np.uint16)
-    rank[flags] = np.arange(len(flags))
-    m <<= np.uint64(15)
-    m |= rank[f.view(np.int64)]
-    del f, rank
-    m.sort()
-    keys = _unique_sorted(m)
-    del m
-    flags = flags.astype(np.uint64)[keys.astype(np.uint16) & np.uint16(0x7FFF)]
-    keys >>= np.uint64(15)
-    return keys, flags
-
-
 class _EffectSets:
     """XORs of distinct rows of an effect pool, any number at a time.
 
-    A row is a tuple of uint64 columns: (signature,) for the lookup
-    table (with its s-tilde bits for the build), (mask, flag) for the
-    final-round scan.  Rows keep the order they are given in; callers
-    that want distinct rows pass them deduplicated.  Rows compare as they
-    are: a table pool is canonical, and so is every XOR of its rows (see
-    the module docstring).
+    A row is one uint64: a table signature (with its s-tilde bits for the
+    build), or a scan row, ``mask << 11 | golay_syndrome(flag)``.  Flag
+    vectors of weight at most 3 differ in at most 6 bits, below the Golay
+    distance 7, so their syndromes differ; a scan row raises at most one
+    flag, so a scan pool sets ``max_size`` to 3 (four rows can XOR to a
+    weight-4 flag vector whose syndrome a weight-3 one shares).  Rows
+    keep the order they are given in; callers that want distinct rows
+    pass them deduplicated.  Rows compare as they are: a table pool is
+    canonical, and so is every XOR of its rows, and a scan pool's XORs
+    of up to ``max_size`` rows are packed injectively.
 
     ``_blocks`` is the one walk of index tuples, in lexicographic order:
     sizes 0 and 1 are one block each, and the k-subsets with lowest index
     i are one block, ``pool[i]`` ^ the suffix of level k - 1 above i.
-    One level (the XORs of exactly k - 1 rows, in walk order) is kept:
-    the source of the last size walked, or level 2 once ``_exact`` has
-    written it.  ``_exact`` writes the blocks
-    out, ``up_to`` answers which effects are reachable, and ``first``
-    which rows reach one that a predicate picks.
+    Level 1 is the pool, and one more level (the XORs of exactly k - 1
+    rows, in walk order) is kept: the source of the last size above 2
+    walked, or level 2 once ``_exact`` has written it.  ``_exact`` writes
+    the blocks out, ``up_to`` answers which effects are reachable, and
+    ``first`` which rows reach one that a predicate picks.
     """
 
-    def __init__(self, cols: tuple[np.ndarray, ...]) -> None:
-        self.pool = cols
-        self._up_to: dict[int, tuple[np.ndarray, ...]] = {}
-        self._level = 1, cols  # the kept level: its size, its XORs
+    def __init__(self, pool: np.ndarray, max_size: int | None = None) -> None:
+        self.pool = pool
+        self.max_size = max_size
+        self._up_to: dict[int, np.ndarray] = {}
+        self._level: tuple[int, np.ndarray | None] = 0, None  # its size, its XORs
 
-    def _blocks(self, k: int, out: tuple[np.ndarray, ...] | None = None):
+    def _blocks(self, k: int, out: np.ndarray | None = None):
         """Yield (lo, block) per block of the k-subsets: lo is the rank of
-        its first subset among the C(n, k), block its XORs, one array per
-        column.  A block is written into ``out`` (C(n, k) rows per
-        column) at lo if given, else into a buffer the next block reuses."""
-        n = len(self.pool[0])
+        its first subset among the C(n, k), block its XORs.  A block is
+        written into ``out`` (C(n, k) rows) at lo if given, else into a
+        buffer the next block reuses."""
+        if self.max_size is not None and k > self.max_size:
+            raise ValueError(
+                f"XORs of {k} rows of a packed pool can collide: at most "
+                f"{self.max_size} rows keep their flags apart"
+            )
+        n = len(self.pool)
         if k < 2:
-            block = self.pool if k else tuple(np.zeros(1, np.uint64) for _ in self.pool)
-            for dst, col in zip(out or (), block):
-                dst[:] = col
+            block = self.pool if k else np.zeros(1, np.uint64)
+            if out is not None:
+                out[:] = block
             yield 0, block
             return
-        if self._level[0] != k - 1:
+        if k > 2 and self._level[0] != k - 1:
             self._level = k - 1, self._exact((k - 1,))
-        level = self._level[1]
-        buf = out or tuple(np.empty(math.comb(n - 1, k - 1), np.uint64) for _ in level)
+        level = self._level[1] if k > 2 else self.pool
+        buf = np.empty(math.comb(n - 1, k - 1), np.uint64) if out is None else out
         lo = 0
         for i in range(n - k + 1):
             # the (k-1)-subsets above i are the level's last m rows, m >= 1
-            m, at = math.comb(n - 1 - i, k - 1), lo if out else 0
-            yield lo, tuple(np.bitwise_xor(col[i], src[-m:], out=dst[at : at + m])
-                            for col, src, dst in zip(self.pool, level, buf))
+            m, at = math.comb(n - 1 - i, k - 1), 0 if out is None else lo
+            yield lo, np.bitwise_xor(self.pool[i], level[-m:], out=buf[at : at + m])
             lo += m
 
-    def _exact(self, sizes) -> tuple[np.ndarray, ...]:
+    def _exact(self, sizes) -> np.ndarray:
         """XORs of exactly k distinct pool rows for each k in ``sizes``,
         one block per k in that order, each block in lexicographic order
-        of its index tuples; one preallocated array per column."""
-        n = len(self.pool[0])
+        of its index tuples; one preallocated array."""
+        n = len(self.pool)
         ends = list(itertools.accumulate((math.comb(n, k) for k in sizes), initial=0))
-        out = tuple(np.empty(ends[-1], dtype=np.uint64) for _ in self.pool)
+        out = np.empty(ends[-1], dtype=np.uint64)
         for k, lo, hi in zip(sizes, ends, ends[1:]):
-            dst = tuple(c[lo:hi] for c in out)
-            for _ in self._blocks(k, dst):
+            for _ in self._blocks(k, out[lo:hi]):
                 pass
             if k == 2:
                 # level 2 is small and the source of size 3: keep a copy
                 # (callers write into ``out``), so size 3 does not walk it again
-                self._level = 2, tuple(c.copy() for c in dst)
+                self._level = 2, out[lo:hi].copy()
         return out
 
-    def up_to(self, v: int) -> tuple[np.ndarray, ...]:
+    def up_to(self, v: int) -> np.ndarray:
         """Distinct XORs of exactly v faults (v, v-2, ... distinct rows:
-        a repeated effect cancels pairwise), sorted by the columns in
-        order; memoized per v."""
+        a repeated effect cancels pairwise), ascending; memoized per v."""
         if v not in self._up_to:
-            exact = list(self._exact(range(v, -1, -2)))  # fresh: packed in place
-            self._up_to[v] = _unique_rows(exact)
+            self._up_to[v] = _unique_sorted(np.sort(self._exact(range(v, -1, -2))))
         return self._up_to[v]
 
     def first(self, match, sizes) -> tuple[int, ...] | None:
         """The lexicographically first tuple of distinct row indices whose
-        XOR ``match`` (a block's columns -> a boolean array) picks, trying
-        the subset sizes in the order given; None when no size reaches
-        one.  The hit's rank is unranked in the combinatorial number
-        system: each index moves past i while the rank passes the subsets
-        that start at i."""
-        n = len(self.pool[0])
+        XOR ``match`` (a block -> a boolean array) picks, trying the
+        subset sizes in the order given; None when no size reaches one.
+        The hit's rank is unranked in the combinatorial number system:
+        each index moves past i while the rank passes the subsets that
+        start at i."""
+        n = len(self.pool)
         for k in sizes:
             for lo, block in self._blocks(k):
                 hit = match(block)
@@ -449,11 +430,9 @@ class _EffectSets:
         return None
 
 
-def _equal(target: tuple[int, ...]):
-    """A ``first`` predicate: the rows equal to ``target``, one int per column."""
-    return lambda cols: np.logical_and.reduce(
-        [c == np.uint64(t) for c, t in zip(cols, target)]
-    )
+def _equal(target: int):
+    """A ``first`` predicate: the rows equal to ``target``."""
+    return lambda block: block == np.uint64(target)
 
 
 # A raw block parity's key bits: its canonical form, and its s-tilde
@@ -665,8 +644,8 @@ def build_lookup_table(
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
     model = fault_model(flagged=flagged, interleaved=interleaved)
-    sets = _EffectSets((_pool_keys(model.signature_pool()),))
-    keys = _add_tau(sets._exact(range(max_faults + 1))[0])
+    sets = _EffectSets(_pool_keys(model.signature_pool()))
+    keys = _add_tau(sets._exact(range(max_faults + 1)))
     keys.sort()
     keys = _unique_sorted(keys)  # drops the last reference to the XORs
     counts = combination_counts(model, max_faults)
@@ -686,7 +665,7 @@ def _table_witnesses(
     pool = model.signature_pool()
     label_of = {a.signature: a.label for a in reversed(model.all_atoms())}
     labels = tuple(label_of[sig] for sig in pool.tolist())
-    return _EffectSets((pool,)), labels
+    return _EffectSets(pool), labels
 
 
 def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | None:
@@ -694,7 +673,7 @@ def find_fault_combination(table: LookupTable, key: int) -> tuple[str, ...] | No
     the lexicographically first set of at most three pool signatures, by
     increasing size."""
     sets, labels = _table_witnesses(table.flagged, table.interleaved)
-    found = sets.first(_equal((key & (1 << _PART) - 1,)), range(4))  # below tau
+    found = sets.first(_equal(key & (1 << _PART) - 1), range(4))  # below tau
     return None if found is None else tuple(labels[r] for r in found)
 
 
@@ -1044,14 +1023,36 @@ def _min_coset_weight_vec(masks: np.ndarray) -> np.ndarray:
     return best
 
 
-def _atom_columns(atoms: tuple[FaultAtom, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (mask, flag) columns of a pool of Z-side atoms, in atom order."""
-    return tuple(np.array([(a.error, a.flag) for a in atoms], dtype=np.uint64).T)
+# A scan key's low bits: its flags' Golay syndrome, below the Z mask.
+_SYN = 11
+_SYN_LOW = (1 << _SYN) - 1
+
+
+def _atom_keys(atoms: tuple[FaultAtom, ...]) -> np.ndarray:
+    """The packed keys of a pool of Z-side atoms, in atom order: each
+    atom raises at most one flag, so XORs of up to three pack."""
+    if any(a.error >> 49 or a.flag >> 21 or a.flag.bit_count() > 1 for a in atoms):
+        raise ValueError("packed atoms have 49-bit masks and one of 21 flags at most")
+    return np.array([a.error << _SYN | golay_syndrome(a.flag) for a in atoms],
+                    dtype=np.uint64)
 
 
 def _atom_effect_sets(atoms: tuple[FaultAtom, ...]) -> _EffectSets:
-    """The effect sets of a pool of Z-side atoms, over its distinct rows."""
-    return _EffectSets(_unique_rows(list(_atom_columns(atoms))))
+    """The effect sets of a pool of Z-side atoms, over its distinct keys."""
+    return _EffectSets(_unique_sorted(np.sort(_atom_keys(atoms))), max_size=3)
+
+
+@functools.cache
+def _flag_weights() -> np.ndarray:
+    """A packed row's flag count, indexed by its flag syndrome: the
+    weight of the syndrome's coset leader.  Built on first use."""
+    return np.bitwise_count(np.array(golay_leaders(), dtype=np.uint64))
+
+
+def _flag_count(keys: np.ndarray) -> np.ndarray:
+    """How many flags each packed key raises (signed indices skip a
+    conversion per read)."""
+    return _flag_weights()[(keys & _SYN_LOW).view(np.int64)]
 
 
 def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
@@ -1099,18 +1100,23 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 def _early_survivors(
     fnc: FaultNumberCombination, g1: _EffectSets, g2: _EffectSets
-) -> tuple[np.ndarray, np.ndarray]:
-    """Early (G1a x G2) effects whose sigma fits the flip budget, in
-    cross-product order.  The level-1 syndrome is linear, so the cross
-    product's syndromes are XORs of the pools' syndromes, formed about
-    _XOR_CHUNK at a time.  With v_w = v_s = 0 sigma fits only a zero
-    syndrome, so the survivors are the pairs of equal syndromes, which
-    ``_syndrome_join`` finds without the cross product."""
-    (g1m, g1f), (g2m, g2f) = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
+) -> np.ndarray:
+    """Early (G1a x G2) keys within the flag budget whose sigma fits the
+    flip budget, in cross-product order.  G2 raises no flag, so the flag
+    budget drops G1a rows before any syndrome is formed.  The level-1
+    syndrome is linear, so the cross product's syndromes are XORs of the
+    pools' syndromes, formed about _XOR_CHUNK at a time; ``up_to(0)`` is
+    the zero row, of syndrome 0.  With v_w = v_s = 0 sigma fits only a
+    zero syndrome, so the survivors are the pairs of equal syndromes,
+    which ``_syndrome_join`` finds without the cross product."""
+    k1, k2 = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
+    k1 = k1[_flag_count(k1) <= fnc.v_f]
+    m1, m2 = k1 >> _SYN, k2 >> _SYN
     if fnc.v_w == fnc.v_s == 0:
-        i1, i2 = _syndrome_join(g1, fnc.v_g1a, g2, fnc.v_g2)
+        i1, i2 = _syndrome_join(m1, fnc.v_g1a, m2, fnc.v_g2)
     else:
-        g1s, g2s = _level1_syndrome_vec(g1m), _level1_syndrome_vec(g2m)
+        g1s, g2s = (_level1_syndrome_vec(m) if v else np.zeros(1, np.uint64)
+                    for m, v in ((m1, fnc.v_g1a), (m2, fnc.v_g2)))
         n2 = len(g2s)
         step = max(1, _XOR_CHUNK // max(n2, 1))
         keep = [_NO_ROWS]  # an empty pool side makes no chunk or empty ones
@@ -1119,32 +1125,30 @@ def _early_survivors(
             fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
             keep.append(lo * n2 + np.flatnonzero(fits))
         i1, i2 = np.divmod(np.concatenate(keep), n2)
-    return g1m[i1] ^ g2m[i2], g1f[i1] ^ g2f[i2]
+    return k1[i1] ^ k2[i2]
 
 
 def _syndrome_join(
-    g1: _EffectSets, v1: int, g2: _EffectSets, v2: int
+    m1: np.ndarray, v1: int, m2: np.ndarray, v2: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i1, i2) of ``g1.up_to(v1)`` x ``g2.up_to(v2)`` whose
-    masks have equal level-1 syndromes, in cross-product order.
+    """Index pairs (i1, i2) of masks ``m1`` x ``m2`` (of v1 and v2
+    faults) with equal level-1 syndromes, in cross-product order.
 
-    A one-row side (``up_to(0)``) makes it a filter over the other side,
-    whose syndromes are formed _XOR_CHUNK rows at a time and never held
-    whole.  Otherwise both sides are short (at most ``up_to(2)``): the
-    second side's syndromes are sorted, stably, and each row of the
-    first finds its run of equal ones by binary search."""
-    m1, m2 = g1.up_to(v1)[0], g2.up_to(v2)[0]
-    if len(m1) == 1 or len(m2) == 1:
-        one, other = (m1, m2) if len(m1) == 1 else (m2, m1)
-        target = _level1_syndrome_vec(one)[0]
+    A side of no faults is the zero row, so the join is a filter for the
+    other side's zero syndromes, formed _XOR_CHUNK rows at a time and
+    never held whole.  Otherwise both sides are short (at most
+    ``up_to(2)``): the second side's syndromes are sorted, stably, and
+    each row of the first finds its run of equal ones by binary search."""
+    if v1 == 0 or v2 == 0:
+        other = m2 if v1 == 0 else m1
         step = _XOR_CHUNK
         # one expression per chunk: no chunk's syndromes outlive its filter
         hit = np.concatenate([_NO_ROWS, *(
-            lo + np.flatnonzero(_level1_syndrome_vec(other[lo : lo + step]) == target)
+            lo + np.flatnonzero(_level1_syndrome_vec(other[lo : lo + step]) == 0)
             for lo in range(0, len(other), step)
         )])
         zero = np.zeros_like(hit)
-        return (zero, hit) if len(m1) == 1 else (hit, zero)
+        return (zero, hit) if v1 == 0 else (hit, zero)
     s1, s2 = _level1_syndrome_vec(m1), _level1_syndrome_vec(m2)
     order = np.argsort(s2, kind="stable")
     s2 = s2[order]
@@ -1164,86 +1168,77 @@ def _scan_number_combination(
 ) -> tuple[list[MarkedCombination], int]:
     """Mark survivors of the relaxed conditions for one number combination.
 
-    Late G1 effects are the early ones with their flags moved to the
-    high 21 bits; the shift keeps the (mask, flag) order, so one pool
-    serves both.
+    Late G1 effects are the G1 rows, their flags read as the high 21 bits
+    of the combination's.  The two halves are disjoint, so a pair's flag
+    count is the sum of its rows' (``_flag_count``), and only pairs
+    within the flag budget are weighed; the flags themselves are decoded
+    for marked pairs alone.
     """
-    bm, bf = g1.up_to(fnc.v_g1b)
-    examined = len(g1.up_to(fnc.v_g1a)[0]) * len(g2.up_to(fnc.v_g2)[0]) * len(bm)
-    am, af = _early_survivors(fnc, g1, g2)
-    keep = np.bitwise_count(bf) <= np.uint64(fnc.v_f)
-    bm, bf = bm[keep], bf[keep] << np.uint64(21)
+    late = g1.up_to(fnc.v_g1b)
+    examined = len(g1.up_to(fnc.v_g1a)) * len(g2.up_to(fnc.v_g2)) * len(late)
+    early = _early_survivors(fnc, g1, g2)
+    late = late[_flag_count(late) <= fnc.v_f]
+    ia, ib = np.nonzero(_flag_count(early)[:, None] + _flag_count(late) <= fnc.v_f)
+    early, late = early[ia], late[ib]
+    wmin = _min_coset_weight_vec((early ^ late) >> _SYN)
+    hot = wmin.astype(np.int64) + fnc.v_w > max_faults
 
-    fullm = (am[:, None] ^ bm[None, :]).reshape(-1)
-    fullf = (af[:, None] | bf[None, :]).reshape(-1)  # flag halves are disjoint
-    keep = np.bitwise_count(fullf) <= np.uint64(fnc.v_f)
-    wmin = np.zeros(len(fullm), dtype=np.uint16)
-    wmin[keep] = _min_coset_weight_vec(fullm[keep])
-    hot = keep & (wmin.astype(np.int64) + fnc.v_w > max_faults)
-
-    out = []
-    nb = len(bm)
-    seen: set[tuple[int, int, int, int]] = set()
-    for flat in np.flatnonzero(hot):
-        ia, ib = divmod(int(flat), nb)
-        ea, fa = int(am[ia]), int(af[ia])
-        eb, fb = int(bm[ib]), int(bf[ib])
-        if (ea, fa, eb, fb) in seen:
+    out, leaders = [], golay_leaders()
+    seen: set[tuple[int, int]] = set()
+    for ka, kb, w in zip(early[hot].tolist(), late[hot].tolist(), wmin[hot].tolist()):
+        if (ka, kb) in seen:
             continue
-        seen.add((ea, fa, eb, fb))
+        seen.add((ka, kb))
+        ea, eb = ka >> _SYN, kb >> _SYN
         fc = FaultCombination(
             counts=fnc,
             error=PauliOp.z_op(49, ea ^ eb),
             early_error=PauliOp.z_op(49, ea),
-            flag=fa | fb,
-            faults=_scan_witness(fnc, ea, fa, eb, fb),
+            flag=leaders[ka & _SYN_LOW] | leaders[kb & _SYN_LOW] << 21,
+            faults=_scan_witness(fnc, ka, kb),
         )
         if not relaxed_mark(fc, max_faults):
             raise RuntimeError("vectorized marking disagrees with relaxed_mark")
-        out.append(MarkedCombination(fc, int(wmin[flat])))
+        out.append(MarkedCombination(fc, w))
     return out, examined
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_witness_sets() -> tuple[tuple[_EffectSets, tuple[str, ...]], ...]:
-    """The G1 and G2 atoms as search engines, in atom order and not
+    """The G1 and G2 keys as search engines, in atom order and not
     deduplicated (two equal atoms cancel, and a witness may list both),
     with their labels."""
     model = fault_model()
     return tuple(
-        (_EffectSets(_atom_columns(atoms)), tuple(a.label for a in atoms))
+        (_EffectSets(_atom_keys(atoms), max_size=3), tuple(a.label for a in atoms))
         for atoms in (model.gate1, model.gate2)
     )
 
 
-def _scan_witness(
-    fnc: FaultNumberCombination, ea: int, fa: int, eb: int, fb: int
-) -> tuple[str, ...]:
-    """Witness labels of a marked combination (early ``ea, fa``, late
-    ``eb, fb``): the first late G1 subset, then the first early G1 subset
+def _scan_witness(fnc: FaultNumberCombination, early: int, late: int) -> tuple[str, ...]:
+    """Witness labels of a marked combination (``early`` and ``late``
+    keys): the first late G1 subset, then the first early G1 subset
     whose complement G2 reaches, then the first such G2 subset; sizes
     run v, v-2, ... per category.  Marked combinations are reachable by
     construction, so a miss raises."""
     (g1_raw, g1_labels), (g2_raw, g2_labels) = _scan_witness_sets()
-    late = g1_raw.first(_equal((eb, fb >> 21)), range(fnc.v_g1b, -1, -2))
-    if late is None:
+    found_late = g1_raw.first(_equal(late), range(fnc.v_g1b, -1, -2))
+    if found_late is None:
         raise RuntimeError(f"no late witness for a marked combination of {fnc}")
-    m2, f2 = g2_raw.up_to(fnc.v_g2)
+    g2_keys = g2_raw.up_to(fnc.v_g2)
     # v_g1a + v_g2 <= 3 keeps each block's all-pairs comparison small
     early1 = g1_raw.first(
-        lambda c: (((np.uint64(ea) ^ c[0])[:, None] == m2)
-                   & ((np.uint64(fa) ^ c[1])[:, None] == f2)).any(axis=1),
+        lambda block: ((block ^ np.uint64(early))[:, None] == g2_keys).any(axis=1),
         range(fnc.v_g1a, -1, -2),
     )
     if early1 is None:
         raise RuntimeError(f"no early witness for a marked combination of {fnc}")
-    rest = [e ^ int(np.bitwise_xor.reduce(c[list(early1)]))
-            for e, c in zip((ea, fa), g1_raw.pool)]
+    rest = early ^ int(np.bitwise_xor.reduce(g1_raw.pool[list(early1)]))
     early2 = g2_raw.first(_equal(rest), range(fnc.v_g2, -1, -2))
     return (
         tuple(g1_labels[r] for r in early1)
         + tuple(g2_labels[r] for r in early2)
-        + tuple(f"late:{g1_labels[r]}" for r in late)
+        + tuple(f"late:{g1_labels[r]}" for r in found_late)
     )
 
 
@@ -1266,7 +1261,7 @@ def _analyze_completions(
     worst: int | None = None
     for w_a in range(v_w + 1):
         w_b = v_w - w_a
-        wa_masks, _ = wait.up_to(w_a)
+        wa_masks = wait.up_to(w_a) >> _SYN
         visible = np.uint64(ea) ^ wa_masks
         ok = np.bitwise_count(_level1_syndrome_vec(visible)) <= np.uint64(v_s)
         if not ok.any():

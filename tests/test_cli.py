@@ -611,6 +611,25 @@ def test_each_subcommand_loads_only_its_modules(command, tmp_path):
     assert "numpy.ma" not in loaded
 
 
+def test_golay_leaders_are_built_on_first_use():
+    # no import and no --help builds them: the Golay decode and the scan
+    # read them when they run
+    code = textwrap.dedent("""
+        import wpec.protocol, wpec.verifier
+        from wpec.cli import main
+        from wpec.codes import golay_leaders
+        try:
+            main(["--help"])
+        except SystemExit:
+            pass
+        print(golay_leaders.cache_info().currsize)
+    """)
+    proc = _python(["-c", code], stdout=subprocess.PIPE)
+    stdout, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert stdout.split()[-1] == b"0"
+
+
 def test_library_imports_create_no_dataclass():
     code = "import sys, wpec.cli, wpec.protocol, wpec.verifier; " \
         "print('dataclasses' in sys.modules)"

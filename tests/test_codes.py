@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from wpec import codes
 from wpec.codes import (
     GEN7,
     GOLAY_ROW1,
@@ -29,6 +30,7 @@ from wpec.codes import (
     STAB7_SET,
     _golay_tables,
     block_parity,
+    golay_leaders,
     golay_syndrome,
     golay_z_stabilizers,
     level1_syndrome,
@@ -40,6 +42,7 @@ from wpec.codes import (
     tau_from_syndrome,
     xor_table,
 )
+from wpec.decoder import build_correction_table
 from wpec.pauli import PauliOp
 
 
@@ -342,6 +345,26 @@ def test_golay_syndrome_tables_match_row_parities():
     # spread over all 23 bits
     masks = [1 << b for b in range(N23)] + list(range(0, 1 << N23, 1021))
     assert [golay_syndrome(m) for m in masks] == want[masks].tolist()
+
+
+def test_golay_leaders_are_the_light_errors():
+    # perfectness: one error of weight <= 3 per syndrome, 1 + 23 + 253 +
+    # 1771 of them by weight, and decoding reads that one table
+    leaders = golay_leaders()
+    assert len(leaders) == 2048 and golay_leaders() is leaders
+    assert all(golay_syndrome(m) == s for s, m in enumerate(leaders))
+    assert [sum(m.bit_count() == w for m in leaders) for w in range(4)] == [
+        1, 23, 253, 1771]
+    golay_min = build_correction_table().golay_min
+    assert [golay_min[s].z_bits for s in range(2048)] == list(leaders)
+
+
+def test_golay_leaders_refuse_a_shared_syndrome(monkeypatch):
+    # read qubit 23 as qubit 1: two weight-1 errors then share a syndrome
+    real = codes.golay_syndrome
+    monkeypatch.setattr(codes, "golay_syndrome", lambda m: real(m & MASK23 >> 1 | m >> 22))
+    with pytest.raises(RuntimeError, match="share syndrome"):
+        golay_leaders.__wrapped__()
 
 
 def test_golay_stabilizer_weights_even_logical_coset_odd():

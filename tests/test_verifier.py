@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from wpec.codes import (
     PCANON,
     STAB7,
     block_parity,
+    golay_leaders,
+    golay_syndrome,
     level1_syndrome,
     min_coset_rep,
     min_coset_weight,
@@ -227,9 +230,9 @@ def _reference_keys_from_sigs(sigs):
 def test_build_matches_three_sort_reference(flagged, interleaved):
     # one sort over the exact-k parts against up_to(m) | up_to(m - 1)
     pool = fault_model(flagged=flagged, interleaved=interleaved).signature_pool()
-    sets = v._EffectSets((pool,))
+    sets = v._EffectSets(pool)
     for m in (1, 2, 3):
-        (at_max,), (below_max,) = sets.up_to(m), sets.up_to(m - 1)
+        at_max, below_max = sets.up_to(m), sets.up_to(m - 1)
         sigs = v._unique_sorted(np.sort(np.concatenate([at_max, below_max])))
         table = build_lookup_table(m, flagged=flagged, interleaved=interleaved)
         assert table.keys.dtype == np.uint64
@@ -515,26 +518,70 @@ def _brute_first(subsets, target, sizes):
     return None
 
 
+_LEADERS = np.array(golay_leaders(), dtype=np.uint64)
+
+
+def _unpack(keys):
+    """Packed scan keys as their (mask, flag) columns: the flags are the
+    Golay coset leader of the key's low 11 bits."""
+    return keys >> np.uint64(11), _LEADERS[keys & np.uint64(2047)]
+
+
+def _pack(mask, flag):
+    """One (mask, flag) row as its packed scan key."""
+    return mask << 11 | golay_syndrome(flag)
+
+
+class _Pool(NamedTuple):
+    """An engine pool and its brute-force oracle: the oracle works on
+    ``cols``, the table signatures or the scan keys unpacked."""
+
+    keys: np.ndarray
+    max_size: int | None
+    cols: tuple
+    subsets: list
+
+    def engine(self):
+        return v._EffectSets(self.keys, self.max_size)
+
+    def key(self, target):
+        """An oracle row as the engine's key."""
+        return target[0] if self.max_size is None else _pack(*target)
+
+    def rows(self, keys):
+        """Engine keys as oracle columns."""
+        return (keys,) if self.max_size is None else _unpack(keys)
+
+
 @pytest.fixture(scope="module")
 def engine_subsets(combinations210):
-    """(columns, canon, brute-force subsets) of every pool the engine
-    serves, by name: the table pools of the four variants (their subset
-    XORs made canonical), the scan's raw and deduplicated G1 and G2
-    atoms, and the wait pool.  Built once for every test that reads them."""
+    """Every pool the engine serves, by name, with its oracle's subsets:
+    the table pools of the four variants (their subset XORs made
+    canonical), the scan's raw and deduplicated G1 and G2 keys, and the
+    wait keys.  Built once for every test that reads them."""
     pools = [
-        (f"table{variant}", (fault_model(*variant).signature_pool(),),
+        (f"table{variant}", fault_model(*variant).signature_pool(), None,
          _canon_sig_array)
         for variant in VARIANTS
     ]
     model = fault_model()
     for name, atoms in (("G1", model.gate1), ("G2", model.gate2)):
-        pools.append((f"{name} raw", v._atom_columns(atoms), None))
-        pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, None))
-    pools.append(("wait", v._atom_effect_sets(model.wait).pool, None))
-    return {
-        name: (cols, canon, _subsets(combinations210, cols, canon))
-        for name, cols, canon in pools
-    }
+        pools.append((f"{name} raw", v._atom_keys(atoms), 3, None))
+        pools.append((f"{name} dedup", v._atom_effect_sets(atoms).pool, 3, None))
+    pools.append(("wait", v._atom_effect_sets(model.wait).pool, 3, None))
+    out = {}
+    for name, keys, max_size, canon in pools:
+        cols = (keys,) if max_size is None else _unpack(keys)
+        out[name] = _Pool(keys, max_size, cols, _subsets(combinations210, cols, canon))
+    return out
+
+
+def test_scan_keys_unpack_to_their_atoms(engine_subsets):
+    model = fault_model()
+    for name, atoms in (("G1 raw", model.gate1), ("G2 raw", model.gate2)):
+        masks, flags = engine_subsets[name].cols
+        assert masks.tolist() == [a.error for a in atoms], name
+        assert flags.tolist() == [a.flag for a in atoms], name
 
 
 @pytest.mark.parametrize("flagged,interleaved", VARIANTS)
@@ -543,10 +590,8 @@ def test_first_matches_brute_force_on_table_pool(
 ):
     table = build_lookup_table(3, flagged=flagged, interleaved=interleaved)
     sets, labels = v._table_witnesses(flagged, interleaved)
-    assert np.array_equal(
-        sets.pool[0], fault_model(flagged, interleaved).signature_pool()
-    )
-    subsets = engine_subsets[f"table{(flagged, interleaved)}"][2]
+    assert np.array_equal(sets.pool, fault_model(flagged, interleaved).signature_pool())
+    subsets = engine_subsets[f"table{(flagged, interleaved)}"].subsets
     rng = random.Random(31)
     keys = [int(table.keys[rng.randrange(table.n_records)]) for _ in range(30)]
     for prefix in table.violated_prefixes()[:20]:  # every printed violation
@@ -554,32 +599,30 @@ def test_first_matches_brute_force_on_table_pool(
         keys += [int(table.keys[lo]), int(table.keys[lo + 1])]
     for key in keys:
         sig = key & ((1 << 49) - 1)
-        found = sets.first(v._equal((sig,)), (0, 1, 2, 3))
+        found = sets.first(v._equal(sig), (0, 1, 2, 3))
         assert found == _brute_first(subsets, (sig,), range(4)), key
         assert find_fault_combination(table, key) == tuple(labels[r] for r in found)
     unreachable = pack_signature(0, (1 << 21) - 1)  # 21 flags, never recorded
-    assert sets.first(v._equal((unreachable,)), (0, 1, 2, 3)) is None
+    assert sets.first(v._equal(unreachable), (0, 1, 2, 3)) is None
     assert _brute_first(subsets, (unreachable,), range(4)) is None
 
 
 @pytest.fixture(scope="module")
 def raw_gate_pools(engine_subsets):
-    """(engine, brute-force subsets, labels) of the raw G1 and G2 atoms,
-    by pool name."""
+    """(engine, oracle pool, labels) of the raw G1 and G2 atoms, by pool
+    name."""
     model = fault_model()
     out = {}
     for pool, name in (("gate1", "G1 raw"), ("gate2", "G2 raw")):
-        cols, _, subsets = engine_subsets[name]
-        out[pool] = (
-            v._EffectSets(cols), subsets, [a.label for a in getattr(model, pool)],
-        )
+        oracle = engine_subsets[name]
+        out[pool] = (oracle.engine(), oracle, [a.label for a in getattr(model, pool)])
     return out
 
 
 def test_first_matches_brute_force_on_raw_atoms(raw_gate_pools):
     rng = random.Random(17)
-    for sets, subsets, _ in raw_gate_pools.values():
-        n = len(sets.pool[0])
+    for sets, oracle, _ in raw_gate_pools.values():
+        n = len(sets.pool)
         for v_ in range(4):
             sizes = range(v_, -1, -2)
             # atoms drawn with replacement: repeated ones cancel
@@ -587,22 +630,23 @@ def test_first_matches_brute_force_on_raw_atoms(raw_gate_pools):
                 picks = rng.choices(range(n), k=v_)
                 target = tuple(
                     int(np.bitwise_xor.reduce(c[picks])) if picks else 0
-                    for c in sets.pool
+                    for c in oracle.cols
                 )
-                assert sets.first(v._equal(target), sizes) == _brute_first(
-                    subsets, target, sizes
+                assert sets.first(v._equal(_pack(*target)), sizes) == _brute_first(
+                    oracle.subsets, target, sizes
                 ), (n, picks)
         # two equal atoms reach the empty effect before the empty subset does
-        pair = sets.first(v._equal((0, 0)), (2, 0))
-        assert pair == _brute_first(subsets, (0, 0), (2, 0))
+        pair = sets.first(v._equal(0), (2, 0))
+        assert pair == _brute_first(oracle.subsets, (0, 0), (2, 0))
         assert len(pair) == 2
 
 
 def _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb):
-    """Scan witness labels by brute force: the first late G1 subset, the
-    first early G1 subset whose complement some G2 subset reaches, and
-    the first such G2 subset."""
-    (_, sub1, labels1), (_, sub2, labels2) = raw_gate_pools.values()
+    """Scan witness labels by brute force on (mask, flag) rows: the first
+    late G1 subset, the first early G1 subset whose complement some G2
+    subset reaches, and the first such G2 subset."""
+    (_, pool1, labels1), (_, pool2, labels2) = raw_gate_pools.values()
+    sub1, sub2 = pool1.subsets, pool2.subsets
     late = _brute_first(sub1, (eb, fb >> 21), range(fnc.v_g1b, -1, -2))
     if late is None:
         return None
@@ -627,8 +671,14 @@ def _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb):
     return None
 
 
+def _scan_witness(fnc, ea, fa, eb, fb):
+    """``_scan_witness`` of an early (mask, flag) and a late one, the late
+    flags in the high 21 bits."""
+    return v._scan_witness(fnc, _pack(ea, fa), _pack(eb, fb >> 21))
+
+
 def test_scan_witness_matches_brute_force(raw_gate_pools):
-    (g1, _, _), (g2, _, _) = raw_gate_pools.values()
+    (_, g1, _), (_, g2, _) = raw_gate_pools.values()
     rng = random.Random(23)
     shapes = [s for s in itertools.product(range(4), repeat=3) if sum(s) <= 3]
     assert len(shapes) == 20
@@ -640,20 +690,21 @@ def test_scan_witness_matches_brute_force(raw_gate_pools):
         expected = _brute_scan_witness(raw_gate_pools, fnc, 0, 0, 0, 0)
         if expected is None:
             with pytest.raises(RuntimeError):
-                v._scan_witness(fnc, 0, 0, 0, 0)
+                _scan_witness(fnc, 0, 0, 0, 0)
         else:
-            assert v._scan_witness(fnc, 0, 0, 0, 0) == expected, fnc
+            assert _scan_witness(fnc, 0, 0, 0, 0) == expected, fnc
+        (m1, f1), (m2, f2) = g1.cols, g2.cols
         for _ in range(2):
             ea = fa = eb = fb = 0
-            for i in rng.choices(range(len(g1.pool[0])), k=va1):
-                ea, fa = ea ^ int(g1.pool[0][i]), fa ^ int(g1.pool[1][i])
-            for i in rng.choices(range(len(g2.pool[0])), k=v2):
-                ea, fa = ea ^ int(g2.pool[0][i]), fa ^ int(g2.pool[1][i])
-            for i in rng.choices(range(len(g1.pool[0])), k=vb1):
-                eb, fb = eb ^ int(g1.pool[0][i]), fb ^ (int(g1.pool[1][i]) << 21)
+            for i in rng.choices(range(len(m1)), k=va1):
+                ea, fa = ea ^ int(m1[i]), fa ^ int(f1[i])
+            for i in rng.choices(range(len(m2)), k=v2):
+                ea, fa = ea ^ int(m2[i]), fa ^ int(f2[i])
+            for i in rng.choices(range(len(m1)), k=vb1):
+                eb, fb = eb ^ int(m1[i]), fb ^ (int(f1[i]) << 21)
             expected = _brute_scan_witness(raw_gate_pools, fnc, ea, fa, eb, fb)
             assert expected is not None
-            assert v._scan_witness(fnc, ea, fa, eb, fb) == expected, fnc
+            assert _scan_witness(fnc, ea, fa, eb, fb) == expected, fnc
 
 
 def test_scan_witness_miss_raises(monkeypatch, final_round_report):
@@ -661,21 +712,21 @@ def test_scan_witness_miss_raises(monkeypatch, final_round_report):
     ea = fc.early_error.z_bits
     eb = ea ^ fc.error.z_bits
     fa, fb = fc.flag & ((1 << 21) - 1), fc.flag >> 21 << 21
-    assert v._scan_witness(fc.counts, ea, fa, eb, fb) == fc.faults
+    assert _scan_witness(fc.counts, ea, fa, eb, fb) == fc.faults
     # no single G1 atom is the 49-qubit logical, so one late fault misses it
     with pytest.raises(RuntimeError, match="no late witness"):
-        v._scan_witness(FaultNumberCombination(v_g1b=1), 0, 0, LOGICAL49, 0)
+        _scan_witness(FaultNumberCombination(v_g1b=1), 0, 0, LOGICAL49, 0)
     # without the G2 atoms that reach the early error there is no witness
     model = fault_model()
     g2 = tuple(a for a in model.gate2 if a.error != ea)
     assert len(g2) < len(model.gate2)
     pools = tuple(
-        (v._EffectSets(v._atom_columns(atoms)), tuple(a.label for a in atoms))
+        (v._EffectSets(v._atom_keys(atoms), 3), tuple(a.label for a in atoms))
         for atoms in (model.gate1, g2)
     )
     monkeypatch.setattr(v, "_scan_witness_sets", lambda: pools)
     with pytest.raises(RuntimeError, match="no early witness"):
-        v._scan_witness(fc.counts, ea, fa, eb, fb)
+        _scan_witness(fc.counts, ea, fa, eb, fb)
 
 
 def _reference_lines(table):
@@ -961,43 +1012,66 @@ def test_final_round_scan_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 << 20
+    assert peak <= 20 << 20
 
 
-def _strictly_increasing(m, f):
-    """True when the (m, f) pairs are strictly increasing, m first."""
-    return bool(np.all((m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (f[1:] > f[:-1]))))
-
-
-def _reachable(subsets, n, shift=0):
-    """The distinct (mask, flag << shift) XORs of n, n-2, ... distinct
-    raw atoms, sorted: what the deduplicated pool's ``up_to(n)`` holds."""
+def _reachable(subsets, n):
+    """The distinct (mask, flag) XORs of n, n-2, ... distinct raw atoms,
+    lexsorted: what the deduplicated pool's ``up_to(n)`` holds."""
     m, f = (np.concatenate(c) for c in zip(*(x for _, x in subsets[n::-2])))
-    return _reference_unique_rows(m, f << np.uint64(shift))
+    return _reference_unique_rows(m, f)
 
 
-@pytest.mark.parametrize("pool", ["gate1", "gate2"])
-def test_effect_sets_match_pure_python(raw_gate_pools, pool):
+def _rows(m, f):
+    """(mask, flag) columns as a set of rows."""
+    return set(zip(m.tolist(), f.tolist()))
+
+
+@pytest.mark.parametrize("pool", ["gate1", "gate2", "wait"])
+def test_effect_sets_match_pure_python(engine_subsets, pool):
+    # up_to(n), unpacked, holds the oracle's rows, as many, in ascending
+    # key order: by mask, then by flag syndrome
+    name = {"gate1": "G1 raw", "gate2": "G2 raw", "wait": "wait"}[pool]
     sets = v._atom_effect_sets(getattr(fault_model(), pool))
-    _, subsets, _ = raw_gate_pools[pool]
     for n in range(4):
-        m, f = sets.up_to(n)
-        assert _strictly_increasing(m, f), (pool, n)
-        want = _reachable(subsets, n)
-        assert np.array_equal(m, want[0]) and np.array_equal(f, want[1]), (pool, n)
-        assert sets.up_to(n)[0] is m
+        keys = sets.up_to(n)
+        assert np.all(keys[1:] > keys[:-1]), (pool, n)
+        want = _reachable(engine_subsets[name].subsets, n)
+        assert len(keys) == len(want[0]), (pool, n)
+        assert _rows(*_unpack(keys)) == _rows(*want), (pool, n)
+        assert np.array_equal(keys >> np.uint64(11), want[0]), (pool, n)
+        assert sets.up_to(n) is keys
 
 
-def test_late_effects_are_early_effects_with_shifted_flags(raw_gate_pools):
-    # the scan's late G1 effects: flags in the high 21 bits, same order
-    sets = v._atom_effect_sets(fault_model().gate1)
-    _, subsets, _ = raw_gate_pools["gate1"]
-    for n in range(4):
-        m, f = sets.up_to(n)
-        shifted = f << np.uint64(21)
-        assert _strictly_increasing(m, shifted), n
-        want = _reachable(subsets, n, 21)
-        assert np.array_equal(m, want[0]) and np.array_equal(shifted, want[1]), n
+# Flags 1-4 and flags 6, 15 and 18: weights 4 and 3 with one Golay
+# syndrome (their XOR is a weight-7 codeword inside the 21 flag bits).
+_FLAGS4, _FLAGS3 = 0b1111, 1 << 5 | 1 << 14 | 1 << 17
+
+
+def test_flag_syndromes_are_distinct_up_to_weight_three():
+    flags = [sum(1 << q for q in qs)
+             for w in range(4) for qs in itertools.combinations(range(21), w)]
+    syndromes = [golay_syndrome(f) for f in flags]
+    assert len(flags) == len(set(syndromes)) == 1562
+    # a packed row's flags and their count come back from its syndrome
+    assert [golay_leaders()[s] for s in syndromes] == flags
+    assert v._flag_weights()[syndromes].tolist() == [f.bit_count() for f in flags]
+
+
+def test_packed_pools_refuse_more_than_three_rows():
+    # four one-flag atoms XOR to a weight-4 flag vector that packs as the
+    # XOR of three others does, so a packed pool stops at three rows
+    assert golay_syndrome(_FLAGS4) == golay_syndrome(_FLAGS3)
+    assert (_FLAGS4.bit_count(), _FLAGS3.bit_count()) == (4, 3)
+    bits = [q for q in range(21) if (_FLAGS4 | _FLAGS3) >> q & 1]
+    keys = v._atom_keys(tuple(v.FaultAtom(f"F{q}", 0, 1 << q) for q in bits))
+    assert np.bitwise_xor.reduce(keys[:4]) == np.bitwise_xor.reduce(keys[4:])
+    sets = v._EffectSets(keys, 3)
+    assert _pack(0, _FLAGS3) in sets.up_to(3).tolist()
+    with pytest.raises(ValueError, match="at most 3 rows"):
+        sets.up_to(4)
+    with pytest.raises(ValueError, match="at most 3 rows"):
+        sets.first(v._equal(_pack(0, _FLAGS4)), (4,))
 
 
 def test_level1_syndrome_vec_is_linear():
@@ -1008,20 +1082,24 @@ def test_level1_syndrome_vec_is_linear():
     assert np.array_equal(syn(a ^ b), syn(a) ^ syn(b))
 
 
+def _effects(sets, k):
+    """``sets.up_to(k)`` as (mask, flag) pairs."""
+    return list(zip(*(c.tolist() for c in _unpack(sets.up_to(k)))))
+
+
 def test_early_survivors_match_scalar_sigma():
     model = fault_model()
     g1 = v._atom_effect_sets(model.gate1)
     g2 = v._atom_effect_sets(model.gate2)
     early = [
-        (m1 ^ m2, f1 ^ f2)
-        for m1, f1 in zip(*(x.tolist() for x in g1.up_to(1)))
-        for m2, f2 in zip(*(x.tolist() for x in g2.up_to(1)))
+        (m1 ^ m2, f1 ^ f2) for m1, f1 in _effects(g1, 1) for m2, f2 in _effects(g2, 1)
     ]
-    for v_w, v_s in ((0, 0), (0, 1), (1, 0)):
-        fnc = FaultNumberCombination(v_g1a=1, v_g2=1, v_w=v_w, v_s=v_s)
-        am, af = v._early_survivors(fnc, g1, g2)
-        expected = [(m, f) for m, f in early if sigma(m, v_w) <= v_s]
-        assert list(zip(am.tolist(), af.tolist())) == expected, (v_w, v_s)
+    for v_w, v_f, v_s in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)):
+        fnc = FaultNumberCombination(v_g1a=1, v_g2=1, v_w=v_w, v_f=v_f, v_s=v_s)
+        survivors = v._early_survivors(fnc, g1, g2)
+        expected = [(m, f) for m, f in early
+                    if f.bit_count() <= v_f and sigma(m, v_w) <= v_s]
+        assert list(zip(*(c.tolist() for c in _unpack(survivors)))) == expected, fnc
         assert 0 < len(expected) < len(early)
 
 
@@ -1036,9 +1114,6 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
     g1 = v._atom_effect_sets(model.gate1)
     g2 = v._atom_effect_sets(model.gate2)
 
-    def effects(sets, k):
-        return list(zip(*(c.tolist() for c in sets.up_to(k))))
-
     marked = set()
     n_fnc = n_effects = 0
     for va1, vb1, v2 in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -1048,7 +1123,7 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
             fnc = FaultNumberCombination(va1, vb1, v2, vw, vf, vs)
             n_fnc += 1
             for (m1, f1), (m2, f2), (mb, fb) in itertools.product(
-                effects(g1, va1), effects(g2, v2), effects(g1, vb1)
+                _effects(g1, va1), _effects(g2, v2), _effects(g1, vb1)
             ):
                 n_effects += 1
                 fc = FaultCombination(
@@ -1075,13 +1150,13 @@ def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
 
 def _unfiltered_marks(fnc, g1, g2, max_faults, chunk=1 << 18):
     """The three relaxed conditions over the unfiltered cross product of
-    fnc's early G1, G2 and late G1 effects, ``chunk`` combinations at a
-    time, through the vector primitives checked against their scalar
-    references above: the marked (fnc, early mask, full mask, flags), and
-    the early (mask, flag) pairs that pass the sigma condition, in
-    cross-product order."""
-    (m1, f1), (m2, f2) = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
-    mb, fb = g1.up_to(fnc.v_g1b)
+    fnc's early G1, G2 and late G1 effects, unpacked, ``chunk``
+    combinations at a time, through the vector primitives checked
+    against their scalar references above: the marked (fnc, early mask,
+    full mask, flags), and the early (mask, flag) pairs within the flag
+    budget that pass the sigma condition, in cross-product order."""
+    (m1, f1), (m2, f2) = _unpack(g1.up_to(fnc.v_g1a)), _unpack(g2.up_to(fnc.v_g2))
+    mb, fb = _unpack(g1.up_to(fnc.v_g1b))
     n2, nb = len(m2), len(mb)
     marked, early = set(), []
     total = len(m1) * n2 * nb
@@ -1095,7 +1170,8 @@ def _unfiltered_marks(fnc, g1, g2, max_faults, chunk=1 << 18):
         heavy = v._min_coset_weight_vec(fm).astype(np.int64) + fnc.v_w > max_faults
         for i in np.flatnonzero(sig & flags & heavy).tolist():
             marked.add((fnc, int(am[i]), int(fm[i]), int(ff[i])))
-        first = sig & (ib == 0)  # each early pair once
+        # each early pair once
+        first = sig & (np.bitwise_count(af) <= fnc.v_f) & (ib == 0)
         early += zip(am[first].tolist(), af[first].tolist())
     return marked, early
 
@@ -1112,7 +1188,7 @@ def _check_scan_against_unfiltered(fncs, max_faults):
     for fnc in fncs:
         marks, early = _unfiltered_marks(fnc, g1, g2, max_faults)
         marked |= marks
-        survivors = v._early_survivors(fnc, g1, g2)
+        survivors = _unpack(v._early_survivors(fnc, g1, g2))
         assert list(zip(*(c.tolist() for c in survivors))) == early, fnc
         n_early += len(early)
         found, examined = v._scan_number_combination(fnc, g1, g2, max_faults)
@@ -1139,35 +1215,38 @@ def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
         for gates, rest in itertools.product(gate_counts, others)
     ]
     got = _check_scan_against_unfiltered(fncs, max_faults)
-    assert got == (n_marked, 453_936, 20_544)
+    # 8,064 early survivors pass sigma and the flag budget (20,544 sigma alone)
+    assert got == (n_marked, 453_936, 8_064)
 
 
 def test_marking_of_three_gate_fault_combinations():
     # Every effect combination with three gate faults, and so no wait,
     # flag or flip fault: 17,580,853, all through the syndrome join of
     # _early_survivors (v_w = v_s = 0).  None is marked, and the early
-    # survivors the join keeps are exactly those sigma keeps.
+    # survivors the join keeps are exactly those that sigma and the flag
+    # budget keep: 5,312 of the 26,966 that pass sigma.
     fncs = [
         FaultNumberCombination(*gates)
         for gates in itertools.product(range(4), repeat=3)
         if sum(gates) == 3
     ]
     got = _check_scan_against_unfiltered(fncs, 3)
-    assert got == (0, 17_580_853, 26_966)
+    assert got == (0, 17_580_853, 5_312)
 
 
 def _pool(*rows):
     """Synthetic scan pool of (Z mask, flag) rows."""
-    return v._EffectSets(tuple(np.array(c, dtype=np.uint64) for c in zip(*rows)))
+    return v._EffectSets(np.array([_pack(m, f) for m, f in rows], dtype=np.uint64), 3)
 
 
 def _first_empty_stage(fnc, g1, g2, max_faults):
-    """The first stage of ``_scan_number_combination`` that holds no row."""
-    am, af = v._early_survivors(fnc, g1, g2)
-    bm, bf = g1.up_to(fnc.v_g1b)
+    """The first stage of ``_scan_number_combination`` that holds no row:
+    early survivors, late rows within the flag budget, (early, late)
+    pairs within it, marked pairs."""
+    am, af = _unpack(v._early_survivors(fnc, g1, g2))
+    bm, bf = _unpack(g1.up_to(fnc.v_g1b))
     late = np.bitwise_count(bf) <= fnc.v_f
-    fullf = af[:, None] | bf[late][None, :] << np.uint64(21)
-    fits = np.bitwise_count(fullf) <= fnc.v_f
+    fits = np.bitwise_count(af)[:, None] + np.bitwise_count(bf[late]) <= fnc.v_f
     fullm = am[:, None] ^ bm[late][None, :]
     hot = v._min_coset_weight_vec(fullm[fits]).astype(np.int64) + fnc.v_w > max_faults
     stages = {"early": len(am), "late": late.sum(), "flag": fits.sum(),
@@ -1183,8 +1262,9 @@ def _first_empty_stage(fnc, g1, g2, max_faults):
         ("early", FaultNumberCombination(v_g1a=1, v_w=1), ((1 | 1 << 7, 0),)),
         # every late effect raises a flag, and no flag fault is allowed
         ("late", FaultNumberCombination(v_g1b=1), ((0, 1),)),
-        # every early survivor raises a flag, and no flag fault is allowed
-        ("flag", FaultNumberCombination(v_g1a=1), ((0, 1),)),
+        # an early and a late effect raise a flag each, and one flag
+        # fault is allowed
+        ("flag", FaultNumberCombination(v_g1a=1, v_g1b=1, v_f=1), ((0, 1),)),
         # the real pools: no single G2 fault leaves a residual heavier
         # than the budget
         ("hot", FaultNumberCombination(v_g2=1), None),
@@ -1200,12 +1280,12 @@ def test_scan_passes_empty_stages_through(stage, fnc, pools):
         g1, g2 = v._atom_effect_sets(model.gate1), v._atom_effect_sets(model.gate2)
     elif pools == "empty-g2":  # the real G1
         g1 = v._atom_effect_sets(fault_model().gate1)
-        g2 = v._EffectSets((np.zeros(0, dtype=np.uint64),) * 2)
+        g2 = v._EffectSets(np.zeros(0, dtype=np.uint64), 3)
     else:
         g1 = g2 = _pool(*pools)
     assert _first_empty_stage(fnc, g1, g2, 3) == stage
     sizes = ((g1, fnc.v_g1a), (g2, fnc.v_g2), (g1, fnc.v_g1b))
-    examined = math.prod(len(g.up_to(k)[0]) for g, k in sizes)
+    examined = math.prod(len(g.up_to(k)) for g, k in sizes)
     assert v._scan_number_combination(fnc, g1, g2, 3) == ([], examined)
 
 
@@ -1233,32 +1313,34 @@ def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
     keys = build_lookup_table(3, **kw).keys
     g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2)
     fncs = (
-        FaultNumberCombination(v_g1a=2, v_s=1),  # sigma over 14,673 rows
-        FaultNumberCombination(v_g1a=3),  # a zero-syndrome filter over 770,512 rows
+        # sigma over the 4,033 flag-free rows of 14,673
+        FaultNumberCombination(v_g1a=2, v_s=1),
+        # a zero-syndrome filter over the 111,882 flag-free rows of 770,512
+        FaultNumberCombination(v_g1a=3),
     )
     early = [v._early_survivors(fnc, g1, g2) for fnc in fncs]
-    monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 12)
+    monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 10)
     assert np.array_equal(build_lookup_table(3, **kw).keys, keys)
     for fnc, rows in zip(fncs, early):
-        assert all(map(np.array_equal, v._early_survivors(fnc, g1, g2), rows)), fnc
-    assert 0 < len(early[0][0]) < 14673
-    assert 0 < len(early[1][0]) < 770512
+        assert np.array_equal(v._early_survivors(fnc, g1, g2), rows), fnc
+    assert 0 < len(early[0]) < 4033
+    assert 0 < len(early[1]) < 111882
 
 
 def test_exact_matches_brute_force_in_order(engine_subsets):
-    for name, (cols, canon, subsets) in engine_subsets.items():
-        sets = v._EffectSets(cols)
-        blocks = [xors for _, xors in subsets]
+    for name, pool in engine_subsets.items():
+        sets = pool.engine()
+        blocks = [xors for _, xors in pool.subsets]
         for k in range(4):
             got = sets._exact((k,))
-            assert len(got[0]) == math.comb(len(cols[0]), k), (name, k)
-            assert all(map(np.array_equal, got, blocks[k])), (name, k)
-            if canon is not None:
+            assert len(got) == math.comb(len(pool.keys), k), (name, k)
+            assert all(map(np.array_equal, pool.rows(got), blocks[k])), (name, k)
+            if pool.max_size is None:
                 # the raw XORs of a canonical pool are already canonical
-                assert np.array_equal(got[0], canon(got[0])), k
+                assert np.array_equal(got, _canon_sig_array(got)), k
         # several sizes in one call: the blocks back to back, in the order asked
         for sizes in ((3, 1), (0, 1, 2, 3), (2, 0)):
-            got = sets._exact(sizes)
+            got = pool.rows(sets._exact(sizes))
             ref = [np.concatenate([blocks[k][c] for k in sizes])
                    for c in range(len(got))]
             assert all(map(np.array_equal, got, ref)), (name, sizes)
@@ -1267,20 +1349,21 @@ def test_exact_matches_brute_force_in_order(engine_subsets):
 def test_first_round_trip(engine_subsets):
     # first row, last row and every k = 3 block boundary of each pool:
     # first names the earliest subset with that subset's XOR
-    for name, (cols, _, subsets) in engine_subsets.items():
-        sets, n = v._EffectSets(cols), len(cols[0])
+    for name, pool in engine_subsets.items():
+        sets, n = pool.engine(), len(pool.keys)
         boundaries = [math.comb(n, 3) - math.comb(n - i, 3) for i in range(1, n - 2)]
-        for k, (tuples, xors) in enumerate(subsets):
+        for k, (tuples, xors) in enumerate(pool.subsets):
             for r in {0, len(tuples) - 1, *(boundaries if k == 3 else ())}:
                 if not 0 <= r < len(tuples):
                     continue
                 target = tuple(int(c[r]) for c in xors)
-                idx = sets.first(v._equal(target), (k,))
+                idx = sets.first(v._equal(pool.key(target)), (k,))
                 assert len(idx) == k and list(idx) == sorted(set(idx)), (name, k, r)
                 # the oracle's earliest hit, at r or before
-                hits = v._equal(target)(tuple(c[: r + 1] for c in xors))
+                hits = np.logical_and.reduce(
+                    [c[: r + 1] == np.uint64(t) for c, t in zip(xors, target)])
                 assert idx == tuple(tuples[hits.argmax()].tolist()), (name, k, r)
-                for c, t in zip(cols, target):
+                for c, t in zip(pool.cols, target):
                     xor = np.bitwise_xor.reduce(c[list(idx)]) if k else 0
                     assert int(xor) == t, (name, k, r)
 
@@ -1289,14 +1372,14 @@ def test_walk_reaches_any_size():
     # sizes 4 and 5 on the last 24 rows of the real table pool, against
     # itertools' XORs in order, and first at every block boundary
     pool = fault_model().signature_pool()[-24:]
-    sets = v._EffectSets((pool,))
+    sets = v._EffectSets(pool)
     walks = {
         k: np.array([np.bitwise_xor.reduce(pool[list(c)]) if k else 0
                      for c in itertools.combinations(range(24), k)], dtype=np.uint64)
         for k in range(6)
     }
     for sizes in ((4,), (5,), (4, 2)):
-        (got,) = sets._exact(sizes)
+        got = sets._exact(sizes)
         assert np.array_equal(got, np.concatenate([walks[k] for k in sizes])), sizes
     repeats = 0
     for k in (3, 4):
@@ -1304,9 +1387,26 @@ def test_walk_reaches_any_size():
         for i in range(24 - k + 1):
             r = math.comb(24, k) - math.comb(24 - i, k)
             earliest = int(np.argmax(walks[k] == walks[k][r]))
-            assert sets.first(v._equal((int(walks[k][r]),)), (k,)) == subsets[earliest]
+            assert sets.first(v._equal(int(walks[k][r])), (k,)) == subsets[earliest]
             repeats += earliest < r
     assert repeats  # some boundary XOR is reached earlier
+
+
+def test_first_keeps_level_two_across_searches(monkeypatch):
+    # a size-2 walk reads level 1 from the pool, so the level 2 that the
+    # first size-3 walk writes stays for every later search of either size
+    sets = v._EffectSets(fault_model().signature_pool())
+    exact, calls = v._EffectSets._exact, []
+
+    def counted(self, sizes):
+        calls.append(tuple(sizes))
+        return exact(self, sizes)
+
+    monkeypatch.setattr(v._EffectSets, "_exact", counted)
+    for _ in range(3):
+        for k in (2, 3):
+            assert sets.first(lambda block: block == ~np.uint64(0), (k,)) is None
+    assert calls == [(2,)]
 
 
 def test_parity_key_table_matches_pcanon_and_syndrome7():
@@ -1398,23 +1498,28 @@ def test_min_coset_weight_vec_matches_reference():
 
 
 def test_unique_rows_matches_lexsort_reference():
+    # up_to's sort and adjacent diff of packed keys against a lexsort of
+    # the unpacked rows: the same rows, as many, in mask order
     model = fault_model()
     for atoms in (model.gate1, model.gate2):
-        sets = v._EffectSets(v._atom_columns(atoms))
+        sets = v._EffectSets(v._atom_keys(atoms), 3)
         for k in (2, 3):
-            m, f = sets._exact((k, k - 2))
-            want = _reference_unique_rows(m, f)
-            got = v._unique_rows([m.copy(), f.copy()])
-            assert all(map(np.array_equal, got, want)), k
-    # many repeats, extreme values, and the most distinct flags that pack
+            exact = sets._exact((k, k - 2))
+            got = v._unique_sorted(np.sort(exact))
+            want = _reference_unique_rows(*_unpack(exact))
+            assert len(got) == len(want[0]) and np.all(got[1:] > got[:-1]), k
+            assert _rows(*_unpack(got)) == _rows(*want), k
+            assert np.array_equal(got >> np.uint64(11), want[0]), k
+    # many repeats and extreme rows: 49-bit masks, up to three of 21 flags
     rng = np.random.default_rng(49)
-    m = rng.choice(np.array([0, 1, LOGICAL49], dtype=np.uint64), size=3 << 15)
-    f = rng.permutation(1 << 21)[: 1 << 15].astype(np.uint64)
-    f[:2] = (0, (1 << 21) - 1)
-    f = np.concatenate([f, f, f])
+    m = rng.choice(np.array([0, 1, LOGICAL49], dtype=np.uint64), size=3000)
+    flags = [0, 1, 1 << 20, 0b111, 0b111 << 18, _FLAGS3]
+    f = rng.choice(np.array(flags, dtype=np.uint64), size=3000)
+    keys = np.array([_pack(a, b) for a, b in zip(m.tolist(), f.tolist())], np.uint64)
+    got = v._unique_sorted(np.sort(keys))
     want = _reference_unique_rows(m, f)
-    got = v._unique_rows([m.copy(), f.copy()])
-    assert all(map(np.array_equal, got, want))
+    assert len(got) == len(want[0]) == 18
+    assert _rows(*_unpack(got)) == _rows(*want)
 
 
 @pytest.mark.parametrize(
@@ -1422,13 +1527,13 @@ def test_unique_rows_matches_lexsort_reference():
     [
         ([1 << 49], [0]),  # a 50-bit mask
         ([0], [1 << 21]),  # a 22-bit flag
-        ([0] * ((1 << 15) + 1), range((1 << 15) + 1)),  # too many flags
+        ([0], [0b11]),  # two flags from one atom: three atoms could raise six
     ],
 )
 def test_unique_rows_rejects_rows_it_cannot_pack(m, f):
-    cols = [np.array(m, dtype=np.uint64), np.array(list(f), dtype=np.uint64)]
+    atoms = tuple(v.FaultAtom("A", e, fl) for e, fl in zip(m, f))
     with pytest.raises(ValueError, match="49-bit masks"):
-        v._unique_rows(cols)
+        v._atom_effect_sets(atoms)
 
 
 # ---------------------------------------------------------------------------
