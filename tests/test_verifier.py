@@ -582,6 +582,8 @@ def test_scan_keys_unpack_to_their_atoms(engine_subsets):
         masks, flags = engine_subsets[name].cols
         assert masks.tolist() == [a.error for a in atoms], name
         assert flags.tolist() == [a.flag for a in atoms], name
+    # the scan's early flag budget reads G1a rows alone: G2 raises no flag
+    assert not engine_subsets["G2 raw"].cols[1].any()
 
 
 @pytest.mark.parametrize("flagged,interleaved", VARIANTS)
