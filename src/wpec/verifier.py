@@ -26,10 +26,12 @@ partition failing both is a violation, reported with witness faults.
 The final-round scan takes fault combinations straddling the final
 measurement rounds, where part of the damage is invisible to the
 recorded syndromes.  Each combination splits into an early part (still
-visible to the last round) and a late part.  Combinations passing three
-relaxed detectability conditions are marked, and every marked
-combination is then re-analyzed against its possible wait-error
-completions to bound the weight of the residual error it can leave.
+visible to the last round) and a late part.  One pass per gate shape
+(how many early G1, late G1 and G2 faults) marks the combinations
+passing three relaxed detectability conditions at every (wait, flag,
+flip) budget, and every marked combination is then re-analyzed against
+its possible wait-error completions to bound the weight of the residual
+error it can leave.
 
 Both enumerations work on one uint64 column.  The table's rows are
 packed signatures, a key below tau: block parity (stored canonically,
@@ -314,8 +316,8 @@ def combination_counts(
 # ---------------------------------------------------------------------------
 # Signature set arithmetic
 
-# Keys are packed, and the scan's syndromes formed, this many rows at a
-# time, which bounds their temporaries.
+# Table keys take their tau this many rows at a time, which bounds the
+# temporaries of ``_add_tau``.
 _XOR_CHUNK = 1 << 18
 
 
@@ -1062,10 +1064,12 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     flags in the low 21 bits) and late (label b, flags in the high 21
     bits); second-level circuits are measured at the start of a round,
     so their faults are all early.  Wait, flag, and measurement-flip
-    faults enter arithmetically through their budgets.  For each
-    fault-number combination the reachable effects are XOR subsets of
-    the deduplicated atom pools; survivors of the three relaxed
-    conditions are marked and then post-analyzed exactly.
+    faults enter arithmetically through their budgets.  The reachable
+    effects are XOR subsets of the deduplicated atom pools.  The number
+    combinations of one gate shape (v_g1a, v_g1b, v_g2) are contiguous in
+    report order, and one ``_scan_shape`` pass marks the survivors of
+    the three relaxed conditions at each of their budgets; marked
+    combinations are then post-analyzed exactly.
     """
     if max_faults not in (1, 2, 3):
         raise ValueError(f"max_faults must be 1..3, got {max_faults}")
@@ -1076,11 +1080,9 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
 
     marked: list[MarkedCombination] = []
     n_effects = 0
-    combos = _number_combinations(max_faults, 6)
-    for counts in combos:
-        found, examined = _scan_number_combination(
-            FaultNumberCombination(*counts), g1, g2, max_faults
-        )
+    combos = [FaultNumberCombination(*c) for c in _number_combinations(max_faults, 6)]
+    for _, shape in itertools.groupby(combos, key=lambda fnc: fnc[:3]):
+        found, examined = _scan_shape(list(shape), g1, g2, max_faults)
         n_effects += examined
         marked.extend(found)
 
@@ -1094,40 +1096,6 @@ def run_appendix_b(max_faults: int = 3) -> FinalRoundReport:
     )
 
 
-# the row indices of an empty selection
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-
-
-def _early_survivors(
-    fnc: FaultNumberCombination, g1: _EffectSets, g2: _EffectSets
-) -> np.ndarray:
-    """Early (G1a x G2) keys within the flag budget whose sigma fits the
-    flip budget, in cross-product order.  G2 raises no flag, so the flag
-    budget drops G1a rows before any syndrome is formed.  The level-1
-    syndrome is linear, so the cross product's syndromes are XORs of the
-    pools' syndromes, formed about _XOR_CHUNK at a time; ``up_to(0)`` is
-    the zero row, of syndrome 0.  With v_w = v_s = 0 sigma fits only a
-    zero syndrome, so the survivors are the pairs of equal syndromes,
-    which ``_syndrome_join`` finds without the cross product."""
-    k1, k2 = g1.up_to(fnc.v_g1a), g2.up_to(fnc.v_g2)
-    k1 = k1[_flag_count(k1) <= fnc.v_f]
-    m1, m2 = k1 >> _SYN, k2 >> _SYN
-    if fnc.v_w == fnc.v_s == 0:
-        i1, i2 = _syndrome_join(m1, fnc.v_g1a, m2, fnc.v_g2)
-    else:
-        g1s, g2s = (_level1_syndrome_vec(m) if v else np.zeros(1, np.uint64)
-                    for m, v in ((m1, fnc.v_g1a), (m2, fnc.v_g2)))
-        n2 = len(g2s)
-        step = max(1, _XOR_CHUNK // max(n2, 1))
-        keep = [_NO_ROWS]  # an empty pool side makes no chunk or empty ones
-        for lo in range(0, len(g1s), step):
-            syn = (g1s[lo : lo + step, None] ^ g2s).reshape(-1)
-            fits = _sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s
-            keep.append(lo * n2 + np.flatnonzero(fits))
-        i1, i2 = np.divmod(np.concatenate(keep), n2)
-    return k1[i1] ^ k2[i2]
-
-
 def _syndrome_join(
     m1: np.ndarray, v1: int, m2: np.ndarray, v2: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1135,18 +1103,12 @@ def _syndrome_join(
     faults) with equal level-1 syndromes, in cross-product order.
 
     A side of no faults is the zero row, so the join is a filter for the
-    other side's zero syndromes, formed _XOR_CHUNK rows at a time and
-    never held whole.  Otherwise both sides are short (at most
-    ``up_to(2)``): the second side's syndromes are sorted, stably, and
-    each row of the first finds its run of equal ones by binary search."""
+    other side's zero syndromes, at most G2's ``up_to(3)`` (303,499 rows)
+    in one pass.  Otherwise both sides are short (at most ``up_to(2)``):
+    the second side's syndromes are sorted, stably, and each row of the
+    first finds its run of equal ones by binary search."""
     if v1 == 0 or v2 == 0:
-        other = m2 if v1 == 0 else m1
-        step = _XOR_CHUNK
-        # one expression per chunk: no chunk's syndromes outlive its filter
-        hit = np.concatenate([_NO_ROWS, *(
-            lo + np.flatnonzero(_level1_syndrome_vec(other[lo : lo + step]) == 0)
-            for lo in range(0, len(other), step)
-        )])
+        hit = np.flatnonzero(_level1_syndrome_vec(m2 if v1 == 0 else m1) == 0)
         zero = np.zeros_like(hit)
         return (zero, hit) if v1 == 0 else (hit, zero)
     s1, s2 = _level1_syndrome_vec(m1), _level1_syndrome_vec(m2)
@@ -1160,46 +1122,67 @@ def _syndrome_join(
     return i1, order[np.arange(len(i1)) - np.repeat(start - lo, n)]
 
 
-def _scan_number_combination(
-    fnc: FaultNumberCombination,
+def _scan_shape(
+    fncs: list[FaultNumberCombination],
     g1: _EffectSets,
     g2: _EffectSets,
     max_faults: int,
 ) -> tuple[list[MarkedCombination], int]:
-    """Mark survivors of the relaxed conditions for one number combination.
-
-    Late G1 effects are the G1 rows, their flags read as the high 21 bits
-    of the combination's.  The two halves are disjoint, so a pair's flag
-    count is the sum of its rows' (``_flag_count``), and only pairs
-    within the flag budget are weighed; the flags themselves are decoded
-    for marked pairs alone.
+    """Mark survivors of the relaxed conditions for the number
+    combinations ``fncs`` of one gate shape (v_g1a, v_g1b, v_g2), in
+    order, from one read of the shape's rows within the loosest flag
+    budget (G2 raises no flag, so that budget drops G1a and late rows).
+    The early (G1a x G2) syndromes are XORs of the pools' (the syndrome
+    is linear; at most G1 ``up_to(1)`` x G2 ``up_to(1)``, 22,750 rows).
+    With v_w = v_s = 0 sigma fits only a zero syndrome, so when no
+    combination allows a wait or flip fault the early rows are the pairs
+    of equal syndromes, found by ``_syndrome_join``.  Early rows passing
+    some combination's sigma condition pair with the late rows within the
+    budget (the halves' flags are disjoint, so a pair's flag count is the
+    sum of its rows'), and their coset weights are taken once.  Each
+    combination masks the pairs with its own sigma, flag and coset
+    conditions; flags are decoded for marked pairs alone.
     """
-    late = g1.up_to(fnc.v_g1b)
-    examined = len(g1.up_to(fnc.v_g1a)) * len(g2.up_to(fnc.v_g2)) * len(late)
-    early = _early_survivors(fnc, g1, g2)
-    late = late[_flag_count(late) <= fnc.v_f]
-    ia, ib = np.nonzero(_flag_count(early)[:, None] + _flag_count(late) <= fnc.v_f)
-    early, late = early[ia], late[ib]
-    wmin = _min_coset_weight_vec((early ^ late) >> _SYN)
-    hot = wmin.astype(np.int64) + fnc.v_w > max_faults
+    v_g1a, v_g1b, v_g2 = fncs[0][:3]
+    v_f = max(fnc.v_f for fnc in fncs)
+    k1, k2, late = g1.up_to(v_g1a), g2.up_to(v_g2), g1.up_to(v_g1b)
+    examined = len(k1) * len(k2) * len(late) * len(fncs)
+    k1, late = (k[_flag_count(k) <= v_f] for k in (k1, late))
+    m1, m2 = k1 >> _SYN, k2 >> _SYN
+    if all(fnc.v_w == fnc.v_s == 0 for fnc in fncs):
+        i1, i2 = _syndrome_join(m1, v_g1a, m2, v_g2)
+        fits = np.ones((len(fncs), len(i1)), dtype=bool)
+    else:
+        syn = (_level1_syndrome_vec(m1)[:, None] ^ _level1_syndrome_vec(m2)).reshape(-1)
+        fits = np.array([_sigma_from_syndrome(syn, fnc.v_w) <= fnc.v_s for fnc in fncs])
+        rows = np.flatnonzero(fits.any(axis=0))
+        i1, i2 = np.divmod(rows, len(m2))
+        fits = fits[:, rows]
+    early = k1[i1] ^ k2[i2]
+    n_flags = _flag_count(early)[:, None] + _flag_count(late)
+    ia, ib = np.nonzero(n_flags <= v_f)
+    early, late, n_flags = early[ia], late[ib], n_flags[ia, ib]
+    wmin = _min_coset_weight_vec((early ^ late) >> _SYN).astype(np.int64)
 
     out, leaders = [], golay_leaders()
-    seen: set[tuple[int, int]] = set()
-    for ka, kb, w in zip(early[hot].tolist(), late[hot].tolist(), wmin[hot].tolist()):
-        if (ka, kb) in seen:
-            continue
-        seen.add((ka, kb))
-        ea, eb = ka >> _SYN, kb >> _SYN
-        fc = FaultCombination(
-            counts=fnc,
-            error=PauliOp.z_op(49, ea ^ eb),
-            early_error=PauliOp.z_op(49, ea),
-            flag=leaders[ka & _SYN_LOW] | leaders[kb & _SYN_LOW] << 21,
-            faults=_scan_witness(fnc, ka, kb),
-        )
-        if not relaxed_mark(fc, max_faults):
-            raise RuntimeError("vectorized marking disagrees with relaxed_mark")
-        out.append(MarkedCombination(fc, w))
+    for fnc, fit in zip(fncs, fits):
+        hot = fit[ia] & (n_flags <= fnc.v_f) & (wmin + fnc.v_w > max_faults)
+        seen: set[tuple[int, int]] = set()
+        for ka, kb, w in zip(early[hot].tolist(), late[hot].tolist(), wmin[hot].tolist()):
+            if (ka, kb) in seen:
+                continue
+            seen.add((ka, kb))
+            ea, eb = ka >> _SYN, kb >> _SYN
+            fc = FaultCombination(
+                counts=fnc,
+                error=PauliOp.z_op(49, ea ^ eb),
+                early_error=PauliOp.z_op(49, ea),
+                flag=leaders[ka & _SYN_LOW] | leaders[kb & _SYN_LOW] << 21,
+                faults=_scan_witness(fnc, ka, kb),
+            )
+            if not relaxed_mark(fc, max_faults):
+                raise RuntimeError("vectorized marking disagrees with relaxed_mark")
+            out.append(MarkedCombination(fc, w))
     return out, examined
 
 

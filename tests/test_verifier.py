@@ -1021,7 +1021,7 @@ def _reachable(subsets, n):
     """The distinct (mask, flag) XORs of n, n-2, ... distinct raw atoms,
     lexsorted: what the deduplicated pool's ``up_to(n)`` holds."""
     m, f = (np.concatenate(c) for c in zip(*(x for _, x in subsets[n::-2])))
-    return _reference_unique_rows(m, f)
+    return _lexsort_distinct_rows(m, f)
 
 
 def _rows(m, f):
@@ -1089,20 +1089,35 @@ def _effects(sets, k):
     return list(zip(*(c.tolist() for c in _unpack(sets.up_to(k)))))
 
 
-def test_early_survivors_match_scalar_sigma():
+def _spy(monkeypatch, name):
+    """Wrap ``v.<name>``: the list returned collects (args, result) per
+    call."""
+    calls, wrapped = [], getattr(v, name)
+
+    def spy(*args):
+        calls.append((args, wrapped(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(v, name, spy)
+    return calls
+
+
+def test_early_survivors_match_scalar_sigma(monkeypatch):
+    # the shape pass forms sigma once per combination over the G1a x G2
+    # rows within the loosest flag budget (every G1 row raises at most
+    # one flag), in cross-product order: scalar sigma of each row's mask
     model = fault_model()
     g1 = v._atom_effect_sets(model.gate1)
     g2 = v._atom_effect_sets(model.gate2)
-    early = [
-        (m1 ^ m2, f1 ^ f2) for m1, f1 in _effects(g1, 1) for m2, f2 in _effects(g2, 1)
-    ]
-    for v_w, v_f, v_s in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)):
-        fnc = FaultNumberCombination(v_g1a=1, v_g2=1, v_w=v_w, v_f=v_f, v_s=v_s)
-        survivors = v._early_survivors(fnc, g1, g2)
-        expected = [(m, f) for m, f in early
-                    if f.bit_count() <= v_f and sigma(m, v_w) <= v_s]
-        assert list(zip(*(c.tolist() for c in _unpack(survivors)))) == expected, fnc
-        assert 0 < len(expected) < len(early)
+    early = [m1 ^ m2 for m1, _ in _effects(g1, 1) for m2, _ in _effects(g2, 1)]
+    fncs = [FaultNumberCombination(1, 0, 1, *budget)
+            for budget in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0))]
+    calls = _spy(monkeypatch, "_sigma_from_syndrome")
+    v._scan_shape(fncs, g1, g2, 3)
+    assert [args[1] for args, _ in calls] == [fnc.v_w for fnc in fncs]
+    for fnc, (_, got) in zip(fncs, calls):
+        assert got.tolist() == [sigma(m, fnc.v_w) for m in early], fnc
+        assert 0 < np.count_nonzero(got <= fnc.v_s) < len(early)
 
 
 def test_scalar_marking_of_single_gate_fault_combinations(final_round_report):
@@ -1178,26 +1193,54 @@ def _unfiltered_marks(fnc, g1, g2, max_faults, chunk=1 << 18):
     return marked, early
 
 
+def _shape_pass(fncs, g1, g2, max_faults):
+    """``_scan_shape`` over one gate shape's ``fncs``: its marks, its
+    count of effect combinations and, per combination, its early
+    survivors as (mask, flag) pairs in cross-product order.  These are
+    the G1a x G2 rows, read within the loosest flag budget, that the
+    combination's sigma mask keeps (every pair the syndrome join returns,
+    when no combination has a wait or flip budget) and that its own flag
+    budget keeps."""
+    with pytest.MonkeyPatch.context() as mp:
+        sigmas = _spy(mp, "_sigma_from_syndrome")
+        joins = _spy(mp, "_syndrome_join")
+        found, examined = v._scan_shape(fncs, g1, g2, max_faults)
+    k1, k2 = g1.up_to(fncs[0].v_g1a), g2.up_to(fncs[0].v_g2)
+    k1 = k1[v._flag_count(k1) <= max(fnc.v_f for fnc in fncs)]
+    if joins:
+        (_, (i1, i2)), = joins
+        fits = [np.ones(len(i1), dtype=bool)] * len(fncs)
+    else:
+        i1, i2 = np.divmod(np.arange(len(k1) * len(k2)), len(k2))
+        assert [args[1] for args, _ in sigmas] == [fnc.v_w for fnc in fncs]
+        fits = [got <= fnc.v_s for fnc, (_, got) in zip(fncs, sigmas)]
+    rows = k1[i1] ^ k2[i2]
+    early = [rows[fit & (v._flag_count(rows) <= fnc.v_f)] for fnc, fit in zip(fncs, fits)]
+    return found, examined, [list(zip(*(c.tolist() for c in _unpack(e)))) for e in early]
+
+
 def _check_scan_against_unfiltered(fncs, max_faults):
-    """Marks and early survivors of ``_scan_number_combination`` against
-    ``_unfiltered_marks`` for each number combination: the marked sets
-    of both, the number of effect combinations and of early survivors."""
+    """Marks and early survivors of ``_scan_shape``, one pass per gate
+    shape, against ``_unfiltered_marks`` for each number combination: the
+    marked sets of both, the number of effect combinations and of early
+    survivors."""
     model = fault_model()
     g1 = v._atom_effect_sets(model.gate1)
     g2 = v._atom_effect_sets(model.gate2)
     marked, scanned = set(), set()
     n_effects = n_early = 0
-    for fnc in fncs:
-        marks, early = _unfiltered_marks(fnc, g1, g2, max_faults)
-        marked |= marks
-        survivors = _unpack(v._early_survivors(fnc, g1, g2))
-        assert list(zip(*(c.tolist() for c in survivors))) == early, fnc
-        n_early += len(early)
-        found, examined = v._scan_number_combination(fnc, g1, g2, max_faults)
+    for _, shape in itertools.groupby(fncs, key=lambda fnc: fnc[:3]):
+        shape = list(shape)
+        found, examined, survivors = _shape_pass(shape, g1, g2, max_faults)
         n_effects += examined
+        for fnc, early in zip(shape, survivors):
+            marks, want = _unfiltered_marks(fnc, g1, g2, max_faults)
+            marked |= marks
+            assert early == want, fnc
+            n_early += len(want)
         scanned |= {
-            (fnc, m.combination.early_error.z_bits, m.combination.error.z_bits,
-             m.combination.flag)
+            (m.combination.counts, m.combination.early_error.z_bits,
+             m.combination.error.z_bits, m.combination.flag)
             for m in found
         }
     assert marked == scanned
@@ -1224,7 +1267,7 @@ def test_marking_of_two_gate_fault_combinations(max_faults, n_marked):
 def test_marking_of_three_gate_fault_combinations():
     # Every effect combination with three gate faults, and so no wait,
     # flag or flip fault: 17,580,853, all through the syndrome join of
-    # _early_survivors (v_w = v_s = 0).  None is marked, and the early
+    # _scan_shape (v_w = v_s = 0).  None is marked, and the early
     # survivors the join keeps are exactly those that sigma and the flag
     # budget keep: 5,312 of the 26,966 that pass sigma.
     fncs = [
@@ -1236,16 +1279,69 @@ def test_marking_of_three_gate_fault_combinations():
     assert got == (0, 17_580_853, 5_312)
 
 
+def test_marks_are_deduplicated_per_combination():
+    # G1a x G2 rows collide (two fault pairs with one effect), and at
+    # coset threshold 1 every pair that the flip budget marks, the wait
+    # budget of the same shape marks too: each combination lists each of
+    # its marked pairs once, whatever the other combination lists
+    model = fault_model()
+    g1, g2 = v._atom_effect_sets(model.gate1), v._atom_effect_sets(model.gate2)
+    fncs = [FaultNumberCombination(1, 0, 1, v_s=1), FaultNumberCombination(1, 0, 1, v_w=1)]
+    found, _ = v._scan_shape(fncs, g1, g2, 1)
+    marks = {fnc: [] for fnc in fncs}
+    for m in found:
+        fc = m.combination
+        marks[fc.counts].append((fc.early_error.z_bits, fc.error.z_bits, fc.flag))
+    flip, wait = marks.values()
+    assert (len(set(flip)), len(set(wait))) == (len(flip), len(wait)) == (79, 1526)
+    assert set(flip) <= set(wait)
+
+
+def test_scan_traffic_per_gate_shape(monkeypatch):
+    # The measured sizes that let the scan form its syndromes whole, at
+    # budgets 1-3: the largest cross product is G1 up_to(1) x G2
+    # up_to(1), and the largest one-sided join input G2's up_to(3).  At
+    # budget 3 the coset weights are taken once per gate shape, besides
+    # the calls of the six completion analyses.
+    crosses = _spy(monkeypatch, "_sigma_from_syndrome")
+    joins = _spy(monkeypatch, "_syndrome_join")
+    for max_faults in (1, 2):
+        run_appendix_b(max_faults)
+    cosets = _spy(monkeypatch, "_min_coset_weight_vec")
+    analyze, in_analyses = v._analyze_completions, []
+
+    def counted(*args):
+        before = len(cosets)
+        result = analyze(*args)
+        in_analyses.append(len(cosets) - before)
+        return result
+
+    monkeypatch.setattr(v, "_analyze_completions", counted)
+    rep = run_appendix_b(3)
+    model = fault_model()
+    g1, g2 = v._atom_effect_sets(model.gate1), v._atom_effect_sets(model.gate2)
+    widest = len(g1.up_to(1)) * len(g2.up_to(1))
+    assert max(len(args[0]) for args, _ in crosses) == widest == 22_750
+    one_sided = [len(m2 if v1 == 0 else m1)
+                 for (m1, v1, m2, v2), _ in joins if 0 in (v1, v2)]
+    assert max(one_sided) == len(g2.up_to(3)) == 303_499
+    n_shapes = len(v._number_combinations(3, 3))
+    assert (n_shapes, len(in_analyses), len(rep.marked)) == (20, 6, 6)
+    assert len(cosets) - sum(in_analyses) <= n_shapes
+    assert len(cosets) == 26
+
+
 def _pool(*rows):
     """Synthetic scan pool of (Z mask, flag) rows."""
     return v._EffectSets(np.array([_pack(m, f) for m, f in rows], dtype=np.uint64), 3)
 
 
-def _first_empty_stage(fnc, g1, g2, max_faults):
-    """The first stage of ``_scan_number_combination`` that holds no row:
-    early survivors, late rows within the flag budget, (early, late)
-    pairs within it, marked pairs."""
-    am, af = _unpack(v._early_survivors(fnc, g1, g2))
+def _first_empty_stage(fnc, early, g1, max_faults):
+    """The first stage of ``_scan_shape`` over the one combination
+    ``fnc`` that holds no row: its early survivors ``early``, late rows
+    within the flag budget, (early, late) pairs within it, marked
+    pairs."""
+    am, af = (np.array([row[i] for row in early], dtype=np.uint64) for i in (0, 1))
     bm, bf = _unpack(g1.up_to(fnc.v_g1b))
     late = np.bitwise_count(bf) <= fnc.v_f
     fits = np.bitwise_count(af)[:, None] + np.bitwise_count(bf[late]) <= fnc.v_f
@@ -1271,7 +1367,7 @@ def _first_empty_stage(fnc, g1, g2, max_faults):
         # than the budget
         ("hot", FaultNumberCombination(v_g2=1), None),
         # a G2 pool with no rows has no G2 effect to pair: through the
-        # sigma filter's chunks, and through the syndrome join
+        # sigma filter's cross product, and through the syndrome join
         ("early", FaultNumberCombination(v_g2=1, v_w=1), "empty-g2"),
         ("early", FaultNumberCombination(v_g2=1), "empty-g2"),
     ],
@@ -1285,10 +1381,10 @@ def test_scan_passes_empty_stages_through(stage, fnc, pools):
         g2 = v._EffectSets(np.zeros(0, dtype=np.uint64), 3)
     else:
         g1 = g2 = _pool(*pools)
-    assert _first_empty_stage(fnc, g1, g2, 3) == stage
+    found, examined, (early,) = _shape_pass([fnc], g1, g2, 3)
+    assert _first_empty_stage(fnc, early, g1, 3) == stage
     sizes = ((g1, fnc.v_g1a), (g2, fnc.v_g2), (g1, fnc.v_g1b))
-    examined = math.prod(len(g.up_to(k)) for g, k in sizes)
-    assert v._scan_number_combination(fnc, g1, g2, 3) == ([], examined)
+    assert (found, examined) == ([], math.prod(len(g.up_to(k)) for g, k in sizes))
 
 
 def test_vector_helpers_take_empty_input():
@@ -1309,24 +1405,15 @@ def test_min_coset_weight_vec_matches_scalar():
 
 
 def test_effect_sets_do_not_depend_on_chunk_size(monkeypatch):
-    model = fault_model()
-    atoms = model.gate1
+    # the build takes tau _XOR_CHUNK keys at a time: 2^10 splits the
+    # flagless blockwise pool's 317,875 XORs into many chunks, the last
+    # one short, and builds the same table
     kw = dict(flagged=False, interleaved=False)
     keys = build_lookup_table(3, **kw).keys
-    g1, g2 = v._atom_effect_sets(atoms), v._atom_effect_sets(model.gate2)
-    fncs = (
-        # sigma over the 4,033 flag-free rows of 14,673
-        FaultNumberCombination(v_g1a=2, v_s=1),
-        # a zero-syndrome filter over the 111,882 flag-free rows of 770,512
-        FaultNumberCombination(v_g1a=3),
-    )
-    early = [v._early_survivors(fnc, g1, g2) for fnc in fncs]
+    assert sum(math.comb(len(fault_model(**kw).signature_pool()), k)
+               for k in range(4)) == 317_875
     monkeypatch.setattr(v, "_XOR_CHUNK", 1 << 10)
     assert np.array_equal(build_lookup_table(3, **kw).keys, keys)
-    for fnc, rows in zip(fncs, early):
-        assert np.array_equal(v._early_survivors(fnc, g1, g2), rows), fnc
-    assert 0 < len(early[0]) < 4033
-    assert 0 < len(early[1]) < 111882
 
 
 def test_exact_matches_brute_force_in_order(engine_subsets):
@@ -1457,7 +1544,7 @@ def _reference_min_coset_weight_vec(masks):
     return best
 
 
-def _reference_unique_rows(m, f):
+def _lexsort_distinct_rows(m, f):
     # the lexsort form: sort by (mask, flag), keep rows unlike their left
     order = np.lexsort((f, m))
     m, f = m[order], f[order]
@@ -1499,7 +1586,7 @@ def test_min_coset_weight_vec_matches_reference():
     assert np.array_equal(got, _reference_min_coset_weight_vec(masks))
 
 
-def test_unique_rows_matches_lexsort_reference():
+def test_up_to_dedup_matches_lexsort_reference():
     # up_to's sort and adjacent diff of packed keys against a lexsort of
     # the unpacked rows: the same rows, as many, in mask order
     model = fault_model()
@@ -1508,7 +1595,7 @@ def test_unique_rows_matches_lexsort_reference():
         for k in (2, 3):
             exact = sets._exact((k, k - 2))
             got = v._unique_sorted(np.sort(exact))
-            want = _reference_unique_rows(*_unpack(exact))
+            want = _lexsort_distinct_rows(*_unpack(exact))
             assert len(got) == len(want[0]) and np.all(got[1:] > got[:-1]), k
             assert _rows(*_unpack(got)) == _rows(*want), k
             assert np.array_equal(got >> np.uint64(11), want[0]), k
@@ -1519,7 +1606,7 @@ def test_unique_rows_matches_lexsort_reference():
     f = rng.choice(np.array(flags, dtype=np.uint64), size=3000)
     keys = np.array([_pack(a, b) for a, b in zip(m.tolist(), f.tolist())], np.uint64)
     got = v._unique_sorted(np.sort(keys))
-    want = _reference_unique_rows(m, f)
+    want = _lexsort_distinct_rows(m, f)
     assert len(got) == len(want[0]) == 18
     assert _rows(*_unpack(got)) == _rows(*want)
 
@@ -1532,7 +1619,7 @@ def test_unique_rows_matches_lexsort_reference():
         ([0], [0b11]),  # two flags from one atom: three atoms could raise six
     ],
 )
-def test_unique_rows_rejects_rows_it_cannot_pack(m, f):
+def test_atom_keys_reject_rows_they_cannot_pack(m, f):
     atoms = tuple(v.FaultAtom("A", e, fl) for e, fl in zip(m, f))
     with pytest.raises(ValueError, match="49-bit masks"):
         v._atom_effect_sets(atoms)
