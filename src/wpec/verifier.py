@@ -132,6 +132,7 @@ RECORD_FIELDS = (
 _BIT = {name: bit for name, bit, _ in RECORD_FIELDS}
 _WIDTH = {name: width for name, _, width in RECORD_FIELDS}
 _CELL, _PART = _WIDTH["parity"], _BIT["tau"]
+_STILDE_AT = _BIT["stilde"] - _PART  # s-tilde's lowest bit in a partition
 
 _PCANON_U64 = np.array(PCANON, dtype=np.uint64)
 _SYND7_U64 = np.array([syndrome7(p) for p in range(128)], dtype=np.uint64)
@@ -505,9 +506,10 @@ class LookupTable:
     Each record is one achievable (syndrome, second-level syndrome,
     triviality, flags, canonical parity) tuple for at most max_faults
     faults, as a sort key.  Records are grouped by partition (stilde,
-    tau); a group whose records all share one canonical parity answers
-    lookups unconditionally, otherwise the cell (partition, s, f)
-    selects the record.
+    tau), and one index maps each partition to its parity (-1 when
+    mixed) and its records' bounds.  A group whose records all share one
+    canonical parity answers lookups unconditionally, otherwise the cell
+    (partition, s, f) selects the record, found within those bounds.
     """
 
     def __init__(
@@ -528,21 +530,16 @@ class LookupTable:
         le = keys.astype("<u8", copy=False)
         high = le.view("<u2")[3::4] >> (_PART - 48)
         starts = np.concatenate([[0], np.flatnonzero(high[1:] != high[:-1]) + 1])
-        self._group_start = starts
-        self._group_end = np.concatenate([starts[1:], [len(keys)]])
-        self._group_high = high[starts]
+        self._edges = np.append(starts, len(keys))  # n_groups + 1 record offsets
         p = le.view(np.uint8)[::8] & (1 << _CELL) - 1
-        pmin = np.minimum.reduceat(p, starts)
-        pmax = np.maximum.reduceat(p, starts)
-        parity = np.where(pmin == pmax, pmin.astype(np.int64), -1)
-        # partition (key >> _PART) -> its parity, or -1 when mixed; in
-        # group order, and of Python ints, so a lookup reads no numpy scalar
-        self._parity_of = dict(zip(self._group_high.tolist(), parity.tolist()))
-        # mixed partition -> its records' (start, end), for a bisect over a
-        # zero-copy view of the keys whose items are Python ints
-        mixed = parity < 0
-        self._bounds = dict(zip(self._group_high[mixed].tolist(), zip(
-            starts[mixed].tolist(), self._group_end[mixed].tolist())))
+        pmin = np.minimum.reduceat(p, starts).astype(np.int64)  # signed, for -1
+        parity = np.where(pmin == np.maximum.reduceat(p, starts), pmin, -1)
+        # partition (key >> _PART) -> (its parity, or -1 when mixed; start,
+        # end), in group order and of Python ints: a lookup reads no numpy
+        # scalar, and bisects a zero-copy view of the keys (Python int items)
+        edges = self._edges.tolist()
+        self._parts = dict(zip(high[starts].tolist(),
+                               zip(parity.tolist(), edges, edges[1:])))
         self._key_view = memoryview(le)
 
     @property
@@ -551,7 +548,7 @@ class LookupTable:
 
     @property
     def n_groups(self) -> int:
-        return len(self._group_high)
+        return len(self._parts)
 
     def lookup_parity(self, stilde: int, s: int, f: int) -> int | None:
         """Block parity for an observation, or None when out of table.
@@ -562,11 +559,10 @@ class LookupTable:
         cannot come from at most max_faults faults, and the caller falls
         back to its out-of-table correction path.
         """
-        part = stilde << (_BIT["stilde"] - _PART) | tau_from_syndrome(s)
-        par = self._parity_of.get(part)
+        part = stilde << _STILDE_AT | tau_from_syndrome(s)
+        par, start, end = self._parts.get(part, (None, 0, 0))
         if par is None or par >= 0:  # no such partition, or a uniform one
             return par
-        start, end = self._bounds[part]
         probe = part << _PART | s << _BIT["s"] | f << _BIT["f"]
         keys = self._key_view
         lo = bisect.bisect_left(keys, probe, start, end)
@@ -591,7 +587,7 @@ class LookupTable:
         violated = set((prefixes >> np.uint64(_PART - _CELL)).tolist())
         return tuple(
             "!" if high in violated else "1" if par >= 0 else "2"
-            for high, par in self._parity_of.items()
+            for high, (par, _, _) in self._parts.items()
         )
 
     def record_rows(self):
@@ -603,9 +599,8 @@ class LookupTable:
         ``_DIGIT_OFFSET`` turns them into digits and separators.  The
         per-record tag comes from its group.
         """
-        sizes = self._group_end - self._group_start
         tags = np.frombuffer("".join(self.group_tags()).encode(), dtype=np.uint8)
-        tags = np.repeat(tags, sizes)
+        tags = np.repeat(tags, np.diff(self._edges))
         for lo in range(0, self.n_records, _FORMAT_CHUNK):
             keys = self.keys[lo : lo + _FORMAT_CHUNK]
             word = np.zeros(len(keys), dtype="<u8")

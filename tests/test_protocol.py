@@ -1363,7 +1363,7 @@ _CONTROL_FAILURES = {
 def _partition_tags(table):
     """A function from a bundle to the table's group tags of its (stilde,
     tau) partition on the Z side and on the X side (None for no group)."""
-    tags = dict(zip(table._group_high.tolist(), table.group_tags()))
+    tags = dict(zip(table._parts, table.group_tags()))
 
     def part(stilde, tau):  # key >> _PART
         return (stilde << _BIT["stilde"] | tau << _BIT["tau"]) >> _PART

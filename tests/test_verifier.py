@@ -352,7 +352,7 @@ def test_lookup_parity_sampled_records(table3):
 
 
 def test_lookup_parity_out_of_table(table3):
-    present = set(int(h) for h in table3._group_high)
+    present = set(table3._parts)
     missing = next(
         h for h in range(8 << 7) if h not in present
     )
@@ -364,8 +364,8 @@ def test_lookup_parity_out_of_table(table3):
     # a mixed partition with an impossible flag pattern
     tags = table3.group_tags()
     g = tags.index("2")
-    high = int(table3._group_high[g])
-    key0 = int(table3.keys[int(table3._group_start[g])])
+    high, (_, start, _) = list(table3._parts.items())[g]
+    key0 = int(table3.keys[start])
     s0 = (key0 >> v._BIT["s"]) & ((1 << 21) - 1)
     all_flags = (1 << 21) - 1  # needs 21 faults, never recorded
     assert table3.lookup_parity(high >> stilde_at, s0, all_flags) is None
@@ -400,8 +400,7 @@ def test_lookup_parity_reads_group_edges(table3):
     for table in (build_lookup_table(1), build_lookup_table(2), table3):
         keys, tags = table.keys.tolist(), table.group_tags()
         n = 0
-        bounds = zip(table._group_start.tolist(), table._group_end.tolist())
-        for tag, (lo, hi) in zip(tags, bounds):
+        for tag, (_, lo, hi) in zip(tags, table._parts.values()):
             for key, step in ((keys[lo], -1), (keys[hi - 1], 1)):
                 s, stilde, _, f, p = v._key_fields(key)
                 assert table.lookup_parity(stilde, s, f) == p, hex(key)
@@ -734,13 +733,13 @@ def test_scan_witness_miss_raises(monkeypatch, final_round_report):
 def _reference_lines(table):
     """The record formatting of format_bits, one record at a time."""
     tags = table.group_tags()
-    for g in range(table.n_groups):
-        for key in table.keys[table._group_start[g] : table._group_end[g]]:
+    for tag, (_, lo, hi) in zip(tags, table._parts.values()):
+        for key in table.keys[lo:hi]:
             s, stilde, tau, f, p = v._key_fields(int(key))
             yield (
                 f"{format_bits(s, 21)} {format_bits(stilde, 3)} "
                 f"{format_bits(tau, 7)} {format_bits(f, 21)} "
-                f"{format_bits(p, 7)} {tags[g]}"
+                f"{format_bits(p, 7)} {tag}"
             )
 
 
@@ -752,7 +751,7 @@ def _reference_record_chunks(table):
         np.arange(len(fields)), [width for _, width in fields]
     )
     width = len(digit_bits) + len(fields) + 2
-    sizes = table._group_end - table._group_start
+    sizes = [hi - lo for _, lo, hi in table._parts.values()]
     tags = np.frombuffer("".join(table.group_tags()).encode(), dtype=np.uint8)
     tags = np.repeat(tags, sizes)
     for lo in range(0, table.n_records, v._FORMAT_CHUNK):
@@ -880,6 +879,75 @@ def test_violations_grow_monotonically():
     t2, t3 = build_lookup_table(2, **kw), build_lookup_table(3, **kw)
     assert verify_claim2(t2).n_violations == 932
     assert set(t2.violated_prefixes().tolist()) <= set(t3.violated_prefixes().tolist())
+
+
+# ---------------------------------------------------------------------------
+# Fault distance
+
+# d, the fewest pool signatures whose XOR is L (s = 0, f = 0, the logical
+# parity): the circuits' fault distance, the weight of the smallest
+# undetectable logical fault set that Stim searches for (arXiv:2103.02202)
+_FAULT_DISTANCE = {
+    (True, True): 7, (True, False): 2, (False, True): 5, (False, False): 2,
+}
+
+
+def _in_sorted(keys):
+    """A ``first`` predicate: the rows of a block that sorted ``keys`` holds."""
+    def match(block):
+        i = np.searchsorted(keys, block)
+        return keys[np.minimum(i, len(keys) - 1)] == block
+    return match
+
+
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_fault_distance(flagged, interleaved):
+    d = _FAULT_DISTANCE[flagged, interleaved]
+    logical = np.uint64(PCANON[LOGICAL_REP7])
+    sets = v._EffectSets(fault_model(flagged, interleaved).signature_pool())
+
+    def meets(n):
+        # meet in the middle: an XOR of a rows equal to an XOR of b rows ^ L
+        # is a set of a + b, a + b - 2, ... rows reaching L
+        return _in_sorted(sets.up_to(n - n // 2))(sets.up_to(n // 2) ^ logical).any()
+
+    assert next((n for n in range(1, 7) if meets(n)), None) == (d if d <= 6 else None)
+    if d == 7:
+        # the first 4 rows whose XOR ^ L is 3 or 1 rows' XOR: 7 or fewer
+        # rows reach L, and no 6 or fewer do
+        four = sets.first(lambda b: _in_sorted(sets.up_to(3))(b ^ logical), (4,))
+        rest = np.bitwise_xor.reduce(sets.pool[list(four)]) ^ logical
+        three = sets.first(v._equal(rest), (3,))
+        assert (four, three) == ((1, 23, 43, 56), (78, 132, 135))
+        assert np.bitwise_xor.reduce(sets.pool[list(four + three)]) == logical
+
+
+@pytest.mark.parametrize("flagged,interleaved", VARIANTS)
+def test_audit_violations_follow_fault_distance(flagged, interleaved):
+    # two records of one cell differ by a signature with s = 0, f = 0 and
+    # a Steane codeword for parity, so 0 or L: the budget-t audit has a
+    # violation exactly when 2t faults reach L
+    d = _FAULT_DISTANCE[flagged, interleaved]
+    for t in (1, 2, 3):
+        table = build_lookup_table(t, flagged=flagged, interleaved=interleaved)
+        assert (len(table.violated_prefixes()) > 0) == (d <= 2 * t), t
+
+
+@pytest.mark.parametrize("budget", (1, 2))
+def test_partition_index_tiles_the_keys(budget):
+    # one entry per partition, in key order: its records are the keys
+    # between its bounds, and its parity is theirs when they share one,
+    # else a signed -1
+    table = build_lookup_table(budget)
+    keys = table.keys.tolist()
+    assert list(table._parts) == sorted(table._parts)
+    bounds = [(lo, hi) for _, lo, hi in table._parts.values()]
+    assert [lo for lo, _ in bounds] + [len(keys)] == table._edges.tolist()
+    assert [hi for _, hi in bounds] == table._edges[1:].tolist()
+    for part, (par, lo, hi) in table._parts.items():
+        assert {k >> v._PART for k in keys[lo:hi]} == {part}
+        parities = {k & (1 << v._CELL) - 1 for k in keys[lo:hi]}
+        assert par == (parities.pop() if len(parities) == 1 else -1)
 
 
 # ---------------------------------------------------------------------------
