@@ -913,9 +913,10 @@ def test_fault_distance(flagged, interleaved):
 
     assert next((n for n in range(1, 7) if meets(n)), None) == (d if d <= 6 else None)
     if d == 7:
-        # the first 4 rows whose XOR ^ L is 3 or 1 rows' XOR: 7 or fewer
-        # rows reach L, and no 6 or fewer do
-        four = sets.first(lambda b: _in_sorted(sets.up_to(3))(b ^ logical), (4,))
+        # the first 4 rows whose XOR ^ L is an XOR of 3 or 1 rows: an odd
+        # number of rows up to 7 reaches L, and 5 or fewer do not
+        in_up_to_3 = _in_sorted(sets.up_to(3))
+        four = sets.first(lambda b: in_up_to_3(b ^ logical), (4,))
         rest = np.bitwise_xor.reduce(sets.pool[list(four)]) ^ logical
         three = sets.first(v._equal(rest), (3,))
         assert (four, three) == ((1, 23, 43, 56), (78, 132, 135))
